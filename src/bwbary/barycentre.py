@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, linalg
+from . import linalg
 from .errors import InvalidInput, NonFinite
 from .linalg import check_covariance, check_same_dim
 
@@ -120,9 +120,11 @@ class BarycentreResult:
     """Output of :func:`barycentre_fixed_point`.
 
     ``history`` holds one ``(iteration, change, frechet_value)`` triple per
-    iteration, for convergence plots.  ``monotone`` records whether the
-    Fréchet value was non-increasing along the iterates (violations beyond
-    1e-9 also emit a warning).
+    iteration; its Fréchet value is at the iterate step ``t`` starts from,
+    ``R_t = sigma_{t-1} + ridge_t I`` (ridge included).  ``frechet_value`` is
+    at the returned ``barycentre``; ``monotone`` records whether the history
+    values followed by it were non-increasing (violations beyond 1e-9 also
+    emit a warning).
     """
 
     barycentre: np.ndarray
@@ -135,17 +137,39 @@ class BarycentreResult:
     history: tuple
 
 
-def frechet_functional(candidate, prob: BarycentreProblem) -> float:
-    """Weighted sum of squared BW distances from ``candidate`` to the inputs."""
+def _mean_inner_root(root: np.ndarray, prob: BarycentreProblem) -> np.ndarray:
+    """``sum_i w_i (R^{1/2} S_i R^{1/2})^{1/2}`` for ``root = R^{1/2}``, in one pass."""
+    return sum(w * linalg.congruence_sqrt(root, S) for w, S in zip(prob.weights, prob.inputs))
+
+
+def _input_trace(prob: BarycentreProblem) -> float:
+    return sum(w * float(np.trace(S)) for w, S in zip(prob.weights, prob.inputs))
+
+
+def _frechet(R: np.ndarray, mid: np.ndarray, input_trace: float) -> float:
+    """``F(R) = tr R + sum_i w_i tr S_i - 2 tr(mid)``, ``mid`` the mean inner root at ``R``.
+
+    By linearity of the trace, ``tr(mid)`` is the weighted sum of the cross terms.
+    """
+    return max(float(np.trace(R)) + input_trace - 2.0 * float(np.trace(mid)), 0.0)
+
+
+def _candidate(candidate, prob: BarycentreProblem) -> np.ndarray:
     C = check_covariance(candidate)
     check_same_dim(C, prob.inputs[0])
-    factor_c = linalg.psd_factor(C)
-    tr_c = float(np.trace(C))
-    total = 0.0
-    for w, S in zip(prob.weights, prob.inputs):
-        cross = geometry.cross_trace(factor_c, linalg.psd_factor(S))
-        total += w * max(tr_c + float(np.trace(S)) - 2.0 * cross, 0.0)
-    return float(total)
+    return C
+
+
+def _evaluate(C: np.ndarray, prob: BarycentreProblem, input_trace: float) -> tuple:
+    """Certificate residual and Fréchet value of a validated ``C`` from one pass."""
+    mid = _mean_inner_root(linalg.sqrt_psd(C), prob)
+    residual = float(np.linalg.norm(mid - C) / max(1.0, np.linalg.norm(C)))
+    return residual, _frechet(C, mid, input_trace)
+
+
+def frechet_functional(candidate, prob: BarycentreProblem) -> float:
+    """Weighted sum of squared BW distances from ``candidate`` to the inputs."""
+    return _evaluate(_candidate(candidate, prob), prob, _input_trace(prob))[1]
 
 
 def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
@@ -156,24 +180,14 @@ def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
     first-order barycentre condition; the formula never inverts the
     candidate, so singular candidates are handled exactly.
     """
-    C = check_covariance(candidate)
-    check_same_dim(C, prob.inputs[0])
-    root = linalg.sqrt_psd(C)
-    acc = np.zeros_like(C)
-    for w, S in zip(prob.weights, prob.inputs):
-        acc += w * linalg.congruence_sqrt(root, S)
-    return float(np.linalg.norm(acc - C) / max(1.0, np.linalg.norm(C)))
-
-
-def _mean_inner_root(root: np.ndarray, prob: BarycentreProblem) -> np.ndarray:
-    acc = np.zeros_like(root)
-    for w, S in zip(prob.weights, prob.inputs):
-        acc += w * linalg.congruence_sqrt(root, S)
-    return acc
+    return _evaluate(_candidate(candidate, prob), prob, _input_trace(prob))[0]
 
 
 def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResult:
     """Run the ridge-regularized fixed-point iteration for the barycentre.
+
+    Each step decomposes its iterate once; one pass over the inputs gives both
+    the update and the iterate's Fréchet value.
 
     Parameters
     ----------
@@ -185,8 +199,9 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     Returns
     -------
     BarycentreResult
-        Carries the final iterate, the certificate residual from
-        :func:`verify_barycentre_certificate`, and the per-iteration history.
+        Carries the final iterate, its certificate residual (the quantity
+        :func:`verify_barycentre_certificate` returns) and Fréchet value from
+        one closing pass, and the per-iteration history.
 
     Raises
     ------
@@ -194,59 +209,47 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         If the iterate leaves the realm of finite floats.
     """
     st = prob.settings
-    n = prob.dim
-    eye = np.eye(n)
+    eye = np.eye(prob.dim)
     if init is None:
         sigma = sum(w * S for w, S in zip(prob.weights, prob.inputs))
         sigma = sigma + st.ridge * eye
     else:
-        sigma = check_covariance(init)
-        check_same_dim(sigma, prob.inputs[0])
+        sigma = _candidate(init, prob)
 
+    input_trace = _input_trace(prob)
     ridge = st.ridge
     history = []
-    frechet_prev = np.inf
-    monotone = True
-    change = np.inf
-    iterations = 0
 
     for t in range(1, st.max_iter + 1):
         reg = sigma + ridge * eye if ridge > 0 else sigma
-        root = linalg.sqrt_psd(reg)
-        pinv = linalg.pinv_sqrt(reg, st.rank_tol)
-        mid = _mean_inner_root(root, prob)
+        dec = linalg._psd_eigs(reg)
+        mid = _mean_inner_root(dec.sqrt(), prob)
+        pinv = dec.pinv_sqrt(st.rank_tol)
         new = pinv @ mid @ mid @ pinv
         new = (new + new.T) / 2.0
         if not np.all(np.isfinite(new)):
             raise NonFinite(f"iterate diverged at iteration {t}")
 
         change = float(np.linalg.norm(new - sigma) / max(1.0, np.linalg.norm(sigma)))
+        history.append((t, change, _frechet(reg, mid, input_trace)))
         sigma = new
-        iterations = t
         ridge *= st.ridge_decay
-
-        fval = frechet_functional(sigma, prob)
-        if fval > frechet_prev + 1e-9:
-            monotone = False
-            warnings.warn(
-                f"Fréchet value increased by {fval - frechet_prev:.3e} at iteration {t}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        frechet_prev = fval
-        history.append((t, change, fval))
-
         if change <= st.tol:
             break
 
-    residual = verify_barycentre_certificate(sigma, prob)
+    residual, fval = _evaluate(sigma, prob, input_trace)
+    fvals = [h[2] for h in history] + [fval]
+    rises = [(t, b - a) for t, (a, b) in enumerate(zip(fvals, fvals[1:]), 1) if b > a + 1e-9]
+    for t, rise in rises:
+        warnings.warn(f"Fréchet value increased by {rise:.3e} at iteration {t}",
+                      RuntimeWarning, stacklevel=2)
     return BarycentreResult(
         barycentre=sigma,
-        iterations=iterations,
+        iterations=len(history),
         final_change=change,
         certificate_residual=residual,
         converged=change <= st.tol,
-        frechet_value=frechet_prev,
-        monotone=monotone,
+        frechet_value=fval,
+        monotone=not rises,
         history=tuple(history),
     )

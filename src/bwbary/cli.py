@@ -276,7 +276,8 @@ def cmd_sweep(args) -> int:
             "kernel_dim_s1": info["kernel_dims"][0],
             "kernel_dim_s2": info["kernel_dims"][1],
             "min_eig_t1": min_eig_t1,
-            "min_angle_s1": info["min_angles"][0],
+            "shared_dims_s1": info["shared_dims"][0],
+            "min_nonzero_angle_s1": info["min_nonzero_angles"][0],
             "certificate_residual": residual,
         })
     with open(args.out_csv, "w", newline="") as fh:

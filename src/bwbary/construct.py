@@ -196,13 +196,10 @@ def conjugate(T, cov) -> np.ndarray:
     P = T @ C @ T
     P = (P + P.T) / 2.0
     w = np.linalg.eigvalsh(P)
-    lam_max = max(float(w[-1]), 0.0)
-    if float(w[0]) < -linalg.PSD_TOL * max(1.0, lam_max):
-        raise NotPSD(f"conjugation produced eigenvalue {w[0]:.3e}")
+    lam_max = float(w[-1])
+    linalg.check_psd_floor(float(w[0]), lam_max, "conjugation produced eigenvalue")
     if float(w[0]) < -_CLAMP_TOL * max(1.0, lam_max):
-        dec = linalg.eig_sym(P)
-        P = (dec.eigenvectors * np.clip(dec.eigenvalues, 0.0, None)) @ dec.eigenvectors.T
-        P = (P + P.T) / 2.0
+        P = linalg._psd_eigs(P).reconstruct()
     return P
 
 

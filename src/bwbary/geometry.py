@@ -85,7 +85,8 @@ def optimal_map(A, B, rank_tol: float = RANK_TOL) -> np.ndarray:
     check_same_dim(A, B)
     n = A.shape[0]
 
-    ker = linalg.kernel_basis(A, rank_tol)
+    dec = linalg._psd_eigs(A)
+    ker = dec.kernel(rank_tol)
     if ker.shape[1]:
         lam_max_b = float(np.linalg.eigvalsh(B)[-1])
         worst = float(np.max(np.linalg.norm(B @ ker, axis=0)))
@@ -95,8 +96,6 @@ def optimal_map(A, B, rank_tol: float = RANK_TOL) -> np.ndarray:
                 f"exceeds {rank_tol * lam_max_b * n:.3e}"
             )
 
-    root = linalg.sqrt_psd(A)
-    pinv = linalg.pinv_sqrt(A, rank_tol)
-    mid = linalg.congruence_sqrt(root, B)
-    M = pinv @ mid @ pinv
+    pinv = dec.pinv_sqrt(rank_tol)
+    M = pinv @ linalg.congruence_sqrt(dec.sqrt(), B) @ pinv
     return (M + M.T) / 2.0

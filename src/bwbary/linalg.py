@@ -58,10 +58,14 @@ def check_covariance(M, tol: float = SYM_TOL) -> np.ndarray:
     """Validate ``M`` as a covariance: symmetric and PSD up to :data:`PSD_TOL`."""
     A = check_symmetric(M, tol)
     w = np.linalg.eigvalsh(A)
-    lam_max = float(w[-1]) if w.size else 0.0
-    if float(w[0]) < -PSD_TOL * max(1.0, lam_max):
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below PSD tolerance")
+    check_psd_floor(float(w[0]), float(w[-1]))
     return A
+
+
+def check_psd_floor(w_min: float, lam_max: float, what: str = "smallest eigenvalue") -> None:
+    """The PSD rule: raise :class:`NotPSD` when ``w_min < -PSD_TOL * max(1, lam_max)``."""
+    if w_min < -PSD_TOL * max(1.0, lam_max):
+        raise NotPSD(f"{what} {w_min:.3e} below PSD tolerance")
 
 
 def check_same_dim(A: np.ndarray, B: np.ndarray) -> None:
@@ -82,14 +86,35 @@ class SpectralDecomp:
         ``eigenvalues[i]``.  Signs are fixed so that the largest-magnitude
         component of each eigenvector is positive (ties broken by lowest
         index), which makes golden-file tests possible.
+
+    ``sqrt``, ``pinv_sqrt`` and ``kernel`` need nonnegative eigenvalues (a PSD
+    decomposition); their ``rank_tol`` is relative to ``max(1, lam_max)``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
+    def _apply(self, values) -> np.ndarray:
         V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.T
+        R = (V * values) @ V.T
+        return (R + R.T) / 2.0
+
+    def _cutoff(self, rank_tol: float) -> float:
+        return rank_tol * max(1.0, float(self.eigenvalues[0]))
+
+    def reconstruct(self) -> np.ndarray:
+        return self._apply(self.eigenvalues)
+
+    def sqrt(self) -> np.ndarray:
+        return self._apply(np.sqrt(self.eigenvalues))
+
+    def pinv_sqrt(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+        w = self.eigenvalues
+        keep = w > self._cutoff(rank_tol)
+        return self._apply(np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0))
+
+    def kernel(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+        return self.eigenvectors[:, self.eigenvalues < self._cutoff(rank_tol)]
 
 
 def eig_sym(M) -> SpectralDecomp:
@@ -121,12 +146,13 @@ def eig_sym(M) -> SpectralDecomp:
 
 
 def _psd_eigs(M) -> SpectralDecomp:
-    """Decompose and verify PSD-ness; clamp rounding-level negatives to zero."""
+    """Decompose a covariance, verify PSD-ness and clamp rounding-level negatives to zero.
+
+    Every root, pseudo-inverse root and kernel basis derives from this one decomposition.
+    """
     dec = eig_sym(M)
     w = dec.eigenvalues
-    lam_max = float(w[0]) if w.size else 0.0
-    if float(w[-1]) < -PSD_TOL * max(1.0, lam_max):
-        raise NotPSD(f"smallest eigenvalue {w[-1]:.3e} below PSD tolerance")
+    check_psd_floor(float(w[-1]), float(w[0]))
     return SpectralDecomp(np.clip(w, 0.0, None), dec.eigenvectors)
 
 
@@ -136,10 +162,7 @@ def sqrt_psd(M) -> np.ndarray:
     Eigenvalues in ``[-PSD_TOL * max(1, lam_max), 0)`` are clamped to zero;
     anything below raises :class:`NotPSD`.
     """
-    dec = _psd_eigs(M)
-    V = dec.eigenvectors
-    R = (V * np.sqrt(dec.eigenvalues)) @ V.T
-    return (R + R.T) / 2.0
+    return _psd_eigs(M).sqrt()
 
 
 def pinv_sqrt(M, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -149,23 +172,13 @@ def pinv_sqrt(M, rank_tol: float = RANK_TOL) -> np.ndarray:
     kernel and mapped to zero, so ``pinv_sqrt(M) @ M @ pinv_sqrt(M)`` equals
     the orthogonal projector onto the kept eigenspace.
     """
-    dec = _psd_eigs(M)
-    w, V = dec.eigenvalues, dec.eigenvectors
-    lam_max = float(w[0]) if w.size else 0.0
-    thr = rank_tol * max(1.0, lam_max)
-    inv = np.where(w > thr, 1.0 / np.sqrt(np.where(w > thr, w, 1.0)), 0.0)
-    P = (V * inv) @ V.T
-    return (P + P.T) / 2.0
+    return _psd_eigs(M).pinv_sqrt(rank_tol)
 
 
 def range_projector(M, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors above the rank cutoff."""
     dec = _psd_eigs(M)
-    w, V = dec.eigenvalues, dec.eigenvectors
-    thr = rank_tol * max(1.0, float(w[0]) if w.size else 0.0)
-    keep = V[:, w > thr]
-    P = keep @ keep.T
-    return (P + P.T) / 2.0
+    return dec._apply((dec.eigenvalues > dec._cutoff(rank_tol)).astype(np.float64))
 
 
 def operator_norm(M) -> float:
@@ -177,18 +190,12 @@ def operator_norm(M) -> float:
 
 def kernel_dim(M, rank_tol: float = RANK_TOL) -> int:
     """Number of eigenvalues of a PSD matrix below ``rank_tol * max(lam_max, 1)``."""
-    dec = _psd_eigs(M)
-    w = dec.eigenvalues
-    thr = rank_tol * max(float(w[0]) if w.size else 0.0, 1.0)
-    return int(np.sum(w < thr))
+    return int(kernel_basis(M, rank_tol).shape[1])
 
 
 def kernel_basis(M, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of a PSD matrix."""
-    dec = _psd_eigs(M)
-    w, V = dec.eigenvalues, dec.eigenvectors
-    thr = rank_tol * max(float(w[0]) if w.size else 0.0, 1.0)
-    return V[:, w < thr]
+    return _psd_eigs(M).kernel(rank_tol)
 
 
 def principal_angles(U: np.ndarray, W: np.ndarray) -> np.ndarray:

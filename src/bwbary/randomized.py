@@ -34,29 +34,20 @@ LAWS = ("uniform", "two-point", "triangular")
 
 @dataclass(frozen=True)
 class RandomMapLaw:
-    """Symmetric law on [-1/2, 1/2] for the map coefficient.
-
-    ``excludes_zero`` redraws the (measure-zero for the continuous laws)
-    event ``a == 0.0`` so that every sampled map differs from the identity.
-    """
+    """Symmetric law on [-1/2, 1/2] for the map coefficient."""
 
     name: str = "uniform"
-    excludes_zero: bool = False
 
     def __post_init__(self):
         if self.name not in LAWS:
             raise InvalidInput(f"law must be one of {LAWS}")
 
     def draw(self, generator: np.random.Generator) -> float:
-        while True:
-            if self.name == "uniform":
-                a = float(generator.uniform(-0.5, 0.5))
-            elif self.name == "two-point":
-                a = 0.5 if int(generator.integers(2)) else -0.5
-            else:
-                a = float(generator.triangular(-0.5, 0.0, 0.5))
-            if not (self.excludes_zero and a == 0.0):
-                return a
+        if self.name == "uniform":
+            return float(generator.uniform(-0.5, 0.5))
+        if self.name == "two-point":
+            return 0.5 if int(generator.integers(2)) else -0.5
+        return float(generator.triangular(-0.5, 0.0, 0.5))
 
 
 def _stream(seed_seq: np.random.SeedSequence) -> np.random.Generator:

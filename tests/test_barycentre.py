@@ -148,6 +148,53 @@ class TestSolver:
             assert res.certificate_residual <= 10 * prob.settings.tol
 
 
+class TestSharedPass:
+    """The solver's closing pass gives the certificate and the Fréchet value."""
+
+    @pytest.fixture(scope="class")
+    def pair_run(self):
+        _, s1, s2 = constructed_triple(32)
+        prob = problem([s1, s2], settings=SolverSettings(ridge=1e-6, ridge_decay=0.5))
+        return prob, barycentre_fixed_point(prob)
+
+    def test_result_equals_public_evaluations(self, pair_run):
+        prob, res = pair_run
+        assert res.certificate_residual == verify_barycentre_certificate(res.barycentre, prob)
+        assert res.frechet_value == frechet_functional(res.barycentre, prob)
+
+    def test_frechet_value_agrees_with_distances(self, pair_run):
+        prob, res = pair_run
+        expected = sum(w * bw_distance_sq(res.barycentre, S)
+                       for w, S in zip(prob.weights, prob.inputs))
+        assert res.frechet_value == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("case", ["pair", "random"])
+    def test_one_decomposition_and_one_pass_per_step(self, case, monkeypatch):
+        if case == "pair":
+            _, s1, s2 = constructed_triple(32)
+            prob = problem([s1, s2], settings=SolverSettings(ridge=1e-6, ridge_decay=0.5))
+        else:
+            rng = np.random.default_rng(29)
+            prob = problem([random_psd(rng, 4) for _ in range(3)])
+        calls = {"eigh": 0, "svd": 0}
+
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        res = barycentre_fixed_point(prob)
+        n = len(prob.inputs)
+        assert calls["eigh"] == res.iterations + 1
+        assert calls["svd"] == n * (res.iterations + 1)
+
+
 class TestProblemValidation:
     def test_empty_inputs(self):
         with pytest.raises(InvalidInput):

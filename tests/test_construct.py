@@ -17,7 +17,7 @@ from bwbary import (
     kernel_report,
     operator_norm,
 )
-from bwbary.errors import DimensionMismatch
+from bwbary.errors import DimensionMismatch, NotPSD
 
 
 class TestDoublingShift:
@@ -174,6 +174,13 @@ class TestConjugate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             conjugate(np.eye(3), np.eye(4))
+
+    def test_rounding_negatives_clamped_and_indefinite_rejected(self):
+        # -1e-12 lies between the clamp floor (1e-14) and the PSD floor (1e-8)
+        clamped = conjugate(np.eye(2), np.diag([1.0, -1e-12]))
+        np.testing.assert_array_equal(clamped, np.diag([1.0, 0.0]))
+        with pytest.raises(NotPSD):
+            conjugate(np.eye(2), np.diag([1.0, -1e-6]))
 
 
 class TestKernelBookkeeping:

@@ -242,6 +242,10 @@ class TestSweepCommand:
             assert float(r["certificate_residual"]) <= 1e-9
         eigs = [float(r["min_eig_t1"]) for r in rows]
         assert eigs == sorted(eigs, reverse=True)
+        # the truncated tail is shared; outside it the kernels are arctan(1/2) apart
+        for r in rows:
+            assert int(r["shared_dims_s1"]) == int(r["dim"]) // 4
+            assert abs(float(r["min_nonzero_angle_s1"]) - np.arctan(0.5)) <= 1e-10
 
     def test_large_dims_need_explicit_rank_tol(self, tmp_path, monkeypatch):
         monkeypatch.delenv("BW_RANK_TOL", raising=False)

@@ -73,12 +73,16 @@ class BarycentreProblem:
     """A weighted family of covariances whose barycentre is sought.
 
     ``inputs`` must share one dimension; ``weights`` default to uniform and
-    must be nonnegative and sum to 1 within 1e-12.
+    must be nonnegative and sum to 1 within 1e-12.  Validation also factors
+    each input once: ``factors[i]`` is the pivoted-Cholesky factor of
+    ``inputs[i]`` (``factors[i].T @ factors[i] = inputs[i]``), one
+    ``(n, d, d)`` array that every pass over the inputs reuses.
     """
 
     inputs: tuple
     weights: tuple
     settings: SolverSettings = field(default_factory=SolverSettings)
+    factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.inputs) < 1:
@@ -86,6 +90,9 @@ class BarycentreProblem:
         mats = tuple(check_covariance(S) for S in self.inputs)
         for S in mats[1:]:
             check_same_dim(mats[0], S)
+        factors = np.empty((len(mats),) + mats[0].shape)
+        for i, S in enumerate(mats):
+            factors[i] = linalg.psd_factor(S)
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(mats),):
             raise InvalidInput("weights must match the number of inputs")
@@ -95,6 +102,7 @@ class BarycentreProblem:
             raise InvalidInput("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "inputs", mats)
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        object.__setattr__(self, "factors", factors)
 
     @property
     def dim(self) -> int:
@@ -137,9 +145,28 @@ class BarycentreResult:
     history: tuple
 
 
+# Element budget of one stacked SVD: blocks of max(1, _BLOCK_ELEMENTS // d**2) matrices.
+_BLOCK_ELEMENTS = 2**16
+
+
+def _block_size(dim: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // dim**2)
+
+
+def _inner_roots(root: np.ndarray, factors: np.ndarray):
+    """Yield ``|C_i @ root| = (R^{1/2} S_i R^{1/2})^{1/2}`` in input order, one stacked SVD per block."""
+    block = _block_size(root.shape[0])
+    for start in range(0, len(factors), block):
+        yield from linalg.polar(factors[start:start + block] @ root)
+
+
 def _mean_inner_root(root: np.ndarray, prob: BarycentreProblem) -> np.ndarray:
-    """``sum_i w_i (R^{1/2} S_i R^{1/2})^{1/2}`` for ``root = R^{1/2}``, in one pass."""
-    return sum(w * linalg.congruence_sqrt(root, S) for w, S in zip(prob.weights, prob.inputs))
+    """``sum_i w_i (R^{1/2} S_i R^{1/2})^{1/2}`` for ``root = R^{1/2}``, in one pass.
+
+    Summed one matrix at a time in input order, so the result has the bits of
+    ``sum(w * congruence_sqrt(root, S))``.
+    """
+    return sum(w * R for w, R in zip(prob.weights, _inner_roots(root, prob.factors)))
 
 
 def _input_trace(prob: BarycentreProblem) -> float:

@@ -68,11 +68,15 @@ def _parse_weights(text, n):
 def _parse_dims(text: str):
     if ".." in text:
         lo, hi = (int(v) for v in text.split("..", 1))
+        if lo < 1:
+            raise InvalidInput(f"bad --dims {text!r}: the lower bound must be >= 1")
         dims = []
         d = lo
         while d <= hi:
             dims.append(d)
             d *= 2
+        if not dims:
+            raise InvalidInput(f"bad --dims {text!r}: the range is empty")
         return dims
     return [int(v) for v in text.split(",")]
 
@@ -249,7 +253,7 @@ def cmd_mc(args) -> int:
         f"certificate residual of base covariance: {mc.certificate_residual:.3g}",
         f"solver: iterations={mc.solver.iterations} converged={mc.solver.converged}",
     ])
-    return EXIT_OK
+    return EXIT_OK if mc.solver.converged else EXIT_TOLERANCE
 
 
 def cmd_sweep(args) -> int:

@@ -224,17 +224,26 @@ def psd_factor(M) -> np.ndarray:
     return C[:, inv]
 
 
+def polar(X: np.ndarray) -> np.ndarray:
+    """Symmetric polar factor ``|X| = (X.T @ X)^{1/2}`` of one matrix or a stack of matrices.
+
+    Computed from one (stacked) SVD ``X = U diag(s) Vt`` as ``Vt.T diag(s) Vt``,
+    symmetrized.  A stack gives, matrix for matrix, the same bits as separate calls.
+    """
+    _, sv, Vt = np.linalg.svd(X)
+    R = (np.swapaxes(Vt, -1, -2) * sv[..., None, :]) @ Vt
+    return (R + np.swapaxes(R, -1, -2)) / 2.0
+
+
 def congruence_sqrt(root: np.ndarray, M: np.ndarray) -> np.ndarray:
     """PSD square root of ``root @ M @ root`` for PSD ``M`` and symmetric ``root``.
 
-    Computed as the symmetric polar factor ``|C @ root|`` from an SVD of the
+    Computed as the symmetric polar factor ``|C @ root|`` of the
     pivoted-Cholesky factor ``C`` of ``M``, which keeps absolute accuracy at
     rounding level even when the product's spectrum spans hundreds of decades
-    (the regime where ``sqrt_psd`` of the explicit product degrades).  Used by
-    the transport map, the barycentre iteration and the barycentre
-    certificate; algebraically identical to ``sqrt_psd(root @ M @ root)``.
+    (the regime where ``sqrt_psd`` of the explicit product degrades).  The
+    transport map, the barycentre iteration and the barycentre certificate
+    all go through :func:`polar`; algebraically identical to
+    ``sqrt_psd(root @ M @ root)``.
     """
-    X = psd_factor(M) @ root
-    _, sv, Vt = np.linalg.svd(X)
-    R = (Vt.T * sv) @ Vt
-    return (R + R.T) / 2.0
+    return polar(psd_factor(M) @ root)

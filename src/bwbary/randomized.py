@@ -133,15 +133,14 @@ def population_mc_experiment(
     eye = np.eye(config.dim)
 
     coeffs = draw_coefficients(law, seed, n, antithetic)
-    maps = [eye + a * shift for a in coeffs]
-    inputs = [conjugate(T, base) for T in maps]
-
-    mean_map = sum(maps) / n
+    # The maps are rebuilt where they are used, so no list of maps or inputs
+    # outlives the problem's own validated copies and factors.
+    mean_map = sum(eye + a * shift for a in coeffs) / n
     mean_deviation = float(np.linalg.norm(mean_map - eye))
 
     if settings is None:
         settings = SolverSettings(ridge=1e-6)
-    prob = problem(inputs, settings=settings)
+    prob = problem([conjugate(eye + a * shift, base) for a in coeffs], settings=settings)
     residual = verify_barycentre_certificate(base, prob)
     solver = barycentre_fixed_point(prob)
 

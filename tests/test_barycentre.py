@@ -14,8 +14,10 @@ from bwbary import (
     conjugate,
     frechet_functional,
     problem,
+    symmetrized_shift,
     verify_barycentre_certificate,
 )
+from bwbary import barycentre, linalg
 
 
 def random_psd(rng, n, rank=None):
@@ -168,31 +170,77 @@ class TestSharedPass:
                        for w, S in zip(prob.weights, prob.inputs))
         assert res.frechet_value == pytest.approx(expected, rel=1e-10)
 
-    @pytest.mark.parametrize("case", ["pair", "random"])
+    @pytest.mark.parametrize("case", ["pair", "random", "blocks"])
     def test_one_decomposition_and_one_pass_per_step(self, case, monkeypatch):
         if case == "pair":
             _, s1, s2 = constructed_triple(32)
-            prob = problem([s1, s2], settings=SolverSettings(ridge=1e-6, ridge_decay=0.5))
-        else:
+            inputs, settings = [s1, s2], SolverSettings(ridge=1e-6, ridge_decay=0.5)
+        elif case == "random":
             rng = np.random.default_rng(29)
-            prob = problem([random_psd(rng, 4) for _ in range(3)])
-        calls = {"eigh": 0, "svd": 0}
+            inputs, settings = [random_psd(rng, 4) for _ in range(3)], None
+        else:
+            # more inputs than one block, and a ragged last block
+            rng = np.random.default_rng(30)
+            dim = 64
+            block = barycentre._block_size(dim)
+            inputs, settings = [random_psd(rng, dim) for _ in range(block + 5)], None
+        calls = {"eigh": 0, "svd": 0, "pstrf": 0}
 
-        def counting(name):
-            original = getattr(np.linalg, name)
-
+        def counting(name, original):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name))
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(linalg, "_pstrf", counting("pstrf", linalg._pstrf))
+        prob = problem(inputs, settings=settings)
         res = barycentre_fixed_point(prob)
-        n = len(prob.inputs)
+        n = len(inputs)
+        blocks = -(-n // barycentre._block_size(prob.dim))
+        if case == "blocks":
+            assert blocks == 2
+        assert calls["pstrf"] == n
         assert calls["eigh"] == res.iterations + 1
-        assert calls["svd"] == n * (res.iterations + 1)
+        assert calls["svd"] == blocks * (res.iterations + 1)
+
+
+class TestBlockedPass:
+    """The stacked, blocked inner-root pass has the bits of the per-input sum."""
+
+    def test_blocked_mean_equals_per_input_sum(self):
+        rng = np.random.default_rng(31)
+        dim = 32
+        n = 2 * barycentre._block_size(dim) + 3
+        cov = build_covariance(TruncationConfig(dim=dim))
+        shift = symmetrized_shift(dim)
+        inputs = []
+        for i in range(n):
+            kind = i % 3
+            if kind == 0:
+                inputs.append(random_psd(rng, dim))
+            elif kind == 1:
+                inputs.append(random_psd(rng, dim, rank=dim // 4))
+            else:
+                inputs.append(conjugate(np.eye(dim) + rng.uniform(-0.5, 0.5) * shift, cov))
+        w = rng.uniform(0.5, 1.5, n)
+        prob = problem(inputs, (w / w.sum()).tolist())
+        root = linalg.sqrt_psd(sum(prob.inputs) / n)
+        expected = sum(wi * linalg.congruence_sqrt(root, S)
+                       for wi, S in zip(prob.weights, prob.inputs))
+        assert np.array_equal(barycentre._mean_inner_root(root, prob), expected)
+
+    def test_stack_of_one_has_the_bits_of_one_matrix(self):
+        rng = np.random.default_rng(32)
+        S = random_psd(rng, 16, rank=5)
+        root = linalg.sqrt_psd(random_psd(rng, 16))
+        X = linalg.psd_factor(S) @ root
+        single = linalg.congruence_sqrt(root, S)
+        assert single.shape == (16, 16)
+        assert np.array_equal(linalg.polar(X), single)
+        assert np.array_equal(linalg.polar(X[None])[0], single)
 
 
 class TestProblemValidation:

@@ -228,6 +228,23 @@ class TestMcCommand:
     def test_n_too_small(self):
         assert run_cli("mc", "--dim", "8", "--n", "1") == 2
 
+    def test_not_converged_exits_one(self, monkeypatch, capsys):
+        from functools import partial
+
+        import bwbary.cli as cli
+        from bwbary import SolverSettings
+
+        argv = ("--report", "json", "mc", "--dim", "8", "--n", "4", "--seed", "3")
+        assert run_cli(*argv) == 0
+        converged = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(cli, "population_mc_experiment", partial(
+            cli.population_mc_experiment, settings=SolverSettings(ridge=1e-6, max_iter=1)))
+        assert run_cli(*argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"]["solver_converged"] is False
+        assert doc["results"]["solver_iterations"] == 1
+        assert list(doc["results"]) == list(converged["results"])
+
 
 class TestSweepCommand:
     def test_sweep_columns(self, tmp_path):
@@ -246,6 +263,14 @@ class TestSweepCommand:
         for r in rows:
             assert int(r["shared_dims_s1"]) == int(r["dim"]) // 4
             assert abs(float(r["min_nonzero_angle_s1"]) - np.arctan(0.5)) <= 1e-10
+
+    @pytest.mark.parametrize("dims", ["64..32", "0..8", "-4..8"])
+    def test_bad_range_is_invalid_input(self, dims, tmp_path, capsys):
+        # an empty range, or a lower bound that doubling never grows past
+        path = tmp_path / "sweep.csv"
+        assert run_cli("sweep", f"--dims={dims}", "--out-csv", str(path)) == 2
+        assert "bad --dims" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_large_dims_need_explicit_rank_tol(self, tmp_path, monkeypatch):
         monkeypatch.delenv("BW_RANK_TOL", raising=False)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NonFinite
-from .linalg import check_covariance, check_same_dim
+from .linalg import check_covariance, check_same_dim, check_symmetric
 
 # Relative eigenvalue cutoff for the pseudo-inverse inside the solver only.
 # Deliberately far below linalg.RANK_TOL: truncating at 1e-10 freezes the
@@ -47,15 +47,14 @@ class SolverSettings:
         inverting; shrinks by ``ridge_decay`` each iteration (floor 0).
     ridge_decay : float
         Multiplicative decay of the ridge, in (0, 1).
-    rank_tol : float
-        Pseudo-inverse cutoff used inside the iteration.
+
+    The pseudo-inverse inside the iteration cuts at :data:`SOLVER_RANK_TOL`.
     """
 
     tol: float = 1e-10
     max_iter: int = 500
     ridge: float = 0.0
     ridge_decay: float = 0.5
-    rank_tol: float = SOLVER_RANK_TOL
 
     def __post_init__(self):
         if not (self.tol > 0):
@@ -182,13 +181,17 @@ def _frechet(R: np.ndarray, mid: np.ndarray, input_trace: float) -> float:
 
 
 def _candidate(candidate, prob: BarycentreProblem) -> np.ndarray:
-    C = check_covariance(candidate)
+    """Symmetrized candidate of the problem's dimension; :func:`_evaluate` checks PSD-ness."""
+    C = check_symmetric(candidate)
     check_same_dim(C, prob.inputs[0])
     return C
 
 
 def _evaluate(C: np.ndarray, prob: BarycentreProblem, input_trace: float) -> tuple:
-    """Certificate residual and Fréchet value of a validated ``C`` from one pass."""
+    """Certificate residual and Fréchet value of a symmetric ``C`` from one pass.
+
+    The decomposition behind ``C^{1/2}`` is the one PSD check of ``C``.
+    """
     mid = _mean_inner_root(linalg.sqrt_psd(C), prob)
     residual = float(np.linalg.norm(mid - C) / max(1.0, np.linalg.norm(C)))
     return residual, _frechet(C, mid, input_trace)
@@ -241,7 +244,9 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         sigma = sum(w * S for w, S in zip(prob.weights, prob.inputs))
         sigma = sigma + st.ridge * eye
     else:
-        sigma = _candidate(init, prob)
+        # the first decomposition is of init + ridge I, so init is checked here
+        sigma = check_covariance(init)
+        check_same_dim(sigma, prob.inputs[0])
 
     input_trace = _input_trace(prob)
     ridge = st.ridge
@@ -251,7 +256,7 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         reg = sigma + ridge * eye if ridge > 0 else sigma
         dec = linalg._psd_eigs(reg)
         mid = _mean_inner_root(dec.sqrt(), prob)
-        pinv = dec.pinv_sqrt(st.rank_tol)
+        pinv = dec.pinv_sqrt(SOLVER_RANK_TOL)
         new = pinv @ mid @ mid @ pinv
         new = (new + new.T) / 2.0
         if not np.all(np.isfinite(new)):

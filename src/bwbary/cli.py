@@ -4,14 +4,13 @@ Subcommands construct the shift-conjugation family, verify barycentre
 certificates, run the fixed-point solver, cross-check the kernel recurrence,
 run the Monte-Carlo population experiment, and sweep truncation dimensions.
 Exit codes: 0 success / within tolerance, 1 tolerance failure, 2 invalid
-input, 3 numerical failure.  ``BW_RANK_TOL`` in the environment (or
-``--rank-tol``) overrides the default kernel/rank cutoff.
+input, 3 numerical failure.  ``--rank-tol`` overrides the default
+kernel/rank cutoff.
 """
 
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -82,10 +81,7 @@ def _parse_dims(text: str):
 
 
 def _rank_tol(args) -> float:
-    if args.rank_tol is not None:
-        return args.rank_tol
-    env = os.environ.get("BW_RANK_TOL")
-    return float(env) if env else linalg.RANK_TOL
+    return linalg.RANK_TOL if args.rank_tol is None else args.rank_tol
 
 
 def _emit(report: RunReport, args, text_lines) -> None:
@@ -259,9 +255,9 @@ def cmd_mc(args) -> int:
 def cmd_sweep(args) -> int:
     dims = _parse_dims(args.dims)
     rank_tol = _rank_tol(args)
-    if any(d > 64 for d in dims) and args.rank_tol is None and "BW_RANK_TOL" not in os.environ:
+    if any(d >= 64 for d in dims) and args.rank_tol is None:
         raise InvalidInput(
-            "dims above 64 need an explicit rank tolerance (--rank-tol or BW_RANK_TOL): "
+            "dims from 64 up need an explicit --rank-tol: "
             "the default no longer separates the conjugated spectrum from noise"
         )
     decay = _parse_decay(args.decay)
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bures-Wasserstein barycentre toolkit for covariance matrices.",
     )
     parser.add_argument("--rank-tol", type=float, default=None,
-                        help="kernel/rank eigenvalue cutoff (also via BW_RANK_TOL)")
+                        help="kernel/rank eigenvalue cutoff")
     parser.add_argument("--report", choices=("json", "text"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

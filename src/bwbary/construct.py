@@ -28,10 +28,6 @@ from . import linalg
 from .errors import DimensionMismatch, InvalidInput, NotPSD
 from .linalg import RANK_TOL
 
-# Negatives above this rounding floor are left untouched by conjugate();
-# beyond it the product is reconstructed with clamped eigenvalues.
-_CLAMP_TOL = 1e-14
-
 # Canonical angles at or below this are rounding noise around zero: the
 # directions they belong to lie in both kernels.
 SHARED_ANGLE_TOL = 1e-8
@@ -185,9 +181,9 @@ def build_covariance(config: TruncationConfig) -> np.ndarray:
 def conjugate(T, cov) -> np.ndarray:
     """Conjugation ``T @ cov @ T`` of a covariance by a self-adjoint map.
 
-    The product is symmetrized; eigenvalues below the rounding floor are
-    clamped to zero only when present, so exactly-representable products pass
-    through untouched.
+    The product is symmetrized and returned as computed: its eigenvalues are
+    checked by the PSD rule of :func:`linalg.check_psd_floor` (rounding-level
+    negatives pass, anything below raises :class:`NotPSD`) but never clamped.
     """
     T = np.asarray(T, dtype=np.float64)
     C = np.asarray(cov, dtype=np.float64)
@@ -196,10 +192,7 @@ def conjugate(T, cov) -> np.ndarray:
     P = T @ C @ T
     P = (P + P.T) / 2.0
     w = np.linalg.eigvalsh(P)
-    lam_max = float(w[-1])
-    linalg.check_psd_floor(float(w[0]), lam_max, "conjugation produced eigenvalue")
-    if float(w[0]) < -_CLAMP_TOL * max(1.0, lam_max):
-        P = linalg._psd_eigs(P).reconstruct()
+    linalg.check_psd_floor(float(w[0]), float(w[-1]), "conjugation produced eigenvalue")
     return P
 
 

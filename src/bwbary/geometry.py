@@ -11,7 +11,7 @@ import numpy as np
 
 from . import linalg
 from .errors import KernelNotIncluded
-from .linalg import RANK_TOL, check_covariance, check_same_dim
+from .linalg import RANK_TOL, check_covariance, check_same_dim, check_symmetric
 
 
 def cross_trace(factor_a: np.ndarray, factor_b: np.ndarray) -> float:
@@ -55,7 +55,7 @@ def bw_distance(A, B) -> float:
     return float(np.sqrt(bw_distance_sq(A, B)))
 
 
-def optimal_map(A, B, rank_tol: float = RANK_TOL) -> np.ndarray:
+def optimal_map(A, B) -> np.ndarray:
     """Optimal transport map from ``N(0, A)`` to ``N(0, B)``.
 
     The map exists as a linear operator only when ``ker(A)`` is contained in
@@ -70,32 +70,31 @@ def optimal_map(A, B, rank_tol: float = RANK_TOL) -> np.ndarray:
     Parameters
     ----------
     A, B : array_like, shape (n, n)
-        Source and target covariances.
-    rank_tol : float
-        Relative eigenvalue cutoff used both to split ker(A) from range(A)
-        and in the kernel-inclusion test ``||B v|| <= rank_tol * lam_max(B) * n``.
+        Source and target covariances.  The one eigendecomposition of ``A``
+        is also its PSD check.  The relative eigenvalue cutoff
+        :data:`linalg.RANK_TOL` splits ker(A) from range(A) and sets the
+        kernel-inclusion test ``||B v|| <= RANK_TOL * lam_max(B) * n``.
 
     Returns
     -------
     ndarray, shape (n, n)
         Symmetric, PSD on range(A).
     """
-    A = check_covariance(A)
+    A = check_symmetric(A)
     B = check_covariance(B)
     check_same_dim(A, B)
     n = A.shape[0]
 
     dec = linalg._psd_eigs(A)
-    ker = dec.kernel(rank_tol)
+    ker = dec.kernel()
     if ker.shape[1]:
-        lam_max_b = float(np.linalg.eigvalsh(B)[-1])
+        limit = RANK_TOL * float(np.linalg.eigvalsh(B)[-1]) * n
         worst = float(np.max(np.linalg.norm(B @ ker, axis=0)))
-        if worst > rank_tol * lam_max_b * n:
+        if worst > limit:
             raise KernelNotIncluded(
-                f"ker(A) not contained in ker(B): ||B v|| = {worst:.3e} "
-                f"exceeds {rank_tol * lam_max_b * n:.3e}"
+                f"ker(A) not contained in ker(B): ||B v|| = {worst:.3e} exceeds {limit:.3e}"
             )
 
-    pinv = dec.pinv_sqrt(rank_tol)
+    pinv = dec.pinv_sqrt()
     M = pinv @ linalg.congruence_sqrt(dec.sqrt(), B) @ pinv
     return (M + M.T) / 2.0

@@ -20,8 +20,8 @@ from .errors import DimensionMismatch, InvalidInput, NotPSD
 PSD_TOL = 1e-8
 
 # Default relative cutoff separating "kernel" from "range" eigenvalues.  It
-# separates a geometric-decay spectrum with ratio 1/2 from rounding noise
-# only up to dimension ~64; pass an explicit rank_tol beyond that.
+# separates a conjugated geometric-decay spectrum with ratio 1/2 from rounding
+# noise only below dimension 64; pass an explicit rank_tol from 64 up.
 RANK_TOL = 1e-10
 
 SYM_TOL = 1e-12
@@ -54,9 +54,13 @@ def check_symmetric(M, tol: float = SYM_TOL) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
-def check_covariance(M, tol: float = SYM_TOL) -> np.ndarray:
-    """Validate ``M`` as a covariance: symmetric and PSD up to :data:`PSD_TOL`."""
-    A = check_symmetric(M, tol)
+def check_covariance(M) -> np.ndarray:
+    """Validate ``M`` as a covariance: symmetric within :data:`SYM_TOL` and PSD.
+
+    The PSD rule is :func:`check_psd_floor`.  A caller that decomposes ``M``
+    anyway checks it through :func:`_psd_eigs` instead.
+    """
+    A = check_symmetric(M)
     w = np.linalg.eigvalsh(A)
     check_psd_floor(float(w[0]), float(w[-1]))
     return A

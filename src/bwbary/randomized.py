@@ -26,7 +26,7 @@ from .barycentre import (
     problem,
     verify_barycentre_certificate,
 )
-from .construct import TruncationConfig, build_covariance, conjugate, symmetrized_shift
+from .construct import TruncationConfig, build_covariance, symmetrized_shift
 from .errors import InvalidInput
 
 LAWS = ("uniform", "two-point", "triangular")
@@ -140,7 +140,9 @@ def population_mc_experiment(
 
     if settings is None:
         settings = SolverSettings(ridge=1e-6)
-    prob = problem([conjugate(eye + a * shift, base) for a in coeffs], settings=settings)
+    # The problem's validation symmetrizes and checks each product T C T once.
+    maps = (eye + a * shift for a in coeffs)
+    prob = problem([T @ base @ T for T in maps], settings=settings)
     residual = verify_barycentre_certificate(base, prob)
     solver = barycentre_fixed_point(prob)
 

@@ -171,7 +171,7 @@ class TestSharedPass:
         assert res.frechet_value == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("case", ["pair", "random", "blocks"])
-    def test_one_decomposition_and_one_pass_per_step(self, case, monkeypatch):
+    def test_one_decomposition_and_one_pass_per_step(self, case, lapack_calls):
         if case == "pair":
             _, s1, s2 = constructed_triple(32)
             inputs, settings = [s1, s2], SolverSettings(ridge=1e-6, ridge_decay=0.5)
@@ -184,27 +184,16 @@ class TestSharedPass:
             dim = 64
             block = barycentre._block_size(dim)
             inputs, settings = [random_psd(rng, dim) for _ in range(block + 5)], None
-        calls = {"eigh": 0, "svd": 0, "pstrf": 0}
-
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("eigh", "svd"):
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        monkeypatch.setattr(linalg, "_pstrf", counting("pstrf", linalg._pstrf))
+        lapack_calls.clear()
         prob = problem(inputs, settings=settings)
         res = barycentre_fixed_point(prob)
         n = len(inputs)
         blocks = -(-n // barycentre._block_size(prob.dim))
         if case == "blocks":
             assert blocks == 2
-        assert calls["pstrf"] == n
-        assert calls["eigh"] == res.iterations + 1
-        assert calls["svd"] == blocks * (res.iterations + 1)
+        assert lapack_calls["pstrf"] == lapack_calls["eigvalsh"] == n
+        assert lapack_calls["eigh"] == res.iterations + 1
+        assert lapack_calls["svd"] == blocks * (res.iterations + 1)
 
 
 class TestBlockedPass:

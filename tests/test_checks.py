@@ -1,0 +1,68 @@
+"""Each public entry point checks each outside covariance once per call.
+
+The check is the decomposition the entry point needs anyway, under the one
+PSD rule of ``linalg.check_psd_floor``; counts come from the ``lapack_calls``
+fixture.
+"""
+
+import numpy as np
+import pytest
+
+from bwbary import (
+    NotPSD,
+    RandomMapLaw,
+    TruncationConfig,
+    barycentre_fixed_point,
+    build_covariance,
+    build_pair_maps,
+    conjugate,
+    frechet_functional,
+    optimal_map,
+    population_mc_experiment,
+    problem,
+    verify_barycentre_certificate,
+)
+
+
+@pytest.mark.parametrize("evaluate", [verify_barycentre_certificate, frechet_functional])
+def test_candidate_is_checked_by_its_root(evaluate, lapack_calls):
+    cov = build_covariance(TruncationConfig(dim=16))
+    t1, t2 = build_pair_maps(16)
+    prob = problem([conjugate(t1, cov), conjugate(t2, cov)])
+    lapack_calls.clear()
+    evaluate(cov, prob)
+    assert lapack_calls["eigh"] == 1
+    assert lapack_calls["eigvalsh"] == 0
+
+
+def test_optimal_map_checks_its_source_by_its_decomposition(lapack_calls):
+    rng = np.random.default_rng(40)
+    G, H = rng.standard_normal((2, 6, 12))
+    A, B = G @ G.T, H @ H.T
+    lapack_calls.clear()
+    optimal_map(A, B)
+    # the source's eigh; the eigvalsh is the target's check
+    assert lapack_calls["eigh"] == 1
+    assert lapack_calls["eigvalsh"] == 1
+
+
+def test_monte_carlo_checks_each_input_once(lapack_calls):
+    n = 12
+    report = population_mc_experiment(TruncationConfig(dim=8), RandomMapLaw(), n, seed=7)
+    assert report.n == n
+    assert lapack_calls["eigvalsh"] == n
+
+
+NOT_PSD = np.diag([1.0, -1e-6])
+PSD = np.diag([1.0, 0.5])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_barycentre_certificate(NOT_PSD, problem([PSD])),
+    lambda: frechet_functional(NOT_PSD, problem([PSD])),
+    lambda: optimal_map(NOT_PSD, PSD),
+    lambda: barycentre_fixed_point(problem([PSD]), init=NOT_PSD),
+], ids=["certificate", "frechet", "optimal_map", "solver_init"])
+def test_not_psd_is_rejected(call):
+    with pytest.raises(NotPSD):
+        call()

@@ -175,10 +175,10 @@ class TestConjugate:
         with pytest.raises(DimensionMismatch):
             conjugate(np.eye(3), np.eye(4))
 
-    def test_rounding_negatives_clamped_and_indefinite_rejected(self):
-        # -1e-12 lies between the clamp floor (1e-14) and the PSD floor (1e-8)
-        clamped = conjugate(np.eye(2), np.diag([1.0, -1e-12]))
-        np.testing.assert_array_equal(clamped, np.diag([1.0, 0.0]))
+    def test_rounding_negatives_kept_and_indefinite_rejected(self):
+        # -1e-12 is above the PSD floor (1e-8): checked, passed through unclamped
+        kept = conjugate(np.eye(2), np.diag([1.0, -1e-12]))
+        np.testing.assert_array_equal(kept, np.diag([1.0, -1e-12]))
         with pytest.raises(NotPSD):
             conjugate(np.eye(2), np.diag([1.0, -1e-6]))
 

@@ -272,17 +272,16 @@ class TestSweepCommand:
         assert "bad --dims" in capsys.readouterr().err
         assert not path.exists()
 
-    def test_large_dims_need_explicit_rank_tol(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("BW_RANK_TOL", raising=False)
-        path = tmp_path / "sweep.csv"
-        assert run_cli("sweep", "--dims", "8,128", "--out-csv", str(path)) == 2
-        assert run_cli("--rank-tol", "1e-13", "sweep", "--dims", "8,128",
-                       "--out-csv", str(path)) == 0
-
-    def test_env_var_overrides_rank_tol(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BW_RANK_TOL", "1e-13")
-        path = tmp_path / "sweep.csv"
-        assert run_cli("sweep", "--dims", "8,128", "--out-csv", str(path)) == 0
+    def test_large_dims_need_explicit_rank_tol(self, tmp_path):
+        # from dim 64 up the default cutoff miscounts the kernels (33 at dim 64)
+        for top in (64, 128):
+            path = tmp_path / f"sweep{top}.csv"
+            assert run_cli("sweep", "--dims", f"8,{top}", "--out-csv", str(path)) == 2
+            assert not path.exists()
+            assert run_cli("--rank-tol", "1e-13", "sweep", "--dims", f"8,{top}",
+                           "--out-csv", str(path)) == 0
+        with open(tmp_path / "sweep64.csv") as fh:
+            assert [int(r["kernel_dim_s1"]) for r in csv.DictReader(fh)] == [4, 32]
 
 
 class TestReportDeterminism:

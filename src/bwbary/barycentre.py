@@ -12,8 +12,10 @@ inversion-free first-order identity
 
     sum_i w_i (C^{1/2} S_i C^{1/2})^{1/2} = C,
 
-which characterizes barycentres and needs only PSD square roots, so it is
-exact even when the candidate is singular.
+which needs only PSD square roots, so it is exact even when the candidate is
+singular.  Every barycentre satisfies it, but it is a necessary condition
+only: a singular ``C`` can satisfy it without being a barycentre (``C = 0``
+always does).
 """
 
 import warnings
@@ -74,8 +76,11 @@ class BarycentreProblem:
     ``inputs`` must share one dimension; ``weights`` default to uniform and
     must be nonnegative and sum to 1 within 1e-12.  Validation also factors
     each input once: ``factors[i]`` is the pivoted-Cholesky factor of
-    ``inputs[i]`` (``factors[i].T @ factors[i] = inputs[i]``), one
-    ``(n, d, d)`` array that every pass over the inputs reuses.
+    ``inputs[i]`` (``factors[i].T @ factors[i] = inputs[i]``), cut to its first
+    ``r`` rows, ``r`` the largest rank among the inputs (the rows past an
+    input's rank are zero, so lower-rank inputs keep zero rows up to ``r``).
+    The ``(n, r, d)`` array, a view of one ``(n, d, d)`` buffer, is what every
+    pass over the inputs reuses.
     """
 
     inputs: tuple
@@ -90,8 +95,10 @@ class BarycentreProblem:
         for S in mats[1:]:
             check_same_dim(mats[0], S)
         factors = np.empty((len(mats),) + mats[0].shape)
+        rank = 0
         for i, S in enumerate(mats):
             factors[i] = linalg.psd_factor(S)
+            rank = max(rank, _row_rank(factors[i]))
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(mats),):
             raise InvalidInput("weights must match the number of inputs")
@@ -101,11 +108,17 @@ class BarycentreProblem:
             raise InvalidInput("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "inputs", mats)
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "factors", factors[:, :rank])
 
     @property
     def dim(self) -> int:
         return self.inputs[0].shape[0]
+
+
+def _row_rank(F: np.ndarray) -> int:
+    """One past the last nonzero row of ``F``; the rows from there on are zero."""
+    rows = np.flatnonzero(F.any(axis=1))
+    return int(rows[-1]) + 1 if rows.size else 0
 
 
 def problem(inputs, weights=None, settings: SolverSettings | None = None) -> BarycentreProblem:
@@ -163,7 +176,8 @@ def _mean_inner_root(root: np.ndarray, prob: BarycentreProblem) -> np.ndarray:
     """``sum_i w_i (R^{1/2} S_i R^{1/2})^{1/2}`` for ``root = R^{1/2}``, in one pass.
 
     Summed one matrix at a time in input order, so the result has the bits of
-    ``sum(w * congruence_sqrt(root, S))``.
+    ``sum(w * polar(F @ root))`` over the trimmed factors ``F``, which are the
+    bits of ``sum(w * congruence_sqrt(root, S))`` when no input is trimmed.
     """
     return sum(w * R for w, R in zip(prob.weights, _inner_roots(root, prob.factors)))
 
@@ -206,9 +220,10 @@ def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
     """Residual of the inversion-free barycentre fixed-point identity.
 
     Returns ``||sum_i w_i (C^{1/2} S_i C^{1/2})^{1/2} - C||_F / max(1, ||C||_F)``
-    for candidate ``C``.  A residual at rounding level certifies the
-    first-order barycentre condition; the formula never inverts the
-    candidate, so singular candidates are handled exactly.
+    for candidate ``C``.  The formula never inverts the candidate, so singular
+    candidates are handled exactly.  A residual at rounding level shows that
+    ``C`` meets the first-order barycentre condition, which is necessary only:
+    the zero matrix meets it for every family.
     """
     return _evaluate(_candidate(candidate, prob), prob, _input_trace(prob))[0]
 

@@ -5,7 +5,7 @@ certificates, run the fixed-point solver, cross-check the kernel recurrence,
 run the Monte-Carlo population experiment, and sweep truncation dimensions.
 Exit codes: 0 success / within tolerance, 1 tolerance failure, 2 invalid
 input, 3 numerical failure.  ``--rank-tol`` overrides the default
-kernel/rank cutoff.
+kernel/rank cutoff; ``construct`` and ``sweep`` require it from dim 64 up.
 """
 
 import argparse
@@ -80,7 +80,17 @@ def _parse_dims(text: str):
     return [int(v) for v in text.split(",")]
 
 
-def _rank_tol(args) -> float:
+def _rank_tol(args, dims) -> float:
+    """The kernel cutoff for ``dims``: ``--rank-tol``, else :data:`linalg.RANK_TOL`.
+
+    The default no longer separates the conjugated spectrum from rounding
+    noise from dim 64 up, so there ``--rank-tol`` must be given.
+    """
+    if args.rank_tol is None and any(d >= 64 for d in dims):
+        raise InvalidInput(
+            "dims from 64 up need an explicit --rank-tol: "
+            "the default no longer separates the conjugated spectrum from noise"
+        )
     return linalg.RANK_TOL if args.rank_tol is None else args.rank_tol
 
 
@@ -93,12 +103,12 @@ def _emit(report: RunReport, args, text_lines) -> None:
 
 
 def cmd_construct(args) -> int:
+    rank_tol = _rank_tol(args, [args.dim])
     report = RunReport(args.argv, seed=args.seed)
     config = TruncationConfig(dim=args.dim, decay=_parse_decay(args.decay))
     sigma = build_covariance(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rank_tol = _rank_tol(args)
 
     save_matrix(out / "sigma.json", sigma, "covariance")
     written = {"sigma": out / "sigma.json"}
@@ -254,12 +264,7 @@ def cmd_mc(args) -> int:
 
 def cmd_sweep(args) -> int:
     dims = _parse_dims(args.dims)
-    rank_tol = _rank_tol(args)
-    if any(d >= 64 for d in dims) and args.rank_tol is None:
-        raise InvalidInput(
-            "dims from 64 up need an explicit --rank-tol: "
-            "the default no longer separates the conjugated spectrum from noise"
-        )
+    rank_tol = _rank_tol(args, dims)
     decay = _parse_decay(args.decay)
     rows = []
     for dim in dims:

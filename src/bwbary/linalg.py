@@ -231,10 +231,14 @@ def psd_factor(M) -> np.ndarray:
 def polar(X: np.ndarray) -> np.ndarray:
     """Symmetric polar factor ``|X| = (X.T @ X)^{1/2}`` of one matrix or a stack of matrices.
 
-    Computed from one (stacked) SVD ``X = U diag(s) Vt`` as ``Vt.T diag(s) Vt``,
-    symmetrized.  A stack gives, matrix for matrix, the same bits as separate calls.
+    ``X`` is ``(r, d)`` or a stack of them (a factor cut to its nonzero rows
+    has ``r <= d``); the result is ``(d, d)``.  Computed from one (stacked)
+    thin SVD ``X = U diag(s) Vt``, ``Vt`` of shape ``(min(r, d), d)``, as
+    ``Vt.T diag(s) Vt``, symmetrized.  For square ``X`` the thin SVD has the
+    bits of the full one.
+    A stack gives, matrix for matrix, the same bits as separate calls.
     """
-    _, sv, Vt = np.linalg.svd(X)
+    _, sv, Vt = np.linalg.svd(X, full_matrices=False)
     R = (np.swapaxes(Vt, -1, -2) * sv[..., None, :]) @ Vt
     return (R + np.swapaxes(R, -1, -2)) / 2.0
 

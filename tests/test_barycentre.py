@@ -96,6 +96,16 @@ class TestCertificate:
         perturbed = project_psd(cov + P)
         assert verify_barycentre_certificate(perturbed, problem([s1, s2])) > 1e-4
 
+    def test_zero_residual_is_necessary_not_sufficient(self):
+        # C = 0 meets the fixed-point identity for every family (both sides
+        # vanish), yet its Fréchet value is sum_i w_i tr S_i, three times C's
+        cov, s1, s2 = constructed_triple(32)
+        prob = problem([s1, s2])
+        zero = np.zeros((32, 32))
+        assert verify_barycentre_certificate(zero, prob) == 0.0
+        assert frechet_functional(zero, prob) == pytest.approx(1.499, abs=1e-3)
+        assert frechet_functional(cov, prob) == pytest.approx(0.499, abs=1e-3)
+
 
 class TestSolver:
     def test_identical_inputs(self):
@@ -230,6 +240,59 @@ class TestBlockedPass:
         assert single.shape == (16, 16)
         assert np.array_equal(linalg.polar(X), single)
         assert np.array_equal(linalg.polar(X[None])[0], single)
+
+
+def conjugated_family(dim, n, seed):
+    """``n`` inputs ``T_a C T_a``, ``T_a = I + a (F + F^T)``: rank ``dim/2`` each."""
+    rng = np.random.default_rng(seed)
+    cov = build_covariance(TruncationConfig(dim=dim))
+    shift = symmetrized_shift(dim)
+    return [conjugate(np.eye(dim) + a * shift, cov) for a in rng.uniform(-0.5, 0.5, n)]
+
+
+class TestTrimmedStack:
+    """The factors are cut to the inputs' largest rank, and the stacked pass to match."""
+
+    def test_factors_are_cut_to_the_largest_rank(self):
+        prob = problem(conjugated_family(32, 5, seed=33))
+        assert prob.factors.shape == (5, 16, 32)
+        _, s1, s2 = constructed_triple(64)
+        assert problem([s1, s2]).factors.shape == (2, 32, 64)
+        rng = np.random.default_rng(34)
+        low = random_psd(rng, 32, rank=4)
+        prob = problem(conjugated_family(32, 2, seed=35) + [low])
+        assert prob.factors.shape == (3, 16, 32)
+        assert not np.any(prob.factors[2, 4:])  # the lower rank keeps its zero rows
+        np.testing.assert_allclose(prob.factors[2].T @ prob.factors[2], prob.inputs[2],
+                                   atol=1e-12 * np.abs(low).max())
+        full = problem(conjugated_family(32, 2, seed=36) + [random_psd(rng, 32)])
+        assert full.factors.shape == (3, 32, 32)
+
+    def test_trimmed_mean_has_the_bits_of_the_per_input_sum(self):
+        rng = np.random.default_rng(37)
+        dim = 32
+        n = 2 * barycentre._block_size(dim) + 3
+        inputs = conjugated_family(dim, n, seed=38)
+        inputs[1::4] = [random_psd(rng, dim, rank=dim // 4) for _ in inputs[1::4]]
+        w = rng.uniform(0.5, 1.5, n)
+        prob = problem(inputs, (w / w.sum()).tolist())
+        assert prob.factors.shape == (n, dim // 2, dim)
+        root = linalg.sqrt_psd(sum(prob.inputs) / n)
+        mean = barycentre._mean_inner_root(root, prob)
+        expected = sum(wi * linalg.polar(F @ root) for wi, F in zip(prob.weights, prob.factors))
+        assert np.array_equal(mean, expected)
+        square = sum(wi * linalg.congruence_sqrt(root, S)
+                     for wi, S in zip(prob.weights, prob.inputs))
+        assert np.linalg.norm(mean - square) <= 1e-13 * np.linalg.norm(square)
+
+    def test_stacked_svds_take_the_trimmed_operands(self, lapack_calls):
+        dim = 32
+        block = barycentre._block_size(dim)
+        prob = problem(conjugated_family(dim, block + 6, seed=39))
+        cov = build_covariance(TruncationConfig(dim=dim))
+        lapack_calls.clear()
+        verify_barycentre_certificate(cov, prob)
+        assert lapack_calls.shapes["svd"] == [(block, 16, 32), (6, 16, 32)]
 
 
 class TestProblemValidation:

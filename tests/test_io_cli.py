@@ -98,6 +98,17 @@ class TestConstructCommand:
                      "--out", str(tmp_path))
         assert rc == 2
 
+    def test_large_dim_needs_explicit_rank_tol(self, tmp_path, capsys):
+        # from dim 64 up the default cutoff miscounts the kernels (33 at dim 64)
+        out = tmp_path / "out"
+        assert run_cli("construct", "--dim", "64", "--pair", "--out", str(out)) == 2
+        assert "--rank-tol" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("--rank-tol", "1e-13", "--report", "json", "construct",
+                       "--dim", "64", "--pair", "--out", str(out)) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["kernel_dim_s1"] == results["kernel_dim_s2"] == 32
+
 
 @pytest.fixture()
 def constructed(tmp_path):

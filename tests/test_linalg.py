@@ -16,7 +16,7 @@ from bwbary import (
     symmetrized_shift,
 )
 from bwbary.construct import build_covariance, TruncationConfig
-from bwbary.linalg import congruence_sqrt, psd_factor, range_projector
+from bwbary.linalg import congruence_sqrt, polar, psd_factor, range_projector
 
 
 def random_psd(rng, n, rank=None):
@@ -193,6 +193,19 @@ class TestFactoredRoots:
         root = sqrt_psd(cov)
         R = congruence_sqrt(root, cov)
         np.testing.assert_allclose(R, cov, atol=1e-13)
+
+    def test_polar_thin_svd(self):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((3, 12, 12))
+        _, sv, Vt = np.linalg.svd(X)  # full SVD: the square case keeps its bits
+        R = (np.swapaxes(Vt, -1, -2) * sv[..., None, :]) @ Vt
+        assert np.array_equal(polar(X), (R + np.swapaxes(R, -1, -2)) / 2.0)
+        # a wide (r, d) factor gives the (d, d) root of its zero-padded square
+        padded = X.copy()
+        padded[:, 5:] = 0.0
+        wide = polar(X[:, :5])
+        assert wide.shape == (3, 12, 12)
+        np.testing.assert_allclose(wide, polar(padded), atol=1e-13)
 
     def test_congruence_against_algebraic_truth(self):
         # for a conjugated covariance T C T with PSD T, the congruence square

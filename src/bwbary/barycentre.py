@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NonFinite
-from .linalg import check_covariance, check_same_dim, check_symmetric
+from .linalg import check_covariance, check_same_dim, check_symmetric, covariance_factor
 
 # Relative eigenvalue cutoff for the pseudo-inverse inside the solver only.
 # Deliberately far below linalg.RANK_TOL: truncating at 1e-10 freezes the
@@ -74,13 +74,12 @@ class BarycentreProblem:
     """A weighted family of covariances whose barycentre is sought.
 
     ``inputs`` must share one dimension; ``weights`` default to uniform and
-    must be nonnegative and sum to 1 within 1e-12.  Validation also factors
-    each input once: ``factors[i]`` is the pivoted-Cholesky factor of
-    ``inputs[i]`` (``factors[i].T @ factors[i] = inputs[i]``), cut to its first
-    ``r`` rows, ``r`` the largest rank among the inputs (the rows past an
-    input's rank are zero, so lower-rank inputs keep zero rows up to ``r``).
-    The ``(n, r, d)`` array, a view of one ``(n, d, d)`` buffer, is what every
-    pass over the inputs reuses.
+    must be nonnegative and sum to 1 within 1e-12.  Each input is validated
+    and factored by one :func:`linalg.covariance_factor` call, whose
+    pivoted-Cholesky factor is also its PSD check: ``factors[i]`` is that
+    factor of ``inputs[i]`` (``factors[i].T @ factors[i] = inputs[i]``),
+    padded with zero rows to ``r``, the largest rank among the inputs.  The
+    ``(n, r, d)`` array is what every pass over the inputs reuses.
     """
 
     inputs: tuple
@@ -91,14 +90,12 @@ class BarycentreProblem:
     def __post_init__(self):
         if len(self.inputs) < 1:
             raise InvalidInput("need at least one input covariance")
-        mats = tuple(check_covariance(S) for S in self.inputs)
+        mats, trimmed = zip(*(covariance_factor(S) for S in self.inputs))
         for S in mats[1:]:
             check_same_dim(mats[0], S)
-        factors = np.empty((len(mats),) + mats[0].shape)
-        rank = 0
-        for i, S in enumerate(mats):
-            factors[i] = linalg.psd_factor(S)
-            rank = max(rank, _row_rank(factors[i]))
+        factors = np.zeros((len(mats), max(len(F) for F in trimmed), mats[0].shape[0]))
+        for padded, F in zip(factors, trimmed):
+            padded[:len(F)] = F
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(mats),):
             raise InvalidInput("weights must match the number of inputs")
@@ -108,17 +105,11 @@ class BarycentreProblem:
             raise InvalidInput("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "inputs", mats)
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        object.__setattr__(self, "factors", factors[:, :rank])
+        object.__setattr__(self, "factors", factors)
 
     @property
     def dim(self) -> int:
         return self.inputs[0].shape[0]
-
-
-def _row_rank(F: np.ndarray) -> int:
-    """One past the last nonzero row of ``F``; the rows from there on are zero."""
-    rows = np.flatnonzero(F.any(axis=1))
-    return int(rows[-1]) + 1 if rows.size else 0
 
 
 def problem(inputs, weights=None, settings: SolverSettings | None = None) -> BarycentreProblem:

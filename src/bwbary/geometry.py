@@ -11,7 +11,7 @@ import numpy as np
 
 from . import linalg
 from .errors import KernelNotIncluded
-from .linalg import RANK_TOL, check_covariance, check_same_dim, check_symmetric
+from .linalg import RANK_TOL, check_same_dim, check_symmetric, covariance_factor
 
 
 def cross_trace(factor_a: np.ndarray, factor_b: np.ndarray) -> float:
@@ -40,12 +40,14 @@ def bw_distance_sq(A, B) -> float:
     ``B = C_B.T @ C_B``; evaluating it from the pivoted-Cholesky factors of
     both arguments keeps rank-deficient inputs exact (no square root of
     rounding noise is ever taken) and makes the formula symmetric by
-    construction.
+    construction.  Each argument is factored once
+    (:func:`linalg.covariance_factor`), which is also its PSD check, and the
+    factors are cut to their ranks, so the SVD is of an ``(r_B, r_A)`` matrix.
     """
-    A = check_covariance(A)
-    B = check_covariance(B)
+    A, factor_a = covariance_factor(A)
+    B, factor_b = covariance_factor(B)
     check_same_dim(A, B)
-    cross = cross_trace(linalg.psd_factor(A), linalg.psd_factor(B))
+    cross = cross_trace(factor_a, factor_b)
     val = float(np.trace(A) + np.trace(B)) - 2.0 * cross
     return max(val, 0.0)
 
@@ -71,7 +73,10 @@ def optimal_map(A, B) -> np.ndarray:
     ----------
     A, B : array_like, shape (n, n)
         Source and target covariances.  The one eigendecomposition of ``A``
-        is also its PSD check.  The relative eigenvalue cutoff
+        is also its PSD check; the pivoted-Cholesky factor of ``B``
+        (:func:`linalg.covariance_factor`) is its check and gives the root
+        ``(A^{1/2} B A^{1/2})^{1/2}`` as the polar factor of
+        ``F_B A^{1/2}``.  The relative eigenvalue cutoff
         :data:`linalg.RANK_TOL` splits ker(A) from range(A) and sets the
         kernel-inclusion test ``||B v|| <= RANK_TOL * lam_max(B) * n``.
 
@@ -81,7 +86,7 @@ def optimal_map(A, B) -> np.ndarray:
         Symmetric, PSD on range(A).
     """
     A = check_symmetric(A)
-    B = check_covariance(B)
+    B, factor_b = covariance_factor(B)
     check_same_dim(A, B)
     n = A.shape[0]
 
@@ -96,5 +101,5 @@ def optimal_map(A, B) -> np.ndarray:
             )
 
     pinv = dec.pinv_sqrt()
-    M = pinv @ linalg.congruence_sqrt(dec.sqrt(), B) @ pinv
+    M = pinv @ linalg.polar(factor_b @ dec.sqrt()) @ pinv
     return (M + M.T) / 2.0

@@ -2,10 +2,12 @@
 
 Everything here operates on plain ``numpy`` arrays of 64-bit floats.  A
 "covariance" is a symmetric PSD matrix (up to :data:`PSD_TOL`); a "map" is any
-symmetric matrix.  All matrix functions go through a full spectral
-decomposition (LAPACK ``eigh`` / ``gesdd`` / pivoted Cholesky), never through
-iterative square-root schemes, so results are deterministic for identical
-input bits.
+symmetric matrix.  Matrix functions go through a direct decomposition
+(LAPACK ``eigh`` / ``gesdd`` / pivoted Cholesky), never through iterative
+square-root schemes, so results are deterministic for identical input bits.
+A covariance is checked by the decomposition its caller needs anyway: its
+pivoted-Cholesky factor (:func:`covariance_factor`) or its eigendecomposition
+(:func:`_psd_eigs`), both under the one rule of :func:`check_psd_floor`.
 """
 
 from dataclasses import dataclass
@@ -57,13 +59,35 @@ def check_symmetric(M, tol: float = SYM_TOL) -> np.ndarray:
 def check_covariance(M) -> np.ndarray:
     """Validate ``M`` as a covariance: symmetric within :data:`SYM_TOL` and PSD.
 
-    The PSD rule is :func:`check_psd_floor`.  A caller that decomposes ``M``
-    anyway checks it through :func:`_psd_eigs` instead.
+    Returns the symmetrized ``M``.  The check is :func:`covariance_factor`'s
+    (one pivoted Cholesky); a caller that needs the factor calls that instead,
+    and one that eigendecomposes ``M`` anyway checks it through
+    :func:`_psd_eigs`.
+    """
+    return covariance_factor(M)[0]
+
+
+def covariance_factor(M) -> tuple:
+    """Validate ``M`` as a covariance and factor it: ``(A, F)`` with ``F.T @ F = A``.
+
+    ``A`` is the symmetrized ``M`` (:func:`check_symmetric`); ``F`` is its
+    pivoted-Cholesky factor (:func:`psd_factor`) cut to its first ``r`` rows,
+    ``r`` the rank ``pstrf`` detects, so ``F`` has shape ``(r, d)``.
+
+    The factor is also the PSD proof.  ``F.T @ F`` is PSD, so
+    ``lam_min(A) >= -||A - F.T @ F||_F``, and ``max diag A <= lam_max(A)``; a
+    residual ``||A - F.T @ F||_F <= PSD_TOL * max(1, max diag A)`` therefore
+    shows (up to the rounding of the product) that :func:`check_psd_floor`'s
+    rule holds, at the cost of one matrix product.  Only when it does not is
+    the rule applied to the eigenvalues of ``A``, so the verdict and the
+    :class:`NotPSD` message are the rule's.
     """
     A = check_symmetric(M)
-    w = np.linalg.eigvalsh(A)
-    check_psd_floor(float(w[0]), float(w[-1]))
-    return A
+    F = _trimmed_factor(A)
+    if np.linalg.norm(A - F.T @ F) > PSD_TOL * max(1.0, float(np.max(np.diag(A)))):
+        w = np.linalg.eigvalsh(A)
+        check_psd_floor(float(w[0]), float(w[-1]))
+    return A, F
 
 
 def check_psd_floor(w_min: float, lam_max: float, what: str = "smallest eigenvalue") -> None:
@@ -216,16 +240,22 @@ def psd_factor(M) -> np.ndarray:
     ~16 decades.  Rows beyond the numerically detected rank are zero.
     """
     A = _as_square_array(M)
+    F = _trimmed_factor(A)
+    C = np.zeros(A.shape)
+    C[:len(F)] = F
+    return C
+
+
+def _trimmed_factor(A: np.ndarray) -> np.ndarray:
+    """The nonzero rows of :func:`psd_factor`'s factor of a square array: shape ``(rank, n)``."""
     c, piv, rank, info = _pstrf(A, lower=0)
     if info < 0:
         raise InvalidInput(f"pivoted Cholesky failed with info={info}")
-    n = A.shape[0]
-    C = np.triu(c)
-    C[rank:, :] = 0.0
     # undo the pivoting: M = P L L^T P^T  =>  factor rows get permuted columns
+    n = A.shape[0]
     inv = np.empty(n, dtype=np.intp)
     inv[piv - 1] = np.arange(n)
-    return C[:, inv]
+    return np.triu(c[:rank])[:, inv]
 
 
 def polar(X: np.ndarray) -> np.ndarray:
@@ -249,9 +279,10 @@ def congruence_sqrt(root: np.ndarray, M: np.ndarray) -> np.ndarray:
     Computed as the symmetric polar factor ``|C @ root|`` of the
     pivoted-Cholesky factor ``C`` of ``M``, which keeps absolute accuracy at
     rounding level even when the product's spectrum spans hundreds of decades
-    (the regime where ``sqrt_psd`` of the explicit product degrades).  The
-    transport map, the barycentre iteration and the barycentre certificate
-    all go through :func:`polar`; algebraically identical to
-    ``sqrt_psd(root @ M @ root)``.
+    (the regime where ``sqrt_psd`` of the explicit product degrades);
+    algebraically identical to ``sqrt_psd(root @ M @ root)``.  The transport
+    map, the barycentre iteration and the barycentre certificate take the same
+    :func:`polar` of the factors they already hold, cut to their rank; this
+    function is their reference.
     """
     return polar(psd_factor(M) @ root)

@@ -15,6 +15,7 @@ from bwbary import (
     barycentre_fixed_point,
     build_covariance,
     build_pair_maps,
+    bw_distance_sq,
     conjugate,
     frechet_functional,
     optimal_map,
@@ -41,16 +42,31 @@ def test_optimal_map_checks_its_source_by_its_decomposition(lapack_calls):
     A, B = G @ G.T, H @ H.T
     lapack_calls.clear()
     optimal_map(A, B)
-    # the source's eigh; the eigvalsh is the target's check
+    # the source's eigh; the target's check is the pstrf its root needs
     assert lapack_calls["eigh"] == 1
-    assert lapack_calls["eigvalsh"] == 1
+    assert lapack_calls["eigvalsh"] == 0
+    assert lapack_calls["pstrf"] == 1
+
+
+def test_distance_checks_each_argument_by_its_factor(lapack_calls):
+    rng = np.random.default_rng(41)
+    G, H = rng.standard_normal((2, 64, 32))
+    A, B = G @ G.T, H @ H.T
+    lapack_calls.clear()
+    bw_distance_sq(A, B)
+    # one pstrf per argument is its check; the cross term's SVD is of the
+    # product of the factors cut to their ranks
+    assert lapack_calls["pstrf"] == 2
+    assert lapack_calls.shapes["svd"] == [(32, 32)]
+    assert lapack_calls["eigh"] == lapack_calls["eigvalsh"] == 0
 
 
 def test_monte_carlo_checks_each_input_once(lapack_calls):
     n = 12
     report = population_mc_experiment(TruncationConfig(dim=8), RandomMapLaw(), n, seed=7)
     assert report.n == n
-    assert lapack_calls["eigvalsh"] == n
+    assert lapack_calls["eigvalsh"] == 0
+    assert lapack_calls["pstrf"] == n
 
 
 NOT_PSD = np.diag([1.0, -1e-6])

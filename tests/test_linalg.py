@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from bwbary import (
     InvalidInput,
     NotPSD,
+    build_pair_maps,
+    conjugate,
     eig_sym,
     kernel_dim,
     operator_norm,
@@ -16,7 +18,16 @@ from bwbary import (
     symmetrized_shift,
 )
 from bwbary.construct import build_covariance, TruncationConfig
-from bwbary.linalg import congruence_sqrt, polar, psd_factor, range_projector
+from bwbary.linalg import (
+    PSD_TOL,
+    check_psd_floor,
+    check_symmetric,
+    congruence_sqrt,
+    covariance_factor,
+    polar,
+    psd_factor,
+    range_projector,
+)
 
 
 def random_psd(rng, n, rank=None):
@@ -220,6 +231,94 @@ class TestFactoredRoots:
             root = sqrt_psd(cov)
             ours = congruence_sqrt(root, conjugate(t1, cov))
             np.testing.assert_allclose(ours, root @ t1 @ root, atol=1e-14)
+
+
+def eigvalsh_verdict(M):
+    """The PSD rule on the eigenvalues: ``None`` when it accepts, else the NotPSD message."""
+    w = np.linalg.eigvalsh(check_symmetric(M))
+    try:
+        check_psd_floor(float(w[0]), float(w[-1]))
+    except NotPSD as exc:
+        return str(exc)
+    return None
+
+
+def factor_verdict(M):
+    """:func:`covariance_factor`'s verdict in the same form."""
+    try:
+        covariance_factor(M)
+    except NotPSD as exc:
+        return str(exc)
+    return None
+
+
+def with_spectrum(rng, eigenvalues, rotate=True):
+    if not rotate:
+        return np.diag(eigenvalues)
+    Q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    return (Q * eigenvalues) @ Q.T
+
+
+class TestCovarianceFactor:
+    """The factor's PSD proof accepts or rejects exactly when the eigenvalue rule does."""
+
+    def test_random_psd_of_every_rank(self, lapack_calls):
+        rng = np.random.default_rng(41)
+        d = 12
+        for rank in range(d + 1):
+            G = rng.standard_normal((d, rank))
+            M = G @ G.T
+            assert eigvalsh_verdict(M) is None
+            A, F = covariance_factor(M)
+            assert np.array_equal(A, check_symmetric(M))
+            assert F.shape == (rank, d)
+            np.testing.assert_allclose(F.T @ F, A, atol=1e-12 * max(1.0, np.abs(A).max()))
+        assert lapack_calls["eigvalsh"] == d + 1  # the reference's own; the factor needs none
+
+    @pytest.mark.parametrize("dim", [32, 64, 128, 256])
+    def test_construction_is_proved_without_eigenvalues(self, dim, lapack_calls):
+        cov = build_covariance(TruncationConfig(dim=dim))
+        t1, t2 = build_pair_maps(dim)
+        mats = [cov, conjugate(t1, cov), conjugate(t2, cov)]
+        lapack_calls.clear()
+        for M in mats:
+            A, F = covariance_factor(M)
+            assert F.shape[0] <= dim // 2
+        assert lapack_calls["eigvalsh"] == 0
+        assert lapack_calls["pstrf"] == len(mats)
+        for M in mats:
+            assert eigvalsh_verdict(M) is None
+
+    @pytest.mark.parametrize("rotate", [True, False], ids=["rotated", "diagonal"])
+    @pytest.mark.parametrize("lam_max", [0.5, 10.0])
+    @pytest.mark.parametrize("depth", [0.5, 2.0])
+    def test_indefinite_verdicts_and_messages_match_the_rule(self, lam_max, depth, rotate):
+        rng = np.random.default_rng(42)
+        tau = PSD_TOL * max(1.0, lam_max)
+        # trace and Frobenius norm well above lam_max; on the diagonal matrix
+        # the residual is exactly depth * tau, so a floor taken from either
+        # would accept the -2 tau matrix the rule rejects
+        spectrum = [lam_max] * 6 + [0.3 * lam_max, 0.1, 0.0, 0.0, -depth * tau]
+        M = with_spectrum(rng, spectrum, rotate)
+        expected = eigvalsh_verdict(M)
+        assert (expected is None) == (depth < 1.0)
+        assert factor_verdict(M) == expected
+
+    def test_rule_decides_where_the_proof_does_not_pass(self, lapack_calls):
+        # lam_max = 2 * max diag and lam_min = -1.5 PSD_TOL * max diag: the
+        # residual ||A - F^T F|| exceeds PSD_TOL * max diag, the rule's floor
+        # PSD_TOL * lam_max does not reach lam_min
+        c = np.sqrt(0.5)
+        Q = np.array([[c, -c], [c, c]])
+        M = np.zeros((4, 4))
+        M[:2, :2] = Q @ np.diag([20.0, -1.5e-7]) @ Q.T
+        M[2, 2], M[3, 3] = 5.0, 3.0
+        assert np.max(np.diag(M)) == pytest.approx(10.0)
+        assert eigvalsh_verdict(M) is None
+        lapack_calls.clear()
+        A, F = covariance_factor(M)
+        assert lapack_calls["eigvalsh"] == 1
+        assert np.linalg.norm(A - F.T @ F) > PSD_TOL * 10.0
 
 
 @settings(max_examples=50, deadline=None)

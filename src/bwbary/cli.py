@@ -160,8 +160,12 @@ def cmd_verify(args) -> int:
     report.add_result("certificate_residual", residual)
     report.add_result("tolerance", args.tol)
     report.add_result("within_tolerance", bool(ok))
+    # every barycentre has residual 0, but so do spurious singular fixed
+    # points such as the zero matrix: passing does not prove a barycentre
+    report.add_result("necessary_condition_only", True)
     _emit(report, args, [f"certificate residual {residual:.3g} "
-                         f"({'within' if ok else 'EXCEEDS'} tolerance {args.tol:g})"])
+                         f"({'within' if ok else 'EXCEEDS'} tolerance {args.tol:g}; "
+                         "a necessary condition only, not proof of a barycentre)"])
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -319,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="check the barycentre certificate of a candidate")
+    p = sub.add_parser("verify", help="check the barycentre certificate of a candidate "
+                                      "(a necessary condition only)")
     p.add_argument("--candidate", required=True)
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--weights", default=None)

@@ -7,11 +7,42 @@ closed form of Olkin & Pukelsheim (1982):
     d^2(A, B) = tr A + tr B - 2 tr((A^{1/2} B A^{1/2})^{1/2}).
 """
 
+import weakref
+
 import numpy as np
 
 from . import linalg
 from .errors import KernelNotIncluded
 from .linalg import RANK_TOL, check_same_dim, check_symmetric, covariance_factor
+
+
+# id(M) -> (weak reference to M, A, F).  A == M entry for entry when stored,
+# so comparing A with M again is the whole mutation check; results depend only
+# on the entries, so that comparison is also all a hit needs.  Entries are
+# replaced whole, so concurrent callers at worst factor twice.
+_factors: dict = {}
+
+
+def _factor(M) -> tuple:
+    """:func:`linalg.covariance_factor` of ``M``, reused while ``M`` is alive and unchanged.
+
+    Only an exactly symmetric float64 ``ndarray`` is stored, keyed by its
+    ``id``; a weak reference drops the entry when the array is freed.  A
+    stored ``(A, F)`` is returned while ``A`` still equals ``M`` entry for
+    entry, so an array changed in place is checked and factored again.  Any
+    other input is checked and factored on every call.  Stored arrays never
+    leave this module.
+    """
+    if type(M) is not np.ndarray or M.dtype != np.float64:
+        return covariance_factor(M)
+    key = id(M)
+    hit = _factors.get(key)
+    if hit is not None and np.array_equal(hit[1], M):
+        return hit[1], hit[2]
+    A, F = covariance_factor(M)
+    if np.array_equal(A, M):
+        _factors[key] = (weakref.ref(M, lambda _, key=key: _factors.pop(key, None)), A, F)
+    return A, F
 
 
 def cross_trace(factor_a: np.ndarray, factor_b: np.ndarray) -> float:
@@ -40,12 +71,15 @@ def bw_distance_sq(A, B) -> float:
     ``B = C_B.T @ C_B``; evaluating it from the pivoted-Cholesky factors of
     both arguments keeps rank-deficient inputs exact (no square root of
     rounding noise is ever taken) and makes the formula symmetric by
-    construction.  Each argument is factored once
-    (:func:`linalg.covariance_factor`), which is also its PSD check, and the
+    construction.  Each argument is factored by
+    :func:`linalg.covariance_factor`, which is also its PSD check, and the
     factors are cut to their ranks, so the SVD is of an ``(r_B, r_A)`` matrix.
+    An exactly symmetric float64 array is factored once while it is alive:
+    later calls on the same unchanged array reuse its check and factor (an
+    entry-for-entry comparison detects changes made in place).
     """
-    A, factor_a = covariance_factor(A)
-    B, factor_b = covariance_factor(B)
+    A, factor_a = _factor(A)
+    B, factor_b = _factor(B)
     check_same_dim(A, B)
     cross = cross_trace(factor_a, factor_b)
     val = float(np.trace(A) + np.trace(B)) - 2.0 * cross
@@ -76,9 +110,12 @@ def optimal_map(A, B) -> np.ndarray:
         is also its PSD check; the pivoted-Cholesky factor of ``B``
         (:func:`linalg.covariance_factor`) is its check and gives the root
         ``(A^{1/2} B A^{1/2})^{1/2}`` as the polar factor of
-        ``F_B A^{1/2}``.  The relative eigenvalue cutoff
+        ``F_B A^{1/2}``; a live, unchanged, exactly symmetric float64 target
+        reuses the factor of an earlier distance or map call, as in
+        :func:`bw_distance_sq`.  The relative eigenvalue cutoff
         :data:`linalg.RANK_TOL` splits ker(A) from range(A) and sets the
-        kernel-inclusion test ``||B v|| <= RANK_TOL * lam_max(B) * n``.
+        kernel-inclusion test ``||B v|| <= RANK_TOL * lam_max(B) * n``, with
+        ``lam_max(B) = ||F_B||_2^2`` read from the factor.
 
     Returns
     -------
@@ -86,14 +123,18 @@ def optimal_map(A, B) -> np.ndarray:
         Symmetric, PSD on range(A).
     """
     A = check_symmetric(A)
-    B, factor_b = covariance_factor(B)
+    B, factor_b = _factor(B)
     check_same_dim(A, B)
     n = A.shape[0]
 
     dec = linalg._psd_eigs(A)
     ker = dec.kernel()
     if ker.shape[1]:
-        limit = RANK_TOL * float(np.linalg.eigvalsh(B)[-1]) * n
+        # lam_max(B) = ||F_B||_2^2; a rank-0 target has lam_max 0
+        lam_max = 0.0
+        if len(factor_b):
+            lam_max = float(np.linalg.svd(factor_b, compute_uv=False)[0]) ** 2
+        limit = RANK_TOL * lam_max * n
         worst = float(np.max(np.linalg.norm(B @ ker, axis=0)))
         if worst > limit:
             raise KernelNotIncluded(

@@ -48,6 +48,17 @@ def test_optimal_map_checks_its_source_by_its_decomposition(lapack_calls):
     assert lapack_calls["pstrf"] == 1
 
 
+def test_optimal_map_reads_the_kernel_limit_from_the_target_factor(lapack_calls):
+    rng = np.random.default_rng(42)
+    G = rng.standard_normal((16, 8))
+    A = G @ G.T  # rank 8, so the kernel-inclusion test runs
+    lapack_calls.clear()
+    optimal_map(A, A @ A)
+    # lam_max(B) = ||F_B||_2^2 from the target's (8, 16) factor, no eigvalsh of B
+    assert lapack_calls["eigvalsh"] == 0
+    assert lapack_calls.shapes["svd"][0] == (8, 16)
+
+
 def test_distance_checks_each_argument_by_its_factor(lapack_calls):
     rng = np.random.default_rng(41)
     G, H = rng.standard_normal((2, 64, 32))

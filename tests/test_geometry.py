@@ -1,5 +1,7 @@
 """Distance and transport map against independent 1-D and structural oracles."""
 
+import gc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,6 +10,7 @@ from scipy.stats import norm
 from bwbary import (
     DimensionMismatch,
     KernelNotIncluded,
+    NotPSD,
     TruncationConfig,
     build_covariance,
     build_pair_maps,
@@ -16,7 +19,8 @@ from bwbary import (
     conjugate,
     optimal_map,
 )
-from bwbary.linalg import range_projector
+from bwbary import geometry
+from bwbary.linalg import SYM_TOL, range_projector
 
 
 def random_psd(rng, n, rank=None):
@@ -155,3 +159,72 @@ class TestOptimalMap:
         t1, _ = build_pair_maps(dim)
         with pytest.raises(KernelNotIncluded):
             optimal_map(cov, conjugate(t1, cov))
+
+
+class TestFactorMemo:
+    """Distance and map factor each live, unchanged, exactly symmetric array once."""
+
+    def test_each_array_is_factored_once(self, lapack_calls):
+        rng = np.random.default_rng(50)
+        mats = [random_psd(rng, 8) for _ in range(3)] + [random_psd(rng, 8, rank=4)]
+        lapack_calls.clear()
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                bw_distance_sq(mats[i], mats[j])
+        for i in range(3):  # full-rank sources onto targets already factored
+            optimal_map(mats[i], mats[(i + 1) % len(mats)])
+        assert lapack_calls["pstrf"] == len(mats)
+
+    def test_memoized_results_equal_fresh_ones(self):
+        rng = np.random.default_rng(51)
+        mats = [random_psd(rng, 10), random_psd(rng, 10, rank=5), random_psd(rng, 10)]
+        for _ in range(2):  # the second round runs on stored factors
+            memo = [bw_distance_sq(mats[0], mats[1]), bw_distance_sq(mats[1], mats[2]),
+                    optimal_map(mats[0], mats[1]), optimal_map(mats[2], mats[0])]
+        fresh = [bw_distance_sq(mats[0].copy(), mats[1].copy()),
+                 bw_distance_sq(mats[1].copy(), mats[2].copy()),
+                 optimal_map(mats[0].copy(), mats[1].copy()),
+                 optimal_map(mats[2].copy(), mats[0].copy())]
+        assert memo[:2] == fresh[:2]
+        assert np.array_equal(memo[2], fresh[2]) and np.array_equal(memo[3], fresh[3])
+
+    def test_change_in_place_is_noticed(self):
+        rng = np.random.default_rng(52)
+        A, B = random_psd(rng, 6), random_psd(rng, 6, rank=3)
+        bw_distance_sq(A, B)
+        A *= 3.0
+        assert bw_distance_sq(A, B) == bw_distance_sq(A.copy(), B.copy())
+        B[0, 0] = -1.0
+        with pytest.raises(NotPSD):
+            bw_distance_sq(A, B)
+        with pytest.raises(NotPSD):
+            optimal_map(A, B)
+
+    def test_entry_goes_with_its_array(self):
+        rng = np.random.default_rng(53)
+        A, B = random_psd(rng, 5), random_psd(rng, 5)
+        bw_distance_sq(A, B)
+        key = id(A)
+        assert key in geometry._factors and id(B) in geometry._factors
+        del A
+        gc.collect()
+        assert key not in geometry._factors
+        assert id(B) in geometry._factors
+
+    def test_asymmetric_input_is_never_stored(self, lapack_calls):
+        rng = np.random.default_rng(54)
+        A, B = random_psd(rng, 6), random_psd(rng, 6)
+        skew = A.copy()
+        skew[0, 1] += 0.5 * SYM_TOL * np.max(np.abs(A))
+        symmetrized = (skew + skew.T) / 2.0
+        lapack_calls.clear()
+        for _ in range(2):
+            assert bw_distance_sq(skew, B) == bw_distance_sq(symmetrized.copy(), B)
+        assert id(skew) not in geometry._factors
+        # skew factored on both calls, B once, each fresh copy once
+        assert lapack_calls["pstrf"] == 5
+
+    def test_nested_list_input(self):
+        A, B = [[4.0, 1.0], [1.0, 3.0]], [[2.0, 0.0], [0.0, 1.0]]
+        assert bw_distance_sq(A, B) == bw_distance_sq(np.array(A), np.array(B))
+        np.testing.assert_array_equal(optimal_map(A, B), optimal_map(np.array(A), np.array(B)))

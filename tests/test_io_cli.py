@@ -144,6 +144,21 @@ class TestVerifyCommand:
                      str(constructed / "s2.json"), "--tol", "1e-9")
         assert rc == 1
 
+    def test_zero_candidate_is_reported_as_necessary_condition_only(self, constructed,
+                                                                      tmp_path, capsys):
+        # the zero matrix meets the fixed-point identity without being the
+        # barycentre, so the report must not call a pass a proof
+        zero = tmp_path / "zero.json"
+        save_matrix(zero, np.zeros((32, 32)), "covariance")
+        args = ["verify", "--candidate", str(zero), "--inputs",
+                str(constructed / "s1.json"), str(constructed / "s2.json")]
+        assert run_cli(*args) == 0
+        assert "a necessary condition only" in capsys.readouterr().out
+        assert run_cli("--report", "json", *args) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["within_tolerance"] is True
+        assert results["necessary_condition_only"] is True
+
     def test_missing_file_is_invalid_input(self, tmp_path):
         rc = run_cli("verify", "--candidate", str(tmp_path / "nope.json"),
                      "--inputs", str(tmp_path / "nope.json"))

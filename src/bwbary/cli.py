@@ -32,7 +32,7 @@ from .construct import (
     kernel_report,
 )
 from .errors import InvalidInput, KernelNotIncluded, NonFinite
-from .io import RunReport, file_digest, load_matrix, save_matrix
+from .io import RunReport, _read_matrix, file_digest, save_matrix
 from .randomized import RandomMapLaw, population_mc_experiment, random_map_sample
 from .recurrence import (
     RecurrenceParams,
@@ -103,6 +103,11 @@ def _emit(report: RunReport, args, text_lines) -> None:
 
 
 def cmd_construct(args) -> int:
+    """Write the covariance, maps and conjugations, and report each file as read back.
+
+    Each file read back is checked for symmetry; a covariance's one PSD check
+    is the eigendecomposition behind its ``kernel_dim``.
+    """
     rank_tol = _rank_tol(args, [args.dim])
     report = RunReport(args.argv, seed=args.seed)
     config = TruncationConfig(dim=args.dim, decay=_parse_decay(args.decay))
@@ -132,7 +137,8 @@ def cmd_construct(args) -> int:
 
     lines = []
     for name, path in written.items():
-        mat, kind = load_matrix(path)
+        mat, kind = _read_matrix(path)
+        linalg.check_symmetric(mat)
         report.add_result(f"digest_{name}", file_digest(path))
         if kind == "covariance":
             kdim = linalg.kernel_dim(mat, rank_tol)
@@ -146,12 +152,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the files are checked by their consumers: the inputs by problem(), the
+    # candidate by the certificate's decomposition of it
     report = RunReport(args.argv)
-    candidate, _ = load_matrix(args.candidate)
+    candidate, _ = _read_matrix(args.candidate)
     report.add_input(args.candidate)
     inputs = []
     for path in args.inputs:
-        mat, _ = load_matrix(path)
+        mat, _ = _read_matrix(path)
         report.add_input(path)
         inputs.append(mat)
     weights = _parse_weights(args.weights, len(inputs))
@@ -170,10 +178,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_barycentre(args) -> int:
+    # the inputs are checked by problem(), --init by barycentre_fixed_point
     report = RunReport(args.argv)
     inputs = []
     for path in args.inputs:
-        mat, _ = load_matrix(path)
+        mat, _ = _read_matrix(path)
         report.add_input(path)
         inputs.append(mat)
     weights = _parse_weights(args.weights, len(inputs))
@@ -182,7 +191,7 @@ def cmd_barycentre(args) -> int:
     )
     init = None
     if args.init is not None:
-        init, _ = load_matrix(args.init)
+        init, _ = _read_matrix(args.init)
         report.add_input(args.init)
     result = barycentre_fixed_point(problem(inputs, weights, settings), init=init)
 

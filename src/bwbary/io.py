@@ -38,6 +38,20 @@ def load_matrix(path) -> tuple:
     Covariance files must pass the covariance invariants (symmetry, PSD up
     to tolerance); map files only symmetry.
     """
+    A, kind = _read_matrix(path)
+    if kind == "covariance":
+        check_covariance(A)
+    else:
+        check_symmetric(A)
+    return A, kind
+
+
+def _read_matrix(path) -> tuple:
+    """:func:`load_matrix` without its symmetry and PSD checks: parse, shape and finiteness only.
+
+    For a caller whose next step checks the matrix anyway, so that each file
+    is checked once, by the code that uses it.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -56,10 +70,8 @@ def load_matrix(path) -> tuple:
         A = np.asarray(data, dtype=np.float64).reshape(dim, dim)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"non-numeric data in {path}: {exc}") from exc
-    if kind == "covariance":
-        check_covariance(A)
-    else:
-        check_symmetric(A)
+    if not np.all(np.isfinite(A)):
+        raise InvalidInput("matrix has non-finite entries")
     return A, kind
 
 

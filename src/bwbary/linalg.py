@@ -8,13 +8,18 @@ square-root schemes, so results are deterministic for identical input bits.
 A covariance is checked by the decomposition its caller needs anyway: its
 pivoted-Cholesky factor (:func:`covariance_factor`) or its eigendecomposition
 (:func:`_psd_eigs`), both under the one rule of :func:`check_psd_floor`.
+
+scipy, which supplies the pivoted Cholesky (``_pstrf``, see ``_lapack``) and
+:func:`principal_angles`, is imported at the first call that needs it, not
+with the package: importing it costs more than the rest of ``bwbary.cli``, and
+CLI runs such as ``construct`` and ``recurrence`` never use it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, subspace_angles
 
+from ._lapack import pstrf as _pstrf
 from .errors import DimensionMismatch, InvalidInput, NotPSD
 
 # Eigenvalues in [-PSD_TOL * max(1, lambda_max), 0) are treated as rounding
@@ -27,8 +32,6 @@ PSD_TOL = 1e-8
 RANK_TOL = 1e-10
 
 SYM_TOL = 1e-12
-
-_pstrf = get_lapack_funcs(("pstrf",), (np.empty((1, 1), dtype=np.float64),))[0]
 
 
 def _as_square_array(M) -> np.ndarray:
@@ -228,6 +231,8 @@ def kernel_basis(M, rank_tol: float = RANK_TOL) -> np.ndarray:
 
 def principal_angles(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Canonical angles (radians, descending) between the column spans of U and W."""
+    from scipy.linalg import subspace_angles
+
     return subspace_angles(U, W)
 
 

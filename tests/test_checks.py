@@ -23,6 +23,7 @@ from bwbary import (
     problem,
     verify_barycentre_certificate,
 )
+from bwbary.cli import main
 
 
 @pytest.mark.parametrize("evaluate", [verify_barycentre_certificate, frechet_functional])
@@ -93,3 +94,37 @@ PSD = np.diag([1.0, 0.5])
 def test_not_psd_is_rejected(call):
     with pytest.raises(NotPSD):
         call()
+
+
+class TestCliChecksEachFileOnce:
+    """Each matrix file is read without a check and checked by the code that uses it."""
+
+    @pytest.fixture()
+    def pair(self, tmp_path, lapack_calls, capsys):
+        assert main(["construct", "--dim", "16", "--pair", "--out", str(tmp_path)]) == 0
+        lapack_calls.clear()
+        return tmp_path
+
+    def test_construct(self, tmp_path, lapack_calls, capsys):
+        assert main(["construct", "--dim", "16", "--pair", "--out", str(tmp_path)]) == 0
+        # each covariance read back (sigma, s1, s2) is checked by the eigh
+        # behind its kernel_dim; the eigvalsh are conjugate()'s own checks
+        assert lapack_calls["pstrf"] == 0
+        assert lapack_calls["eigh"] == 3
+        assert lapack_calls["eigvalsh"] == 2
+
+    def test_verify(self, pair, lapack_calls, capsys):
+        assert main(["verify", "--candidate", str(pair / "sigma.json"),
+                     "--inputs", str(pair / "s1.json"), str(pair / "s2.json")]) == 0
+        # one pstrf per input in problem(); the candidate's eigh in the certificate
+        assert lapack_calls["pstrf"] == 2
+        assert lapack_calls["eigh"] == 1
+        assert lapack_calls["eigvalsh"] == 0
+
+    def test_barycentre_with_init(self, pair, lapack_calls, capsys):
+        main(["barycentre", "--inputs", str(pair / "s1.json"), str(pair / "s2.json"),
+              "--init", str(pair / "sigma.json"), "--max-iter", "2",
+              "--out", str(pair / "bary.json")])
+        # one pstrf per input in problem(), one for --init in the solver
+        assert lapack_calls["pstrf"] == 3
+        assert lapack_calls["eigvalsh"] == 0

@@ -165,6 +165,47 @@ class TestVerifyCommand:
         assert rc == 2
 
 
+class TestBadFiles:
+    """Files are read unchecked and checked by their consumer, with the same verdicts."""
+
+    @pytest.fixture()
+    def not_psd(self, tmp_path):
+        path = tmp_path / "not_psd.json"
+        save_matrix(path, np.diag(np.r_[np.ones(31), -1e-3]), "covariance")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["verify_input", "verify_candidate",
+                                         "barycentre_input", "barycentre_init"])
+    def test_not_psd_exits_two(self, command, constructed, not_psd, capsys):
+        s1, s2, sigma = (str(constructed / f"{n}.json") for n in ("s1", "s2", "sigma"))
+        out = str(constructed / "bary.json")
+        argv = {
+            "verify_input": ["verify", "--candidate", sigma, "--inputs", s1, not_psd],
+            "verify_candidate": ["verify", "--candidate", not_psd, "--inputs", s1, s2],
+            "barycentre_input": ["barycentre", "--inputs", not_psd, s2, "--out", out],
+            "barycentre_init": ["barycentre", "--inputs", s1, s2, "--init", not_psd,
+                                "--out", out],
+        }[command]
+        assert run_cli(*argv) == 2
+        assert "below PSD tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "barycentre"])
+    def test_asymmetric_input_exits_two(self, command, constructed, tmp_path, capsys):
+        A = np.eye(32)
+        A[0, 1] = 0.5
+        path = tmp_path / "asym.json"
+        path.write_text(json.dumps({"dim": 32, "kind": "covariance",
+                                    "data": A.reshape(-1).tolist()}))
+        s1 = str(constructed / "s1.json")
+        argv = {
+            "verify": ["verify", "--candidate", s1, "--inputs", s1, str(path)],
+            "barycentre": ["barycentre", "--inputs", s1, str(path),
+                           "--out", str(tmp_path / "bary.json")],
+        }[command]
+        assert run_cli(*argv) == 2
+        assert "not symmetric" in capsys.readouterr().err
+
+
 class TestBarycentreCommand:
     def test_two_copies(self, tmp_path):
         cov = build_covariance(TruncationConfig(dim=8)) + 0.1 * np.eye(8)

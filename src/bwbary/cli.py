@@ -4,8 +4,9 @@ Subcommands construct the shift-conjugation family, verify barycentre
 certificates, run the fixed-point solver, cross-check the kernel recurrence,
 run the Monte-Carlo population experiment, and sweep truncation dimensions.
 Exit codes: 0 success / within tolerance, 1 tolerance failure, 2 invalid
-input, 3 numerical failure.  ``--rank-tol`` overrides the default
-kernel/rank cutoff; ``construct`` and ``sweep`` require it from dim 64 up.
+input, 3 numerical failure.  ``construct`` and ``sweep`` take the kernels of
+the constructed covariances from the maps (:func:`construct.conjugated_kernel`),
+so their counts need no cutoff and hold at any dimension.
 """
 
 import argparse
@@ -29,6 +30,7 @@ from .construct import (
     build_pair_maps,
     build_shift_map,
     conjugate,
+    conjugated_kernel,
     kernel_report,
 )
 from .errors import InvalidInput, KernelNotIncluded, NonFinite
@@ -80,20 +82,6 @@ def _parse_dims(text: str):
     return [int(v) for v in text.split(",")]
 
 
-def _rank_tol(args, dims) -> float:
-    """The kernel cutoff for ``dims``: ``--rank-tol``, else :data:`linalg.RANK_TOL`.
-
-    The default no longer separates the conjugated spectrum from rounding
-    noise from dim 64 up, so there ``--rank-tol`` must be given.
-    """
-    if args.rank_tol is None and any(d >= 64 for d in dims):
-        raise InvalidInput(
-            "dims from 64 up need an explicit --rank-tol: "
-            "the default no longer separates the conjugated spectrum from noise"
-        )
-    return linalg.RANK_TOL if args.rank_tol is None else args.rank_tol
-
-
 def _emit(report: RunReport, args, text_lines) -> None:
     if args.report == "json":
         print(report.to_json())
@@ -105,10 +93,10 @@ def _emit(report: RunReport, args, text_lines) -> None:
 def cmd_construct(args) -> int:
     """Write the covariance, maps and conjugations, and report each file as read back.
 
-    Each file read back is checked for symmetry; a covariance's one PSD check
-    is the eigendecomposition behind its ``kernel_dim``.
+    Each file read back is checked for symmetry, and a covariance once for
+    PSD-ness by its eigendecomposition.  A covariance's ``kernel_dim`` is the
+    column count of :func:`conjugated_kernel` for the map it was conjugated by.
     """
-    rank_tol = _rank_tol(args, [args.dim])
     report = RunReport(args.argv, seed=args.seed)
     config = TruncationConfig(dim=args.dim, decay=_parse_decay(args.decay))
     sigma = build_covariance(config)
@@ -117,6 +105,7 @@ def cmd_construct(args) -> int:
 
     save_matrix(out / "sigma.json", sigma, "covariance")
     written = {"sigma": out / "sigma.json"}
+    maps = {"sigma": np.eye(args.dim)}  # covariance name -> map conjugating sigma to it
     if args.pair:
         t1, t2 = build_pair_maps(args.dim)
         for name, mat in (("t1", t1), ("t2", t2)):
@@ -125,6 +114,7 @@ def cmd_construct(args) -> int:
         for name, mat in (("s1", conjugate(t1, sigma)), ("s2", conjugate(t2, sigma))):
             save_matrix(out / f"{name}.json", mat, "covariance")
             written[name] = out / f"{name}.json"
+        maps.update(s1=t1, s2=t2)
     else:
         if args.law is not None:
             t = random_map_sample(RandomMapLaw(args.law), args.seed, args.dim)
@@ -134,6 +124,7 @@ def cmd_construct(args) -> int:
         written["t"] = out / "t.json"
         save_matrix(out / "s.json", conjugate(t, sigma), "covariance")
         written["s"] = out / "s.json"
+        maps["s"] = t
 
     lines = []
     for name, path in written.items():
@@ -141,7 +132,8 @@ def cmd_construct(args) -> int:
         linalg.check_symmetric(mat)
         report.add_result(f"digest_{name}", file_digest(path))
         if kind == "covariance":
-            kdim = linalg.kernel_dim(mat, rank_tol)
+            linalg._psd_eigs(mat)  # the file's one PSD check
+            kdim = conjugated_kernel(config, maps[name]).shape[1]
             report.add_result(f"kernel_dim_{name}", kdim)
             report.add_result(f"trace_{name}", float(np.trace(mat)))
             lines.append(f"{name}: wrote {path}  kernel_dim={kdim}  trace={np.trace(mat):.6g}")
@@ -277,16 +269,16 @@ def cmd_mc(args) -> int:
 
 def cmd_sweep(args) -> int:
     dims = _parse_dims(args.dims)
-    rank_tol = _rank_tol(args, dims)
     decay = _parse_decay(args.decay)
     rows = []
     for dim in dims:
         config = TruncationConfig(dim=dim, decay=decay)
         sigma = build_covariance(config)
         t1, t2 = build_pair_maps(dim)
-        s1, s2 = conjugate(t1, sigma), conjugate(t2, sigma)
-        residual = verify_barycentre_certificate(sigma, problem([s1, s2]))
-        info = kernel_report(sigma, [s1, s2], rank_tol)
+        # problem() is the one check of each conjugated input
+        prob = problem([t1 @ sigma @ t1, t2 @ sigma @ t2])
+        residual = verify_barycentre_certificate(sigma, prob)
+        info = kernel_report(config, [t1, t2])
         min_eig_t1 = float(np.linalg.eigvalsh(t1)[0])
         rows.append({
             "dim": dim,
@@ -314,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bwbary",
         description="Bures-Wasserstein barycentre toolkit for covariance matrices.",
     )
-    parser.add_argument("--rank-tol", type=float, default=None,
-                        help="kernel/rank eigenvalue cutoff")
     parser.add_argument("--report", choices=("json", "text"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,12 +9,13 @@ are PSD and average to the identity, the barycentre certificate holds with
 equality.
 
 At finite truncation each conjugated covariance has the same kernel
-dimension as the original (its kernel is the inverse image of the original
-kernel under the map).  The odd directions ``e_j`` with ``2j > dim`` are fixed
-by the truncated maps, so every conjugated kernel shares their span (of
-dimension ``dim/4`` under the default pattern) with the original kernel; the
-rest of the kernels are tilted apart, by canonical angles of at least
-``arctan(1/2)`` for the pair maps.  Vanishing of the conjugated kernels is
+dimension as the original: its kernel is the inverse image of the original
+kernel under the map, and :func:`conjugated_kernel` computes it that way, with
+no eigenvalue cutoff.  The odd directions ``e_j`` with ``2j > dim`` are fixed by
+the truncated maps, so every conjugated kernel shares their span (of dimension
+``dim/4`` under the default pattern) with the original kernel; the rest of the
+kernels are tilted apart, by canonical angles of at least ``arctan(1/2)`` for
+the pair maps.  Vanishing of the conjugated kernels is
 strictly a limit phenomenon, so this module reports kernel dimensions and
 angles rather than asserting injectivity.
 """
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidInput, NotPSD
-from .linalg import RANK_TOL
 
 # Canonical angles at or below this are rounding noise around zero: the
 # directions they belong to lie in both kernels.
@@ -196,16 +196,32 @@ def conjugate(T, cov) -> np.ndarray:
     return P
 
 
-def kernel_report(cov, conjugated, rank_tol: float = RANK_TOL) -> dict:
-    """Kernel bookkeeping for a conjugated family at truncation.
+def conjugated_kernel(config: TruncationConfig, T) -> np.ndarray:
+    """Orthonormal basis (columns) of ``ker(T C T)``, ``C = build_covariance(config)``.
 
-    Returns the kernel dimension of ``cov`` and, per input, its kernel
-    dimension and three summaries of the canonical angles between its kernel
-    and the kernel of ``cov``:
+    Exact for a symmetric positive-definite ``T``, as every map this module
+    builds is: ``ker(T C T) = T^{-1} E``, ``E`` the coordinate directions of
+    ``config.kernel_pattern`` (they span ``ker C``), so no eigenvalue is
+    classified.  Raises :class:`InvalidInput` when ``T`` has no Cholesky factor.
+    """
+    T = linalg.check_symmetric(T)
+    if T.shape != (config.dim, config.dim):
+        raise DimensionMismatch(f"dimension mismatch: {T.shape} vs dim {config.dim}")
+    try:
+        L = np.linalg.cholesky(T)
+    except np.linalg.LinAlgError:
+        raise InvalidInput("map is not positive definite") from None
+    E = np.eye(config.dim)[:, np.array(config.kernel_pattern, dtype=np.intp) - 1]
+    return np.linalg.qr(np.linalg.solve(L.T, np.linalg.solve(L, E)))[0]
 
-    ``min_angles``
-        the smallest angle.  At finite truncation it is zero up to rounding,
-        because the truncated-tail directions lie in both kernels.
+
+def kernel_report(config: TruncationConfig, maps) -> dict:
+    """Kernel bookkeeping for ``C = build_covariance(config)`` and ``T C T``, ``T`` in ``maps``.
+
+    Returns the kernel dimension of ``C`` and, per map, that of ``T C T`` and
+    two summaries of the canonical angles between the two kernels, both from
+    :func:`conjugated_kernel`:
+
     ``shared_dims``
         the number of angles at most ``SHARED_ANGLE_TOL``, i.e. the dimension
         of the shared subspace (``dim/4`` for the pair maps).
@@ -214,29 +230,18 @@ def kernel_report(cov, conjugated, rank_tol: float = RANK_TOL) -> dict:
         kernels outside the shared subspace, ``arctan(1/2)`` for the pair
         maps.  NaN when every angle is shared.
 
-    When either kernel is trivial there are no angles: ``shared_dims`` is 0
-    and both angle entries are NaN.
+    When the kernel is trivial there are no angles: ``shared_dims`` is 0 and
+    ``min_nonzero_angles`` is NaN.
     """
-    base = linalg.kernel_basis(cov, rank_tol)
-    report = {
-        "kernel_dim": int(base.shape[1]),
-        "kernel_dims": [],
-        "min_angles": [],
-        "shared_dims": [],
-        "min_nonzero_angles": [],
-    }
-    for S in conjugated:
-        ker = linalg.kernel_basis(S, rank_tol)
+    base = conjugated_kernel(config, np.eye(config.dim))
+    report = {"kernel_dim": int(base.shape[1]),
+              "kernel_dims": [], "shared_dims": [], "min_nonzero_angles": []}
+    for T in maps:
+        ker = conjugated_kernel(config, T)
+        angles = linalg.principal_angles(ker, base) if ker.shape[1] else np.empty(0)
+        nonzero = angles[angles > SHARED_ANGLE_TOL]
         report["kernel_dims"].append(int(ker.shape[1]))
-        if base.shape[1] and ker.shape[1]:
-            angles = linalg.principal_angles(ker, base)
-            nonzero = angles[angles > SHARED_ANGLE_TOL]
-            report["min_angles"].append(float(angles.min()))
-            report["shared_dims"].append(int(angles.size - nonzero.size))
-            report["min_nonzero_angles"].append(
-                float(nonzero.min()) if nonzero.size else float("nan"))
-        else:
-            report["min_angles"].append(float("nan"))
-            report["shared_dims"].append(0)
-            report["min_nonzero_angles"].append(float("nan"))
+        report["shared_dims"].append(int(angles.size - nonzero.size))
+        report["min_nonzero_angles"].append(
+            float(nonzero.min()) if nonzero.size else float("nan"))
     return report

@@ -26,9 +26,11 @@ from .errors import DimensionMismatch, InvalidInput, NotPSD
 # noise and clamped to zero; anything below that raises NotPSD.
 PSD_TOL = 1e-8
 
-# Default relative cutoff separating "kernel" from "range" eigenvalues.  It
-# separates a conjugated geometric-decay spectrum with ratio 1/2 from rounding
-# noise only below dimension 64; pass an explicit rank_tol from 64 up.
+# Default relative cutoff separating "kernel" from "range" eigenvalues, for
+# matrices of unknown origin.  It separates a conjugated geometric-decay
+# spectrum with ratio 1/2 from rounding noise only below dimension 64; the
+# constructed family needs no cutoff, since construct.conjugated_kernel takes
+# its kernels from the maps.
 RANK_TOL = 1e-10
 
 SYM_TOL = 1e-12

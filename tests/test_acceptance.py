@@ -317,7 +317,15 @@ def test_kernel_bookkeeping_dimensions():
     assert kernel_dim(cov64) == 32
     assert kernel_dim(s1_64, rank_tol=1e-13) == 32
     assert kernel_dim(s2_64, rank_tol=1e-13) == 32
-    _pass("kernel bookkeeping", "kernel dims dim/2 at 32 (default tol) and 64 (1e-13)")
+    # the construction's own kernels come from the maps, with no cutoff, and
+    # are exact where the eigenvalue count fails (it reads 96 at dim 128)
+    for dim in (64, 128):
+        report = kernel_report(TruncationConfig(dim=dim), build_pair_maps(dim))
+        assert report["kernel_dim"] == dim // 2
+        assert report["kernel_dims"] == [dim // 2, dim // 2]
+        assert report["shared_dims"] == [dim // 4, dim // 4]
+    _pass("kernel bookkeeping", "kernel dims dim/2 at 32 (default tol) and 64 (1e-13); "
+                                "exact from the maps at 64 and 128")
 
 
 def test_kernel_minimum_principal_angle():
@@ -354,7 +362,7 @@ def test_kernel_minimum_principal_angle():
         assert abs(float(angles.min()) - np.arctan(0.5)) <= 1e-10
         worst = min(worst, float(angles.min()))
 
-    report = kernel_report(cov, [s1, s2])
+    report = kernel_report(TruncationConfig(dim=dim), build_pair_maps(dim))
     assert report["shared_dims"] == [dim // 4, dim // 4]
     for angle in report["min_nonzero_angles"]:
         assert abs(angle - np.arctan(0.5)) <= 1e-10

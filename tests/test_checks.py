@@ -129,3 +129,12 @@ class TestCliChecksEachFileOnce:
         # one pstrf per input in problem(), one for --init in the solver
         assert lapack_calls["pstrf"] == 3
         assert lapack_calls["eigvalsh"] == 0
+
+    def test_sweep(self, tmp_path, lapack_calls, capsys):
+        assert main(["sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv")]) == 0
+        # per dim: one pstrf per conjugated input in problem(), the only check
+        # of either; sigma's eigh in the certificate; the eigvalsh of
+        # min_eig_t1.  The kernels come from the maps, with no eigh.
+        assert lapack_calls["pstrf"] == 2 * 3
+        assert lapack_calls["eigh"] == 1 * 3
+        assert lapack_calls["eigvalsh"] == 1 * 3

@@ -17,6 +17,7 @@ from bwbary import (
     kernel_report,
     operator_norm,
 )
+from bwbary.construct import conjugated_kernel
 from bwbary.errors import DimensionMismatch, NotPSD
 
 
@@ -186,18 +187,60 @@ class TestConjugate:
 class TestKernelBookkeeping:
     def test_dims_and_angles(self):
         dim = 32
-        cov = build_covariance(TruncationConfig(dim=dim))
-        t1, t2 = build_pair_maps(dim)
-        s1, s2 = conjugate(t1, cov), conjugate(t2, cov)
-        report = kernel_report(cov, [s1, s2])
+        report = kernel_report(TruncationConfig(dim=dim), build_pair_maps(dim))
+        assert set(report) == {"kernel_dim", "kernel_dims", "shared_dims",
+                               "min_nonzero_angles"}
         assert report["kernel_dim"] == dim // 2
         assert report["kernel_dims"] == [dim // 2, dim // 2]
         # the truncated tail is shared; every other angle is at least arctan(1/2)
         assert report["shared_dims"] == [dim // 4, dim // 4]
         for angle in report["min_nonzero_angles"]:
             assert angle == pytest.approx(np.arctan(0.5), abs=1e-10)
-        for angle in report["min_angles"]:
-            assert angle <= SHARED_ANGLE_TOL
+
+    @pytest.mark.parametrize("dim", [8, 64, 128, 256])
+    def test_exact_at_large_dims(self, dim):
+        # the eigenvalue count is wrong from dim 64 up; the kernels from the
+        # maps are exact at every dim
+        config = TruncationConfig(dim=dim)
+        cov = build_covariance(config)
+        t1, t2 = build_pair_maps(dim)
+        report = kernel_report(config, [t1, t2])
+        assert report["kernel_dim"] == dim // 2
+        assert report["kernel_dims"] == [dim // 2, dim // 2]
+        assert report["shared_dims"] == [dim // 4, dim // 4]
+        for angle in report["min_nonzero_angles"]:
+            assert abs(angle - np.arctan(0.5)) <= 1e-15
+        # orthonormal bases of the kernels of the conjugated covariances
+        for T in (t1, t2):
+            Q = conjugated_kernel(config, T)
+            np.testing.assert_allclose(Q.T @ Q, np.eye(dim // 2), atol=1e-14)
+            S = T @ cov @ T
+            assert np.linalg.norm(S @ Q, 2) <= 1e-15 * np.linalg.norm(S, 2)
+
+    def test_map_family_and_shift_map(self):
+        dim = 32
+        config = TruncationConfig(dim=dim)
+        maps = build_map_family(dim, n=5) + [build_shift_map(dim, c=2.0)]
+        report = kernel_report(config, maps)
+        assert report["kernel_dims"] == [dim // 2] * len(maps)
+
+    def test_trivial_kernel(self):
+        config = TruncationConfig(dim=4, decay=(1.0, 0.5, 0.25, 0.125), kernel_pattern=())
+        report = kernel_report(config, [build_pair_maps(4)[0]])
+        assert report["kernel_dim"] == 0
+        assert report["kernel_dims"] == [0]
+        assert report["shared_dims"] == [0]
+        assert np.isnan(report["min_nonzero_angles"][0])
+
+    def test_indefinite_map_is_invalid_input(self):
+        T = build_shift_map(16, c=1.0, allow_indefinite=True)
+        assert np.linalg.eigvalsh(T)[0] < 0
+        with pytest.raises(InvalidInput, match="not positive definite"):
+            kernel_report(TruncationConfig(dim=16), [T])
+
+    def test_map_of_wrong_dim(self):
+        with pytest.raises(DimensionMismatch):
+            conjugated_kernel(TruncationConfig(dim=16), np.eye(8))
 
     def test_truncated_tail_directions_are_shared(self):
         # odd indices j with 2j > dim are fixed points of the truncated maps,

@@ -98,16 +98,28 @@ class TestConstructCommand:
                      "--out", str(tmp_path))
         assert rc == 2
 
-    def test_large_dim_needs_explicit_rank_tol(self, tmp_path, capsys):
-        # from dim 64 up the default cutoff miscounts the kernels (33 at dim 64)
-        out = tmp_path / "out"
-        assert run_cli("construct", "--dim", "64", "--pair", "--out", str(out)) == 2
-        assert "--rank-tol" in capsys.readouterr().err
-        assert not out.exists()
-        assert run_cli("--rank-tol", "1e-13", "--report", "json", "construct",
-                       "--dim", "64", "--pair", "--out", str(out)) == 0
+    @pytest.mark.parametrize("dim", [64, 128])
+    def test_large_dim_kernels_are_exact(self, dim, tmp_path, capsys):
+        # the eigenvalue count read 33 at dim 64; the maps give the kernels exactly
+        assert run_cli("--report", "json", "construct", "--dim", str(dim), "--pair",
+                       "--out", str(tmp_path)) == 0
         results = json.loads(capsys.readouterr().out)["results"]
-        assert results["kernel_dim_s1"] == results["kernel_dim_s2"] == 32
+        assert results["kernel_dim_sigma"] == dim // 2
+        assert results["kernel_dim_s1"] == results["kernel_dim_s2"] == dim // 2
+
+    def test_single_map_kernel(self, tmp_path, capsys):
+        assert run_cli("--report", "json", "construct", "--dim", "64", "--c", "2",
+                       "--out", str(tmp_path)) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["kernel_dim_s"] == 32
+
+    def test_rank_tol_option_is_gone(self, tmp_path, capsys):
+        from bwbary.cli import build_parser
+
+        assert "--rank-tol" not in build_parser().format_help()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--rank-tol=1e-13", "construct", "--dim", "8", "--pair",
+                    "--out", str(tmp_path))
+        assert exc.value.code == 2
 
 
 @pytest.fixture()
@@ -339,16 +351,19 @@ class TestSweepCommand:
         assert "bad --dims" in capsys.readouterr().err
         assert not path.exists()
 
-    def test_large_dims_need_explicit_rank_tol(self, tmp_path):
-        # from dim 64 up the default cutoff miscounts the kernels (33 at dim 64)
-        for top in (64, 128):
-            path = tmp_path / f"sweep{top}.csv"
-            assert run_cli("sweep", "--dims", f"8,{top}", "--out-csv", str(path)) == 2
-            assert not path.exists()
-            assert run_cli("--rank-tol", "1e-13", "sweep", "--dims", f"8,{top}",
-                           "--out-csv", str(path)) == 0
-        with open(tmp_path / "sweep64.csv") as fh:
-            assert [int(r["kernel_dim_s1"]) for r in csv.DictReader(fh)] == [4, 32]
+    def test_large_dims_are_exact(self, tmp_path):
+        # no option: the kernels come from the maps, not from an eigenvalue cutoff
+        path = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--dims", "8..128", "--out-csv", str(path)) == 0
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["dim"]) for r in rows] == [8, 16, 32, 64, 128]
+        for r in rows:
+            dim = int(r["dim"])
+            assert int(r["kernel_dim_sigma"]) == dim // 2
+            assert int(r["kernel_dim_s1"]) == int(r["kernel_dim_s2"]) == dim // 2
+            assert int(r["shared_dims_s1"]) == dim // 4
+            assert abs(float(r["min_nonzero_angle_s1"]) - np.arctan(0.5)) <= 1e-12
 
 
 class TestReportDeterminism:

@@ -43,8 +43,6 @@ from .linalg import (
     eig_sym,
     kernel_basis,
     kernel_dim,
-    operator_norm,
-    pinv_sqrt,
     principal_angles,
     sqrt_psd,
 )
@@ -102,9 +100,7 @@ __all__ = [
     "kernel_recurrence_solve",
     "kernel_report",
     "load_matrix",
-    "operator_norm",
     "optimal_map",
-    "pinv_sqrt",
     "population_mc_experiment",
     "principal_angles",
     "problem",

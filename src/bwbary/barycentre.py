@@ -69,6 +69,18 @@ class SolverSettings:
             raise InvalidInput("ridge_decay must be in (0, 1)")
 
 
+def _check_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as an array, checked: ``n`` nonnegative entries summing to 1 within 1e-12."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise InvalidInput("weights must match the number of inputs")
+    if np.any(w < 0):
+        raise InvalidInput("weights must be nonnegative")
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        raise InvalidInput("weights must sum to 1 within 1e-12")
+    return w
+
+
 @dataclass(frozen=True)
 class BarycentreProblem:
     """A weighted family of covariances whose barycentre is sought.
@@ -96,13 +108,7 @@ class BarycentreProblem:
         factors = np.zeros((len(mats), max(len(F) for F in trimmed), mats[0].shape[0]))
         for padded, F in zip(factors, trimmed):
             padded[:len(F)] = F
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(mats),):
-            raise InvalidInput("weights must match the number of inputs")
-        if np.any(w < 0):
-            raise InvalidInput("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise InvalidInput("weights must sum to 1 within 1e-12")
+        w = _check_weights(self.weights, len(mats))
         object.__setattr__(self, "inputs", mats)
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         object.__setattr__(self, "factors", factors)

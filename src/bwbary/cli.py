@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
 from .barycentre import (
     SolverSettings,
     barycentre_fixed_point,
@@ -91,49 +90,41 @@ def _emit(report: RunReport, args, text_lines) -> None:
 
 
 def cmd_construct(args) -> int:
-    """Write the covariance, maps and conjugations, and report each file as read back.
+    """Write the covariance, maps and conjugations, and report each file written.
 
-    Each file read back is checked for symmetry, and a covariance once for
-    PSD-ness by its eigendecomposition.  A covariance's ``kernel_dim`` is the
-    column count of :func:`conjugated_kernel` for the map it was conjugated by.
+    Each conjugation is checked once, by :func:`conjugate`'s eigenvalues; the
+    files are not read back.  A covariance's ``trace`` comes from the matrix in
+    memory, whose file reproduces it bit-exactly, its ``kernel_dim`` is the
+    column count of :func:`conjugated_kernel` for the map it was conjugated
+    by, and every ``digest`` is of the file as written.
     """
     report = RunReport(args.argv, seed=args.seed)
     config = TruncationConfig(dim=args.dim, decay=_parse_decay(args.decay))
-    sigma = build_covariance(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    save_matrix(out / "sigma.json", sigma, "covariance")
-    written = {"sigma": out / "sigma.json"}
-    maps = {"sigma": np.eye(args.dim)}  # covariance name -> map conjugating sigma to it
+    # name -> (matrix, kind, map conjugating sigma to it), in the order written
+    sigma = build_covariance(config)
+    files = {"sigma": (sigma, "covariance", np.eye(args.dim))}
     if args.pair:
         t1, t2 = build_pair_maps(args.dim)
-        for name, mat in (("t1", t1), ("t2", t2)):
-            save_matrix(out / f"{name}.json", mat, "map")
-            written[name] = out / f"{name}.json"
-        for name, mat in (("s1", conjugate(t1, sigma)), ("s2", conjugate(t2, sigma))):
-            save_matrix(out / f"{name}.json", mat, "covariance")
-            written[name] = out / f"{name}.json"
-        maps.update(s1=t1, s2=t2)
+        files.update(t1=(t1, "map", None), t2=(t2, "map", None),
+                       s1=(conjugate(t1, sigma), "covariance", t1),
+                       s2=(conjugate(t2, sigma), "covariance", t2))
     else:
         if args.law is not None:
             t = random_map_sample(RandomMapLaw(args.law), args.seed, args.dim)
         else:
             t = build_shift_map(args.dim, c=args.c)
-        save_matrix(out / "t.json", t, "map")
-        written["t"] = out / "t.json"
-        save_matrix(out / "s.json", conjugate(t, sigma), "covariance")
-        written["s"] = out / "s.json"
-        maps["s"] = t
+        files.update(t=(t, "map", None), s=(conjugate(t, sigma), "covariance", t))
 
     lines = []
-    for name, path in written.items():
-        mat, kind = _read_matrix(path)
-        linalg.check_symmetric(mat)
+    for name, (mat, kind, T) in files.items():
+        path = out / f"{name}.json"
+        save_matrix(path, mat, kind)
         report.add_result(f"digest_{name}", file_digest(path))
         if kind == "covariance":
-            linalg._psd_eigs(mat)  # the file's one PSD check
-            kdim = conjugated_kernel(config, maps[name]).shape[1]
+            kdim = conjugated_kernel(config, T).shape[1]
             report.add_result(f"kernel_dim_{name}", kdim)
             report.add_result(f"trace_{name}", float(np.trace(mat)))
             lines.append(f"{name}: wrote {path}  kernel_dim={kdim}  trace={np.trace(mat):.6g}")

@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidInput, NotPSD
+from .barycentre import _check_weights
+from .errors import DimensionMismatch, InvalidInput
 
 # Canonical angles at or below this are rounding noise around zero: the
 # directions they belong to lie in both kernels.
@@ -101,21 +102,16 @@ def symmetrized_shift(dim: int) -> np.ndarray:
     return F + F.T
 
 
-def build_shift_map(dim: int, c: float = 2.0, allow_indefinite: bool = False) -> np.ndarray:
-    """The self-adjoint map ``F + F^T + c I``.
+def build_shift_map(dim: int, c: float = 2.0) -> np.ndarray:
+    """The self-adjoint map ``F + F^T + c I``, for ``c >= 2``.
 
-    PSD for every ``c >= 2`` (the symmetrized shift has norm below 2), with
-    operator norm at most ``c + 2``.  Values ``c < 2`` are for experimentation
-    only and require ``allow_indefinite=True``.
+    PSD for every such ``c``: the symmetrized shift has operator norm below 2,
+    so the smallest eigenvalue exceeds ``c - 2``.  The operator norm is at
+    most ``c + 2``.  ``c < 2`` raises :class:`InvalidInput`.
     """
-    if c < 2.0 and not allow_indefinite:
-        raise InvalidInput("c < 2 may produce an indefinite map; pass allow_indefinite=True")
-    T = symmetrized_shift(dim) + c * np.eye(dim)
-    if c >= 2.0:
-        lam_min = float(np.linalg.eigvalsh(T)[0])
-        if lam_min < -1e-12:
-            raise NotPSD(f"expected PSD map, found eigenvalue {lam_min:.3e}")
-    return T
+    if c < 2.0:
+        raise InvalidInput("c must be >= 2 to keep the map PSD")
+    return symmetrized_shift(dim) + c * np.eye(dim)
 
 
 def build_pair_maps(dim: int) -> tuple:
@@ -135,8 +131,10 @@ def build_map_family(dim: int, n: int = None, coeffs=None, weights=None) -> list
 
     Either give ``n`` (coefficients default to ``linspace(-1/2, 1/2, n)``,
     equally spaced and symmetric about 0) or explicit ``coeffs``.  Each
-    ``|a_i|`` must be at most 1/2 so every map is PSD, and the weighted
-    coefficient sum must vanish (tolerance 1e-15) so the family averages to
+    ``|a_i|`` must be at most 1/2 so every map is PSD.  ``weights`` (default
+    uniform) follow :class:`barycentre.BarycentreProblem`'s rule, one
+    nonnegative weight per map summing to 1 within 1e-12, and the weighted
+    coefficient sum must vanish (tolerance 1e-15), so the family averages to
     the identity.
     """
     if coeffs is None:
@@ -150,7 +148,7 @@ def build_map_family(dim: int, n: int = None, coeffs=None, weights=None) -> list
         raise InvalidInput("coefficients must lie in [-1/2, 1/2] to keep maps PSD")
     if weights is None:
         weights = np.full(coeffs.size, 1.0 / coeffs.size)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _check_weights(weights, coeffs.size)
     if abs(float(weights @ coeffs)) > 1e-15:
         raise InvalidInput("weighted coefficient sum must vanish")
     S = symmetrized_shift(dim)

@@ -135,9 +135,6 @@ class SpectralDecomp:
     def _cutoff(self, rank_tol: float) -> float:
         return rank_tol * max(1.0, float(self.eigenvalues[0]))
 
-    def reconstruct(self) -> np.ndarray:
-        return self._apply(self.eigenvalues)
-
     def sqrt(self) -> np.ndarray:
         return self._apply(np.sqrt(self.eigenvalues))
 
@@ -198,36 +195,25 @@ def sqrt_psd(M) -> np.ndarray:
     return _psd_eigs(M).sqrt()
 
 
-def pinv_sqrt(M, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Pseudo-inverse square root ``M^{-1/2}`` restricted to the range of ``M``.
-
-    Eigenvalues at or below ``rank_tol * max(1, lam_max)`` are treated as
-    kernel and mapped to zero, so ``pinv_sqrt(M) @ M @ pinv_sqrt(M)`` equals
-    the orthogonal projector onto the kept eigenspace.
-    """
-    return _psd_eigs(M).pinv_sqrt(rank_tol)
-
-
-def range_projector(M, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors above the rank cutoff."""
-    dec = _psd_eigs(M)
-    return dec._apply((dec.eigenvalues > dec._cutoff(rank_tol)).astype(np.float64))
-
-
-def operator_norm(M) -> float:
-    """Operator (spectral) norm of a symmetric matrix: max |eigenvalue|."""
-    A = check_symmetric(M, tol=np.inf)
-    w = np.linalg.eigvalsh(A)
-    return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
-
-
 def kernel_dim(M, rank_tol: float = RANK_TOL) -> int:
-    """Number of eigenvalues of a PSD matrix below ``rank_tol * max(lam_max, 1)``."""
+    """Number of eigenvalues of a PSD matrix below ``rank_tol * max(lam_max, 1)``.
+
+    For matrices of unknown origin.  The count is the true kernel dimension
+    only when the spectrum is well separated: the zero eigenvalues, after
+    rounding, lie below the cutoff and every nonzero one above it.  On the
+    conjugated pair covariance ``S1`` it reads 33 at dim 64 and 96 at dim 128
+    (true 32 and 64); :func:`construct.conjugated_kernel` takes the kernels of
+    the constructed family from the maps instead.
+    """
     return int(kernel_basis(M, rank_tol).shape[1])
 
 
 def kernel_basis(M, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of a PSD matrix."""
+    """Orthonormal basis (columns) of the numerical kernel of a PSD matrix.
+
+    The eigenvectors below :func:`kernel_dim`'s cutoff, so it spans the true
+    kernel only for the well-separated spectra that count holds for.
+    """
     return _psd_eigs(M).kernel(rank_tol)
 
 

@@ -106,12 +106,15 @@ class TestCliChecksEachFileOnce:
         return tmp_path
 
     def test_construct(self, tmp_path, lapack_calls, capsys):
-        assert main(["construct", "--dim", "16", "--pair", "--out", str(tmp_path)]) == 0
-        # each covariance read back (sigma, s1, s2) is checked by the eigh
-        # behind its kernel_dim; the eigvalsh are conjugate()'s own checks
-        assert lapack_calls["pstrf"] == 0
-        assert lapack_calls["eigh"] == 3
-        assert lapack_calls["eigvalsh"] == 2
+        # each conjugation's one check is conjugate()'s eigvalsh; the files are
+        # not read back, and the kernels come from the maps
+        for branch, conjugations in ((["--pair"], 2), (["--c", "2"], 1),
+                                     (["--law", "uniform"], 1)):
+            lapack_calls.clear()
+            assert main(["construct", "--dim", "16", *branch,
+                         "--out", str(tmp_path / branch[0].lstrip("-"))]) == 0
+            counts = (lapack_calls["pstrf"], lapack_calls["eigh"], lapack_calls["eigvalsh"])
+            assert counts == (0, 0, conjugations), branch
 
     def test_verify(self, pair, lapack_calls, capsys):
         assert main(["verify", "--candidate", str(pair / "sigma.json"),

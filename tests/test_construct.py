@@ -15,7 +15,7 @@ from bwbary import (
     doubling_shift,
     kernel_dim,
     kernel_report,
-    operator_norm,
+    symmetrized_shift,
 )
 from bwbary.construct import conjugated_kernel
 from bwbary.errors import DimensionMismatch, NotPSD
@@ -58,7 +58,7 @@ class TestShiftMap:
         T = build_shift_map(dim, c=2.0)
         w = np.linalg.eigvalsh(T)
         assert w[0] >= -1e-12
-        assert operator_norm(T) <= 4.0 + 1e-12
+        assert np.linalg.norm(T, 2) <= 4.0 + 1e-12
 
     def test_shifting_c_shifts_spectrum(self):
         w2 = np.linalg.eigvalsh(build_shift_map(16, c=2.0))
@@ -68,8 +68,6 @@ class TestShiftMap:
     def test_small_c_needs_flag(self):
         with pytest.raises(InvalidInput):
             build_shift_map(8, c=1.0)
-        T = build_shift_map(8, c=1.0, allow_indefinite=True)
-        assert np.linalg.eigvalsh(T)[0] < 0
 
 
 class TestPairMaps:
@@ -123,6 +121,17 @@ class TestMapFamily:
     def test_rejects_nonzero_mean(self):
         with pytest.raises(InvalidInput):
             build_map_family(8, coeffs=[0.5, 0.25])
+
+    @pytest.mark.parametrize("coeffs, weights, message", [
+        ([-0.5, 0.5], [1.0, 1.0], "sum to 1"),  # the maps average to 2I
+        ([0.5, -0.5, 0.25], [0.8, 0.6, -0.4], "nonnegative"),
+        ([-0.5, 0.5], [0.25, 0.25, 0.5], "match the number"),
+    ], ids=["sum_two", "negative", "wrong_length"])
+    def test_rejects_bad_weights(self, coeffs, weights, message):
+        # each weighted coefficient sum vanishes (or cannot be formed); the
+        # weights break BarycentreProblem's rule
+        with pytest.raises(InvalidInput, match=message):
+            build_map_family(8, coeffs=coeffs, weights=weights)
 
 
 class TestBuildCovariance:
@@ -233,7 +242,7 @@ class TestKernelBookkeeping:
         assert np.isnan(report["min_nonzero_angles"][0])
 
     def test_indefinite_map_is_invalid_input(self):
-        T = build_shift_map(16, c=1.0, allow_indefinite=True)
+        T = symmetrized_shift(16) + np.eye(16)
         assert np.linalg.eigvalsh(T)[0] < 0
         with pytest.raises(InvalidInput, match="not positive definite"):
             kernel_report(TruncationConfig(dim=16), [T])

@@ -20,12 +20,19 @@ from bwbary import (
     optimal_map,
 )
 from bwbary import geometry
-from bwbary.linalg import SYM_TOL, range_projector
+from bwbary.linalg import RANK_TOL, SYM_TOL, eig_sym
 
 
 def random_psd(rng, n, rank=None):
     G = rng.standard_normal((n, rank or n))
     return G @ G.T
+
+
+def range_projector(M, rank_tol=RANK_TOL):
+    """``V_r V_r^T`` for the eigenvectors ``V_r`` above the rank cutoff."""
+    dec = eig_sym(M)
+    V = dec.eigenvectors[:, dec.eigenvalues > rank_tol * max(1.0, dec.eigenvalues[0])]
+    return V @ V.T
 
 
 def quantile_coupling_w2sq(sigma1, sigma2):

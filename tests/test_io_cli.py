@@ -16,6 +16,7 @@ from bwbary import (
     save_matrix,
 )
 from bwbary.cli import main
+from bwbary.io import file_digest
 
 
 def run_cli(*argv):
@@ -106,6 +107,24 @@ class TestConstructCommand:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["kernel_dim_sigma"] == dim // 2
         assert results["kernel_dim_s1"] == results["kernel_dim_s2"] == dim // 2
+
+    @pytest.mark.parametrize("branch", [["--pair"], ["--c", "2"], ["--law", "uniform"]],
+                             ids=["pair", "c", "law"])
+    def test_report_matches_files_on_disk(self, branch, tmp_path, capsys):
+        # the traces come from the matrices in memory, the digests from the files
+        assert run_cli("--report", "json", "construct", "--dim", "16", *branch,
+                       "--out", str(tmp_path)) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        files = sorted(tmp_path.glob("*.json"))
+        assert sorted(k for k in results if k.startswith("digest_")) == sorted(
+            f"digest_{path.stem}" for path in files)
+        for path in files:
+            assert results[f"digest_{path.stem}"] == file_digest(path)
+            mat, kind = load_matrix(path)
+            if kind == "covariance":
+                assert results[f"trace_{path.stem}"] == float(np.trace(mat))
+            else:
+                assert f"trace_{path.stem}" not in results
 
     def test_single_map_kernel(self, tmp_path, capsys):
         assert run_cli("--report", "json", "construct", "--dim", "64", "--c", "2",

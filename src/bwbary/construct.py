@@ -96,6 +96,26 @@ def doubling_shift(dim: int) -> np.ndarray:
     return F
 
 
+def doubling_chains(dim: int) -> list:
+    """The orbits ``[m, 2m, 4m, ...]`` (1-based, up to ``dim``) of the doubling shift, ``m`` odd.
+
+    ``F + F^T`` links ``k`` only to ``2k`` and ``k/2``, so these chains are the
+    connected components of its pattern: every map ``I + a (F + F^T)``, every
+    diagonal covariance and every conjugation ``T C T`` of one by the other is
+    block diagonal along them.  There are ``ceil(dim/2)`` chains, the one from
+    ``m`` of length ``floor(log2(dim/m)) + 1``.
+    """
+    if dim < 1:
+        raise InvalidInput("dim must be >= 1")
+    chains = []
+    for m in range(1, dim + 1, 2):
+        chain = [m]
+        while 2 * chain[-1] <= dim:
+            chain.append(2 * chain[-1])
+        chains.append(chain)
+    return chains
+
+
 def symmetrized_shift(dim: int) -> np.ndarray:
     """``F + F^T`` for the doubling shift; symmetric, indefinite, norm < 2."""
     F = doubling_shift(dim)

@@ -16,33 +16,49 @@ from .errors import KernelNotIncluded
 from .linalg import RANK_TOL, check_same_dim, check_symmetric, covariance_factor
 
 
-# id(M) -> (weak reference to M, A, F).  A == M entry for entry when stored,
+# id(M) -> (weak reference to M, A, ...).  A == M entry for entry when stored,
 # so comparing A with M again is the whole mutation check; results depend only
 # on the entries, so that comparison is also all a hit needs.  Entries are
-# replaced whole, so concurrent callers at worst factor twice.
+# replaced whole, so concurrent callers at worst compute twice.  _factors
+# keeps (A, F) of covariance_factor, _sources (A, dec) of a map source.
 _factors: dict = {}
+_sources: dict = {}
 
 
-def _factor(M) -> tuple:
-    """:func:`linalg.covariance_factor` of ``M``, reused while ``M`` is alive and unchanged.
+def _memo(store: dict, M, compute) -> tuple:
+    """``compute(M) = (A, ...)``, ``A`` the checked ``M``, reused while ``M`` is alive and unchanged.
 
     Only an exactly symmetric float64 ``ndarray`` is stored, keyed by its
     ``id``; a weak reference drops the entry when the array is freed.  A
-    stored ``(A, F)`` is returned while ``A`` still equals ``M`` entry for
-    entry, so an array changed in place is checked and factored again.  Any
-    other input is checked and factored on every call.  Stored arrays never
+    stored result is returned while its ``A`` still equals ``M`` entry for
+    entry, so an array changed in place is checked and computed again.  Any
+    other input is checked and computed on every call.  Stored arrays never
     leave this module.
     """
     if type(M) is not np.ndarray or M.dtype != np.float64:
-        return covariance_factor(M)
+        return compute(M)
     key = id(M)
-    hit = _factors.get(key)
+    hit = store.get(key)
     if hit is not None and np.array_equal(hit[1], M):
-        return hit[1], hit[2]
-    A, F = covariance_factor(M)
-    if np.array_equal(A, M):
-        _factors[key] = (weakref.ref(M, lambda _, key=key: _factors.pop(key, None)), A, F)
-    return A, F
+        return hit[1:]
+    result = compute(M)
+    if np.array_equal(result[0], M):
+        store[key] = (weakref.ref(M, lambda _, key=key: store.pop(key, None)), *result)
+    return result
+
+
+def _factor(M) -> tuple:
+    """:func:`linalg.covariance_factor` of ``M``, ``(A, F)``, through the memo."""
+    return _memo(_factors, M, covariance_factor)
+
+
+def _source_decomposition(M) -> tuple:
+    """``(A, dec)``: the symmetrized ``M`` and its checked eigendecomposition, through the memo."""
+    def compute(M):
+        A = check_symmetric(M)
+        return A, linalg._psd_eigs(A)
+
+    return _memo(_sources, M, compute)
 
 
 def cross_trace(factor_a: np.ndarray, factor_b: np.ndarray) -> float:
@@ -110,8 +126,9 @@ def optimal_map(A, B) -> np.ndarray:
         is also its PSD check; the pivoted-Cholesky factor of ``B``
         (:func:`linalg.covariance_factor`) is its check and gives the root
         ``(A^{1/2} B A^{1/2})^{1/2}`` as the polar factor of
-        ``F_B A^{1/2}``; a live, unchanged, exactly symmetric float64 target
-        reuses the factor of an earlier distance or map call, as in
+        ``F_B A^{1/2}``.  A live, unchanged, exactly symmetric float64
+        source reuses the decomposition of an earlier map call, and such a
+        target the factor of an earlier distance or map call, as in
         :func:`bw_distance_sq`.  The relative eigenvalue cutoff
         :data:`linalg.RANK_TOL` splits ker(A) from range(A) and sets the
         kernel-inclusion test ``||B v|| <= RANK_TOL * lam_max(B) * n``, with
@@ -122,12 +139,11 @@ def optimal_map(A, B) -> np.ndarray:
     ndarray, shape (n, n)
         Symmetric, PSD on range(A).
     """
-    A = check_symmetric(A)
+    A, dec = _source_decomposition(A)
     B, factor_b = _factor(B)
     check_same_dim(A, B)
     n = A.shape[0]
 
-    dec = linalg._psd_eigs(A)
     ker = dec.kernel()
     if ker.shape[1]:
         # lam_max(B) = ||F_B||_2^2; a rank-0 target has lam_max 0

@@ -127,24 +127,34 @@ class SpectralDecomp:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def _apply(self, values) -> np.ndarray:
-        V = self.eigenvectors
-        R = (V * values) @ V.T
-        return (R + R.T) / 2.0
-
     def _cutoff(self, rank_tol: float) -> float:
         return rank_tol * max(1.0, float(self.eigenvalues[0]))
 
     def sqrt(self) -> np.ndarray:
-        return self._apply(np.sqrt(self.eigenvalues))
+        return _spectral_apply(self.eigenvectors, np.sqrt(self.eigenvalues))
 
     def pinv_sqrt(self, rank_tol: float = RANK_TOL) -> np.ndarray:
-        w = self.eigenvalues
-        keep = w > self._cutoff(rank_tol)
-        return self._apply(np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0))
+        return _spectral_apply(self.eigenvectors,
+                               _pinv_sqrt_values(self.eigenvalues, self._cutoff(rank_tol)))
 
     def kernel(self, rank_tol: float = RANK_TOL) -> np.ndarray:
         return self.eigenvectors[:, self.eigenvalues < self._cutoff(rank_tol)]
+
+
+def _spectral_apply(V: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``V diag(values) V^T``, symmetrized, for one eigenbasis or a stack of them.
+
+    ``V`` is ``(..., n, n)`` with eigenvectors as columns and ``values`` is
+    ``(..., n)``.  A stack gives, matrix for matrix, the bits of separate calls.
+    """
+    R = (V * values[..., None, :]) @ np.swapaxes(V, -1, -2)
+    return (R + np.swapaxes(R, -1, -2)) / 2.0
+
+
+def _pinv_sqrt_values(w: np.ndarray, cutoff: float) -> np.ndarray:
+    """``1 / sqrt(w)`` where ``w > cutoff``, and 0 elsewhere: the pseudo-inverse root's spectrum."""
+    keep = w > cutoff
+    return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
 
 
 def eig_sym(M) -> SpectralDecomp:

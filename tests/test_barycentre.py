@@ -5,10 +5,12 @@ import pytest
 
 from bwbary import (
     InvalidInput,
+    NotPSD,
     SolverSettings,
     TruncationConfig,
     barycentre_fixed_point,
     build_covariance,
+    build_map_family,
     build_pair_maps,
     bw_distance_sq,
     conjugate,
@@ -17,7 +19,7 @@ from bwbary import (
     symmetrized_shift,
     verify_barycentre_certificate,
 )
-from bwbary import barycentre, linalg
+from bwbary import barycentre, construct, linalg
 
 
 def random_psd(rng, n, rank=None):
@@ -198,14 +200,34 @@ class TestSharedPass:
         prob = problem(inputs, settings=settings)
         res = barycentre_fixed_point(prob)
         n = len(inputs)
-        blocks = -(-n // barycentre._block_size(prob.dim))
-        if case == "blocks":
-            assert blocks == 2
+        passes = res.iterations + 1  # one per step, and the closing pass
         # each input's one pivoted Cholesky is also its PSD check
         assert lapack_calls["pstrf"] == n
         assert lapack_calls["eigvalsh"] == 0
-        assert lapack_calls["eigh"] == res.iterations + 1
-        assert lapack_calls["svd"] == blocks * (res.iterations + 1)
+        if case == "pair":
+            # the dim-32 chains have 5 distinct lengths (6, 4, 3, 2, 1): per
+            # pass one stacked eigh and one stacked SVD of each size, over all
+            # chains of that size and both inputs
+            assert [idx.shape[1] for idx in prob.blocks] == [1, 2, 3, 4, 6]
+            assert lapack_calls["eigh"] == 5 * passes
+            assert lapack_calls["svd"] == 5 * passes
+            assert lapack_calls.shapes["svd"][:5] == [(2, 8, 0, 1), (2, 4, 1, 2), (2, 2, 2, 3),
+                                                      (2, 1, 3, 4), (2, 1, 5, 6)]
+            assert lapack_calls.shapes["eigh"][:5] == [(8, 1, 1), (4, 2, 2), (2, 3, 3),
+                                                       (1, 4, 4), (1, 6, 6)]
+            return
+        blocks = -(-n // barycentre._block_size(prob.dim))
+        if case == "blocks":
+            assert blocks == 2
+        assert len(prob.blocks) == 1  # dense: one block of size d
+        assert lapack_calls["eigh"] == passes
+        assert lapack_calls["svd"] == blocks * passes
+
+
+def dense_mean_inner_root(root, prob):
+    """The pass on a problem whose inputs form one dense block, from its ``(d, d)`` root."""
+    assert [idx.shape for idx in prob.blocks] == [(1, prob.dim)]
+    return barycentre._mean_inner_root([root[None]], prob.block_factors, prob.weights)[0][0]
 
 
 class TestBlockedPass:
@@ -231,7 +253,18 @@ class TestBlockedPass:
         root = linalg.sqrt_psd(sum(prob.inputs) / n)
         expected = sum(wi * linalg.congruence_sqrt(root, S)
                        for wi, S in zip(prob.weights, prob.inputs))
-        assert np.array_equal(barycentre._mean_inner_root(root, prob), expected)
+        assert np.array_equal(dense_mean_inner_root(root, prob), expected)
+
+    def test_scalar_inputs_are_summed_in_input_order(self):
+        # (n, 1, 1, 1) stacks: a plain reduction over the inputs would be pairwise
+        rng = np.random.default_rng(33)
+        n = 300
+        w = rng.uniform(0.5, 1.5, n)
+        prob = problem([np.array([[x]]) for x in rng.uniform(0.1, 9.0, n)], (w / w.sum()).tolist())
+        root = np.array([[1.7]])
+        expected = sum(wi * linalg.congruence_sqrt(root, S)
+                       for wi, S in zip(prob.weights, prob.inputs))
+        assert np.array_equal(dense_mean_inner_root(root, prob), expected)
 
     def test_stack_of_one_has_the_bits_of_one_matrix(self):
         rng = np.random.default_rng(32)
@@ -280,7 +313,7 @@ class TestTrimmedStack:
         prob = problem(inputs, (w / w.sum()).tolist())
         assert prob.factors.shape == (n, dim // 2, dim)
         root = linalg.sqrt_psd(sum(prob.inputs) / n)
-        mean = barycentre._mean_inner_root(root, prob)
+        mean = dense_mean_inner_root(root, prob)
         expected = sum(wi * linalg.polar(F @ root) for wi, F in zip(prob.weights, prob.factors))
         assert np.array_equal(mean, expected)
         square = sum(wi * linalg.congruence_sqrt(root, S)
@@ -294,7 +327,19 @@ class TestTrimmedStack:
         cov = build_covariance(TruncationConfig(dim=dim))
         lapack_calls.clear()
         verify_barycentre_certificate(cov, prob)
-        assert lapack_calls.shapes["svd"] == [(block, 16, 32), (6, 16, 32)]
+        # one stacked SVD per chain length, over every chain of that length in
+        # every input; a chain of length L has rank L - 1 (its first index is
+        # odd, so C vanishes there), and the length-1 chains are all zero
+        assert lapack_calls.shapes["svd"] == [(block + 6, 8, 0, 1), (block + 6, 4, 1, 2),
+                                              (block + 6, 2, 2, 3), (block + 6, 1, 3, 4),
+                                              (block + 6, 1, 5, 6)]
+        # a dense input joins every chain into one block, and the dense pass
+        # keeps its blocks of _block_size(d) inputs
+        rng = np.random.default_rng(40)
+        prob = problem(conjugated_family(dim, block + 5, seed=39) + [random_psd(rng, dim)])
+        lapack_calls.clear()
+        verify_barycentre_certificate(cov, prob)
+        assert lapack_calls.shapes["svd"] == [(block, 1, 32, 32), (6, 1, 32, 32)]
 
 
 class TestProblemValidation:
@@ -333,3 +378,151 @@ class TestProblemValidation:
         assert frechet_functional(cand, problem(mats, weights)) == pytest.approx(
             expected, rel=1e-10
         )
+
+
+def as_sets(blocks):
+    """The partition as a set of frozensets of 1-based indices."""
+    return {frozenset(int(k) + 1 for k in row) for idx in blocks for row in idx}
+
+
+def chain_sets(dim):
+    return {frozenset(chain) for chain in construct.doubling_chains(dim)}
+
+
+def rotated(mats, seed):
+    """``Q M Q^T`` for a random orthogonal ``Q``, which makes every matrix dense."""
+    dim = len(mats[0])
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))[0]
+    return Q, [Q @ M @ Q.T for M in mats]
+
+
+class TestSplitPass:
+    """Passes run block by block along the partition; verdicts stay global."""
+
+    @pytest.mark.parametrize("dim", [8, 16, 32, 64, 128])
+    def test_partition_of_the_pair_is_the_doubling_chains(self, dim):
+        _, s1, s2 = constructed_triple(dim)
+        assert as_sets(problem([s1, s2]).blocks) == chain_sets(dim)
+
+    def test_partition_of_other_families_is_the_doubling_chains(self):
+        cov = build_covariance(TruncationConfig(dim=32))
+        maps = build_map_family(32, n=5)
+        assert as_sets(problem([conjugate(T, cov) for T in maps]).blocks) == chain_sets(32)
+        assert as_sets(problem(conjugated_family(32, 50, seed=60)).blocks) == chain_sets(32)
+        # the +-1 similarity the pair-recovery benchmark applies keeps the pattern
+        _, s1, s2 = constructed_triple(64)
+        d = np.random.default_rng(61).choice([-1.0, 1.0], size=64)
+        flip = np.outer(d, d)
+        assert as_sets(problem([flip * s1, flip * s2]).blocks) == chain_sets(64)
+
+    @pytest.mark.parametrize("dim", [32, 64, 128])
+    def test_rotated_pair_gives_the_same_iterates(self, dim):
+        # Q^T bary(Q S Q^T) Q against the split run, over the first 15 steps,
+        # while the ridge keeps every iterate eigenvalue above the 1e-14
+        # cutoff; later steps amplify rounding in the cut directions in any
+        # basis (the dense solver alone moves by about 2e-8 under rotation)
+        cov, s1, s2 = constructed_triple(dim)
+        settings = SolverSettings(ridge=1e-6, ridge_decay=0.5, tol=1e-300, max_iter=15)
+        Q, rot = rotated([cov, s1, s2], seed=dim)
+        split, dense = problem([s1, s2], settings=settings), problem(rot[1:], settings=settings)
+        assert len(split.blocks) > 1 and len(dense.blocks) == 1
+        a, b = barycentre_fixed_point(split), barycentre_fixed_point(dense)
+        X = Q.T @ b.barycentre @ Q
+        assert np.linalg.norm(a.barycentre - X) <= 1e-9 * np.linalg.norm(X)
+        assert a.frechet_value == pytest.approx(b.frechet_value, rel=1e-10)
+        assert abs(a.certificate_residual - b.certificate_residual) <= 1e-12
+        assert verify_barycentre_certificate(cov, split) <= 1e-13
+        assert verify_barycentre_certificate(rot[0], dense) <= 1e-13
+        assert frechet_functional(cov, split) == pytest.approx(
+            frechet_functional(rot[0], dense), rel=1e-10)
+
+    def test_rotated_monte_carlo_family_gives_the_same_barycentre(self):
+        inputs = conjugated_family(32, 50, seed=62)
+        settings = SolverSettings(ridge=1e-6)
+        Q, rot = rotated(inputs, seed=63)
+        split, dense = problem(inputs, settings=settings), problem(rot, settings=settings)
+        assert len(dense.blocks) == 1
+        a, b = barycentre_fixed_point(split), barycentre_fixed_point(dense)
+        assert a.converged and b.converged and a.iterations == b.iterations
+        X = Q.T @ b.barycentre @ Q
+        assert np.linalg.norm(a.barycentre - X) <= 1e-9 * np.linalg.norm(X)
+        assert a.frechet_value == pytest.approx(b.frechet_value, rel=1e-10)
+        assert abs(a.certificate_residual - b.certificate_residual) <= 1e-12
+        cov = build_covariance(TruncationConfig(dim=32))
+        assert verify_barycentre_certificate(cov, split) == pytest.approx(
+            verify_barycentre_certificate(Q @ cov @ Q.T, dense), rel=1e-9)
+        assert a.certificate_residual == verify_barycentre_certificate(a.barycentre, split)
+        assert a.frechet_value == frechet_functional(a.barycentre, split)
+
+    @pytest.mark.parametrize("reach", ["two chains", "dense"])
+    def test_candidate_outside_the_pattern(self, reach):
+        cov, s1, s2 = constructed_triple(32)
+        prob = problem([s1, s2])
+        if reach == "two chains":
+            # a rank-one term joining index 2 (chain of 1) and index 3 (chain of 3)
+            v = np.zeros(32)
+            v[[1, 2]] = 0.1
+            candidate = cov + np.outer(v, v)
+        else:
+            rng = np.random.default_rng(64)
+            P = rng.standard_normal((32, 32))
+            candidate = project_psd(cov + 1e-3 * (P + P.T))
+        blocks, _ = barycentre._split(prob, candidate)
+        if reach == "two chains":
+            one, three = frozenset({1, 2, 4, 8, 16, 32}), frozenset({3, 6, 12, 24})
+            assert as_sets(blocks) == (chain_sets(32) - {one, three}) | {one | three}
+        else:
+            assert [idx.shape for idx in blocks] == [(1, 32)]
+        root = linalg.sqrt_psd(candidate)
+        mid = sum(w * linalg.congruence_sqrt(root, S) for w, S in zip(prob.weights, prob.inputs))
+        expected = np.linalg.norm(mid - candidate) / max(1.0, np.linalg.norm(candidate))
+        assert expected > 1e-4
+        assert verify_barycentre_certificate(candidate, prob) == pytest.approx(expected, rel=1e-9)
+
+    def test_init_outside_the_pattern(self):
+        # an init joining the chains of 1 and 3 is iterated on the joined block:
+        # the same iterates as the dense run on the rotated problem
+        cov, s1, s2 = constructed_triple(32)
+        v = np.zeros(32)
+        v[[1, 2]] = 0.1
+        init = cov + np.outer(v, v) + 1e-3 * np.eye(32)
+        settings = SolverSettings(ridge=1e-6, tol=1e-300, max_iter=5)
+        Q, rot = rotated([init, s1, s2], seed=65)
+        a = barycentre_fixed_point(problem([s1, s2], settings=settings), init=init)
+        b = barycentre_fixed_point(problem(rot[1:], settings=settings), init=rot[0])
+        X = Q.T @ b.barycentre @ Q
+        assert abs(a.barycentre[1, 2]) > 1e-6
+        assert np.linalg.norm(a.barycentre - X) <= 1e-9 * np.linalg.norm(X)
+
+    def test_pseudo_inverse_cutoff_is_global(self):
+        # SOLVER_RANK_TOL * max(1, lam_max) with lam_max = 1e6 from the 1x1
+        # block cuts the whole 2x2 block (eigenvalues 1.5e-10 and 0.5e-10), which
+        # its own scale would keep
+        S = np.zeros((3, 3))
+        S[0, 0] = 1e6
+        S[1:, 1:] = [[1e-10, 0.5e-10], [0.5e-10, 1e-10]]
+        prob = problem([S], settings=SolverSettings(max_iter=1))
+        assert [idx.shape for idx in prob.blocks] == [(1, 1), (1, 2)]
+        X = barycentre_fixed_point(prob).barycentre
+        assert X[0, 0] == pytest.approx(1e6, rel=1e-12)
+        assert not np.any(X[1:, 1:])
+
+    def test_psd_floor_is_global(self):
+        # the floor is -PSD_TOL * max(1, lam_max) with lam_max over all blocks:
+        # 10 on the chain of 1, so a block (the chain of 3) whose own floor
+        # would be -PSD_TOL passes at -5e-8 and fails at -2e-7
+        cov, s1, s2 = constructed_triple(16)
+        prob = problem([s1, s2])
+        candidate = cov.copy()
+        candidate[1, 1] = 10.0
+        candidate[2, 2] = -5e-8
+        assert len(barycentre._split(prob, candidate)[0]) > 1
+        verify_barycentre_certificate(candidate, prob)
+        candidate[2, 2] = -2e-7
+        with pytest.raises(NotPSD, match="smallest eigenvalue -2.000e-07 below PSD tolerance"):
+            verify_barycentre_certificate(candidate, prob)
+        with pytest.raises(NotPSD, match="below PSD tolerance"):
+            frechet_functional(candidate, prob)
+        # an input is checked whole by its factor, under the same rule
+        with pytest.raises(NotPSD, match="smallest eigenvalue -2.000e-07 below PSD tolerance"):
+            problem([s1, candidate])

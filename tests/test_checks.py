@@ -24,6 +24,12 @@ from bwbary import (
     verify_barycentre_certificate,
 )
 from bwbary.cli import main
+from bwbary.construct import doubling_chains
+
+
+def chain_lengths(dim):
+    """Distinct lengths of the doubling chains: the stacked ``eigh`` of one pass on the pair."""
+    return len({len(chain) for chain in doubling_chains(dim)})
 
 
 @pytest.mark.parametrize("evaluate", [verify_barycentre_certificate, frechet_functional])
@@ -33,7 +39,8 @@ def test_candidate_is_checked_by_its_root(evaluate, lapack_calls):
     prob = problem([conjugate(t1, cov), conjugate(t2, cov)])
     lapack_calls.clear()
     evaluate(cov, prob)
-    assert lapack_calls["eigh"] == 1
+    # one stacked eigh per chain length (5, 3, 2, 1) over the candidate's blocks
+    assert lapack_calls["eigh"] == chain_lengths(16) == 4
     assert lapack_calls["eigvalsh"] == 0
 
 
@@ -119,9 +126,10 @@ class TestCliChecksEachFileOnce:
     def test_verify(self, pair, lapack_calls, capsys):
         assert main(["verify", "--candidate", str(pair / "sigma.json"),
                      "--inputs", str(pair / "s1.json"), str(pair / "s2.json")]) == 0
-        # one pstrf per input in problem(); the candidate's eigh in the certificate
+        # one pstrf per input in problem(); the candidate's stacked eigh per
+        # chain length in the certificate
         assert lapack_calls["pstrf"] == 2
-        assert lapack_calls["eigh"] == 1
+        assert lapack_calls["eigh"] == chain_lengths(16)
         assert lapack_calls["eigvalsh"] == 0
 
     def test_barycentre_with_init(self, pair, lapack_calls, capsys):
@@ -136,8 +144,8 @@ class TestCliChecksEachFileOnce:
     def test_sweep(self, tmp_path, lapack_calls, capsys):
         assert main(["sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv")]) == 0
         # per dim: one pstrf per conjugated input in problem(), the only check
-        # of either; sigma's eigh in the certificate; the eigvalsh of
-        # min_eig_t1.  The kernels come from the maps, with no eigh.
+        # of either; sigma's stacked eigh per chain length in the certificate;
+        # the eigvalsh of min_eig_t1.  The kernels come from the maps, with no eigh.
         assert lapack_calls["pstrf"] == 2 * 3
-        assert lapack_calls["eigh"] == 1 * 3
+        assert lapack_calls["eigh"] == sum(chain_lengths(d) for d in (8, 16, 32)) == 12
         assert lapack_calls["eigvalsh"] == 1 * 3

@@ -17,7 +17,7 @@ from bwbary import (
     kernel_report,
     symmetrized_shift,
 )
-from bwbary.construct import conjugated_kernel
+from bwbary.construct import conjugated_kernel, doubling_chains
 from bwbary.errors import DimensionMismatch, NotPSD
 
 
@@ -47,6 +47,28 @@ class TestDoublingShift:
     def test_too_small(self):
         with pytest.raises(InvalidInput):
             doubling_shift(1)
+
+
+class TestDoublingChains:
+    def test_dim_eight(self):
+        assert doubling_chains(8) == [[1, 2, 4, 8], [3, 6], [5], [7]]
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 32, 100, 128])
+    def test_partition_of_the_indices(self, dim):
+        chains = doubling_chains(dim)
+        assert sorted(k for chain in chains for k in chain) == list(range(1, dim + 1))
+        assert len(chains) == (dim + 1) // 2
+        for chain in chains:
+            m = chain[0]
+            assert m % 2 == 1 and chain == [m * 2**j for j in range(len(chain))]
+            assert len(chain) == int(np.floor(np.log2(dim / m))) + 1
+            # F + F^T links consecutive chain members and nothing else
+            if dim >= 2:
+                S = symmetrized_shift(dim)
+                idx = np.array(chain) - 1
+                rest = np.setdiff1d(np.arange(dim), idx)
+                assert not np.any(S[np.ix_(idx, rest)])
+                assert np.all(np.diag(S[np.ix_(idx, idx)], 1) == 1.0)
 
 
 class TestShiftMap:

@@ -182,6 +182,22 @@ class TestFactorMemo:
             optimal_map(mats[i], mats[(i + 1) % len(mats)])
         assert lapack_calls["pstrf"] == len(mats)
 
+    def test_each_source_is_decomposed_once(self, lapack_calls):
+        rng = np.random.default_rng(55)
+        A, B, C = random_psd(rng, 8), random_psd(rng, 8), random_psd(rng, 8, rank=4)
+        lapack_calls.clear()
+        maps = [optimal_map(A, B), optimal_map(A, C)]
+        assert lapack_calls["eigh"] == 1
+        assert id(A) in geometry._sources
+        A *= 2.0  # changed in place: decomposed again, with the fresh copy's bits
+        again = optimal_map(A, B)
+        assert lapack_calls["eigh"] == 2
+        assert np.array_equal(again, optimal_map(A.copy(), B))
+        assert not np.array_equal(again, maps[0])
+        A[0, 0] = -1.0
+        with pytest.raises(NotPSD):
+            optimal_map(A, B)
+
     def test_memoized_results_equal_fresh_ones(self):
         rng = np.random.default_rng(51)
         mats = [random_psd(rng, 10), random_psd(rng, 10, rank=5), random_psd(rng, 10)]
@@ -212,10 +228,12 @@ class TestFactorMemo:
         A, B = random_psd(rng, 5), random_psd(rng, 5)
         bw_distance_sq(A, B)
         key = id(A)
+        optimal_map(A, B)
         assert key in geometry._factors and id(B) in geometry._factors
+        assert key in geometry._sources
         del A
         gc.collect()
-        assert key not in geometry._factors
+        assert key not in geometry._factors and key not in geometry._sources
         assert id(B) in geometry._factors
 
     def test_asymmetric_input_is_never_stored(self, lapack_calls):

@@ -22,11 +22,12 @@ connected components of the union of their nonzero patterns (the doubling
 chains, for the paper's construction), the matrix a pass starts from is
 block diagonal along them merged with its own pattern, and the iteration
 commutes with a common block structure.  So each pass stacks the blocks of
-equal size, across blocks and inputs, into one ``eigh`` and one stacked SVD
-per size; a dense problem is the case of one block.  What decides a verdict
-stays global: the PSD rule and the pseudo-inverse cutoff take the largest
-eigenvalue over all blocks, and the change, the certificate residual and the
-Fréchet value are norms and traces summed over the blocks.
+equal size, across blocks and inputs, into one ``eigh`` and one stacked
+:func:`linalg.polar` per size (an SVD, or a closed form for blocks that keep
+at most two rows); a dense problem is the case of one block.  What decides a
+verdict stays global: the PSD rule and the pseudo-inverse cutoff take the
+largest eigenvalue over all blocks, and the change, the certificate residual
+and the Fréchet value are norms and traces summed over the blocks.
 """
 
 import warnings
@@ -300,11 +301,13 @@ def _mean_inner_root(roots: list, block_factors: tuple, weights) -> list:
     """The blocks of ``sum_i w_i (R^{1/2} S_i R^{1/2})^{1/2}`` from those of ``R^{1/2}``.
 
     Per size ``L``, the products ``G_i @ root`` of every input and block are
-    stacked, at most ``_block_size(L)`` blocks to one stacked SVD
-    (:func:`linalg.polar`).  The weighted sum is a running sum in input order,
-    so a single block has the bits of ``sum(w * polar(F @ root))`` over the
-    trimmed factors ``F``, which are the bits of
-    ``sum(w * congruence_sqrt(root, S))`` when no input is trimmed.
+    stacked, at most ``_block_size(L)`` blocks to one stacked
+    :func:`linalg.polar`: one stacked SVD, or polar's closed form when the
+    blocks keep at most two rows (for the construction, the chains of length
+    3 or less, whose blocks have rank ``L - 1``).  The weighted sum is a
+    running sum in input order, so a single block has the bits of
+    ``sum(w * polar(F @ root))`` over the trimmed factors ``F``, which are the
+    bits of ``sum(w * congruence_sqrt(root, S))`` when no input is trimmed.
     """
     w = np.asarray(weights)
     out = []

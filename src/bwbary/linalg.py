@@ -5,6 +5,10 @@ Everything here operates on plain ``numpy`` arrays of 64-bit floats.  A
 symmetric matrix.  Matrix functions go through a direct decomposition
 (LAPACK ``eigh`` / ``gesdd`` / pivoted Cholesky), never through iterative
 square-root schemes, so results are deterministic for identical input bits.
+The one exception to LAPACK is :func:`polar` of a matrix with at most two
+rows (the blocks of the doubling chains of length 1, 2 and 3, which are most
+of them): it is computed in closed form, with one Jacobi rotation and no
+iteration.
 A covariance is checked by the decomposition its caller needs anyway: its
 pivoted-Cholesky factor (:func:`covariance_factor`) or its eigendecomposition
 (:func:`_psd_eigs`), both under the one rule of :func:`check_psd_floor`.
@@ -265,15 +269,56 @@ def polar(X: np.ndarray) -> np.ndarray:
     """Symmetric polar factor ``|X| = (X.T @ X)^{1/2}`` of one matrix or a stack of matrices.
 
     ``X`` is ``(r, d)`` or a stack of them (a factor cut to its nonzero rows
-    has ``r <= d``); the result is ``(d, d)``.  Computed from one (stacked)
-    thin SVD ``X = U diag(s) Vt``, ``Vt`` of shape ``(min(r, d), d)``, as
-    ``Vt.T diag(s) Vt``, symmetrized.  For square ``X`` the thin SVD has the
-    bits of the full one.
+    has ``r <= d``); the result is ``(d, d)``.  With at most two rows it is
+    computed in closed form (:func:`_polar_rows`), with no LAPACK call.  With
+    three or more it comes from one (stacked) thin SVD ``X = U diag(s) Vt``,
+    ``Vt`` of shape ``(min(r, d), d)``, as ``Vt.T diag(s) Vt``, symmetrized;
+    for square ``X`` the thin SVD has the bits of the full one.
     A stack gives, matrix for matrix, the same bits as separate calls.
     """
+    if X.shape[-2] <= 2:
+        return _polar_rows(X)
     _, sv, Vt = np.linalg.svd(X, full_matrices=False)
     R = (np.swapaxes(Vt, -1, -2) * sv[..., None, :]) @ Vt
     return (R + np.swapaxes(R, -1, -2)) / 2.0
+
+
+def _polar_rows(X: np.ndarray) -> np.ndarray:
+    """:func:`polar` of matrices with at most two rows, in closed form.
+
+    ``|QX| = |X|`` for orthogonal ``Q``, and rows ``x_k`` that are orthogonal
+    give ``|X| = sum_k x_k^T x_k / ||x_k||`` (a zero row adds nothing; no
+    rows give zero).  Two rows are made orthogonal by the one-sided Jacobi
+    rotation that diagonalizes their Gram matrix ``[[a, g], [g, b]]``:
+    ``zeta = (b - a) / 2g`` and ``t = sign(zeta) / (|zeta| + hypot(1, zeta))``,
+    the smaller root of ``t^2 + 2 zeta t - 1``, so ``|t| <= 1`` (Golub & Van
+    Loan, *Matrix Computations*, §8.5.2), and ``t = 0`` where ``g == 0``.  The
+    result is exact up to rounding while the squared entries neither
+    overflow nor underflow (entries within about ``1e-150 .. 1e150``), and is
+    exactly symmetric.  Every step is elementwise or a reduction along a row,
+    so a stack has, matrix for matrix, the bits of separate calls.
+    """
+    if X.shape[-2] == 2:
+        x, y = X[..., 0, :], X[..., 1, :]
+        g = (x * y).sum(-1, keepdims=True)
+        zero = g == 0
+        g[zero] = 1.0
+        zeta = ((y * y).sum(-1, keepdims=True) - (x * x).sum(-1, keepdims=True)) / (2.0 * g)
+        t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+        t[zero] = 0.0
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = c * t
+        X = np.empty(X.shape)
+        X[..., 0, :] = c * x - s * y
+        X[..., 1, :] = s * x + c * y
+    # row k scaled by ||x_k||^{-1/2}, so that its outer product is x_k^T x_k / ||x_k||
+    scale = np.sqrt(np.sqrt((X * X).sum(-1, keepdims=True)))
+    scale[scale == 0] = np.inf
+    V = X / scale
+    R = np.zeros(X.shape[:-2] + (X.shape[-1],) * 2)
+    for k in range(X.shape[-2]):
+        R += V[..., k, :, None] * V[..., k, None, :]
+    return R
 
 
 def congruence_sqrt(root: np.ndarray, M: np.ndarray) -> np.ndarray:

@@ -206,13 +206,14 @@ class TestSharedPass:
         assert lapack_calls["eigvalsh"] == 0
         if case == "pair":
             # the dim-32 chains have 5 distinct lengths (6, 4, 3, 2, 1): per
-            # pass one stacked eigh and one stacked SVD of each size, over all
-            # chains of that size and both inputs
+            # pass one stacked eigh of each size, over all chains of that size,
+            # and one stacked polar of each size over both inputs; a chain of
+            # length L keeps L - 1 rows, so only lengths 4 and 6 reach the SVD
+            # (polar takes at most two rows in closed form)
             assert [idx.shape[1] for idx in prob.blocks] == [1, 2, 3, 4, 6]
             assert lapack_calls["eigh"] == 5 * passes
-            assert lapack_calls["svd"] == 5 * passes
-            assert lapack_calls.shapes["svd"][:5] == [(2, 8, 0, 1), (2, 4, 1, 2), (2, 2, 2, 3),
-                                                      (2, 1, 3, 4), (2, 1, 5, 6)]
+            assert lapack_calls["svd"] == 2 * passes
+            assert lapack_calls.shapes["svd"] == [(2, 1, 3, 4), (2, 1, 5, 6)] * passes
             assert lapack_calls.shapes["eigh"][:5] == [(8, 1, 1), (4, 2, 2), (2, 3, 3),
                                                        (1, 4, 4), (1, 6, 6)]
             return
@@ -327,12 +328,12 @@ class TestTrimmedStack:
         cov = build_covariance(TruncationConfig(dim=dim))
         lapack_calls.clear()
         verify_barycentre_certificate(cov, prob)
-        # one stacked SVD per chain length, over every chain of that length in
-        # every input; a chain of length L has rank L - 1 (its first index is
-        # odd, so C vanishes there), and the length-1 chains are all zero
-        assert lapack_calls.shapes["svd"] == [(block + 6, 8, 0, 1), (block + 6, 4, 1, 2),
-                                              (block + 6, 2, 2, 3), (block + 6, 1, 3, 4),
-                                              (block + 6, 1, 5, 6)]
+        # one stacked polar per chain length, over every chain of that length
+        # in every input; a chain of length L has rank L - 1 (its first index
+        # is odd, so C vanishes there), and the length-1 chains are all zero.
+        # Lengths 1, 2 and 3 keep at most two rows and take polar's closed
+        # form, so only lengths 4 and 6 reach the SVD
+        assert lapack_calls.shapes["svd"] == [(block + 6, 1, 3, 4), (block + 6, 1, 5, 6)]
         # a dense input joins every chain into one block, and the dense pass
         # keeps its blocks of _block_size(d) inputs
         rng = np.random.default_rng(40)

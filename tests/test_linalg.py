@@ -223,6 +223,78 @@ class TestFactoredRoots:
             np.testing.assert_allclose(ours, root @ t1 @ root, atol=1e-14)
 
 
+def svd_polar(X):
+    """``|X|`` of one ``(r, L)`` matrix from numpy's SVD: the reference for the closed form.
+
+    ``X`` is padded with ``L`` zero rows first, which leaves ``X.T @ X``
+    unchanged and gives the SVD an operand with at least one row.
+    """
+    padded = np.vstack([X, np.zeros((X.shape[1], X.shape[1]))])
+    _, sv, Vt = np.linalg.svd(padded, full_matrices=False)
+    R = (Vt.T * sv) @ Vt
+    return (R + R.T) / 2.0
+
+
+class TestClosedFormPolar:
+    """``polar`` of at most two rows is computed in closed form, without LAPACK."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2), st.integers(1, 9), st.integers(-100, 100),
+           st.sampled_from(["graded", "zero row", "parallel", "orthogonal", "equal norms"]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_svd(self, rows, L, k, kind, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((rows, L)) * 0.5 ** np.arange(L)
+        if kind == "zero row" and rows:
+            X[rng.integers(rows)] = 0.0
+        elif kind == "parallel" and rows == 2:
+            X[1] = rng.uniform(-2.0, 2.0) * X[0]  # rank 1
+        elif kind in ("orthogonal", "equal norms") and rows == 2 and L >= 2:
+            # rows (u, v) and (-v, u), or (u, v) and (v, u), on two columns:
+            # a == b exactly, with g == 0 or g != 0 (zeta == 0)
+            u, v = rng.standard_normal(2)
+            cols = rng.choice(L, 2, replace=False)
+            X[:] = 0.0
+            X[:, cols] = [[u, v], [-v, u]] if kind == "orthogonal" else [[u, v], [v, u]]
+        X *= 10.0**k
+        P = polar(X)
+        assert P.shape == (L, L)
+        assert np.array_equal(P, P.T)
+        assert np.linalg.norm(P - svd_polar(X)) <= 1e-14 * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    def test_makes_no_lapack_call(self, rows, lapack_calls):
+        X = np.random.default_rng(10).standard_normal((50, 3, rows, 4))
+        lapack_calls.clear()
+        P = polar(X)
+        assert P.shape == (50, 3, 4, 4)
+        assert not lapack_calls
+        if rows == 0:
+            assert not np.any(P)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_stack_has_the_bits_of_separate_calls(self, rows):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((3, 4, rows, 7)) * 0.5 ** np.arange(7)
+        X[0, 1] = 0.0  # a zero matrix
+        X[1, 2, -1] = 0.0  # a zero row
+        X[2, 0, -1] = 3.0 * X[2, 0, 0]  # parallel rows when there are two
+        P = polar(X)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(P[idx], polar(X[idx]))
+            assert np.array_equal(P[idx], polar(X[idx][None])[0])
+
+    def test_two_by_two_congruence_is_the_polar_of_its_factor(self, lapack_calls):
+        rng = np.random.default_rng(12)
+        M = random_psd(rng, 2)
+        root = sqrt_psd(random_psd(rng, 2))
+        lapack_calls.clear()
+        R = congruence_sqrt(root, M)
+        assert lapack_calls["svd"] == 0
+        assert np.array_equal(R, polar(psd_factor(M) @ root))
+        np.testing.assert_allclose(R, sqrt_psd(root @ M @ root), atol=1e-12)
+
+
 def eigvalsh_verdict(M):
     """The PSD rule on the eigenvalues: ``None`` when it accepts, else the NotPSD message."""
     w = np.linalg.eigvalsh(check_symmetric(M))

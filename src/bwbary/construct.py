@@ -256,7 +256,7 @@ def kernel_report(config: TruncationConfig, maps) -> dict:
               "kernel_dims": [], "shared_dims": [], "min_nonzero_angles": []}
     for T in maps:
         ker = conjugated_kernel(config, T)
-        angles = linalg.principal_angles(ker, base) if ker.shape[1] else np.empty(0)
+        angles = linalg.principal_angles(ker, base)
         nonzero = angles[angles > SHARED_ANGLE_TOL]
         report["kernel_dims"].append(int(ker.shape[1]))
         report["shared_dims"].append(int(angles.size - nonzero.size))

@@ -13,10 +13,13 @@ A covariance is checked by the decomposition its caller needs anyway: its
 pivoted-Cholesky factor (:func:`covariance_factor`) or its eigendecomposition
 (:func:`_psd_eigs`), both under the one rule of :func:`check_psd_floor`.
 
-scipy, which supplies the pivoted Cholesky (``_pstrf``, see ``_lapack``) and
-:func:`principal_angles`, is imported at the first call that needs it, not
-with the package: importing it costs more than the rest of ``bwbary.cli``, and
-CLI runs such as ``construct`` and ``recurrence`` never use it.
+scipy supplies only the pivoted Cholesky (``_pstrf``).  Its compiled LAPACK
+wrapper is loaded at the first factorization, not with the package, and
+without ``scipy.linalg``, whose import costs more than the rest of
+``bwbary.cli`` (see ``_lapack``); CLI runs such as ``construct`` and
+``recurrence`` never factor.  :func:`principal_angles` is numpy's SVD with
+the cosine/sine method of Knyazev & Argentati, each angle taken from
+whichever of its cosine and sine gives it accurately.
 """
 
 from dataclasses import dataclass
@@ -231,11 +234,58 @@ def kernel_basis(M, rank_tol: float = RANK_TOL) -> np.ndarray:
     return _psd_eigs(M).kernel(rank_tol)
 
 
-def principal_angles(U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Canonical angles (radians, descending) between the column spans of U and W."""
-    from scipy.linalg import subspace_angles
+def _orth(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of ``A``, by thin SVD.
 
-    return subspace_angles(U, W)
+    Singular values ``s <= max(A.shape) * eps * s_max`` count as zero, the
+    rank cut of ``scipy.linalg.orth``.
+    """
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    cut = max(A.shape) * np.finfo(np.float64).eps * np.amax(s, initial=0.0)
+    return u[:, :int(np.sum(s > cut))]
+
+
+def _as_basis(M) -> np.ndarray:
+    A = np.asarray(M, dtype=np.float64)
+    if A.ndim != 2:
+        raise InvalidInput(f"expected a 2-D array of columns, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise InvalidInput("basis has non-finite entries")
+    return A
+
+
+def principal_angles(U, W) -> np.ndarray:
+    """Canonical angles (radians, descending) between the column spans of U and W.
+
+    The cosine/sine method of Knyazev & Argentati (2002, SIAM J. Sci. Comput.
+    23(6)): after orthonormal bases ``Q_U`` and ``Q_W`` (:func:`_orth`, so a
+    rank-deficient operand counts by its rank and a zero one has no angles),
+    the cosines are the singular values of ``Q_U^T Q_W`` and the sines those
+    of the residual ``Q_W - Q_U Q_U^T Q_W`` (mirrored when ``Q_U`` has fewer
+    columns).  An angle with ``cos^2 >= 1/2`` is taken as ``arcsin`` of its
+    sine and any other as ``arccos`` of its cosine, each cosine paired with
+    the sine of the same angle, so every angle is accurate to about ``1e-15``
+    absolute: a shared direction reads about ``1e-16``, not the ``1e-8`` that
+    ``arccos`` of a cosine near 1 gives.  There are ``min(rank U, rank W)``
+    angles.
+    """
+    QU, QW = _orth(_as_basis(U)), _orth(_as_basis(W))
+    if QU.shape[0] != QW.shape[0]:
+        raise DimensionMismatch(
+            f"bases have {QU.shape[0]} and {QW.shape[0]} rows")
+    cross = QU.T @ QW
+    cos = np.clip(np.linalg.svd(cross, compute_uv=False), -1.0, 1.0)
+    small = cos ** 2 >= 0.5
+    angles = np.arccos(cos)
+    if small.any():
+        if QU.shape[1] >= QW.shape[1]:
+            residual = QW - QU @ cross
+        else:
+            residual = QU - QW @ cross.T
+        # sines descend as the angles do; reversed, they pair with the cosines
+        sin = np.linalg.svd(residual, compute_uv=False)[::-1]
+        angles[small] = np.arcsin(np.clip(sin[small], -1.0, 1.0))
+    return angles[::-1]
 
 
 def psd_factor(M) -> np.ndarray:

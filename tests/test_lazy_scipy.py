@@ -1,12 +1,17 @@
-"""scipy is imported at the first pivoted Cholesky or principal angle, not with the package.
+"""scipy is imported at the first pivoted Cholesky, not with the package, and
+``scipy.linalg`` is never imported: ``pstrf`` comes from scipy's compiled LAPACK
+wrapper, loaded from its file, and the principal angles are numpy's.
 
 Each check runs in a fresh interpreter, because the test modules import scipy
 themselves.
 """
 
+import importlib.machinery
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 
 def run_fresh(code: str) -> str:
@@ -17,13 +22,13 @@ def run_fresh(code: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def cli_loads_scipy(*argv) -> bool:
-    """Run ``bwbary.cli.main(argv)`` in a fresh interpreter; whether it imported scipy."""
+def cli_loads_scipy(*argv, module="scipy") -> bool:
+    """Run ``bwbary.cli.main(argv)`` in a fresh interpreter; whether it imported ``module``."""
     last = run_fresh(f"""
         import sys
         from bwbary.cli import main
         rc = main({list(argv)!r})
-        print(rc, "scipy" in sys.modules)
+        print(rc, {module!r} in sys.modules)
     """)
     rc, loaded = last.split()
     assert rc == "0"
@@ -68,3 +73,66 @@ def test_lazily_fetched_pstrf_is_the_lapack_routine():
         expected = np.triu(c[:rank])[:, inv]
         print(rank, F.shape, np.array_equal(F, expected))
     """) == "20 (20, 32) True"
+
+
+def test_cli_never_imports_scipy_linalg(tmp_path):
+    assert not cli_loads_scipy("construct", "--dim", "32", "--pair", "--out", str(tmp_path),
+                               module="scipy.linalg")
+    assert not cli_loads_scipy("verify", "--candidate", str(tmp_path / "sigma.json"),
+                               "--inputs", str(tmp_path / "s1.json"), str(tmp_path / "s2.json"),
+                               module="scipy.linalg")
+    assert not cli_loads_scipy("barycentre", "--inputs", str(tmp_path / "s1.json"),
+                               str(tmp_path / "s2.json"), "--ridge", "1e-6",
+                               "--ridge-decay", "0.5", "--out", str(tmp_path / "bary.json"),
+                               module="scipy.linalg")
+    assert not cli_loads_scipy("sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "sweep.csv"),
+                               module="scipy.linalg")
+
+
+def test_later_scipy_linalg_import_takes_over_the_routine():
+    assert run_fresh("""
+        import sys
+        import numpy as np
+        from bwbary import _lapack
+
+        routine = _lapack._routine()
+        assert "scipy.linalg" not in sys.modules
+
+        import scipy.linalg
+        from scipy.linalg import get_lapack_funcs
+        print(get_lapack_funcs(("pstrf",), (np.empty((1, 1)),))[0] is routine)
+    """) == "True"
+
+
+def test_loaded_wrapper_is_reused():
+    import scipy.linalg  # noqa: F401  (registers scipy.linalg._flapack)
+    from bwbary import _lapack
+
+    assert _lapack._load_flapack() is sys.modules["scipy.linalg._flapack"]
+
+
+FACTOR_BITS = """
+    import hashlib, sys
+    import numpy as np
+    from bwbary import _lapack
+    from bwbary.linalg import covariance_factor
+    {patch}
+    G = np.random.default_rng(61).standard_normal((48, 30)) * 0.8 ** np.arange(30)
+    F = covariance_factor(G @ G.T)[1]
+    print(F.shape[0], "scipy.linalg" in sys.modules, hashlib.sha256(F.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("how", ["missing", "broken"])
+def test_fallback_gives_the_same_factor_bits(tmp_path, how):
+    # the wrapper's file is not found, or is found but fails to load; either
+    # way pstrf comes from scipy.linalg.get_lapack_funcs, with the same bits
+    broken = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    broken.write_bytes(b"not a shared library")
+    path = None if how == "missing" else str(broken)
+    direct = run_fresh(FACTOR_BITS.format(patch="")).split()
+    fallback = run_fresh(FACTOR_BITS.format(
+        patch=f"_lapack._flapack_path = lambda: {path!r}")).split()
+    assert direct[1] == "False" and fallback[1] == "True"
+    assert direct[0] == fallback[0] == "30"
+    assert direct[2] == fallback[2]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwbary import (
+    DimensionMismatch,
     InvalidInput,
     NotPSD,
     build_pair_maps,
@@ -24,6 +25,7 @@ from bwbary.linalg import (
     congruence_sqrt,
     covariance_factor,
     polar,
+    principal_angles,
     psd_factor,
 )
 
@@ -293,6 +295,81 @@ class TestClosedFormPolar:
         assert lapack_calls["svd"] == 0
         assert np.array_equal(R, polar(psd_factor(M) @ root))
         np.testing.assert_allclose(R, sqrt_psd(root @ M @ root), atol=1e-12)
+
+
+def bases_with_angles(rng, n, angles, extra=0):
+    """Bases ``U`` (``k + extra`` columns) and ``W`` (``k``) whose spans meet at ``angles``.
+
+    ``U``'s columns are ``q_1 .. q_k`` plus ``extra`` more directions,
+    ``W``'s are ``cos(t_i) q_i + sin(t_i) q_{k+i}``, all ``q`` orthonormal;
+    each basis is then mixed by a random orthogonal matrix, so no column is
+    a principal vector.
+    """
+    k = len(angles)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    U = np.hstack([Q[:, :k], Q[:, 2 * k:2 * k + extra]])
+    W = np.cos(angles) * Q[:, :k] + np.sin(angles) * Q[:, k:2 * k]
+    mix = lambda m: np.linalg.qr(rng.standard_normal((m, m)))[0]
+    return U @ mix(k + extra), W @ mix(k)
+
+
+class TestPrincipalAngles:
+    """Canonical angles by the cosine/sine method, each angle from the accurate one."""
+
+    @pytest.mark.parametrize("angles", [
+        [0.0, 1.2],                                   # a shared direction, one angle past pi/4
+        [0.0, 1e-9, 1e-5, 0.3, 0.78, 0.79, 1.2, np.pi / 2],
+        [1e-9, 2e-9, np.pi / 4, 1.0, 1.5],
+        [0.0, 0.0, 0.46364760900080615, 0.9],
+    ])
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_known_angles_to_a_few_ulps(self, angles, extra):
+        expected = np.sort(angles)[::-1]
+        n = 2 * len(angles) + extra + 3
+        for seed in range(40):
+            U, W = bases_with_angles(np.random.default_rng(seed), n, np.array(angles), extra)
+            for got in (principal_angles(U, W), principal_angles(W, U)):
+                assert got.shape == expected.shape
+                assert np.max(np.abs(got - expected)) <= 1e-14, (seed, got - expected)
+
+    def test_agrees_with_scipy(self):
+        from scipy.linalg import subspace_angles
+
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            U = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+            W = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+            if rng.random() < 0.5:
+                W[:, 0] = U @ rng.standard_normal(U.shape[1])  # a shared direction
+            ours, theirs = principal_angles(U, W), subspace_angles(U, W)
+            assert ours.shape == theirs.shape
+            assert np.all(np.diff(ours) <= 0.0)
+            np.testing.assert_allclose(ours, theirs, rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("U, W", [
+        (np.ones((6, 0)), np.eye(6)[:, :3]),
+        (np.eye(6)[:, :3], np.ones((6, 0))),
+        (np.zeros((6, 2)), np.eye(6)[:, :3]),
+        (np.zeros((0, 2)), np.zeros((0, 3))),
+        (np.eye(6)[:, [0, 0, 1]] * [1.0, 2.0, 1.0], np.eye(6)[:, 1:4]),
+        (np.eye(6)[:, [0, 1, 2, 0]], np.eye(6)[:, [0, 3]] @ [[1.0, 1.0], [1.0, 1.0]]),
+    ], ids=["zero columns", "zero columns second", "zero matrix", "no rows",
+            "repeated column", "rank one"])
+    def test_degenerate_bases_match_scipy(self, U, W):
+        from scipy.linalg import subspace_angles
+
+        ours, theirs = principal_angles(U, W), subspace_angles(U, W)
+        assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+        np.testing.assert_allclose(ours, theirs, rtol=0.0, atol=1e-7)
+
+    def test_rejects_what_scipy_rejects(self):
+        with pytest.raises(DimensionMismatch):
+            principal_angles(np.eye(3), np.eye(4))
+        with pytest.raises(InvalidInput):
+            principal_angles(np.ones(3), np.ones(3))
+        with pytest.raises(InvalidInput):
+            principal_angles(np.full((3, 2), np.nan), np.eye(3))
 
 
 def eigvalsh_verdict(M):

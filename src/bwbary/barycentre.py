@@ -31,7 +31,7 @@ and the Fréchet value are norms and traces summed over the blocks.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -53,12 +53,12 @@ class SolverSettings:
     Attributes
     ----------
     tol : float
-        Relative Frobenius change of the iterate below which we stop.
+        Relative Frobenius change of the iterate below which we stop; finite.
     max_iter : int
         Iteration cap.
     ridge : float
-        Initial regularization added as ``ridge * I`` to the iterate before
-        inverting; shrinks by ``ridge_decay`` each iteration (floor 0).
+        Initial regularization, finite, added as ``ridge * I`` to the iterate
+        before inverting; shrinks by ``ridge_decay`` each iteration (floor 0).
     ridge_decay : float
         Multiplicative decay of the ridge, in (0, 1).
 
@@ -71,23 +71,23 @@ class SolverSettings:
     ridge_decay: float = 0.5
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise InvalidInput("tol must be positive")
+        if not (0.0 < self.tol < np.inf):
+            raise InvalidInput("tol must be positive and finite")
         if self.max_iter < 1:
             raise InvalidInput("max_iter must be >= 1")
-        if self.ridge < 0:
-            raise InvalidInput("ridge must be nonnegative")
+        if not (0.0 <= self.ridge < np.inf):
+            raise InvalidInput("ridge must be finite and nonnegative")
         if not (0.0 < self.ridge_decay < 1.0):
             raise InvalidInput("ridge_decay must be in (0, 1)")
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
-    """``weights`` as an array, checked: ``n`` nonnegative entries summing to 1 within 1e-12."""
+    """``weights`` as an array, checked: ``n`` finite nonnegative entries summing to 1 ± 1e-12."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise InvalidInput("weights must match the number of inputs")
-    if np.any(w < 0):
-        raise InvalidInput("weights must be nonnegative")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise InvalidInput("weights must be finite and nonnegative")
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise InvalidInput("weights must sum to 1 within 1e-12")
     return w
@@ -138,16 +138,19 @@ def _factor_blocks(factors: np.ndarray, blocks: tuple) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarycentreProblem:
     """A weighted family of covariances whose barycentre is sought.
 
     ``inputs`` must share one dimension; ``weights`` default to uniform and
-    must be nonnegative and sum to 1 within 1e-12.  Each input is validated
-    and factored by one :func:`linalg.covariance_factor` call, whose
-    pivoted-Cholesky factor is also its PSD check: ``factors[i]`` is that
-    factor of ``inputs[i]`` (``factors[i].T @ factors[i] = inputs[i]``),
-    padded with zero rows to ``r``, the largest rank among the inputs.
+    must be finite, nonnegative and sum to 1 within 1e-12.  Each input is
+    validated and factored by one :func:`linalg.covariance_factor` call, whose
+    pivoted-Cholesky factor is also its PSD check, and is kept only as that
+    factor, padded with zero rows to ``r``, the largest rank among the inputs:
+    ``factors[i].T @ factors[i]`` is the symmetrized ``inputs[i]``.  The
+    problem also keeps ``mean = sum_i w_i S_i``, the solver's default start,
+    and ``input_trace = sum_i w_i tr S_i``, summed from 0 in input order over
+    the symmetrized inputs.  Problems compare by identity.
 
     The problem also records a partition of the indices ``0..d-1``:
     ``blocks`` holds the connected components of the union of the inputs'
@@ -160,51 +163,52 @@ class BarycentreProblem:
     over the inputs reuses.
     """
 
-    inputs: tuple
-    weights: tuple
-    settings: SolverSettings = field(default_factory=SolverSettings)
-    factors: np.ndarray = field(init=False, repr=False, compare=False)
-    blocks: tuple = field(init=False, repr=False, compare=False)
-    block_factors: tuple = field(init=False, repr=False, compare=False)
+    inputs: InitVar[tuple]
+    weights: tuple | None = None
+    settings: SolverSettings | None = None
+    factors: np.ndarray = field(init=False, repr=False)
+    blocks: tuple = field(init=False, repr=False)
+    block_factors: tuple = field(init=False, repr=False)
+    mean: np.ndarray = field(init=False, repr=False)
+    input_trace: float = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if len(self.inputs) < 1:
+    def __post_init__(self, inputs):
+        n = len(inputs)
+        if n < 1:
             raise InvalidInput("need at least one input covariance")
-        mats, trimmed = zip(*(covariance_factor(S) for S in self.inputs))
-        for S in mats[1:]:
-            check_same_dim(mats[0], S)
-        factors = np.zeros((len(mats), max(len(F) for F in trimmed), mats[0].shape[0]))
+        w = _check_weights([1.0 / n] * n if self.weights is None else self.weights, n)
+        weights = tuple(float(x) for x in w)
+        mean, input_trace, pattern, trimmed = 0.0, 0.0, False, []
+        for wi, S in zip(weights, inputs):
+            A, F = covariance_factor(S)
+            if trimmed:
+                check_same_dim(mean, A)
+            mean += wi * A
+            input_trace += wi * float(np.trace(A))
+            pattern |= A != 0
+            trimmed.append(F)
+        factors = np.zeros((n, max(len(F) for F in trimmed), len(mean)))
         for padded, F in zip(factors, trimmed):
             padded[:len(F)] = F
         del trimmed  # copied into factors; freed before the blocks are cut from them
-        w = _check_weights(self.weights, len(mats))
-        pattern = np.zeros(mats[0].shape, dtype=bool)
-        for S in mats:
-            pattern |= S != 0
         blocks = _components(pattern)
-        object.__setattr__(self, "inputs", mats)
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        object.__setattr__(self, "weights", weights)
+        if self.settings is None:
+            object.__setattr__(self, "settings", SolverSettings())
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "block_factors", _factor_blocks(factors, blocks))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "input_trace", input_trace)
 
     @property
     def dim(self) -> int:
-        return self.inputs[0].shape[0]
+        return len(self.mean)
 
 
 def problem(inputs, weights=None, settings: SolverSettings | None = None) -> BarycentreProblem:
     """Convenience constructor; ``weights=None`` means uniform."""
-    n = len(inputs)
-    if n < 1:
-        raise InvalidInput("need at least one input covariance")
-    if weights is None:
-        weights = [1.0 / n] * n
-    return BarycentreProblem(
-        inputs=tuple(inputs),
-        weights=tuple(weights),
-        settings=settings if settings is not None else SolverSettings(),
-    )
+    return BarycentreProblem(inputs, weights, settings)
 
 
 @dataclass(frozen=True)
@@ -322,10 +326,6 @@ def _mean_inner_root(roots: list, block_factors: tuple, weights) -> list:
     return out
 
 
-def _input_trace(prob: BarycentreProblem) -> float:
-    return sum(w * float(np.trace(S)) for w, S in zip(prob.weights, prob.inputs))
-
-
 def _frechet(R: list, mid: list, input_trace: float) -> float:
     """``F(R) = tr R + sum_i w_i tr S_i - 2 tr(mid)``, ``mid`` the mean inner root at ``R``.
 
@@ -334,30 +334,29 @@ def _frechet(R: list, mid: list, input_trace: float) -> float:
     return max(_trace(R) + input_trace - 2.0 * _trace(mid), 0.0)
 
 
-def _candidate(candidate, prob: BarycentreProblem) -> np.ndarray:
-    """Symmetrized candidate of the problem's dimension; :func:`_evaluate` checks PSD-ness."""
-    C = check_symmetric(candidate)
-    check_same_dim(C, prob.inputs[0])
-    return C
-
-
-def _evaluate(C: np.ndarray, prob: BarycentreProblem, input_trace: float) -> tuple:
+def _evaluate(C: list, block_factors: tuple, prob: BarycentreProblem) -> tuple:
     """Certificate residual and Fréchet value of a symmetric ``C`` from one pass.
 
-    The pass runs on the blocks of the problem's partition merged with
-    ``C``'s pattern; the decomposition behind ``C^{1/2}`` is the one PSD check
-    of ``C``.
+    ``C`` is given as its diagonal blocks along a partition it is block
+    diagonal on, and ``block_factors`` are the factors cut to that partition;
+    the decomposition behind ``C^{1/2}`` is the one PSD check of ``C``.
     """
-    blocks, block_factors = _split(prob, C)
-    C = _gather(C, blocks)
     mid = _mean_inner_root(_roots(_decompose(C)[0]), block_factors, prob.weights)
     residual = _norm([M - X for M, X in zip(mid, C)]) / max(1.0, _norm(C))
-    return residual, _frechet(C, mid, input_trace)
+    return residual, _frechet(C, mid, prob.input_trace)
+
+
+def _evaluate_candidate(candidate, prob: BarycentreProblem) -> tuple:
+    """:func:`_evaluate` of the symmetrized candidate, on its blocks (see :func:`_split`)."""
+    C = check_symmetric(candidate)
+    check_same_dim(C, prob.mean)
+    blocks, block_factors = _split(prob, C)
+    return _evaluate(_gather(C, blocks), block_factors, prob)
 
 
 def frechet_functional(candidate, prob: BarycentreProblem) -> float:
     """Weighted sum of squared BW distances from ``candidate`` to the inputs."""
-    return _evaluate(_candidate(candidate, prob), prob, _input_trace(prob))[1]
+    return _evaluate_candidate(candidate, prob)[1]
 
 
 def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
@@ -369,7 +368,7 @@ def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
     ``C`` meets the first-order barycentre condition, which is necessary only:
     the zero matrix meets it for every family.
     """
-    return _evaluate(_candidate(candidate, prob), prob, _input_trace(prob))[0]
+    return _evaluate_candidate(candidate, prob)[0]
 
 
 def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResult:
@@ -402,17 +401,15 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     """
     st = prob.settings
     if init is None:
-        sigma = sum(w * S for w, S in zip(prob.weights, prob.inputs))
-        sigma = sigma + st.ridge * np.eye(prob.dim)
+        sigma = prob.mean + st.ridge * np.eye(prob.dim)
     else:
         # the first decomposition is of init + ridge I, so init is checked here
         sigma = check_covariance(init)
-        check_same_dim(sigma, prob.inputs[0])
+        check_same_dim(sigma, prob.mean)
 
     blocks, block_factors = _split(prob, sigma)
     sigma = _gather(sigma, blocks)
     eyes = [np.eye(idx.shape[1]) for idx in blocks]
-    input_trace = _input_trace(prob)
     ridge = st.ridge
     history = []
 
@@ -430,21 +427,20 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
             raise NonFinite(f"iterate diverged at iteration {t}")
 
         change = _norm([X - S for X, S in zip(new, sigma)]) / max(1.0, _norm(sigma))
-        history.append((t, change, _frechet(reg, mid, input_trace)))
+        history.append((t, change, _frechet(reg, mid, prob.input_trace)))
         sigma = new
         ridge *= st.ridge_decay
         if change <= st.tol:
             break
 
-    sigma = _scatter(sigma, blocks, prob.dim)
-    residual, fval = _evaluate(sigma, prob, input_trace)
+    residual, fval = _evaluate(sigma, block_factors, prob)
     fvals = [h[2] for h in history] + [fval]
     rises = [(t, b - a) for t, (a, b) in enumerate(zip(fvals, fvals[1:]), 1) if b > a + 1e-9]
     for t, rise in rises:
         warnings.warn(f"Fréchet value increased by {rise:.3e} at iteration {t}",
                       RuntimeWarning, stacklevel=2)
     return BarycentreResult(
-        barycentre=sigma,
+        barycentre=_scatter(sigma, blocks, prob.dim),
         iterations=len(history),
         final_change=change,
         certificate_residual=residual,

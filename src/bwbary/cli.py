@@ -135,6 +135,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (0.0 <= args.tol < np.inf):
+        raise InvalidInput(f"bad --tol {args.tol!r}: it must be finite and nonnegative")
     # the files are checked by their consumers: the inputs by problem(), the
     # candidate by the certificate's decomposition of it
     report = RunReport(args.argv)
@@ -259,6 +261,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    report = RunReport(args.argv)
     dims = _parse_dims(args.dims)
     decay = _parse_decay(args.decay)
     rows = []
@@ -286,9 +289,9 @@ def cmd_sweep(args) -> int:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
-    for row in rows:
-        print(", ".join(f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
-                        for k, v in row.items()))
+    report.add_result("rows", rows)
+    _emit(report, args, [", ".join(f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
+                                   for k, v in row.items()) for row in rows])
     return EXIT_OK
 
 

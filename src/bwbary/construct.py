@@ -152,7 +152,7 @@ def build_map_family(dim: int, n: int = None, coeffs=None, weights=None) -> list
     Either give ``n`` (coefficients default to ``linspace(-1/2, 1/2, n)``,
     equally spaced and symmetric about 0) or explicit ``coeffs``.  Each
     ``|a_i|`` must be at most 1/2 so every map is PSD.  ``weights`` (default
-    uniform) follow :class:`barycentre.BarycentreProblem`'s rule, one
+    uniform) follow :class:`barycentre.BarycentreProblem`'s rule, one finite
     nonnegative weight per map summing to 1 within 1e-12, and the weighted
     coefficient sum must vanish (tolerance 1e-15), so the family averages to
     the identity.

@@ -134,7 +134,7 @@ def population_mc_experiment(
 
     coeffs = draw_coefficients(law, seed, n, antithetic)
     # The maps are rebuilt where they are used, so no list of maps or inputs
-    # outlives the problem's own validated copies and factors.
+    # outlives the problem, which keeps each input only as its factor.
     mean_map = sum(eye + a * shift for a in coeffs) / n
     mean_deviation = float(np.linalg.norm(mean_map - eye))
 

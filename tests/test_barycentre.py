@@ -1,5 +1,7 @@
 """Fréchet functional, fixed-point solver, and the barycentre certificate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,17 +171,17 @@ class TestSharedPass:
     def pair_run(self):
         _, s1, s2 = constructed_triple(32)
         prob = problem([s1, s2], settings=SolverSettings(ridge=1e-6, ridge_decay=0.5))
-        return prob, barycentre_fixed_point(prob)
+        return [s1, s2], prob, barycentre_fixed_point(prob)
 
     def test_result_equals_public_evaluations(self, pair_run):
-        prob, res = pair_run
+        _, prob, res = pair_run
         assert res.certificate_residual == verify_barycentre_certificate(res.barycentre, prob)
         assert res.frechet_value == frechet_functional(res.barycentre, prob)
 
     def test_frechet_value_agrees_with_distances(self, pair_run):
-        prob, res = pair_run
+        inputs, prob, res = pair_run
         expected = sum(w * bw_distance_sq(res.barycentre, S)
-                       for w, S in zip(prob.weights, prob.inputs))
+                       for w, S in zip(prob.weights, inputs))
         assert res.frechet_value == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("case", ["pair", "random", "blocks"])
@@ -251,9 +253,9 @@ class TestBlockedPass:
                 inputs.append(conjugate(np.eye(dim) + rng.uniform(-0.5, 0.5) * shift, cov))
         w = rng.uniform(0.5, 1.5, n)
         prob = problem(inputs, (w / w.sum()).tolist())
-        root = linalg.sqrt_psd(sum(prob.inputs) / n)
+        root = linalg.sqrt_psd(sum(inputs) / n)
         expected = sum(wi * linalg.congruence_sqrt(root, S)
-                       for wi, S in zip(prob.weights, prob.inputs))
+                       for wi, S in zip(prob.weights, inputs))
         assert np.array_equal(dense_mean_inner_root(root, prob), expected)
 
     def test_scalar_inputs_are_summed_in_input_order(self):
@@ -261,10 +263,11 @@ class TestBlockedPass:
         rng = np.random.default_rng(33)
         n = 300
         w = rng.uniform(0.5, 1.5, n)
-        prob = problem([np.array([[x]]) for x in rng.uniform(0.1, 9.0, n)], (w / w.sum()).tolist())
+        inputs = [np.array([[x]]) for x in rng.uniform(0.1, 9.0, n)]
+        prob = problem(inputs, (w / w.sum()).tolist())
         root = np.array([[1.7]])
         expected = sum(wi * linalg.congruence_sqrt(root, S)
-                       for wi, S in zip(prob.weights, prob.inputs))
+                       for wi, S in zip(prob.weights, inputs))
         assert np.array_equal(dense_mean_inner_root(root, prob), expected)
 
     def test_stack_of_one_has_the_bits_of_one_matrix(self):
@@ -299,7 +302,7 @@ class TestTrimmedStack:
         prob = problem(conjugated_family(32, 2, seed=35) + [low])
         assert prob.factors.shape == (3, 16, 32)
         assert not np.any(prob.factors[2, 4:])  # the lower rank keeps its zero rows
-        np.testing.assert_allclose(prob.factors[2].T @ prob.factors[2], prob.inputs[2],
+        np.testing.assert_allclose(prob.factors[2].T @ prob.factors[2], low,
                                    atol=1e-12 * np.abs(low).max())
         full = problem(conjugated_family(32, 2, seed=36) + [random_psd(rng, 32)])
         assert full.factors.shape == (3, 32, 32)
@@ -313,12 +316,12 @@ class TestTrimmedStack:
         w = rng.uniform(0.5, 1.5, n)
         prob = problem(inputs, (w / w.sum()).tolist())
         assert prob.factors.shape == (n, dim // 2, dim)
-        root = linalg.sqrt_psd(sum(prob.inputs) / n)
+        root = linalg.sqrt_psd(sum(inputs) / n)
         mean = dense_mean_inner_root(root, prob)
         expected = sum(wi * linalg.polar(F @ root) for wi, F in zip(prob.weights, prob.factors))
         assert np.array_equal(mean, expected)
         square = sum(wi * linalg.congruence_sqrt(root, S)
-                     for wi, S in zip(prob.weights, prob.inputs))
+                     for wi, S in zip(prob.weights, inputs))
         assert np.linalg.norm(mean - square) <= 1e-13 * np.linalg.norm(square)
 
     def test_stacked_svds_take_the_trimmed_operands(self, lapack_calls):
@@ -360,6 +363,14 @@ class TestProblemValidation:
         with pytest.raises(InvalidInput):
             problem([np.eye(2), np.eye(3)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weights_must_be_finite(self, bad):
+        # NaN fails every comparison, so only a finiteness check catches it
+        with pytest.raises(InvalidInput, match="finite"):
+            problem([np.eye(2), np.eye(2)], [0.5, bad])
+        with pytest.raises(InvalidInput, match="finite"):
+            build_map_family(8, coeffs=[0.5, -0.5], weights=[bad, 0.5])
+
     def test_settings_validation(self):
         with pytest.raises(InvalidInput):
             SolverSettings(tol=0.0)
@@ -370,6 +381,13 @@ class TestProblemValidation:
         with pytest.raises(InvalidInput):
             SolverSettings(ridge_decay=0.0)
 
+    @pytest.mark.parametrize("name", ["tol", "ridge"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_settings_must_be_finite(self, name, bad):
+        # an infinite tol stops every run after one step; a NaN ridge would act as none
+        with pytest.raises(InvalidInput, match=f"{name} must be .*finite"):
+            SolverSettings(**{name: bad})
+
     def test_frechet_agrees_with_distances(self):
         rng = np.random.default_rng(28)
         mats = [random_psd(rng, 4) for _ in range(3)]
@@ -379,6 +397,41 @@ class TestProblemValidation:
         assert frechet_functional(cand, problem(mats, weights)) == pytest.approx(
             expected, rel=1e-10
         )
+
+
+class TestProblemState:
+    """The problem keeps each input only as its factor, and the two sums the passes read."""
+
+    @staticmethod
+    def family():
+        rng = np.random.default_rng(70)
+        inputs = conjugated_family(16, 6, seed=71) + [random_psd(rng, 16) for _ in range(3)]
+        # asymmetric within SYM_TOL, so the problem's symmetrization changes its bits
+        inputs[7] = inputs[7] + np.triu(np.full((16, 16), 1e-14), 1)
+        w = rng.uniform(0.5, 1.5, len(inputs))
+        return inputs, (w / w.sum()).tolist()
+
+    def test_state_is_the_factors_and_two_sums(self):
+        prob = problem(*self.family())
+        assert not hasattr(prob, "inputs")
+        assert [f.name for f in dataclasses.fields(prob)] == [
+            "weights", "settings", "factors", "blocks", "block_factors", "mean", "input_trace"]
+
+    def test_sums_have_the_bits_of_the_symmetrized_inputs(self):
+        inputs, weights = self.family()
+        prob = problem(inputs, weights)
+        sym = [linalg.check_symmetric(S) for S in inputs]
+        assert not np.array_equal(sym[7], inputs[7])
+        assert np.array_equal(prob.mean, sum(w * S for w, S in zip(prob.weights, sym)))
+        assert prob.input_trace == sum(w * float(np.trace(S)) for w, S in zip(prob.weights, sym))
+
+    def test_problems_compare_by_identity(self):
+        # without its inputs, a generated __eq__ would compare only weights and settings
+        inputs, weights = self.family()
+        a, b = problem(inputs, weights), problem(inputs, weights)
+        other = problem(inputs[::-1], weights)  # the same weights and settings
+        assert a == a and a != b and a != other
+        assert len({a, b, other}) == 3
 
 
 def as_sets(blocks):
@@ -458,7 +511,8 @@ class TestSplitPass:
     @pytest.mark.parametrize("reach", ["two chains", "dense"])
     def test_candidate_outside_the_pattern(self, reach):
         cov, s1, s2 = constructed_triple(32)
-        prob = problem([s1, s2])
+        inputs = [s1, s2]
+        prob = problem(inputs)
         if reach == "two chains":
             # a rank-one term joining index 2 (chain of 1) and index 3 (chain of 3)
             v = np.zeros(32)
@@ -475,7 +529,7 @@ class TestSplitPass:
         else:
             assert [idx.shape for idx in blocks] == [(1, 32)]
         root = linalg.sqrt_psd(candidate)
-        mid = sum(w * linalg.congruence_sqrt(root, S) for w, S in zip(prob.weights, prob.inputs))
+        mid = sum(w * linalg.congruence_sqrt(root, S) for w, S in zip(prob.weights, inputs))
         expected = np.linalg.norm(mid - candidate) / max(1.0, np.linalg.norm(candidate))
         assert expected > 1e-4
         assert verify_barycentre_certificate(candidate, prob) == pytest.approx(expected, rel=1e-9)

@@ -195,6 +195,17 @@ class TestVerifyCommand:
                      "--inputs", str(tmp_path / "nope.json"))
         assert rc == 2
 
+    @pytest.mark.parametrize("option", [["--weights", "0.5,nan"], ["--tol", "nan"],
+                                        ["--tol", "inf"], ["--tol=-1e-9"]],
+                             ids=["weights-nan", "tol-nan", "tol-inf", "tol-negative"])
+    def test_non_finite_option_is_invalid_input(self, option, constructed, capsys):
+        # a NaN weight or tolerance is a bad option, not a failed candidate (exit 1)
+        rc = run_cli("verify", "--candidate", str(constructed / "sigma.json"),
+                     "--inputs", str(constructed / "s1.json"), str(constructed / "s2.json"),
+                     *option)
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestBadFiles:
     """Files are read unchecked and checked by their consumer, with the same verdicts."""
@@ -285,6 +296,20 @@ class TestBarycentreCommand:
         assert all(b <= a + 1e-9 for a, b in zip(frechets, frechets[1:]))
 
 
+    @pytest.mark.parametrize("option", [["--tol", "inf"], ["--tol", "nan"], ["--ridge", "nan"],
+                                        ["--ridge", "inf"], ["--weights", "nan,0.5"]],
+                             ids=["tol-inf", "tol-nan", "ridge-nan", "ridge-inf", "weights-nan"])
+    def test_non_finite_option_is_invalid_input(self, option, constructed, tmp_path, capsys):
+        # an infinite --tol would report convergence after one step, and an
+        # infinite --ridge fails inside LAPACK
+        out = tmp_path / "bary.json"
+        rc = run_cli("barycentre", "--inputs", str(constructed / "s1.json"),
+                     str(constructed / "s2.json"), *option, "--out", str(out))
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRecurrenceCommand:
     def test_alternating_seed_csv(self, tmp_path, capsys):
         path = tmp_path / "rec.csv"
@@ -361,6 +386,22 @@ class TestSweepCommand:
         for r in rows:
             assert int(r["shared_dims_s1"]) == int(r["dim"]) // 4
             assert abs(float(r["min_nonzero_angle_s1"]) - np.arctan(0.5)) <= 1e-10
+
+    def test_json_report_carries_the_rows(self, tmp_path, capsys):
+        # the JSON report carries the CSV's rows; the CSV is the same either way
+        text_csv, json_csv = tmp_path / "text.csv", tmp_path / "json.csv"
+        assert run_cli("sweep", "--dims", "8..32", "--out-csv", str(text_csv)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert run_cli("--report", "json", "sweep", "--dims", "8..32",
+                       "--out-csv", str(json_csv)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert json_csv.read_text() == text_csv.read_text()
+        with open(text_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(doc["results"]) == ["rows"]
+        assert [{k: repr(v) if isinstance(v, float) else str(v) for k, v in r.items()}
+                for r in doc["results"]["rows"]] == rows
+        assert [line.split(", ")[0] for line in lines] == ["dim=8", "dim=16", "dim=32"]
 
     @pytest.mark.parametrize("dims", ["64..32", "0..8", "-4..8"])
     def test_bad_range_is_invalid_input(self, dims, tmp_path, capsys):

@@ -1,7 +1,11 @@
 """The one LAPACK routine bwbary calls directly, fetched from scipy at its first use.
 
-Importing scipy costs more than the rest of ``bwbary.cli``, so the import
-waits for the first pivoted Cholesky.  Even then only scipy's top level is
+The routine is ``pstrf``, the pivoted Cholesky of one dense matrix, and its
+only caller is ``linalg.covariance_factor`` (distances, maps and
+``check_covariance``); barycentre problems factor their blocks with the
+numpy routine ``linalg.pivoted_cholesky`` instead.  Importing scipy costs
+more than the rest of ``bwbary.cli``, so the import waits for the first
+dense factor.  Even then only scipy's top level is
 imported (about 10 ms): the routine comes from scipy's compiled LAPACK
 wrapper, ``scipy/linalg/_flapack<suffix>``, loaded directly from its file.
 That skips ``scipy/linalg/__init__.py``, which pulls in ``numpy.testing``,

@@ -30,6 +30,7 @@ largest eigenvalue over all blocks, and the change, the certificate residual
 and the Fréchet value are norms and traces summed over the blocks.
 """
 
+import numbers
 import warnings
 from dataclasses import InitVar, dataclass, field
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NonFinite
-from .linalg import check_covariance, check_same_dim, check_symmetric, covariance_factor
+from .linalg import PSD_TOL, check_covariance, check_same_dim, check_symmetric
 
 # Relative eigenvalue cutoff for the pseudo-inverse inside the solver only.
 # Deliberately far below linalg.RANK_TOL: truncating at 1e-10 freezes the
@@ -55,7 +56,7 @@ class SolverSettings:
     tol : float
         Relative Frobenius change of the iterate below which we stop; finite.
     max_iter : int
-        Iteration cap.
+        Iteration cap, an integer >= 1 (``bool`` is not one).
     ridge : float
         Initial regularization, finite, added as ``ridge * I`` to the iterate
         before inverting; shrinks by ``ridge_decay`` each iteration (floor 0).
@@ -73,8 +74,9 @@ class SolverSettings:
     def __post_init__(self):
         if not (0.0 < self.tol < np.inf):
             raise InvalidInput("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise InvalidInput("max_iter must be >= 1")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) \
+                or self.max_iter < 1:
+            raise InvalidInput("max_iter must be an integer >= 1")
         if not (0.0 <= self.ridge < np.inf):
             raise InvalidInput("ridge must be finite and nonnegative")
         if not (0.0 < self.ridge_decay < 1.0):
@@ -98,44 +100,73 @@ def _components(pattern: np.ndarray) -> tuple:
 
     One int array of shape ``(k_L, L)`` per distinct component size ``L``, in
     ascending ``L``: its rows are the ``k_L`` components of that size, each
-    row's indices ascending, the rows ordered by their smallest index.  Found
-    by a breadth-first search from each index not yet reached.
+    row's indices ascending, the rows ordered by their smallest index.  Each
+    index is labelled by the smallest index of its component, found by
+    repeating two steps until nothing changes: every index takes the smallest
+    label among itself and its neighbours, then the label of its label.  A
+    label is always an index of the same component and never grows, so the
+    fixed point is constant on each component and there equals its smallest
+    index; the second step makes the number of rounds grow with the log of
+    the longest path (for the doubling chains, of ``log2(d)``).
     """
     d = len(pattern)
-    label = np.full(d, -1)
-    for start in range(d):
-        if label[start] >= 0:
-            continue
-        members = np.zeros(d, dtype=bool)
-        members[start] = True
-        frontier = members.copy()
-        while frontier.any():
-            reach = pattern[frontier].any(axis=0)
-            frontier = reach & ~members
-            members |= reach
-        label[members] = start
+    label = np.arange(d)
+    while True:
+        new = np.minimum(label, np.where(pattern, label, d).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
     _, sizes = np.unique(label, return_counts=True)
     rows = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
     return tuple(np.array([r for r in rows if len(r) == L]) for L in np.unique(sizes))
 
 
-def _factor_blocks(factors: np.ndarray, blocks: tuple) -> tuple:
-    """The factors' columns on each size's blocks: one ``(n, k_L, m_L, L)`` array per size.
+def _join_factors(blocks: tuple, block_factors: tuple, joined: tuple) -> tuple:
+    """The factors on a coarser partition ``joined``: one ``(n, k_L, m_L, L)`` array per size.
 
-    Block ``b`` of input ``i`` is ``F_i[:, b]`` with its all-zero rows dropped,
-    in order, and padded with zero rows to ``m_L``, the most any block of that
-    size keeps.  ``(F_i^T F_i)[b, b] = F_i[:, b]^T F_i[:, b]`` holds for any
-    factor, so each block is a factor of the input's block.
+    Every block of ``joined`` is a union of blocks of ``blocks``, and each input
+    is block diagonal along ``blocks``, so a joined block's factor is the
+    row-stack of its parts' factors, each on its part's columns.  Its all-zero
+    rows are dropped, in order, and it is padded with zero rows to ``m_L``, the
+    most any block of that size keeps.
     """
-    nonzero = factors != 0
-    inputs = np.arange(len(factors))[:, None, None, None]
+    starts = {int(idx[k, 0]): (s, k) for s, idx in enumerate(blocks) for k in range(len(idx))}
+    n = len(block_factors[0])
     out = []
-    for idx in blocks:
-        live = np.moveaxis(nonzero[:, :, idx].any(axis=-1), 1, 2)
+    for idx in joined:
+        parts = [[starts[i] for i in row if i in starts] for row in idx.tolist()]
+        height = max(sum(block_factors[s].shape[2] for s, _ in p) for p in parts)
+        stacked = np.zeros((n, len(idx), height, idx.shape[1]))
+        for c, (row, p) in enumerate(zip(idx, parts)):
+            top = 0
+            for s, k in p:
+                part = block_factors[s][:, k]
+                target = stacked[:, c, top:top + part.shape[1]]
+                target[..., np.searchsorted(row, blocks[s][k])] = part
+                top += part.shape[1]
+        live = (stacked != 0).any(axis=-1)
         m = int(live.sum(axis=-1).max())
         rows = np.argsort(~live, axis=-1, kind="stable")[..., :m]
-        out.append(factors[inputs, rows[..., None], idx[:, None, :]])
+        out.append(np.take_along_axis(stacked, rows[..., None], axis=2))
     return tuple(out)
+
+
+def _checked_stack(chunk, first: np.ndarray) -> np.ndarray:
+    """The symmetrized ``(k, d, d)`` stack of a chunk of inputs, each checked in order.
+
+    Each input must pass :func:`linalg.check_symmetric` and have the dim of
+    ``first``; the first that does not raises that check's error, as if each
+    were checked on its own.
+    """
+    arrays = [np.asarray(S, dtype=np.float64) for S in chunk]
+    wrong = [i for i, A in enumerate(arrays) if A.shape != first.shape]
+    if wrong:
+        if wrong[0]:
+            linalg.check_symmetric_stack(np.stack(arrays[:wrong[0]]))
+        # raises: a symmetric square matrix of another dim fails check_same_dim
+        check_same_dim(first, check_symmetric(arrays[wrong[0]]))
+    return linalg.check_symmetric_stack(np.stack(arrays))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,30 +174,41 @@ class BarycentreProblem:
     """A weighted family of covariances whose barycentre is sought.
 
     ``inputs`` must share one dimension; ``weights`` default to uniform and
-    must be finite, nonnegative and sum to 1 within 1e-12.  Each input is
-    validated and factored by one :func:`linalg.covariance_factor` call, whose
-    pivoted-Cholesky factor is also its PSD check, and is kept only as that
-    factor, padded with zero rows to ``r``, the largest rank among the inputs:
-    ``factors[i].T @ factors[i]`` is the symmetrized ``inputs[i]``.  The
-    problem also keeps ``mean = sum_i w_i S_i``, the solver's default start,
-    and ``input_trace = sum_i w_i tr S_i``, summed from 0 in input order over
-    the symmetrized inputs.  Problems compare by identity.
+    must be finite, nonnegative and sum to 1 within 1e-12.  The problem keeps
+    no dense input: it reads the inputs in two passes, chunks of at most
+    ``_block_size(d)`` inputs at a time, and keeps what the passes over the
+    inputs need.
 
-    The problem also records a partition of the indices ``0..d-1``:
-    ``blocks`` holds the connected components of the union of the inputs'
-    exact nonzero patterns, grouped by size as one ``(k_L, L)`` index array
-    per distinct size ``L`` (see :func:`_components`).  Every input is block
-    diagonal along it; for the doubling-shift construction the blocks are the
-    chains ``m, 2m, 4m, ...`` (``construct.doubling_chains``), and a dense
-    family is the one block ``0..d-1``.  ``block_factors`` holds the factors
-    cut to those blocks (see :func:`_factor_blocks`); it is what every pass
-    over the inputs reuses.
+    The first pass checks each input as :func:`linalg.check_symmetric` does
+    (the first bad input raises that check's error), and sums, from 0 in
+    input order over the symmetrized inputs, ``mean = sum_i w_i S_i``, the
+    solver's default start, and ``input_trace = sum_i w_i tr S_i``.  It also
+    records a partition of the indices ``0..d-1``: ``blocks`` holds the
+    connected components of the union of the inputs' exact nonzero patterns,
+    grouped by size as one ``(k_L, L)`` index array per distinct size ``L``
+    (see :func:`_components`).  Every input is block diagonal along it; for
+    the doubling-shift construction the blocks are the chains
+    ``m, 2m, 4m, ...`` (``construct.doubling_chains``), and a dense family is
+    the one block ``0..d-1``.
+
+    The second pass gathers the inputs' blocks of each size as one
+    ``(n, k_L, L, L)`` stack and factors it with one
+    :func:`linalg.pivoted_cholesky` call.  Each block stops at LAPACK's
+    default rule for that block, ``L * u * max diag``, so the small
+    directions of a graded block are kept even when another block, or another
+    input, is far larger.  ``block_factors`` holds these factors, one
+    ``(n, k_L, m_L, L)`` array per size, cut to ``m_L``, the largest rank of a
+    block of that size; it is what every pass over the inputs reuses.  The
+    factors are also the PSD check: an input whose residual
+    ``||S - F^T F||_F``, summed over its blocks, exceeds
+    ``PSD_TOL * max(1, max diag S)`` is checked by the eigenvalues of the
+    whole input instead, as :func:`linalg.covariance_factor` does.  Problems
+    compare by identity.
     """
 
     inputs: InitVar[tuple]
     weights: tuple | None = None
     settings: SolverSettings | None = None
-    factors: np.ndarray = field(init=False, repr=False)
     blocks: tuple = field(init=False, repr=False)
     block_factors: tuple = field(init=False, repr=False)
     mean: np.ndarray = field(init=False, repr=False)
@@ -177,27 +219,43 @@ class BarycentreProblem:
         if n < 1:
             raise InvalidInput("need at least one input covariance")
         w = _check_weights([1.0 / n] * n if self.weights is None else self.weights, n)
-        weights = tuple(float(x) for x in w)
-        mean, input_trace, pattern, trimmed = 0.0, 0.0, False, []
-        for wi, S in zip(weights, inputs):
-            A, F = covariance_factor(S)
-            if trimmed:
-                check_same_dim(mean, A)
-            mean += wi * A
-            input_trace += wi * float(np.trace(A))
-            pattern |= A != 0
-            trimmed.append(F)
-        factors = np.zeros((n, max(len(F) for F in trimmed), len(mean)))
-        for padded, F in zip(factors, trimmed):
-            padded[:len(F)] = F
-        del trimmed  # copied into factors; freed before the blocks are cut from them
+        first = linalg.check_square(inputs[0])  # its dim is the problem's; the pass checks the rest
+        step = _block_size(len(first))
+        chunks = [slice(start, start + step) for start in range(0, n, step)]
+
+        mean, input_trace, pattern = np.zeros(first.shape), 0.0, False
+        for part in chunks:
+            X = _checked_stack(inputs[part], first)
+            for wi, S, tr in zip(w[part], X, np.trace(X, axis1=1, axis2=2)):
+                mean += wi * S
+                input_trace += float(wi) * float(tr)
+            pattern |= (X != 0).any(axis=0)
         blocks = _components(pattern)
-        object.__setattr__(self, "weights", weights)
+
+        # the inputs were checked by the first pass, and the blocks of the
+        # symmetrized inputs are the symmetrized blocks
+        stacks = [np.empty((n, *idx.shape, idx.shape[1])) for idx in blocks]
+        for part in chunks:
+            X = np.stack([np.asarray(S, dtype=np.float64) for S in inputs[part]])
+            for stack, B in zip(stacks, _gather(X, blocks)):
+                stack[part] = (B + np.swapaxes(B, -1, -2)) / 2.0
+        residual, max_diag, block_factors = 0.0, 0.0, []
+        for stack in stacks:
+            F, rank = linalg.pivoted_cholesky(stack)
+            R = stack - np.swapaxes(F, -1, -2) @ F
+            residual = residual + (R * R).sum(axis=(1, 2, 3))
+            max_diag = np.maximum(max_diag, np.diagonal(stack, axis1=-2, axis2=-1).max(axis=(1, 2)))
+            block_factors.append(F[:, :, :int(rank.max(initial=0))].copy())
+        del stacks
+        for i in np.flatnonzero(np.sqrt(residual) > PSD_TOL * np.maximum(1.0, max_diag)):
+            eig = np.linalg.eigvalsh(check_symmetric(inputs[i]))
+            linalg.check_psd_floor(float(eig[0]), float(eig[-1]))
+
+        object.__setattr__(self, "weights", tuple(float(x) for x in w))
         if self.settings is None:
             object.__setattr__(self, "settings", SolverSettings())
-        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "block_factors", _factor_blocks(factors, blocks))
+        object.__setattr__(self, "block_factors", tuple(block_factors))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "input_trace", input_trace)
 
@@ -245,8 +303,8 @@ def _split(prob: BarycentreProblem, M: np.ndarray) -> tuple:
     """``(blocks, block_factors)`` of the problem's partition merged with the nonzero pattern of ``M``.
 
     The problem's own when ``M`` is block diagonal along it, as every iterate
-    from the default start is; otherwise the components of the union, with the
-    factors cut to them afresh.
+    from the default start is; otherwise the components of the union, each
+    factor the row-stack of its parts' (see :func:`_join_factors`).
     """
     label = np.empty(prob.dim, dtype=np.intp)
     for idx in prob.blocks:
@@ -255,12 +313,12 @@ def _split(prob: BarycentreProblem, M: np.ndarray) -> tuple:
     if not np.any((M != 0) & ~same):
         return prob.blocks, prob.block_factors
     blocks = _components(same | (M != 0))
-    return blocks, _factor_blocks(prob.factors, blocks)
+    return blocks, _join_factors(prob.blocks, prob.block_factors, blocks)
 
 
 def _gather(M: np.ndarray, blocks: tuple) -> list:
-    """The ``(k_L, L, L)`` diagonal blocks of ``M``, one stack per size."""
-    return [M[idx[:, :, None], idx[:, None, :]] for idx in blocks]
+    """The ``(..., k_L, L, L)`` diagonal blocks of ``M`` or of each matrix of a stack, one per size."""
+    return [M[..., idx[:, :, None], idx[:, None, :]] for idx in blocks]
 
 
 def _scatter(stacks: list, blocks: tuple, dim: int) -> np.ndarray:

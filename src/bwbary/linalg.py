@@ -5,21 +5,27 @@ Everything here operates on plain ``numpy`` arrays of 64-bit floats.  A
 symmetric matrix.  Matrix functions go through a direct decomposition
 (LAPACK ``eigh`` / ``gesdd`` / pivoted Cholesky), never through iterative
 square-root schemes, so results are deterministic for identical input bits.
-The one exception to LAPACK is :func:`polar` of a matrix with at most two
-rows (the blocks of the doubling chains of length 1, 2 and 3, which are most
-of them): it is computed in closed form, with one Jacobi rotation and no
-iteration.
+Two exceptions to LAPACK: :func:`polar` of a matrix with at most two rows
+(the blocks of the doubling chains of length 1, 2 and 3, which are most of
+them) is computed in closed form, with one Jacobi rotation and no iteration;
+and :func:`pivoted_cholesky` factors a whole stack of matrices (the chain
+blocks of every barycentre input) in numpy, one factor row per step, under
+LAPACK ``pstrf``'s stopping rule applied to each matrix.
 A covariance is checked by the decomposition its caller needs anyway: its
-pivoted-Cholesky factor (:func:`covariance_factor`) or its eigendecomposition
-(:func:`_psd_eigs`), both under the one rule of :func:`check_psd_floor`.
+pivoted-Cholesky factor (:func:`covariance_factor`, or the block factors of
+a barycentre problem) or its eigendecomposition (:func:`_psd_eigs`), all
+under the one rule of :func:`check_psd_floor`.
 
-scipy supplies only the pivoted Cholesky (``_pstrf``).  Its compiled LAPACK
-wrapper is loaded at the first factorization, not with the package, and
-without ``scipy.linalg``, whose import costs more than the rest of
-``bwbary.cli`` (see ``_lapack``); CLI runs such as ``construct`` and
-``recurrence`` never factor.  :func:`principal_angles` is numpy's SVD with
-the cosine/sine method of Knyazev & Argentati, each angle taken from
-whichever of its cosine and sine gives it accurately.
+scipy supplies only LAPACK ``pstrf`` (``_pstrf``), which only
+:func:`covariance_factor` calls (distances, maps, ``check_covariance``).  Its
+compiled LAPACK wrapper is loaded at the first such factorization, not with
+the package, and without ``scipy.linalg``, whose import costs more than the
+rest of ``bwbary.cli`` (see ``_lapack``); barycentre problems factor in
+numpy, so CLI runs such as ``construct``, ``verify``, ``barycentre`` (without
+``--init``), ``sweep`` and ``recurrence`` import no scipy.
+:func:`principal_angles` is numpy's SVD with the cosine/sine method of
+Knyazev & Argentati, each angle taken from whichever of its cosine and sine
+gives it accurately.
 """
 
 from dataclasses import dataclass
@@ -43,29 +49,49 @@ RANK_TOL = 1e-10
 SYM_TOL = 1e-12
 
 
-def _as_square_array(M) -> np.ndarray:
+def check_square(M) -> np.ndarray:
+    """``M`` as a float64 array, checked to be a square matrix of dimension at least 1."""
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] < 1:
         raise InvalidInput("matrix must have dimension >= 1")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInput("matrix has non-finite entries")
     return A
 
 
 def check_symmetric(M, tol: float = SYM_TOL) -> np.ndarray:
     """Validate and return a symmetrized copy of ``M``.
 
-    The asymmetry must be at most ``tol * max(1, maxAbsEntry)``; the returned
-    matrix is ``(M + M.T) / 2``, which is the documented normalization applied
-    before any spectral computation.
+    ``M`` must be a finite square matrix of dimension at least 1
+    (:func:`check_square`), with asymmetry at most
+    ``tol * max(1, maxAbsEntry)``; the returned matrix is ``(M + M.T) / 2``,
+    which is the documented normalization applied before any spectral
+    computation.  The checks after the shape are
+    :func:`check_symmetric_stack`'s on a stack of one.
     """
-    A = _as_square_array(M)
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
-    if float(np.max(np.abs(A - A.T))) > tol * scale:
-        raise InvalidInput("matrix is not symmetric within tolerance")
-    return (A + A.T) / 2.0
+    return check_symmetric_stack(check_square(M)[None], tol)[0]
+
+
+def check_symmetric_stack(X: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
+    """:func:`check_symmetric` of every matrix of a ``(k, n, n)`` stack at once.
+
+    Each matrix must be finite, then symmetric within its own
+    ``tol * max(1, maxAbsEntry)``; the first matrix that is not raises
+    :class:`InvalidInput` with the message of the check it fails.  Returns
+    ``(X + X^T) / 2``, matrix for matrix the bits of separate calls.
+    """
+    high, low = X.max(axis=(1, 2)), X.min(axis=(1, 2))
+    finite = np.isfinite(high) & np.isfinite(low)  # a NaN entry makes both NaN
+    scale = np.maximum(1.0, np.maximum(high, -low))
+    D = X - np.swapaxes(X, 1, 2)
+    asymmetry = np.abs(D, out=D).max(axis=(1, 2))
+    bad = np.flatnonzero(~finite | (asymmetry > tol * scale))
+    if len(bad):
+        raise InvalidInput("matrix has non-finite entries" if not finite[bad[0]]
+                           else "matrix is not symmetric within tolerance")
+    S = X + np.swapaxes(X, 1, 2)
+    S /= 2.0
+    return S
 
 
 def check_covariance(M) -> np.ndarray:
@@ -83,8 +109,9 @@ def covariance_factor(M) -> tuple:
     """Validate ``M`` as a covariance and factor it: ``(A, F)`` with ``F.T @ F = A``.
 
     ``A`` is the symmetrized ``M`` (:func:`check_symmetric`); ``F`` is its
-    pivoted-Cholesky factor (:func:`psd_factor`) cut to its first ``r`` rows,
-    ``r`` the rank ``pstrf`` detects, so ``F`` has shape ``(r, d)``.
+    LAPACK ``pstrf`` pivoted-Cholesky factor cut to its first ``r`` rows, ``r``
+    the rank ``pstrf`` detects, so ``F`` has shape ``(r, d)``
+    (:func:`pivoted_cholesky` stops by the same rule).
 
     The factor is also the PSD proof.  ``F.T @ F`` is PSD, so
     ``lam_min(A) >= -||A - F.T @ F||_F``, and ``max diag A <= lam_max(A)``; a
@@ -294,17 +321,15 @@ def psd_factor(M) -> np.ndarray:
     For graded PSD matrices (D A D with D diagonal and A well-conditioned)
     the pivoted factor retains small eigenvalues with high relative accuracy,
     which a plain eigendecomposition loses once the spectrum spans more than
-    ~16 decades.  Rows beyond the numerically detected rank are zero.
+    ~16 decades.  ``M`` is symmetrized first; the factor is
+    :func:`pivoted_cholesky`'s of a stack of one, so it has the bits of any
+    stack holding ``M``.  Rows beyond the numerically detected rank are zero.
     """
-    A = _as_square_array(M)
-    F = _trimmed_factor(A)
-    C = np.zeros(A.shape)
-    C[:len(F)] = F
-    return C
+    return pivoted_cholesky(check_symmetric(M, tol=np.inf)[None])[0][0]
 
 
 def _trimmed_factor(A: np.ndarray) -> np.ndarray:
-    """The nonzero rows of :func:`psd_factor`'s factor of a square array: shape ``(rank, n)``."""
+    """LAPACK ``pstrf``'s pivoted-Cholesky factor of a square array, cut to its rank: ``(rank, n)``."""
     c, piv, rank, info = _pstrf(A, lower=0)
     if info < 0:
         raise InvalidInput(f"pivoted Cholesky failed with info={info}")
@@ -313,6 +338,67 @@ def _trimmed_factor(A: np.ndarray) -> np.ndarray:
     inv = np.empty(n, dtype=np.intp)
     inv[piv - 1] = np.arange(n)
     return np.triu(c[:rank])[:, inv]
+
+
+# LAPACK's unit roundoff, dlamch('E'): the default stop of pstrf is n * _UNIT_ROUNDOFF * max diag.
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def pivoted_cholesky(A: np.ndarray) -> tuple:
+    """Diagonally pivoted Cholesky of a stack of symmetric matrices: ``(F, rank)``.
+
+    ``A`` is ``(..., n, n)``; ``F`` has the same shape and ``rank`` the shape
+    ``A.shape[:-2]``.  Row ``j`` of a factor is the ``j``-th pivot step, so
+    ``F.T @ F`` reproduces ``A`` up to the stop and rows from ``rank`` on are
+    zero; with the columns taken in pivot order the factor is upper
+    triangular, as LAPACK ``pstrf``'s.
+
+    Left-looking, as LAPACK's unblocked ``dpstf2``: a step picks, in every
+    matrix at once, the largest remaining diagonal ``A_pp - sum_k F_kp^2``
+    (the running sum of squares subtracted from the diagonal) among the
+    columns not yet pivoted, the first on ties, and adds the row
+    ``(A[p] - F[:j, p] @ F[:j]) * (1 / sqrt(.))``, zero on the pivoted
+    columns.  Each matrix stops at ``pstrf``'s default rule for its own size
+    and diagonal: when that remaining diagonal is at most
+    ``n * u * max diag A``, ``u`` the unit roundoff (for ``max diag A <= 0``
+    at once, with rank 0).  An indefinite matrix stops at its first
+    nonpositive remaining diagonal; its residual ``A - F.T @ F`` shows what
+    was left.
+
+    Every step is elementwise or a sum over the rows so far of one matrix
+    (``einsum``, which calls no BLAS and at dim 512 is faster than a
+    stacked vector-matrix product), so a stack gives, matrix for matrix, the
+    bits of separate calls.  The cost is one Python-level step per factor
+    row for the whole stack: a stack of many small blocks is cheap, while
+    one dense matrix takes several times as long as ``pstrf`` (README,
+    performance notes).
+    """
+    A = np.asarray(A, dtype=np.float64)
+    shape, n = A.shape, A.shape[-1]
+    A = A.reshape(-1, n, n)
+    at = np.arange(len(A))
+    F = np.zeros(A.shape)
+    diag = np.diagonal(A, axis1=1, axis2=2)
+    stop = n * _UNIT_ROUNDOFF * diag.max(axis=1)
+    squares = np.zeros(diag.shape)  # sum_k F_kp^2 over the rows so far
+    pivoted = np.zeros(diag.shape, dtype=bool)
+    live = np.ones(len(A), dtype=bool)
+    for j in range(n):
+        rest = np.where(pivoted, -np.inf, diag - squares)
+        p = rest.argmax(axis=1)
+        top = rest[at, p]
+        live &= top > stop
+        if not live.any():
+            break
+        root = np.sqrt(np.where(live, top, 1.0))
+        row = (A[at, p] - np.einsum("nk,nkl->nl", F[at, :j, p], F[:, :j])) * (1.0 / root)[:, None]
+        row[at, p] = root
+        row[pivoted | ~live[:, None]] = 0.0
+        F[:, j] = row
+        squares += row * row
+        pivoted[at, p] |= live
+    rank = pivoted.sum(axis=1)
+    return F.reshape(shape), rank.reshape(shape[:-2])
 
 
 def polar(X: np.ndarray) -> np.ndarray:

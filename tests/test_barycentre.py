@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bwbary import (
+    DimensionMismatch,
     InvalidInput,
     NotPSD,
     SolverSettings,
@@ -203,8 +204,9 @@ class TestSharedPass:
         res = barycentre_fixed_point(prob)
         n = len(inputs)
         passes = res.iterations + 1  # one per step, and the closing pass
-        # each input's one pivoted Cholesky is also its PSD check
-        assert lapack_calls["pstrf"] == n
+        # the stacked block factors are the inputs' PSD check, with no LAPACK
+        # pivoted Cholesky and no eigenvalues
+        assert lapack_calls["pstrf"] == 0
         assert lapack_calls["eigvalsh"] == 0
         if case == "pair":
             # the dim-32 chains have 5 distinct lengths (6, 4, 3, 2, 1): per
@@ -290,22 +292,25 @@ def conjugated_family(dim, n, seed):
 
 
 class TestTrimmedStack:
-    """The factors are cut to the inputs' largest rank, and the stacked pass to match."""
+    """The block factors are cut to the blocks' largest rank, and the stacked pass to match."""
 
     def test_factors_are_cut_to_the_largest_rank(self):
+        # a doubling chain of length L keeps L - 1 rows (its first index is
+        # odd, where C vanishes); the length-1 chains keep none
         prob = problem(conjugated_family(32, 5, seed=33))
-        assert prob.factors.shape == (5, 16, 32)
+        assert [G.shape for G in prob.block_factors] == [
+            (5, 8, 0, 1), (5, 4, 1, 2), (5, 2, 2, 3), (5, 1, 3, 4), (5, 1, 5, 6)]
         _, s1, s2 = constructed_triple(64)
-        assert problem([s1, s2]).factors.shape == (2, 32, 64)
+        assert [G.shape[2] for G in problem([s1, s2]).block_factors] == [0, 1, 2, 3, 4, 6]
         rng = np.random.default_rng(34)
         low = random_psd(rng, 32, rank=4)
         prob = problem(conjugated_family(32, 2, seed=35) + [low])
-        assert prob.factors.shape == (3, 16, 32)
-        assert not np.any(prob.factors[2, 4:])  # the lower rank keeps its zero rows
-        np.testing.assert_allclose(prob.factors[2].T @ prob.factors[2], low,
-                                   atol=1e-12 * np.abs(low).max())
+        [G] = prob.block_factors  # a dense input makes one block
+        assert G.shape == (3, 1, 16, 32)
+        assert not np.any(G[2, 0, 4:])  # the lower rank keeps its zero rows
+        np.testing.assert_allclose(G[2, 0].T @ G[2, 0], low, atol=1e-12 * np.abs(low).max())
         full = problem(conjugated_family(32, 2, seed=36) + [random_psd(rng, 32)])
-        assert full.factors.shape == (3, 32, 32)
+        assert full.block_factors[0].shape == (3, 1, 32, 32)
 
     def test_trimmed_mean_has_the_bits_of_the_per_input_sum(self):
         rng = np.random.default_rng(37)
@@ -315,10 +320,11 @@ class TestTrimmedStack:
         inputs[1::4] = [random_psd(rng, dim, rank=dim // 4) for _ in inputs[1::4]]
         w = rng.uniform(0.5, 1.5, n)
         prob = problem(inputs, (w / w.sum()).tolist())
-        assert prob.factors.shape == (n, dim // 2, dim)
+        [G] = prob.block_factors
+        assert G.shape == (n, 1, dim // 2, dim)
         root = linalg.sqrt_psd(sum(inputs) / n)
         mean = dense_mean_inner_root(root, prob)
-        expected = sum(wi * linalg.polar(F @ root) for wi, F in zip(prob.weights, prob.factors))
+        expected = sum(wi * linalg.polar(F @ root) for wi, F in zip(prob.weights, G[:, 0]))
         assert np.array_equal(mean, expected)
         square = sum(wi * linalg.congruence_sqrt(root, S)
                      for wi, S in zip(prob.weights, inputs))
@@ -376,6 +382,11 @@ class TestProblemValidation:
             SolverSettings(tol=0.0)
         with pytest.raises(InvalidInput):
             SolverSettings(max_iter=0)
+        # a float or a bool cap passed here and then broke range() in the solver
+        for bad in (2.5, float("nan"), True):
+            with pytest.raises(InvalidInput, match="max_iter must be an integer"):
+                SolverSettings(max_iter=bad)
+        assert SolverSettings(max_iter=np.int64(3)).max_iter == 3
         with pytest.raises(InvalidInput):
             SolverSettings(ridge=-1e-3)
         with pytest.raises(InvalidInput):
@@ -399,8 +410,112 @@ class TestProblemValidation:
         )
 
 
+def bad_input(kind, rng, dim):
+    """A bad input of the given kind, and what checking it on its own raises: ``(M, type, message)``."""
+    S = random_psd(rng, dim)
+    if kind == "non-square":
+        return S[:, 1:], InvalidInput, f"expected a square matrix, got shape {(dim, dim - 1)}"
+    if kind == "empty":
+        return np.zeros((0, 0)), InvalidInput, "matrix must have dimension >= 1"
+    if kind in ("nan", "inf"):
+        S[3, 5] = np.nan if kind == "nan" else np.inf
+        return S, InvalidInput, "matrix has non-finite entries"
+    if kind == "asymmetric":
+        S[3, 5] += 1e-9 * np.abs(S).max()
+        return S, InvalidInput, "matrix is not symmetric within tolerance"
+    if kind == "wrong dim":
+        return random_psd(rng, dim - 1), DimensionMismatch, \
+            f"dimension mismatch: {(dim, dim)} vs {(dim - 1, dim - 1)}"
+    # not PSD: the smallest eigenvalue 1e-3 below zero, against lam_max >= 1
+    w = np.linalg.eigvalsh(S)
+    M = S - (w[0] + 1e-3) * np.eye(dim)
+    w_min = np.linalg.eigvalsh(linalg.check_symmetric(M))[0]
+    return M, NotPSD, f"smallest eigenvalue {w_min:.3e} below PSD tolerance"
+
+
+class TestChunkedChecks:
+    """The inputs are checked a chunk at a time; the first bad one raises its own check's error."""
+
+    DIM = 32
+
+    @pytest.mark.parametrize("kind", ["non-square", "empty", "nan", "inf", "asymmetric",
+                                      "wrong dim", "not PSD"])
+    @pytest.mark.parametrize("where", ["first", "middle", "ragged last chunk"])
+    def test_bad_input_raises_its_own_error(self, kind, where):
+        rng = np.random.default_rng(90)
+        block = barycentre._block_size(self.DIM)
+        n = 2 * block + 5
+        inputs = conjugated_family(self.DIM, n, seed=91)
+        at = {"first": 0, "middle": block + 7, "ragged last chunk": 2 * block + 3}[where]
+        inputs[at], kind_type, message = bad_input(kind, rng, self.DIM)
+        if kind == "wrong dim" and at == 0:
+            # the first input sets the dim, so the second is the one that differs
+            message = f"dimension mismatch: {inputs[0].shape} vs {(self.DIM, self.DIM)}"
+        with pytest.raises(InvalidInput) as exc:
+            problem(inputs)
+        assert type(exc.value) is kind_type
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("lam_max", [0.5, 10.0])
+    @pytest.mark.parametrize("depth", [0.5, 2.0])
+    def test_psd_verdict_is_the_rule(self, lam_max, depth):
+        # a rotated spectrum with one eigenvalue depth * tau below zero, among
+        # PSD inputs: the problem rejects it exactly when the eigenvalue rule does
+        rng = np.random.default_rng(92)
+        tau = linalg.PSD_TOL * max(1.0, lam_max)
+        spectrum = np.array([lam_max] * 6 + [0.3 * lam_max, 0.1, 0.0, 0.0, -depth * tau])
+        Q, _ = np.linalg.qr(rng.standard_normal((11, 11)))
+        M = (Q * spectrum) @ Q.T
+        inputs = [random_psd(rng, 11), M, random_psd(rng, 11)]
+        if depth < 1.0:
+            problem(inputs)
+            return
+        w_min = np.linalg.eigvalsh(linalg.check_symmetric(M))[0]
+        with pytest.raises(NotPSD, match=f"smallest eigenvalue {w_min:.3e} below"):
+            problem(inputs)
+
+    def test_eigenvalues_only_where_the_factor_proof_fails(self, lapack_calls):
+        # lam_max = 2 max diag and lam_min = -1.5 PSD_TOL max diag: the block
+        # residual exceeds PSD_TOL max diag, so the rule decides, and accepts
+        c = np.sqrt(0.5)
+        Q = np.array([[c, -c], [c, c]])
+        M = np.zeros((4, 4))
+        M[:2, :2] = Q @ np.diag([20.0, -1.5e-7]) @ Q.T
+        M[2, 2], M[3, 3] = 5.0, 3.0
+        lapack_calls.clear()
+        prob = problem([np.diag([1.0, 2.0, 3.0, 4.0]), M])
+        assert lapack_calls["eigvalsh"] == 1 and lapack_calls["pstrf"] == 0
+        assert [idx.shape for idx in prob.blocks] == [(2, 1), (1, 2)]
+
+
+class TestBlockFactorAccuracy:
+    """Each chain block is factored on its own, so the graded tail of the pair is kept."""
+
+    @pytest.mark.parametrize("dim", [32, 64, 128, 512])
+    def test_pair_block_factors(self, dim):
+        cov, s1, s2 = constructed_triple(dim)
+        prob = problem([s1, s2])
+        ranks = np.zeros(2, dtype=int)
+        for idx, G in zip(prob.blocks, prob.block_factors):
+            L = idx.shape[1]
+            for i, S in enumerate((s1, s2)):
+                A = S[idx[:, :, None], idx[:, None, :]]
+                F = G[i]
+                R = A - np.swapaxes(F, -1, -2) @ F
+                for a, r in zip(A, R):
+                    assert np.linalg.norm(r) <= L * np.finfo(float).eps * np.linalg.norm(a)
+                ranks[i] += np.count_nonzero(np.abs(F).sum(axis=-1))
+        # at least the dense pstrf rank; at dims 128 and 512 that cut loses the
+        # tail (45 and 43 of the true 64 and 256; the blocks keep 63 and 167)
+        dense = [linalg.covariance_factor(S)[1].shape[0] for S in (s1, s2)]
+        assert np.all(ranks >= dense)
+        if dim >= 128:
+            assert np.all(ranks > dense)
+            assert verify_barycentre_certificate(cov, prob) <= 1e-15
+
+
 class TestProblemState:
-    """The problem keeps each input only as its factor, and the two sums the passes read."""
+    """The problem keeps each input only as its block factors, and the two sums the passes read."""
 
     @staticmethod
     def family():
@@ -415,7 +530,7 @@ class TestProblemState:
         prob = problem(*self.family())
         assert not hasattr(prob, "inputs")
         assert [f.name for f in dataclasses.fields(prob)] == [
-            "weights", "settings", "factors", "blocks", "block_factors", "mean", "input_trace"]
+            "weights", "settings", "blocks", "block_factors", "mean", "input_trace"]
 
     def test_sums_have_the_bits_of_the_symmetrized_inputs(self):
         inputs, weights = self.family()
@@ -533,6 +648,27 @@ class TestSplitPass:
         expected = np.linalg.norm(mid - candidate) / max(1.0, np.linalg.norm(candidate))
         assert expected > 1e-4
         assert verify_barycentre_certificate(candidate, prob) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("reach", ["two chains", "dense"])
+    def test_joined_factor_is_the_row_stack_of_its_parts(self, reach):
+        _, s1, s2 = constructed_triple(32)
+        prob = problem([s1, s2])
+        M = np.ones((32, 32)) if reach == "dense" else np.eye(32)
+        M[1, 2] = M[2, 1] = 1.0  # joins the chains of 1 and 3 (1-based indices 2 and 3)
+        blocks, factors = barycentre._split(prob, M)
+        assert len(blocks) == (1 if reach == "dense" else len(prob.blocks) - 1)
+        part_rank = {frozenset(row.tolist()): np.count_nonzero(np.abs(G).sum(axis=-1), axis=-1)
+                     for idx, Gs in zip(prob.blocks, prob.block_factors)
+                     for row, G in zip(idx, np.moveaxis(Gs, 1, 0))}
+        for idx, Gs in zip(blocks, factors):
+            for row, G in zip(idx, np.moveaxis(Gs, 1, 0)):
+                parts = [rank for part, rank in part_rank.items() if part <= set(row.tolist())]
+                # no zero row is kept, and each part keeps all of its rows
+                assert np.array_equal(np.count_nonzero(np.abs(G).sum(axis=-1), axis=-1),
+                                      sum(parts))
+                for S, F in zip((s1, s2), G):
+                    A = S[np.ix_(row, row)]
+                    assert np.linalg.norm(A - F.T @ F) <= 32 * np.finfo(float).eps * np.linalg.norm(A)
 
     def test_init_outside_the_pattern(self):
         # an init joining the chains of 1 and 3 is iterated on the joined block:

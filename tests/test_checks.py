@@ -84,8 +84,9 @@ def test_monte_carlo_checks_each_input_once(lapack_calls):
     n = 12
     report = population_mc_experiment(TruncationConfig(dim=8), RandomMapLaw(), n, seed=7)
     assert report.n == n
+    # the problem's stacked block factors are the inputs' one check
     assert lapack_calls["eigvalsh"] == 0
-    assert lapack_calls["pstrf"] == n
+    assert lapack_calls["pstrf"] == 0
 
 
 NOT_PSD = np.diag([1.0, -1e-6])
@@ -126,9 +127,9 @@ class TestCliChecksEachFileOnce:
     def test_verify(self, pair, lapack_calls, capsys):
         assert main(["verify", "--candidate", str(pair / "sigma.json"),
                      "--inputs", str(pair / "s1.json"), str(pair / "s2.json")]) == 0
-        # one pstrf per input in problem(); the candidate's stacked eigh per
-        # chain length in the certificate
-        assert lapack_calls["pstrf"] == 2
+        # the inputs' stacked block factors in problem(), with no pstrf; the
+        # candidate's stacked eigh per chain length in the certificate
+        assert lapack_calls["pstrf"] == 0
         assert lapack_calls["eigh"] == chain_lengths(16)
         assert lapack_calls["eigvalsh"] == 0
 
@@ -137,15 +138,17 @@ class TestCliChecksEachFileOnce:
         assert main(["barycentre", "--inputs", str(pair / "s1.json"), str(pair / "s2.json"),
                      "--init", str(pair / "sigma.json"), "--max-iter", "2",
                      "--out", str(pair / "bary.json")]) == 0
-        # one pstrf per input in problem(), one for --init in the solver
-        assert lapack_calls["pstrf"] == 3
+        # the inputs' stacked block factors in problem(), one pstrf for --init
+        # in the solver
+        assert lapack_calls["pstrf"] == 1
         assert lapack_calls["eigvalsh"] == 0
 
     def test_sweep(self, tmp_path, lapack_calls, capsys):
         assert main(["sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv")]) == 0
-        # per dim: one pstrf per conjugated input in problem(), the only check
-        # of either; sigma's stacked eigh per chain length in the certificate;
-        # the eigvalsh of min_eig_t1.  The kernels come from the maps, with no eigh.
-        assert lapack_calls["pstrf"] == 2 * 3
+        # per dim: the conjugated inputs' stacked block factors in problem(),
+        # the only check of either; sigma's stacked eigh per chain length in
+        # the certificate; the eigvalsh of min_eig_t1.  The kernels come from
+        # the maps, with no eigh.
+        assert lapack_calls["pstrf"] == 0
         assert lapack_calls["eigh"] == sum(chain_lengths(d) for d in (8, 16, 32)) == 12
         assert lapack_calls["eigvalsh"] == 1 * 3

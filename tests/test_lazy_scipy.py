@@ -1,6 +1,9 @@
-"""scipy is imported at the first pivoted Cholesky, not with the package, and
-``scipy.linalg`` is never imported: ``pstrf`` comes from scipy's compiled LAPACK
-wrapper, loaded from its file, and the principal angles are numpy's.
+"""scipy is imported at the first LAPACK pivoted Cholesky, not with the package,
+and ``scipy.linalg`` is never imported: ``pstrf`` comes from scipy's compiled
+LAPACK wrapper, loaded from its file, and the principal angles are numpy's.
+Barycentre problems factor their inputs in numpy, so ``verify``,
+``barycentre`` and ``sweep`` import no scipy at all; only a dense covariance
+factor (``linalg.covariance_factor``: distances, maps, ``--init``) loads it.
 
 Each check runs in a fresh interpreter, because the test modules import scipy
 themselves.
@@ -46,8 +49,14 @@ def test_package_import_leaves_scipy_out():
 def test_cli_loads_scipy_only_when_it_factors(tmp_path):
     assert not cli_loads_scipy("recurrence", "--y0", "1", "--y1", "0", "--steps", "30")
     assert not cli_loads_scipy("construct", "--dim", "32", "--pair", "--out", str(tmp_path))
-    assert cli_loads_scipy("verify", "--candidate", str(tmp_path / "sigma.json"),
-                           "--inputs", str(tmp_path / "s1.json"), str(tmp_path / "s2.json"))
+    inputs = ("--inputs", str(tmp_path / "s1.json"), str(tmp_path / "s2.json"))
+    assert not cli_loads_scipy("verify", "--candidate", str(tmp_path / "sigma.json"), *inputs)
+    assert not cli_loads_scipy("barycentre", *inputs, "--ridge", "1e-6", "--ridge-decay", "0.5",
+                               "--out", str(tmp_path / "bary.json"))
+    assert not cli_loads_scipy("sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv"))
+    # --init is checked by its pstrf factor
+    assert cli_loads_scipy("barycentre", *inputs, "--init", str(tmp_path / "sigma.json"),
+                           "--max-iter", "2", "--out", str(tmp_path / "bary.json"))
 
 
 def test_lazily_fetched_pstrf_is_the_lapack_routine():

@@ -16,6 +16,7 @@ from bwbary import (
     sqrt_psd,
     symmetrized_shift,
 )
+from bwbary import linalg
 from bwbary.construct import build_covariance, TruncationConfig
 from bwbary.linalg import (
     PSD_TOL,
@@ -24,6 +25,7 @@ from bwbary.linalg import (
     check_symmetric,
     congruence_sqrt,
     covariance_factor,
+    pivoted_cholesky,
     polar,
     principal_angles,
     psd_factor,
@@ -458,6 +460,74 @@ class TestCovarianceFactor:
         A, F = covariance_factor(M)
         assert lapack_calls["eigvalsh"] == 1
         assert np.linalg.norm(A - F.T @ F) > PSD_TOL * 10.0
+
+
+class TestPivotedCholesky:
+    """The stacked numpy pivoted Cholesky: LAPACK pstrf's rule, one matrix or a stack at a time."""
+
+    def test_rank_is_pstrf_rank_for_every_rank(self):
+        # one stack per dim holding an input of every rank 0..d
+        rng = np.random.default_rng(80)
+        for d in range(2, 65):
+            mats = np.stack([random_psd(rng, d, rank) if rank else np.zeros((d, d))
+                             for rank in range(d + 1)])
+            F, rank = pivoted_cholesky(mats)
+            assert rank.tolist() == [linalg._pstrf(M, lower=0)[2] for M in mats], d
+            for M, G, r in zip(mats, F, rank):
+                assert not np.any(G[r:])
+                assert np.linalg.norm(M - G.T @ G) <= 4 * d * np.finfo(float).eps * max(
+                    1.0, np.linalg.norm(M))
+
+    def test_stack_has_the_bits_of_separate_calls(self):
+        rng = np.random.default_rng(81)
+        for d in (1, 3, 16, 70):
+            mats = np.stack([random_psd(rng, d, rank) for rank in (1, max(1, d // 3), d, d)]
+                            + [np.zeros((d, d)), -np.eye(d)]).reshape(2, 3, d, d)
+            F, rank = pivoted_cholesky(mats)
+            assert F.shape == mats.shape and rank.shape == (2, 3)
+            for idx in np.ndindex(2, 3):
+                one, r = pivoted_cholesky(mats[idx][None])
+                assert np.array_equal(F[idx], one[0]) and rank[idx] == r[0]
+
+    def test_factor_is_upper_triangular_in_pivot_order(self):
+        # full rank: the j-th pivot column is nonzero in rows 0..j only
+        rng = np.random.default_rng(82)
+        M = random_psd(rng, 9)
+        F, rank = pivoted_cholesky(M[None])
+        F = F[0]
+        assert rank[0] == 9
+        order = np.argsort(np.count_nonzero(F, axis=0))
+        U = F[:, order]
+        assert np.array_equal(U, np.triu(U)) and np.all(np.diag(U) > 0)
+        assert U[0, 0] ** 2 == M.diagonal().max()  # the first pivot is the largest diagonal
+        # each pivot is the largest remaining diagonal, and those only shrink
+        assert np.all(np.diff(np.diag(U)) <= 0)
+
+    def test_each_matrix_stops_at_its_own_rule(self):
+        # n * u * max diag of each matrix: 1e-17 is kept beside 1e-3 but not beside 1
+        u = np.finfo(float).eps / 2
+        mats = np.stack([np.diag([1.0, 1e-17]), np.diag([1e-3, 1e-17]), np.diag([1.0, 2 * u]),
+                         np.diag([1.0, 2 * u * 1.0001])])
+        assert pivoted_cholesky(mats)[1].tolist() == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize("M, rank", [
+        (np.zeros((3, 3)), 0),
+        (-np.eye(2), 0),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), 1),  # indefinite: stops at its negative pivot
+    ], ids=["zero", "negative", "indefinite"])
+    def test_nonpositive_pivots_stop(self, M, rank):
+        F, r = pivoted_cholesky(M[None])
+        assert r[0] == rank and np.all(np.isfinite(F))
+        assert not np.any(F[0][rank:])
+
+    def test_psd_factor_is_a_stack_of_one(self, lapack_calls):
+        rng = np.random.default_rng(83)
+        M = random_psd(rng, 12, 7)
+        lapack_calls.clear()
+        C = psd_factor(M)
+        assert lapack_calls["pstrf"] == 0
+        assert C.shape == (12, 12)
+        assert np.array_equal(C, pivoted_cholesky(np.stack([M, random_psd(rng, 12)]))[0][0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NonFinite
-from .linalg import PSD_TOL, check_covariance, check_same_dim, check_symmetric
+from .linalg import PSD_TOL, check_covariance, check_same_dim, check_symmetric, check_weights
 
 # Relative eigenvalue cutoff for the pseudo-inverse inside the solver only.
 # Deliberately far below linalg.RANK_TOL: truncating at 1e-10 freezes the
@@ -81,18 +81,6 @@ class SolverSettings:
             raise InvalidInput("ridge must be finite and nonnegative")
         if not (0.0 < self.ridge_decay < 1.0):
             raise InvalidInput("ridge_decay must be in (0, 1)")
-
-
-def _check_weights(weights, n: int) -> np.ndarray:
-    """``weights`` as an array, checked: ``n`` finite nonnegative entries summing to 1 ± 1e-12."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise InvalidInput("weights must match the number of inputs")
-    if not np.all(np.isfinite(w) & (w >= 0)):
-        raise InvalidInput("weights must be finite and nonnegative")
-    if abs(float(w.sum()) - 1.0) > 1e-12:
-        raise InvalidInput("weights must sum to 1 within 1e-12")
-    return w
 
 
 def _components(pattern: np.ndarray) -> tuple:
@@ -218,7 +206,7 @@ class BarycentreProblem:
         n = len(inputs)
         if n < 1:
             raise InvalidInput("need at least one input covariance")
-        w = _check_weights([1.0 / n] * n if self.weights is None else self.weights, n)
+        w = check_weights([1.0 / n] * n if self.weights is None else self.weights, n)
         first = linalg.check_square(inputs[0])  # its dim is the problem's; the pass checks the rest
         step = _block_size(len(first))
         chunks = [slice(start, start + step) for start in range(0, n, step)]

@@ -11,36 +11,17 @@ so their counts need no cutoff and hold at any dimension.
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .barycentre import (
-    SolverSettings,
-    barycentre_fixed_point,
-    problem,
-    verify_barycentre_certificate,
-)
-from .construct import (
-    TruncationConfig,
-    build_covariance,
-    build_pair_maps,
-    build_shift_map,
-    conjugate,
-    conjugated_kernel,
-    kernel_report,
-)
 from .errors import InvalidInput, KernelNotIncluded, NonFinite
 from .io import RunReport, _read_matrix, file_digest, save_matrix
-from .randomized import RandomMapLaw, population_mc_experiment, random_map_sample
-from .recurrence import (
-    RecurrenceParams,
-    generating_coefficients,
-    growth_witness,
-    kernel_recurrence_solve,
-)
+
+# Each cmd_* imports the library modules it runs inside its body, so a process
+# loads only its subcommand's modules (``recurrence`` no linalg, only ``mc``
+# and ``construct --law`` numpy.random).
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -98,6 +79,15 @@ def cmd_construct(args) -> int:
     column count of :func:`conjugated_kernel` for the map it was conjugated
     by, and every ``digest`` is of the file as written.
     """
+    from .construct import (
+        TruncationConfig,
+        build_covariance,
+        build_pair_maps,
+        build_shift_map,
+        conjugate,
+        conjugated_kernel,
+    )
+
     report = RunReport(args.argv, seed=args.seed)
     config = TruncationConfig(dim=args.dim, decay=_parse_decay(args.decay))
     out = Path(args.out)
@@ -113,6 +103,8 @@ def cmd_construct(args) -> int:
                        s2=(conjugate(t2, sigma), "covariance", t2))
     else:
         if args.law is not None:
+            from .randomized import RandomMapLaw, random_map_sample
+
             t = random_map_sample(RandomMapLaw(args.law), args.seed, args.dim)
         else:
             t = build_shift_map(args.dim, c=args.c)
@@ -135,6 +127,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .barycentre import problem, verify_barycentre_certificate
+
     if not (0.0 <= args.tol < np.inf):
         raise InvalidInput(f"bad --tol {args.tol!r}: it must be finite and nonnegative")
     # the files are checked by their consumers: the inputs by problem(), the
@@ -163,6 +157,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_barycentre(args) -> int:
+    from .barycentre import SolverSettings, barycentre_fixed_point, problem
+
     # the inputs are checked by problem(), --init by barycentre_fixed_point
     report = RunReport(args.argv)
     inputs = []
@@ -203,6 +199,13 @@ def cmd_barycentre(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
+    from .recurrence import (
+        RecurrenceParams,
+        generating_coefficients,
+        growth_witness,
+        kernel_recurrence_solve,
+    )
+
     if args.steps > 60:
         raise InvalidInput("steps must be <= 60 (values overflow the affine regime)")
     report = RunReport(args.argv)
@@ -236,6 +239,9 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from .construct import TruncationConfig
+    from .randomized import RandomMapLaw, population_mc_experiment
+
     report = RunReport(args.argv, seed=args.seed)
     config = TruncationConfig(dim=args.dim, decay=_parse_decay(args.decay))
     mc = population_mc_experiment(
@@ -261,6 +267,9 @@ def cmd_mc(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .barycentre import problem, verify_barycentre_certificate
+    from .construct import TruncationConfig, build_covariance, build_pair_maps, kernel_report
+
     report = RunReport(args.argv)
     dims = _parse_dims(args.dims)
     decay = _parse_decay(args.decay)

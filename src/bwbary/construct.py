@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .barycentre import _check_weights
 from .errors import DimensionMismatch, InvalidInput
 
 # Canonical angles at or below this are rounding noise around zero: the
@@ -168,7 +167,7 @@ def build_map_family(dim: int, n: int = None, coeffs=None, weights=None) -> list
         raise InvalidInput("coefficients must lie in [-1/2, 1/2] to keep maps PSD")
     if weights is None:
         weights = np.full(coeffs.size, 1.0 / coeffs.size)
-    weights = _check_weights(weights, coeffs.size)
+    weights = linalg.check_weights(weights, coeffs.size)
     if abs(float(weights @ coeffs)) > 1e-15:
         raise InvalidInput("weighted coefficient sum must vanish")
     S = symmetrized_shift(dim)

@@ -8,7 +8,6 @@ in an isolated ``"timing"`` object so that everything outside it is
 byte-identical across reruns with the same command and seed.
 """
 
-import hashlib
 import json
 import time
 from pathlib import Path
@@ -16,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import check_covariance, check_symmetric
 
 KINDS = ("covariance", "map")
 
@@ -38,6 +36,9 @@ def load_matrix(path) -> tuple:
     Covariance files must pass the covariance invariants (symmetry, PSD up
     to tolerance); map files only symmetry.
     """
+    # linalg loads here, not with the module: ``recurrence`` writes reports only
+    from .linalg import check_covariance, check_symmetric
+
     A, kind = _read_matrix(path)
     if kind == "covariance":
         check_covariance(A)
@@ -76,6 +77,8 @@ def _read_matrix(path) -> tuple:
 
 
 def file_digest(path) -> str:
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -140,6 +140,18 @@ def check_same_dim(A: np.ndarray, B: np.ndarray) -> None:
         raise DimensionMismatch(f"dimension mismatch: {A.shape} vs {B.shape}")
 
 
+def check_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as an array, checked: ``n`` finite nonnegative entries summing to 1 ± 1e-12."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise InvalidInput("weights must match the number of inputs")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise InvalidInput("weights must be finite and nonnegative")
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        raise InvalidInput("weights must sum to 1 within 1e-12")
+    return w
+
+
 @dataclass(frozen=True)
 class SpectralDecomp:
     """Eigendecomposition of a symmetric matrix.

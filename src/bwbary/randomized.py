@@ -15,6 +15,10 @@ The coefficient draw per law: uniform -> ``g.uniform(-0.5, 0.5)``; two-point
 0.5)``.
 """
 
+# The ``np.random.*`` annotations stay strings, so importing this module does
+# not import numpy.random; the first draw does.
+from __future__ import annotations
+
 from dataclasses import dataclass, field
 
 import numpy as np

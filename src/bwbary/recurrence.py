@@ -14,7 +14,7 @@ cross-check each other.
 """
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -30,7 +30,10 @@ class RecurrenceParams:
     ``sign="plus"`` selects ``y_j = -2 y_{j-1} - y_{j-2}`` (denominator
     ``1 + 2t + t**2``); ``sign="minus"`` selects ``y_j = +2 y_{j-1} - y_{j-2}``
     (denominator ``1 - 2t + t**2``).  ``horizon`` is the largest index J
-    computed; sequences have length J + 1.
+    computed; sequences have length J + 1.  The seeds must be finite, and so
+    must twice ``|b| + |a| (J + 1)``, the closed form's bound on every term
+    (see :meth:`affine_coefficients`): the iteration doubles a term before it
+    subtracts the one before.
     """
 
     y0: float
@@ -43,6 +46,14 @@ class RecurrenceParams:
             raise InvalidInput(f"sign must be one of {SIGNS}")
         if self.horizon < 2:
             raise InvalidInput("horizon must be >= 2")
+        if not (isfinite(self.y0) and isfinite(self.y1)):
+            raise InvalidInput("y0 and y1 must be finite")
+        with np.errstate(over="ignore"):
+            a, b = self.affine_coefficients()
+            doubled = 2.0 * (abs(b) + abs(a) * (self.horizon + 1))
+        if not isfinite(doubled):
+            raise InvalidInput("the seeds are too large for the horizon: "
+                               "2 (|b| + |a| (horizon + 1)) overflows")
 
     def affine_coefficients(self) -> tuple:
         """Slope/offset pair (a, b) of the closed form.

@@ -338,6 +338,19 @@ class TestRecurrenceCommand:
     def test_steps_cap(self):
         assert run_cli("recurrence", "--y0", "1", "--y1", "0", "--steps", "61") == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--y0", "nan", "--y1", "0", "--steps", "5"), "must be finite"),
+        (("--y0", "inf", "--y1", "0", "--steps", "5"), "must be finite"),
+        (("--y0", "1e308", "--y1", "1e308"), "too large"),
+    ], ids=["nan", "inf", "overflow"])
+    def test_nonfinite_or_overflowing_seeds(self, argv, message):
+        # exit 2 with the reason, and no numpy RuntimeWarning on stderr first
+        proc = subprocess.run([sys.executable, "-m", "bwbary.cli", "recurrence", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Warning" not in proc.stderr
+
 
 class TestMcCommand:
     def test_antithetic_pair_matches_deterministic(self, capsys):
@@ -354,14 +367,15 @@ class TestMcCommand:
     def test_not_converged_exits_one(self, monkeypatch, capsys):
         from functools import partial
 
-        import bwbary.cli as cli
-        from bwbary import SolverSettings
+        from bwbary import SolverSettings, randomized
 
         argv = ("--report", "json", "mc", "--dim", "8", "--n", "4", "--seed", "3")
         assert run_cli(*argv) == 0
         converged = json.loads(capsys.readouterr().out)
-        monkeypatch.setattr(cli, "population_mc_experiment", partial(
-            cli.population_mc_experiment, settings=SolverSettings(ridge=1e-6, max_iter=1)))
+        # cmd_mc imports the function from its module at each call
+        monkeypatch.setattr(randomized, "population_mc_experiment", partial(
+            randomized.population_mc_experiment,
+            settings=SolverSettings(ridge=1e-6, max_iter=1)))
         assert run_cli(*argv) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"]["solver_converged"] is False
@@ -459,13 +473,13 @@ class TestReportDeterminism:
 
 
 def test_numerical_failure_exit_code(constructed, monkeypatch):
-    from bwbary import NonFinite
-    import bwbary.cli as cli
+    from bwbary import NonFinite, barycentre
 
     def boom(*args, **kwargs):
         raise NonFinite("diverged")
 
-    monkeypatch.setattr(cli, "verify_barycentre_certificate", boom)
+    # cmd_verify imports the function from its module at each call
+    monkeypatch.setattr(barycentre, "verify_barycentre_certificate", boom)
     rc = run_cli("verify", "--candidate", str(constructed / "sigma.json"),
                  "--inputs", str(constructed / "s1.json"))
     assert rc == 3

@@ -1,4 +1,11 @@
-"""scipy is imported at the first LAPACK pivoted Cholesky, not with the package,
+"""Each process imports only what it runs.
+
+``import bwbary`` loads no submodule: the package's exports are loaded at
+first use, and each CLI subcommand imports the modules it runs, so
+``recurrence`` loads no ``linalg``, and only ``mc`` and ``construct --law``
+load ``randomized`` and ``numpy.random``.
+
+scipy is imported at the first LAPACK pivoted Cholesky, not with the package,
 and ``scipy.linalg`` is never imported: ``pstrf`` comes from scipy's compiled
 LAPACK wrapper, loaded from its file, and the principal angles are numpy's.
 Barycentre problems factor their inputs in numpy, so ``verify``,
@@ -6,10 +13,11 @@ Barycentre problems factor their inputs in numpy, so ``verify``,
 factor (``linalg.covariance_factor``: distances, maps, ``--init``) loads it.
 
 Each check runs in a fresh interpreter, because the test modules import scipy
-themselves.
+and every ``bwbary`` module themselves.
 """
 
 import importlib.machinery
+import json
 import subprocess
 import sys
 import textwrap
@@ -25,17 +33,101 @@ def run_fresh(code: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
+def cli_modules(*argv) -> set:
+    """Run ``bwbary.cli.main(argv)`` in a fresh interpreter; the modules it imported."""
+    last = run_fresh(f"""
+        import contextlib, io, json, sys
+        from bwbary.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main({list(argv)!r})
+        print(json.dumps([rc, sorted(sys.modules)]))
+    """)
+    rc, modules = json.loads(last)
+    assert rc == 0
+    return set(modules)
+
+
 def cli_loads_scipy(*argv, module="scipy") -> bool:
     """Run ``bwbary.cli.main(argv)`` in a fresh interpreter; whether it imported ``module``."""
-    last = run_fresh(f"""
+    return module in cli_modules(*argv)
+
+
+def test_package_import_loads_no_submodule():
+    assert run_fresh("""
         import sys
-        from bwbary.cli import main
-        rc = main({list(argv)!r})
-        print(rc, {module!r} in sys.modules)
-    """)
-    rc, loaded = last.split()
-    assert rc == "0"
-    return loaded == "True"
+        import bwbary
+        print([m for m in sys.modules if m.startswith("bwbary.")])
+    """) == "[]"
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path):
+    inputs = ("--inputs", str(tmp_path / "s1.json"), str(tmp_path / "s2.json"))
+    runs = {  # in order: construct writes the files the others read
+        "construct": ("construct", "--dim", "32", "--pair", "--out", str(tmp_path)),
+        "construct --c": ("construct", "--dim", "16", "--out", str(tmp_path / "c")),
+        "verify": ("verify", "--candidate", str(tmp_path / "sigma.json"), *inputs),
+        "barycentre": ("barycentre", *inputs, "--ridge", "1e-6", "--ridge-decay", "0.5",
+                       "--out", str(tmp_path / "bary.json")),
+        "recurrence": ("recurrence", "--y0", "1", "--y1", "0", "--steps", "30"),
+        "sweep": ("sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv")),
+        "construct --law": ("construct", "--dim", "16", "--law", "uniform",
+                            "--out", str(tmp_path / "law")),
+        "mc": ("mc", "--dim", "8", "--n", "4", "--seed", "3"),
+    }
+    loaded = {name: cli_modules(*argv) for name, argv in runs.items()}
+    assert not {"bwbary.linalg", "bwbary.barycentre"} & loaded["recurrence"]
+    assert "bwbary.barycentre" not in loaded["construct"]
+    for name, modules in loaded.items():
+        draws = name in ("mc", "construct --law")
+        assert ("bwbary.randomized" in modules) == draws, name
+        assert ("numpy.random" in modules) == draws, name
+
+
+def test_star_import_binds_all_to_the_defining_objects():
+    assert run_fresh("""
+        import importlib
+        import bwbary
+
+        names = {}
+        exec("from bwbary import *", names)
+        del names["__builtins__"]
+        same = all(names[n] is getattr(importlib.import_module(f"bwbary.{m}"), n)
+                   for n, m in bwbary._EXPORTS.items())
+        print(sorted(names) == sorted(bwbary.__all__), same)
+    """) == "True True"
+
+
+def test_submodule_is_an_attribute_before_it_is_imported():
+    assert run_fresh("""
+        import bwbary
+        print(bwbary.linalg.__name__, bwbary.linalg.PSD_TOL == bwbary.PSD_TOL)
+    """) == "bwbary.linalg True"
+
+
+def test_package_namespace():
+    import bwbary
+
+    assert set(bwbary.__all__) <= set(dir(bwbary))
+    assert len(bwbary.__all__) == len(set(bwbary.__all__)) == 45
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bwbary.no_such_name  # noqa: B018
+    assert not hasattr(bwbary, "no_such_name")
+
+
+def test_exports_are_looked_up_at_each_access(monkeypatch):
+    # nothing is cached in the package, so a name replaced in its defining
+    # module (as the benchmark's tracer does) is what the package returns
+    import bwbary
+    from bwbary import barycentre
+
+    def replacement(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(barycentre, "problem", replacement)
+    assert bwbary.problem is replacement
+    monkeypatch.undo()
+    assert bwbary.problem is barycentre.problem
+    assert "problem" not in vars(bwbary)
 
 
 def test_package_import_leaves_scipy_out():

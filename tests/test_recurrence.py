@@ -1,5 +1,7 @@
 """Recurrence iteration vs the closed form, and the nonvanishing witness."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,42 @@ class TestRecurrenceIteration:
             RecurrenceParams(1.0, 0.0, "times", 5)
         with pytest.raises(InvalidInput):
             RecurrenceParams(1.0, 0.0, "plus", 1)
+
+    @pytest.mark.parametrize("y0, y1, sign, horizon", [
+        (np.nan, 0.0, "plus", 5),
+        (np.inf, 0.0, "plus", 5),
+        (0.0, -np.inf, "minus", 5),
+        (np.float64(np.nan), 1.0, "minus", 5),
+    ], ids=["nan", "inf", "minus-inf", "numpy-nan"])
+    def test_nonfinite_seeds(self, y0, y1, sign, horizon):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            RecurrenceParams(y0, y1, sign, horizon)
+
+    @pytest.mark.parametrize("y0, y1, sign, horizon", [
+        # b = 2 y0 + y1 overflows
+        (1e308, 1e308, "plus", 30),
+        (1e308, -1e308, "minus", 30),
+        # a and b are finite, but |a| (horizon + 1) is not
+        (1e300, 0.0, "plus", 2 ** 40),
+        # |b| + |a| (horizon + 1) = 11 |a| is finite, but the iteration
+        # doubles y_9 = -10 a to 20 a, which overflows
+        (1.198e307, -2.396e307, "plus", 10),
+        (np.float64(1e308), np.float64(1e308), "plus", 30),
+    ], ids=["b-overflows", "minus-b-overflows", "long-horizon", "doubled-term",
+            "numpy-scalars"])
+    def test_overflowing_seeds(self, y0, y1, sign, horizon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="too large"):
+                RecurrenceParams(y0, y1, sign, horizon)
+
+    def test_largest_seeds_iterate_finitely(self):
+        # y_j = (-1)^j 8e307 for every j: the doubled term 1.6e308 is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = RecurrenceParams(8e307, -8e307, "plus", 30)
+            y = kernel_recurrence_solve(p)
+        np.testing.assert_array_equal(y, generating_coefficients(p))
 
 
 class TestClosedForm:

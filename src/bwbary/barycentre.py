@@ -105,9 +105,13 @@ def _components(pattern: np.ndarray) -> tuple:
         if np.array_equal(new, label):
             break
         label = new
-    _, sizes = np.unique(label, return_counts=True)
+    # sizes by ascending label, the order the stable argsort groups them in;
+    # counted with bincount, because np.unique imports numpy.ma
+    counts = np.bincount(label)
+    sizes = counts[counts > 0]
     rows = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
-    return tuple(np.array([r for r in rows if len(r) == L]) for L in np.unique(sizes))
+    return tuple(np.array([r for r in rows if len(r) == L])
+                 for L in np.flatnonzero(np.bincount(sizes)))
 
 
 def _join_factors(blocks: tuple, block_factors: tuple, joined: tuple) -> tuple:

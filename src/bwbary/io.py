@@ -6,13 +6,16 @@ Matrices travel as JSON objects ``{"dim": N, "kind": "covariance"|"map",
 entries bit-exactly.  Reports are JSON with sorted keys; the wall-clock lives
 in an isolated ``"timing"`` object so that everything outside it is
 byte-identical across reruns with the same command and seed.
+
+numpy is imported by the functions that handle matrices, not with the
+module, so a process that only writes reports (``bwbary recurrence``) runs
+without it.
 """
 
 import json
+import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .errors import InvalidInput
 
@@ -21,6 +24,8 @@ KINDS = ("covariance", "map")
 
 def save_matrix(path, matrix, kind: str) -> None:
     """Write a matrix as a MatrixFile JSON document."""
+    import numpy as np
+
     if kind not in KINDS:
         raise InvalidInput(f"kind must be one of {KINDS}")
     A = np.asarray(matrix, dtype=np.float64)
@@ -53,6 +58,8 @@ def _read_matrix(path) -> tuple:
     For a caller whose next step checks the matrix anyway, so that each file
     is checked once, by the code that uses it.
     """
+    import numpy as np
+
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -98,10 +105,13 @@ class RunReport:
         self.doc["inputs"][str(path)] = file_digest(path)
 
     def add_result(self, key: str, value) -> None:
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, (np.floating, np.integer)):
-            value = value.item()
+        # a numpy value can only come from a process that has loaded numpy
+        np = sys.modules.get("numpy")
+        if np is not None:
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif isinstance(value, (np.floating, np.integer)):
+                value = value.item()
         self.doc["results"][key] = value
 
     def finish(self) -> dict:

@@ -11,12 +11,18 @@ plain affine sequence in j; it tends to zero only if it is identically zero.
 This module iterates the recurrence, evaluates the closed form, and extracts
 an explicit nonvanishing witness, giving two independent routes that
 cross-check each other.
+
+Both routes compute on Python floats (:func:`iterate`, :func:`closed_form`),
+whose arithmetic is IEEE double precision, the same operations as float64:
+the terms have the bits a numpy loop gives them.  The public
+:func:`kernel_recurrence_solve` and :func:`generating_coefficients` make
+float64 arrays of them at the API boundary, and only they import numpy, so
+``bwbary recurrence`` runs without it.
 """
 
+import numbers
 from dataclasses import dataclass
 from math import ceil, isfinite
-
-import numpy as np
 
 from .errors import InvalidInput
 
@@ -30,10 +36,10 @@ class RecurrenceParams:
     ``sign="plus"`` selects ``y_j = -2 y_{j-1} - y_{j-2}`` (denominator
     ``1 + 2t + t**2``); ``sign="minus"`` selects ``y_j = +2 y_{j-1} - y_{j-2}``
     (denominator ``1 - 2t + t**2``).  ``horizon`` is the largest index J
-    computed; sequences have length J + 1.  The seeds must be finite, and so
-    must twice ``|b| + |a| (J + 1)``, the closed form's bound on every term
-    (see :meth:`affine_coefficients`): the iteration doubles a term before it
-    subtracts the one before.
+    computed, an integer >= 2; sequences have length J + 1.  The seeds must be
+    finite, and so must twice :meth:`term_bound`, the closed form's bound on
+    every term: the iteration doubles a term before it subtracts the one
+    before.  The seeds are kept as Python floats and the horizon as an int.
     """
 
     y0: float
@@ -44,14 +50,16 @@ class RecurrenceParams:
     def __post_init__(self):
         if self.sign not in SIGNS:
             raise InvalidInput(f"sign must be one of {SIGNS}")
-        if self.horizon < 2:
-            raise InvalidInput("horizon must be >= 2")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral) \
+                or self.horizon < 2:
+            raise InvalidInput("horizon must be an integer >= 2")
         if not (isfinite(self.y0) and isfinite(self.y1)):
             raise InvalidInput("y0 and y1 must be finite")
-        with np.errstate(over="ignore"):
-            a, b = self.affine_coefficients()
-            doubled = 2.0 * (abs(b) + abs(a) * (self.horizon + 1))
-        if not isfinite(doubled):
+        # Python numbers overflow to inf without a warning, where numpy
+        # scalars would warn
+        for name, kind in (("y0", float), ("y1", float), ("horizon", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        if not isfinite(2.0 * self.term_bound()):
             raise InvalidInput("the seeds are too large for the horizon: "
                                "2 (|b| + |a| (horizon + 1)) overflows")
 
@@ -67,26 +75,46 @@ class RecurrenceParams:
             return -self.y0 - self.y1, 2.0 * self.y0 + self.y1
         return self.y1 - self.y0, 2.0 * self.y0 - self.y1
 
+    def term_bound(self) -> float:
+        """``|b| + |a| (horizon + 1)``: the closed form's bound on every computed ``|y_j|``."""
+        a, b = self.affine_coefficients()
+        return abs(b) + abs(a) * (self.horizon + 1)
 
-def kernel_recurrence_solve(params: RecurrenceParams) -> np.ndarray:
-    """Iterate the recurrence; exact in floating point for integer seeds up to J=40."""
-    y = np.empty(params.horizon + 1)
-    y[0], y[1] = params.y0, params.y1
+
+def iterate(params: RecurrenceParams) -> list:
+    """The iterated terms ``y_0 .. y_J`` as Python floats."""
+    y = [params.y0, params.y1]
     two = -2.0 if params.sign == "plus" else 2.0
     for j in range(2, params.horizon + 1):
-        y[j] = two * y[j - 1] - y[j - 2]
+        y.append(two * y[j - 1] - y[j - 2])
     return y
 
 
-def generating_coefficients(params: RecurrenceParams) -> np.ndarray:
-    """Closed-form sequence from the partial-fraction expansion of the generating function."""
+def closed_form(params: RecurrenceParams) -> list:
+    """The closed-form terms ``y_0 .. y_J`` as Python floats."""
     a, b = params.affine_coefficients()
-    j = np.arange(params.horizon + 1, dtype=np.float64)
-    affine = b + a * (j + 1.0)
+    affine = [b + a * (j + 1.0) for j in range(params.horizon + 1)]
     if params.sign == "plus":
         # +0.0 normalizes the -0.0 produced by negating exact zeros
-        return np.where(np.arange(params.horizon + 1) % 2 == 0, affine, -affine) + 0.0
+        return [(t if j % 2 == 0 else -t) + 0.0 for j, t in enumerate(affine)]
     return affine
+
+
+def kernel_recurrence_solve(params: RecurrenceParams) -> "numpy.ndarray":
+    """Iterate the recurrence, as a float64 array; exact for integer seeds up to J=40."""
+    import numpy as np
+
+    return np.array(iterate(params), dtype=np.float64)
+
+
+def generating_coefficients(params: RecurrenceParams) -> "numpy.ndarray":
+    """Closed-form sequence from the partial-fraction expansion of the generating function.
+
+    A float64 array with the bits of :func:`closed_form`.
+    """
+    import numpy as np
+
+    return np.array(closed_form(params), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -124,11 +152,10 @@ def growth_witness(params: RecurrenceParams) -> GrowthWitness:
     if a == 0.0 and b == 0.0:
         return GrowthWitness(kind="zero", start_index=0, slope=0.0, floor=0.0, holds=True)
     if a == 0.0:
-        terms = np.abs(kernel_recurrence_solve(params))
-        holds = bool(np.all(np.abs(terms - abs(b)) <= 1e-9 * max(1.0, abs(b))))
+        holds = all(abs(abs(t) - abs(b)) <= 1e-9 * max(1.0, abs(b)) for t in iterate(params))
         return GrowthWitness(kind="bounded", start_index=0, slope=0.0, floor=abs(b), holds=holds)
     ratio = 2.0 * (abs(b) - abs(a)) / abs(a)
-    if not np.isfinite(ratio):
+    if not isfinite(ratio):
         raise InvalidInput("slope is too small to certify growth at a finite index")
     j0 = max(0, ceil(ratio))
     # evaluate the closed form pointwise; j0 can be far beyond any horizon

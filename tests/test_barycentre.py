@@ -565,6 +565,55 @@ def rotated(mats, seed):
     return Q, [Q @ M @ Q.T for M in mats]
 
 
+def components_by_unique(pattern):
+    """The reference partition: ``_components`` as it counted sizes with ``np.unique``."""
+    d = len(pattern)
+    label = np.arange(d)
+    while True:
+        new = np.minimum(label, np.where(pattern, label, d).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, sizes = np.unique(label, return_counts=True)
+    rows = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
+    return tuple(np.array([r for r in rows if len(r) == L]) for L in np.unique(sizes))
+
+
+def random_pattern(rng, dim):
+    """A symmetric boolean pattern with about two links per index, diagonal set."""
+    upper = np.triu(rng.random((dim, dim)) < 1.0 / max(dim, 1), 1)
+    return upper | upper.T | np.eye(dim, dtype=bool)
+
+
+class TestComponents:
+    """``_components`` counts sizes with bincount and gives the partition np.unique gave."""
+
+    def assert_same(self, pattern):
+        got, expected = barycentre._components(pattern), components_by_unique(pattern)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and g.shape == e.shape and np.array_equal(g, e)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 33, 64, 100, 255, 300])
+    def test_random_patterns(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        for _ in range(5):
+            self.assert_same(random_pattern(rng, dim))
+
+    @pytest.mark.parametrize("dim", [1, 5, 64])
+    def test_all_singletons_and_one_component(self, dim):
+        self.assert_same(np.eye(dim, dtype=bool))
+        self.assert_same(np.ones((dim, dim), dtype=bool))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 31, 64, 100, 256, 1024])
+    def test_doubling_chains(self, dim):
+        pattern = construct.symmetrized_shift(dim) != 0.0
+        pattern |= np.eye(dim, dtype=bool)
+        self.assert_same(pattern)
+        assert as_sets(barycentre._components(pattern)) == chain_sets(dim)
+
+
 class TestSplitPass:
     """Passes run block by block along the partition; verdicts stay global."""
 

@@ -338,6 +338,67 @@ class TestRecurrenceCommand:
     def test_steps_cap(self):
         assert run_cli("recurrence", "--y0", "1", "--y1", "0", "--steps", "61") == 2
 
+    @pytest.mark.parametrize("argv, digest", [
+        # the README's and the benchmark's arguments (sign plus is the default)
+        (("--y0", "1", "--y1", "0", "--sign", "plus", "--steps", "30"),
+         "5c20228c0a88614a6c8afd3d7b2db52d5e403ee16c0fb01a402835ca4fb29816"),
+        (("--y0", "1", "--y1", "0", "--steps", "30"),
+         "5c20228c0a88614a6c8afd3d7b2db52d5e403ee16c0fb01a402835ca4fb29816"),
+        (("--y0", "0.3", "--y1", "-0.7", "--sign", "minus", "--steps", "45"),
+         "a8db4a69f92b50c456d7354387145e92101741ce8dfb9a4cd27db28e8c3a6375"),
+    ], ids=["readme", "benchmark", "fractional-minus"])
+    def test_csv_bytes_are_pinned(self, argv, digest, tmp_path, capsys):
+        # SHA-256 of the CSV the float64 array loops wrote: the float loops
+        # must write the same bytes
+        path = tmp_path / "rec.csv"
+        assert run_cli("recurrence", *argv, "--csv", str(path)) == 0
+        assert file_digest(path) == digest
+
+    @pytest.mark.parametrize("argv", [
+        ("--y0", "1e10", "--y1", "0.1", "--steps", "30"),
+        ("--y0", "1e8", "--y1", "0.3", "--steps", "60"),
+    ], ids=["1e10", "1e8"])
+    def test_large_seeds_pass(self, argv, capsys):
+        # rounding on terms near 3e11 is 4.9e-4, a relative 1.6e-15; the
+        # tolerance scales with the terms' bound
+        assert run_cli("--report", "json", "recurrence", *argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        a, b = results["slope"], results["offset"]
+        steps = int(argv[-1])
+        assert results["tolerance"] == 1e-9 * (abs(b) + abs(a) * (steps + 1))
+        assert 0.0 < results["max_abs_diff"] <= results["tolerance"]
+
+    def test_small_seeds_keep_the_absolute_tolerance(self, capsys):
+        # |b| + |a| (steps + 1) = 0.02 + 0.01 * 6 is below 1, so the bound is 1e-9
+        assert run_cli("--report", "json", "recurrence", "--y0", "0.01", "--y1", "0",
+                       "--steps", "5") == 0
+        assert json.loads(capsys.readouterr().out)["results"]["tolerance"] == 1e-9
+
+    @pytest.mark.parametrize("seeds, steps", [((1.0, 1e-11), 30), ((1.0, 3e-9), 60),
+                                              ((0.37, -1.3), 45), ((2.0, -1.0), 60)])
+    def test_verdict_does_not_depend_on_the_seeds_scale(self, seeds, steps, capsys):
+        codes = set()
+        for k in range(-6, 11):
+            y0, y1 = (v * 10.0 ** k for v in seeds)
+            for sign in ("plus", "minus"):
+                codes.add(run_cli("recurrence", f"--y0={y0!r}", f"--y1={y1!r}",
+                                  "--sign", sign, "--steps", str(steps)))
+        assert codes == {0}
+
+    @pytest.mark.parametrize("k", [0, 3, 6, 10])
+    def test_perturbed_closed_form_fails(self, k, monkeypatch, capsys):
+        from bwbary import recurrence
+
+        exact = recurrence.closed_form
+        monkeypatch.setattr(recurrence, "closed_form",
+                            lambda params: [t * (1.0 + 1e-6) for t in exact(params)])
+        argv = ("recurrence", "--y0", repr(10.0 ** k), "--y1", "0", "--steps", "30")
+        assert run_cli("--report", "json", *argv) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["max_abs_diff"] > results["tolerance"]
+        monkeypatch.undo()
+        assert run_cli(*argv) == 0
+
     @pytest.mark.parametrize("argv, message", [
         (("--y0", "nan", "--y1", "0", "--steps", "5"), "must be finite"),
         (("--y0", "inf", "--y1", "0", "--steps", "5"), "must be finite"),
@@ -483,6 +544,20 @@ def test_numerical_failure_exit_code(constructed, monkeypatch):
     rc = run_cli("verify", "--candidate", str(constructed / "sigma.json"),
                  "--inputs", str(constructed / "s1.json"))
     assert rc == 3
+
+
+def test_lapack_failure_is_a_numerical_failure(constructed, monkeypatch, capsys):
+    from bwbary import barycentre
+
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    # LinAlgError is a ValueError, but it means exit 3, not invalid input
+    monkeypatch.setattr(barycentre, "verify_barycentre_certificate", boom)
+    rc = run_cli("verify", "--candidate", str(constructed / "sigma.json"),
+                 "--inputs", str(constructed / "s1.json"))
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: SVD did not converge\n"
 
 
 def test_console_script_entry_point():

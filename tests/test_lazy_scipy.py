@@ -2,8 +2,9 @@
 
 ``import bwbary`` loads no submodule: the package's exports are loaded at
 first use, and each CLI subcommand imports the modules it runs, so
-``recurrence`` loads no ``linalg``, and only ``mc`` and ``construct --law``
-load ``randomized`` and ``numpy.random``.
+``recurrence`` loads neither numpy nor ``linalg``, only ``mc`` and
+``construct --law`` load ``randomized`` and ``numpy.random``, and no
+subcommand loads ``numpy.ma``.
 
 scipy is imported at the first LAPACK pivoted Cholesky, not with the package,
 and ``scipy.linalg`` is never imported: ``pstrf`` comes from scipy's compiled
@@ -69,13 +70,22 @@ def test_each_subcommand_loads_only_its_modules(tmp_path):
         "barycentre": ("barycentre", *inputs, "--ridge", "1e-6", "--ridge-decay", "0.5",
                        "--out", str(tmp_path / "bary.json")),
         "recurrence": ("recurrence", "--y0", "1", "--y1", "0", "--steps", "30"),
+        "recurrence --csv": ("recurrence", "--y0", "0.3", "--y1", "-0.7", "--sign", "minus",
+                             "--csv", str(tmp_path / "rec.csv")),
+        "recurrence json": ("--report", "json", "recurrence", "--y0", "1e10", "--y1", "0.1"),
         "sweep": ("sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv")),
         "construct --law": ("construct", "--dim", "16", "--law", "uniform",
                             "--out", str(tmp_path / "law")),
         "mc": ("mc", "--dim", "8", "--n", "4", "--seed", "3"),
     }
     loaded = {name: cli_modules(*argv) for name, argv in runs.items()}
-    assert not {"bwbary.linalg", "bwbary.barycentre"} & loaded["recurrence"]
+    for name, modules in loaded.items():
+        if name.startswith("recurrence"):
+            # the recurrence computes on Python floats
+            assert not {"numpy", "bwbary.linalg", "bwbary.barycentre"} & modules, name
+        else:
+            # the partition's component sizes come from bincount, not np.unique
+            assert "numpy" in modules and "numpy.ma" not in modules, name
     assert "bwbary.barycentre" not in loaded["construct"]
     for name, modules in loaded.items():
         draws = name in ("mc", "construct --law")

@@ -37,6 +37,19 @@ class TestRecurrenceIteration:
         with pytest.raises(InvalidInput):
             RecurrenceParams(1.0, 0.0, "plus", 1)
 
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, np.nan, np.inf, True, "30", None],
+                             ids=["fraction", "integral-float", "nan", "inf", "bool", "str",
+                                  "none"])
+    def test_horizon_must_be_an_integer(self, horizon):
+        # checked before the seeds' overflow check, whose message would mislead
+        with pytest.raises(InvalidInput, match="horizon must be an integer >= 2"):
+            RecurrenceParams(1.0, 0.0, "plus", horizon)
+
+    def test_numpy_integer_horizon_is_an_int(self):
+        p = RecurrenceParams(np.float64(1.0), np.float64(0.0), "plus", np.int64(6))
+        assert type(p.horizon) is int and type(p.y0) is float and type(p.y1) is float
+        assert p == RecurrenceParams(1.0, 0.0, "plus", 6)
+
     @pytest.mark.parametrize("y0, y1, sign, horizon", [
         (np.nan, 0.0, "plus", 5),
         (np.inf, 0.0, "plus", 5),
@@ -72,6 +85,51 @@ class TestRecurrenceIteration:
             p = RecurrenceParams(8e307, -8e307, "plus", 30)
             y = kernel_recurrence_solve(p)
         np.testing.assert_array_equal(y, generating_coefficients(p))
+
+
+def numpy_iteration(params):
+    """The reference: the recurrence iterated in a float64 array."""
+    y = np.empty(params.horizon + 1)
+    y[0], y[1] = params.y0, params.y1
+    two = -2.0 if params.sign == "plus" else 2.0
+    for j in range(2, params.horizon + 1):
+        y[j] = two * y[j - 1] - y[j - 2]
+    return y
+
+
+def numpy_closed_form(params):
+    """The reference: the closed form evaluated on a float64 index array."""
+    a, b = params.affine_coefficients()
+    j = np.arange(params.horizon + 1, dtype=np.float64)
+    affine = b + a * (j + 1.0)
+    if params.sign == "plus":
+        return np.where(np.arange(params.horizon + 1) % 2 == 0, affine, -affine) + 0.0
+    return affine
+
+
+def bit_seeds():
+    """Integer, fractional and negative seeds, and seeds of every scale from 1e-300 to 1e150."""
+    rng = np.random.default_rng(31)
+    seeds = [(1.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (2.0, -1.0), (-7.0, 3.0), (0.1, 0.2),
+             (-0.3, 0.7), (1e10, 0.1), (1e8, 0.3), (1.0, 1e-11)]
+    for exponent in range(-300, 151, 15):
+        y0, y1 = rng.uniform(-1.0, 1.0, 2) * 10.0 ** exponent
+        seeds += [(float(y0), float(y1)), (float(-y1), float(y0))]
+    return seeds
+
+
+class TestBitIdentity:
+    """The float loops give the bits of the float64 array loops they replaced."""
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_public_arrays_have_the_reference_bits(self, sign):
+        for horizon in range(2, 61):
+            for y0, y1 in bit_seeds():
+                p = RecurrenceParams(y0, y1, sign, horizon)
+                for got, expected in ((kernel_recurrence_solve(p), numpy_iteration(p)),
+                                      (generating_coefficients(p), numpy_closed_form(p))):
+                    assert got.dtype == np.float64 and got.shape == (horizon + 1,)
+                    assert got.tobytes() == expected.tobytes(), (y0, y1, sign, horizon)
 
 
 class TestClosedForm:

@@ -23,11 +23,13 @@ chains, for the paper's construction), the matrix a pass starts from is
 block diagonal along them merged with its own pattern, and the iteration
 commutes with a common block structure.  So each pass stacks the blocks of
 equal size, across blocks and inputs, into one ``eigh`` and one stacked
-:func:`linalg.polar` per size (an SVD, or a closed form for blocks that keep
-at most two rows); a dense problem is the case of one block.  What decides a
-verdict stays global: the PSD rule and the pseudo-inverse cutoff take the
-largest eigenvalue over all blocks, and the change, the certificate residual
-and the Fréchet value are norms and traces summed over the blocks.
+:func:`linalg.polar` per size: a closed form for blocks that keep at most
+two rows, one-sided Jacobi sweeps over a large stack of blocks that keep
+three to five (the Monte-Carlo run's longer chains), and an SVD otherwise; a
+dense problem is the case of one block.  What decides a verdict stays
+global: the PSD rule and the pseudo-inverse cutoff take the largest
+eigenvalue over all blocks, and the change, the certificate residual and the
+Fréchet value are norms and traces summed over the blocks.
 """
 
 import numbers
@@ -356,12 +358,17 @@ def _mean_inner_root(roots: list, block_factors: tuple, weights) -> list:
 
     Per size ``L``, the products ``G_i @ root`` of every input and block are
     stacked, at most ``_block_size(L)`` blocks to one stacked
-    :func:`linalg.polar`: one stacked SVD, or polar's closed form when the
-    blocks keep at most two rows (for the construction, the chains of length
-    3 or less, whose blocks have rank ``L - 1``).  The weighted sum is a
+    :func:`linalg.polar`.  That is polar's closed form when the blocks keep
+    at most two rows (for the construction, the chains of length 3 or less,
+    whose blocks have rank ``L - 1``), its one-sided Jacobi route for a
+    large stack of blocks that keep three to five rows (on the Monte-Carlo
+    run's 1,000 inputs at dim 32, the chains of length 4 and 6, so that run
+    makes no SVD), and one stacked SVD otherwise.  The weighted sum is a
     running sum in input order, so a single block has the bits of
-    ``sum(w * polar(F @ root))`` over the trimmed factors ``F``, which are the
-    bits of ``sum(w * congruence_sqrt(root, S))`` when no input is trimmed.
+    ``sum(w * P)`` over the stacked polars ``P`` of the trimmed factors,
+    which for stacks below the Jacobi route's size are the bits of
+    ``sum(w * polar(F @ root))``, and of ``sum(w * congruence_sqrt(root, S))``
+    when no input is trimmed.
     """
     w = np.asarray(weights)
     out = []
@@ -371,7 +378,10 @@ def _mean_inner_root(roots: list, block_factors: tuple, weights) -> list:
         for start in range(0, len(G), step):
             P = w[start:start + step, None, None, None] * linalg.polar(G[start:start + step] @ root)
             P[0] += acc
-            acc = np.cumsum(P, axis=0)[-1]
+            # summed over the inputs as an outer reduction, in input order; a
+            # stack of single 1x1 blocks has no other axis, and numpy would
+            # sum along its only one pairwise
+            acc = P.sum(axis=0) if P[0].size > 1 else np.cumsum(P, axis=0)[-1]
         out.append(acc)
     return out
 

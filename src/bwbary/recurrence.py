@@ -36,9 +36,10 @@ class RecurrenceParams:
     ``sign="plus"`` selects ``y_j = -2 y_{j-1} - y_{j-2}`` (denominator
     ``1 + 2t + t**2``); ``sign="minus"`` selects ``y_j = +2 y_{j-1} - y_{j-2}``
     (denominator ``1 - 2t + t**2``).  ``horizon`` is the largest index J
-    computed, an integer >= 2; sequences have length J + 1.  The seeds must be
-    finite, and so must twice :meth:`term_bound`, the closed form's bound on
-    every term: the iteration doubles a term before it subtracts the one
+    computed, an integer >= 2 that a float can hold; sequences have length
+    J + 1.  The seeds must be finite floats (an int beyond the float range is
+    not one), and so must be twice :meth:`term_bound`, the closed form's bound
+    on every term: the iteration doubles a term before it subtracts the one
     before.  The seeds are kept as Python floats and the horizon as an int.
     """
 
@@ -53,7 +54,9 @@ class RecurrenceParams:
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral) \
                 or self.horizon < 2:
             raise InvalidInput("horizon must be an integer >= 2")
-        if not (isfinite(self.y0) and isfinite(self.y1)):
+        if not _fits_float(self.horizon):
+            raise InvalidInput("horizon must be an integer >= 2 that a float can hold")
+        if not (_fits_float(self.y0) and _fits_float(self.y1)):
             raise InvalidInput("y0 and y1 must be finite")
         # Python numbers overflow to inf without a warning, where numpy
         # scalars would warn
@@ -79,6 +82,14 @@ class RecurrenceParams:
         """``|b| + |a| (horizon + 1)``: the closed form's bound on every computed ``|y_j|``."""
         a, b = self.affine_coefficients()
         return abs(b) + abs(a) * (self.horizon + 1)
+
+
+def _fits_float(x) -> bool:
+    """``math.isfinite(x)``, and False for an int beyond the float range, where it raises."""
+    try:
+        return isfinite(x)
+    except OverflowError:
+        return False
 
 
 def iterate(params: RecurrenceParams) -> list:

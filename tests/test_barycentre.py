@@ -260,6 +260,22 @@ class TestBlockedPass:
                        for wi, S in zip(prob.weights, inputs))
         assert np.array_equal(dense_mean_inner_root(root, prob), expected)
 
+    def test_jacobi_polars_are_summed_in_input_order(self, lapack_calls):
+        # at dim 8 the chain 1, 2, 4, 8 keeps 3 rows, and enough inputs take
+        # polar's Jacobi route
+        n = linalg._JACOBI_MIN_STACK + 3
+        rng = np.random.default_rng(34)
+        w = rng.uniform(0.5, 1.5, n)
+        prob = problem(conjugated_family(8, n, seed=35), (w / w.sum()).tolist())
+        G = prob.block_factors[-1]
+        assert G.shape == (n, 1, 3, 4)
+        roots = barycentre._gather(linalg.sqrt_psd(prob.mean), prob.blocks)
+        lapack_calls.clear()
+        mean = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)[-1]
+        assert lapack_calls["svd"] == 0
+        expected = sum(wi * P for wi, P in zip(prob.weights, linalg.polar(G @ roots[-1])))
+        assert np.array_equal(mean, expected)
+
     def test_scalar_inputs_are_summed_in_input_order(self):
         # (n, 1, 1, 1) stacks: a plain reduction over the inputs would be pairwise
         rng = np.random.default_rng(33)

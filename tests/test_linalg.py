@@ -228,15 +228,16 @@ class TestFactoredRoots:
 
 
 def svd_polar(X):
-    """``|X|`` of one ``(r, L)`` matrix from numpy's SVD: the reference for the closed form.
+    """``|X|`` of an ``(r, L)`` matrix or a stack of them from numpy's SVD: the reference.
 
     ``X`` is padded with ``L`` zero rows first, which leaves ``X.T @ X``
     unchanged and gives the SVD an operand with at least one row.
     """
-    padded = np.vstack([X, np.zeros((X.shape[1], X.shape[1]))])
+    L = X.shape[-1]
+    padded = np.concatenate([X, np.zeros(X.shape[:-2] + (L, L))], axis=-2)
     _, sv, Vt = np.linalg.svd(padded, full_matrices=False)
-    R = (Vt.T * sv) @ Vt
-    return (R + R.T) / 2.0
+    R = (np.swapaxes(Vt, -1, -2) * sv[..., None, :]) @ Vt
+    return (R + np.swapaxes(R, -1, -2)) / 2.0
 
 
 class TestClosedFormPolar:
@@ -297,6 +298,92 @@ class TestClosedFormPolar:
         assert lapack_calls["svd"] == 0
         assert np.array_equal(R, polar(psd_factor(M) @ root))
         np.testing.assert_allclose(R, sqrt_psd(root @ M @ root), atol=1e-12)
+
+
+JACOBI_ROWS = range(3, linalg._JACOBI_MAX_ROWS + 1)
+
+
+def jacobi_stack(rng, n, rows, L, kind):
+    """``n`` random ``(rows, L)`` matrices of one kind, for polar's Jacobi route."""
+    X = rng.standard_normal((n, rows, L)) * 0.5 ** np.arange(L)  # graded columns
+    if kind == "zero row":
+        X[np.arange(n), rng.integers(rows, size=n)] = 0.0
+    elif kind == "parallel":
+        X[:, 1] = rng.uniform(-2.0, 2.0, (n, 1)) * X[:, 0]
+    elif kind == "equal norms":
+        # cyclic shifts of one row with two adjacent nonzeros: the computed
+        # norms are equal to the bit, and neighbouring rows are not orthogonal
+        v = np.zeros((n, L))
+        v[:, :2] = rng.standard_normal((n, 2))
+        X = np.stack([np.roll(v, k, axis=1) for k in range(rows)], axis=1)
+    elif kind == "clustered":
+        # singular values 1, then rows - 1 within 1e-12 of each other at 1e-9
+        U = np.linalg.qr(rng.standard_normal((n, rows, rows)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, L, rows)))[0]
+        sv = 1e-9 * (1.0 + 1e-12 * np.arange(rows))
+        sv[0] = 1.0
+        X = (U * sv) @ np.swapaxes(V, -1, -2)
+    return X
+
+
+class TestJacobiPolar:
+    """Large stacks of matrices with 3 to ``_JACOBI_MAX_ROWS`` rows take one-sided Jacobi."""
+
+    N = linalg._JACOBI_MIN_STACK
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(JACOBI_ROWS), st.integers(0, 4), st.integers(-100, 100),
+           st.sampled_from(["graded", "zero row", "parallel", "equal norms", "clustered"]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_svd(self, rows, extra, k, kind, seed):
+        X = jacobi_stack(np.random.default_rng(seed), self.N, rows, rows + extra, kind)
+        X *= 10.0**k
+        P = polar(X)
+        assert P.shape == (self.N, rows + extra, rows + extra)
+        assert np.array_equal(P, np.swapaxes(P, -1, -2))
+        # the SVD polar itself is off by up to 1.5e-14 ||X|| on about one of
+        # 50,000 such matrices (against 50-digit references, where the
+        # Jacobi route stayed within 5e-16), so the bound is 3e-14
+        error = np.linalg.norm(P - svd_polar(X), axis=(1, 2))
+        assert np.all(error <= 3e-14 * np.linalg.norm(X, axis=(1, 2)))
+
+    @pytest.mark.parametrize("rows", JACOBI_ROWS)
+    def test_matrix_has_the_same_bits_in_another_stack(self, rows):
+        rng = np.random.default_rng(13)
+        X = jacobi_stack(rng, self.N, rows, 6, "graded")
+        Y = jacobi_stack(rng, 2 * self.N + 6, rows, 6, "graded").reshape(-1, 2, rows, 6)
+        X[[0, 5]] = 0.0  # zero matrices and a zero row share the stack
+        X[7, 1] = 0.0
+        Y[3] = X[4:6]
+        Y[-1, 0] = X[7]
+        P, Q = polar(X), polar(Y)
+        assert np.array_equal(P[4:6], Q[3])
+        assert np.array_equal(P[7], Q[-1, 0])
+        assert not np.any(P[0])
+
+    @pytest.mark.parametrize("rows", JACOBI_ROWS)
+    def test_makes_no_lapack_call(self, rows, lapack_calls):
+        X = jacobi_stack(np.random.default_rng(14), self.N, rows, 6, "graded")
+        lapack_calls.clear()
+        polar(X)
+        assert not lapack_calls
+        # one matrix fewer, or fewer columns than rows, and the stack takes the SVD
+        polar(X[1:])
+        polar(X[..., :rows - 1])
+        assert lapack_calls.shapes["svd"] == [(self.N - 1, rows, 6), (self.N, rows, rows - 1)]
+
+    def test_more_rows_take_the_svd(self, lapack_calls):
+        rows = linalg._JACOBI_MAX_ROWS + 1
+        X = jacobi_stack(np.random.default_rng(15), self.N, rows, rows + 1, "graded")
+        lapack_calls.clear()
+        polar(X)
+        assert lapack_calls.shapes["svd"] == [X.shape]
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        X = jacobi_stack(np.random.default_rng(16), self.N, 3, 4, "graded")
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            polar(X)
 
 
 def bases_with_angles(rng, n, angles, extra=0):

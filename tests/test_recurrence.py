@@ -78,6 +78,16 @@ class TestRecurrenceIteration:
             with pytest.raises(InvalidInput, match="too large"):
                 RecurrenceParams(y0, y1, sign, horizon)
 
+    @pytest.mark.parametrize("y0, y1, sign, horizon, message", [
+        (10**400, 0.0, "plus", 30, "must be finite"),
+        (1.0, 10**400, "plus", 30, "must be finite"),
+        (1.0, 0.0, "plus", 10**400, "horizon must be an integer >= 2"),
+    ], ids=["y0", "y1", "horizon"])
+    def test_ints_beyond_the_float_range(self, y0, y1, sign, horizon, message):
+        # math.isfinite and int-to-float conversion raise OverflowError on these
+        with pytest.raises(InvalidInput, match=message):
+            RecurrenceParams(y0, y1, sign, horizon)
+
     def test_largest_seeds_iterate_finitely(self):
         # y_j = (-1)^j 8e307 for every j: the doubled term 1.6e308 is finite
         with warnings.catch_warnings():

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NonFinite
-from .linalg import PSD_TOL, check_covariance, check_same_dim, check_symmetric, check_weights
+from .linalg import PSD_TOL, check_same_dim, check_symmetric, check_weights
 
 # Relative eigenvalue cutoff for the pseudo-inverse inside the solver only.
 # Deliberately far below linalg.RANK_TOL: truncating at 1e-10 freezes the
@@ -444,7 +444,8 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     ----------
     prob : BarycentreProblem
     init : array_like, optional
-        Starting covariance.  Defaults to the Euclidean mean of the inputs
+        Starting covariance, checked by the eigendecomposition of its blocks
+        (:func:`_decompose`).  Defaults to the Euclidean mean of the inputs
         plus ``settings.ridge * I`` (positive definite, cheap, unbiased).
 
     Returns
@@ -460,15 +461,12 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         If the iterate leaves the realm of finite floats.
     """
     st = prob.settings
-    if init is None:
-        sigma = prob.mean + st.ridge * np.eye(prob.dim)
-    else:
-        # the first decomposition is of init + ridge I, so init is checked here
-        sigma = check_covariance(init)
-        check_same_dim(sigma, prob.mean)
-
+    sigma = prob.mean + st.ridge * np.eye(prob.dim) if init is None else check_symmetric(init)
+    check_same_dim(sigma, prob.mean)
     blocks, block_factors = _split(prob, sigma)
     sigma = _gather(sigma, blocks)
+    if init is not None:
+        _decompose(sigma)  # init's one check: the first step decomposes init + ridge I
     eyes = [np.eye(idx.shape[1]) for idx in blocks]
     ridge = st.ridge
     history = []

@@ -169,9 +169,9 @@ def cmd_barycentre(args) -> int:
         report.add_input(path)
         inputs.append(mat)
     weights = _parse_weights(args.weights, len(inputs))
-    settings = SolverSettings(
-        tol=args.tol, max_iter=args.max_iter, ridge=args.ridge, ridge_decay=args.ridge_decay
-    )
+    # a solver flag not given is absent from args, so SolverSettings' default holds
+    settings = SolverSettings(**{k: v for k, v in vars(args).items()
+                                 if k in ("tol", "max_iter", "ridge", "ridge_decay")})
     init = None
     if args.init is not None:
         init, _ = _read_matrix(args.init)
@@ -345,10 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("barycentre", help="run the fixed-point solver")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--weights", default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--ridge-decay", type=float, default=0.5)
+    # no defaults here: a flag not given leaves SolverSettings' own
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--ridge", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--ridge-decay", type=float, default=argparse.SUPPRESS)
     p.add_argument("--init", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None)

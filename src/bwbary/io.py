@@ -65,11 +65,13 @@ def _read_matrix(path) -> tuple:
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInput(f"cannot read matrix file {path}: {exc}") from exc
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         kind = doc["kind"]
         data = doc["data"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed matrix file {path}: missing {exc}") from exc
+    if type(dim) is not int:  # int() would truncate 2.9 and read true as 1
+        raise InvalidInput(f"dim must be an integer, got {dim!r} in {path}")
     if kind not in KINDS:
         raise InvalidInput(f"bad kind {kind!r} in {path}")
     if not isinstance(data, list) or dim < 1 or len(data) != dim * dim:

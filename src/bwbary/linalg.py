@@ -20,12 +20,11 @@ a barycentre problem) or its eigendecomposition (:func:`_psd_eigs`), all
 under the one rule of :func:`check_psd_floor`.
 
 scipy supplies only LAPACK ``pstrf`` (``_pstrf``), which only
-:func:`covariance_factor` calls (distances, maps, ``check_covariance``).  Its
-compiled LAPACK wrapper is loaded at the first such factorization, not with
-the package, and without ``scipy.linalg``, whose import costs more than the
-rest of ``bwbary.cli`` (see ``_lapack``); barycentre problems factor in
-numpy, so CLI runs such as ``construct``, ``verify``, ``barycentre`` (without
-``--init``), ``sweep`` and ``recurrence`` import no scipy.
+:func:`covariance_factor` calls (distances, maps, ``check_covariance``,
+``io.load_matrix``); ``scipy.linalg`` is imported at the first such
+factorization, not with the package (see ``_lapack``).  Barycentre problems
+factor in numpy and the solver checks its ``init`` by its eigendecomposition,
+so no CLI subcommand imports scipy.
 :func:`principal_angles` is numpy's SVD with the cosine/sine method of
 Knyazev & Argentati, each angle taken from whichever of its cosine and sine
 gives it accurately.
@@ -442,8 +441,7 @@ def polar(X: np.ndarray) -> np.ndarray:
     if rows <= min(_JACOBI_MAX_ROWS, X.shape[-1]) and prod(X.shape[:-2]) >= _JACOBI_MIN_STACK:
         return _jacobi_polar(X)
     _, sv, Vt = np.linalg.svd(X, full_matrices=False)
-    R = (np.swapaxes(Vt, -1, -2) * sv[..., None, :]) @ Vt
-    return (R + np.swapaxes(R, -1, -2)) / 2.0
+    return _spectral_apply(np.swapaxes(Vt, -1, -2), sv)
 
 
 def _rotation(a: np.ndarray, b: np.ndarray, g: np.ndarray, skip: np.ndarray) -> tuple:

@@ -138,10 +138,13 @@ class TestCliChecksEachFileOnce:
         assert main(["barycentre", "--inputs", str(pair / "s1.json"), str(pair / "s2.json"),
                      "--init", str(pair / "sigma.json"), "--max-iter", "2",
                      "--out", str(pair / "bary.json")]) == 0
-        # the inputs' stacked block factors in problem(), one pstrf for --init
-        # in the solver
-        assert lapack_calls["pstrf"] == 1
+        # the inputs' stacked block factors in problem(), with no pstrf; per
+        # chain length, one stacked eigh each for the --init check, the one
+        # step and the closing pass
+        assert lapack_calls["pstrf"] == 0
+        assert lapack_calls["eigh"] == 3 * chain_lengths(16)
         assert lapack_calls["eigvalsh"] == 0
+        assert "iterations=1 " in capsys.readouterr().out
 
     def test_sweep(self, tmp_path, lapack_calls, capsys):
         assert main(["sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv")]) == 0

@@ -52,6 +52,24 @@ class TestMatrixFiles:
         with pytest.raises(InvalidInput):
             load_matrix(path)
 
+    @pytest.mark.parametrize("dim, data", [
+        (2.9, [1.0, 0.0, 0.0, 1.0]),  # int() would truncate it to 2
+        (2.0, [1.0, 0.0, 0.0, 1.0]),
+        (True, [1.0]),  # int() would read it as 1
+        ("2", [1.0, 0.0, 0.0, 1.0]),
+    ], ids=["float", "integral_float", "bool", "string"])
+    def test_load_rejects_dim_that_is_not_an_integer(self, tmp_path, dim, data):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": dim, "kind": "covariance", "data": data}))
+        with pytest.raises(InvalidInput, match="dim must be an integer"):
+            load_matrix(path)
+
+    def test_verify_exits_two_on_a_float_dim(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"dim": 2.9, "kind": "covariance", "data": [1, 0, 0, 1]}')
+        assert run_cli("verify", "--candidate", str(path), "--inputs", str(path)) == 2
+        assert "dim must be an integer" in capsys.readouterr().err
+
     def test_load_rejects_non_psd_covariance(self, tmp_path):
         path = tmp_path / "m.json"
         save_matrix(path, -np.eye(2), "covariance")
@@ -294,6 +312,25 @@ class TestBarycentreCommand:
         assert changes[-1] <= 1e-10
         frechets = [float(r["frechet_value"]) for r in rows]
         assert all(b <= a + 1e-9 for a, b in zip(frechets, frechets[1:]))
+
+    def test_solver_flags_default_to_solver_settings(self, tmp_path, capsys):
+        from bwbary import SolverSettings
+
+        G = np.random.default_rng(41).standard_normal((2, 4, 4))
+        for i, S in enumerate(G @ np.swapaxes(G, 1, 2)):
+            save_matrix(tmp_path / f"s{i}.json", S, "covariance")
+        inputs = ("--inputs", str(tmp_path / "s0.json"), str(tmp_path / "s1.json"))
+        st = SolverSettings()
+        spelled = ("--tol", repr(st.tol), "--max-iter", str(st.max_iter),
+                   "--ridge", repr(st.ridge), "--ridge-decay", repr(st.ridge_decay))
+        runs = []
+        for name, flags in (("default", ()), ("spelled", spelled)):
+            capsys.readouterr()
+            assert run_cli("--report", "json", "barycentre", *inputs, *flags,
+                           "--out", str(tmp_path / f"{name}.json")) == 0
+            runs.append((json.loads(capsys.readouterr().out)["results"],
+                         (tmp_path / f"{name}.json").read_bytes()))
+        assert runs[0] == runs[1]
 
 
     @pytest.mark.parametrize("option", [["--tol", "inf"], ["--tol", "nan"], ["--ridge", "nan"],

@@ -6,18 +6,16 @@ first use, and each CLI subcommand imports the modules it runs, so
 ``construct --law`` load ``randomized`` and ``numpy.random``, and no
 subcommand loads ``numpy.ma``.
 
-scipy is imported at the first LAPACK pivoted Cholesky, not with the package,
-and ``scipy.linalg`` is never imported: ``pstrf`` comes from scipy's compiled
-LAPACK wrapper, loaded from its file, and the principal angles are numpy's.
-Barycentre problems factor their inputs in numpy, so ``verify``,
-``barycentre`` and ``sweep`` import no scipy at all; only a dense covariance
-factor (``linalg.covariance_factor``: distances, maps, ``--init``) loads it.
+scipy is imported at the first dense covariance factor (LAPACK ``pstrf``,
+``linalg.covariance_factor``: distances, maps, ``load_matrix``), not with the
+package.  Barycentre problems factor their inputs in numpy, the solver checks
+``--init`` by its eigendecomposition, and the principal angles are numpy's,
+so no CLI subcommand imports scipy at all.
 
 Each check runs in a fresh interpreter, because the test modules import scipy
 and every ``bwbary`` module themselves.
 """
 
-import importlib.machinery
 import json
 import subprocess
 import sys
@@ -156,9 +154,26 @@ def test_cli_loads_scipy_only_when_it_factors(tmp_path):
     assert not cli_loads_scipy("barycentre", *inputs, "--ridge", "1e-6", "--ridge-decay", "0.5",
                                "--out", str(tmp_path / "bary.json"))
     assert not cli_loads_scipy("sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv"))
-    # --init is checked by its pstrf factor
-    assert cli_loads_scipy("barycentre", *inputs, "--init", str(tmp_path / "sigma.json"),
-                           "--max-iter", "2", "--out", str(tmp_path / "bary.json"))
+    # --init is checked by the eigendecomposition of its blocks, with no pstrf
+    assert not cli_loads_scipy("barycentre", *inputs, "--init", str(tmp_path / "sigma.json"),
+                               "--max-iter", "2", "--out", str(tmp_path / "bary.json"))
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    inputs = ("--inputs", str(tmp_path / "s1.json"), str(tmp_path / "s2.json"))
+    runs = {  # in order: construct writes the files the others read
+        "construct": ("construct", "--dim", "32", "--pair", "--out", str(tmp_path)),
+        "verify": ("verify", "--candidate", str(tmp_path / "sigma.json"), *inputs),
+        "barycentre": ("barycentre", *inputs, "--ridge", "1e-6", "--out", str(tmp_path / "b.json")),
+        "barycentre --init": ("barycentre", *inputs, "--init", str(tmp_path / "sigma.json"),
+                              "--out", str(tmp_path / "b.json")),
+        "recurrence": ("recurrence", "--y0", "1", "--y1", "0", "--steps", "30"),
+        "sweep": ("sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv")),
+        "mc": ("mc", "--dim", "8", "--n", "4"),
+    }
+    loaded = {name: sorted(m for m in cli_modules(*argv) if m.split(".")[0] == "scipy")
+              for name, argv in runs.items()}
+    assert loaded == {name: [] for name in runs}
 
 
 def test_lazily_fetched_pstrf_is_the_lapack_routine():
@@ -198,52 +213,3 @@ def test_cli_never_imports_scipy_linalg(tmp_path):
                                module="scipy.linalg")
     assert not cli_loads_scipy("sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "sweep.csv"),
                                module="scipy.linalg")
-
-
-def test_later_scipy_linalg_import_takes_over_the_routine():
-    assert run_fresh("""
-        import sys
-        import numpy as np
-        from bwbary import _lapack
-
-        routine = _lapack._routine()
-        assert "scipy.linalg" not in sys.modules
-
-        import scipy.linalg
-        from scipy.linalg import get_lapack_funcs
-        print(get_lapack_funcs(("pstrf",), (np.empty((1, 1)),))[0] is routine)
-    """) == "True"
-
-
-def test_loaded_wrapper_is_reused():
-    import scipy.linalg  # noqa: F401  (registers scipy.linalg._flapack)
-    from bwbary import _lapack
-
-    assert _lapack._load_flapack() is sys.modules["scipy.linalg._flapack"]
-
-
-FACTOR_BITS = """
-    import hashlib, sys
-    import numpy as np
-    from bwbary import _lapack
-    from bwbary.linalg import covariance_factor
-    {patch}
-    G = np.random.default_rng(61).standard_normal((48, 30)) * 0.8 ** np.arange(30)
-    F = covariance_factor(G @ G.T)[1]
-    print(F.shape[0], "scipy.linalg" in sys.modules, hashlib.sha256(F.tobytes()).hexdigest())
-"""
-
-
-@pytest.mark.parametrize("how", ["missing", "broken"])
-def test_fallback_gives_the_same_factor_bits(tmp_path, how):
-    # the wrapper's file is not found, or is found but fails to load; either
-    # way pstrf comes from scipy.linalg.get_lapack_funcs, with the same bits
-    broken = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    broken.write_bytes(b"not a shared library")
-    path = None if how == "missing" else str(broken)
-    direct = run_fresh(FACTOR_BITS.format(patch="")).split()
-    fallback = run_fresh(FACTOR_BITS.format(
-        patch=f"_lapack._flapack_path = lambda: {path!r}")).split()
-    assert direct[1] == "False" and fallback[1] == "True"
-    assert direct[0] == fallback[0] == "30"
-    assert direct[2] == fallback[2]

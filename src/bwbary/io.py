@@ -32,7 +32,12 @@ def save_matrix(path, matrix, kind: str) -> None:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {A.shape}")
     doc = {"dim": int(A.shape[0]), "kind": kind, "data": A.reshape(-1).tolist()}
-    Path(path).write_text(json.dumps(doc) + "\n")
+    try:
+        # NaN and Infinity tokens are not JSON, and load_matrix rejects them
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidInput("matrix has non-finite entries") from exc
+    Path(path).write_text(text + "\n")
 
 
 def load_matrix(path) -> tuple:
@@ -76,10 +81,15 @@ def _read_matrix(path) -> tuple:
         raise InvalidInput(f"bad kind {kind!r} in {path}")
     if not isinstance(data, list) or dim < 1 or len(data) != dim * dim:
         raise InvalidInput(f"data does not match dim {dim} in {path}")
+    # one pass over the types: asarray would read true as 1.0 and "1e0" as 1.0
+    bad = set(map(type, data)) - {float, int}
+    if bad:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        raise InvalidInput(f"data entries must be JSON numbers, got {names} in {path}")
     try:
         A = np.asarray(data, dtype=np.float64).reshape(dim, dim)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"non-numeric data in {path}: {exc}") from exc
+    except OverflowError as exc:  # an integer entry beyond the float range
+        raise InvalidInput(f"data entry too large for a float in {path}") from exc
     if not np.all(np.isfinite(A)):
         raise InvalidInput("matrix has non-finite entries")
     return A, kind

@@ -11,8 +11,6 @@ closed form is cross-checked by brute-force minimization.
 import time
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from bwbary import (
     RandomMapLaw,
@@ -20,12 +18,10 @@ from bwbary import (
     SolverSettings,
     TruncationConfig,
     barycentre_fixed_point,
-    build_covariance,
     build_pair_maps,
     build_shift_map,
     bw_distance,
     bw_distance_sq,
-    conjugate,
     doubling_shift,
     frechet_functional,
     generating_coefficients,
@@ -40,6 +36,7 @@ from bwbary import (
     symmetrized_shift,
     verify_barycentre_certificate,
 )
+from helpers import constructed_triple, quantile_coupling_w2sq, random_psd
 
 # Monte-Carlo regression bound, calibrated once at seed 42 (measured
 # residual 6.470e-3 = 0.205/sqrt(n)) and frozen with headroom.
@@ -48,17 +45,6 @@ MC_RESIDUAL_C = 0.25
 
 def _pass(name, detail):
     print(f"[PASS] {name}: {detail}")
-
-
-def random_psd(rng, n, rank=None):
-    G = rng.standard_normal((n, rank or n))
-    return G @ G.T
-
-
-def constructed_triple(dim):
-    cov = build_covariance(TruncationConfig(dim=dim))
-    t1, t2 = build_pair_maps(dim)
-    return cov, conjugate(t1, cov), conjugate(t2, cov)
 
 
 # --------------------------------------------------------------------------
@@ -106,13 +92,6 @@ def grid_refine_frechet_min(inputs, weights, levels=6, npts=25):
         q_lo, q_hi = max(0.0, best[2] - dq), best[2] + dq
         r_lo, r_hi = best[3] - dr, best[3] + dr
     return best[0]
-
-
-def quantile_coupling_w2sq(sigma1, sigma2):
-    val, _ = quad(
-        lambda u: (sigma1 * norm.ppf(u) - sigma2 * norm.ppf(u)) ** 2, 1e-12, 1 - 1e-12
-    )
-    return val
 
 
 # --------------------------------------------------------------------------

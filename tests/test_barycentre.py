@@ -23,22 +23,12 @@ from bwbary import (
     verify_barycentre_certificate,
 )
 from bwbary import barycentre, construct, linalg
-
-
-def random_psd(rng, n, rank=None):
-    G = rng.standard_normal((n, rank or n))
-    return G @ G.T
+from helpers import constructed_triple, random_psd
 
 
 def project_psd(M):
     w, V = np.linalg.eigh((M + M.T) / 2)
     return (V * np.clip(w, 0.0, None)) @ V.T
-
-
-def constructed_triple(dim):
-    cov = build_covariance(TruncationConfig(dim=dim))
-    t1, t2 = build_pair_maps(dim)
-    return cov, conjugate(t1, cov), conjugate(t2, cov)
 
 
 class TestFrechetFunctional:

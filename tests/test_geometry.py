@@ -4,8 +4,6 @@ import gc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from bwbary import (
     DimensionMismatch,
@@ -20,26 +18,8 @@ from bwbary import (
     optimal_map,
 )
 from bwbary import geometry
-from bwbary.linalg import RANK_TOL, SYM_TOL, eig_sym
-
-
-def random_psd(rng, n, rank=None):
-    G = rng.standard_normal((n, rank or n))
-    return G @ G.T
-
-
-def range_projector(M, rank_tol=RANK_TOL):
-    """``V_r V_r^T`` for the eigenvectors ``V_r`` above the rank cutoff."""
-    dec = eig_sym(M)
-    V = dec.eigenvectors[:, dec.eigenvalues > rank_tol * max(1.0, dec.eigenvalues[0])]
-    return V @ V.T
-
-
-def quantile_coupling_w2sq(sigma1, sigma2):
-    """1-D squared W2 between N(0, s1^2), N(0, s2^2) by quantile quadrature."""
-    val, _ = quad(lambda u: (sigma1 * norm.ppf(u) - sigma2 * norm.ppf(u)) ** 2,
-                  1e-12, 1 - 1e-12)
-    return val
+from bwbary.linalg import SYM_TOL
+from helpers import quantile_coupling_w2sq, random_psd, range_projector
 
 
 class TestDistance:

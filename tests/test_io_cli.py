@@ -70,6 +70,32 @@ class TestMatrixFiles:
         assert run_cli("verify", "--candidate", str(path), "--inputs", str(path)) == 2
         assert "dim must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, message", [
+        ("[true, false, false, true]", "must be JSON numbers, got bool"),  # not read as I
+        ('["1", "0", "0", "1e0"]', "must be JSON numbers, got str"),
+        ("[true, false, \"0\", \"1e0\"]", "must be JSON numbers, got bool, str"),
+        ("[1" + "0" * 400 + ", 0, 0, 1]", "too large for a float"),  # not an OverflowError
+    ], ids=["bool", "string", "bool-and-string", "big-integer"])
+    def test_verify_exits_two_on_data_that_is_not_a_float(self, tmp_path, capsys, data,
+                                                          message):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"dim": 2, "kind": "covariance", "data": {data}}}')
+        assert run_cli("verify", "--candidate", str(path), "--inputs", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_load_takes_integer_entries(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"dim": 2, "kind": "covariance", "data": [2, 0, 0, 1.5]}')
+        assert np.array_equal(load_matrix(path)[0], np.diag([2.0, 1.5]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite_entries(self, tmp_path, value):
+        path = tmp_path / "m.json"
+        with pytest.raises(InvalidInput, match="non-finite"):
+            save_matrix(path, np.diag([1.0, value]), "covariance")
+        assert not path.exists()
+
     def test_load_rejects_non_psd_covariance(self, tmp_path):
         path = tmp_path / "m.json"
         save_matrix(path, -np.eye(2), "covariance")

@@ -1,19 +1,26 @@
 """Each process imports only what it runs.
 
-``import bwbary`` loads no submodule: the package's exports are loaded at
-first use, and each CLI subcommand imports the modules it runs, so
-``recurrence`` loads neither numpy nor ``linalg``, only ``mc`` and
-``construct --law`` load ``randomized`` and ``numpy.random``, and no
-subcommand loads ``numpy.ma``.
+``import bwbary`` loads no submodule and no scipy: the package's exports are
+loaded at first use.  Each CLI subcommand imports the modules it runs, and
+one test per subcommand checks the whole import profile of one run of it
+(construct with ``--pair``, ``--c`` and ``--law``; verify; barycentre with and
+without ``--init``; three recurrence runs; sweep; mc):
 
-scipy is imported at the first dense covariance factor (LAPACK ``pstrf``,
-``linalg.covariance_factor``: distances, maps, ``load_matrix``), not with the
-package.  Barycentre problems factor their inputs in numpy, the solver checks
-``--init`` by its eigendecomposition, and the principal angles are numpy's,
-so no CLI subcommand imports scipy at all.
+- no subcommand imports scipy: barycentre problems factor their inputs in
+  numpy, the solver checks ``--init`` by its eigendecomposition, and the
+  principal angles are numpy's.  scipy is imported at the first dense
+  covariance factor (LAPACK ``pstrf``, ``linalg.covariance_factor``:
+  distances, maps, ``load_matrix``), which no subcommand reaches;
+- ``recurrence`` computes on Python floats, so it loads neither numpy nor
+  ``linalg`` nor the solver; every other subcommand loads numpy but not
+  ``numpy.ma`` (the partition's component sizes come from ``bincount``, not
+  ``np.unique``);
+- ``construct`` without ``--law`` loads no solver;
+- only ``mc`` and ``construct --law`` load ``randomized`` and ``numpy.random``.
 
 Each check runs in a fresh interpreter, because the test modules import scipy
-and every ``bwbary`` module themselves.
+and every ``bwbary`` module themselves; the runs of all subcommands share one
+module-scoped fixture, so each command starts one interpreter.
 """
 
 import json
@@ -42,13 +49,49 @@ def cli_modules(*argv) -> set:
         print(json.dumps([rc, sorted(sys.modules)]))
     """)
     rc, modules = json.loads(last)
-    assert rc == 0
+    assert rc == 0, argv
     return set(modules)
 
 
-def cli_loads_scipy(*argv, module="scipy") -> bool:
-    """Run ``bwbary.cli.main(argv)`` in a fresh interpreter; whether it imported ``module``."""
-    return module in cli_modules(*argv)
+# in order: construct-pair writes the files the later runs read ({d} is their directory)
+SUBCOMMANDS = {
+    "construct-pair": "construct --dim 32 --pair --out {d}",
+    "construct-c": "construct --dim 16 --c 2 --out {d}/c",
+    "construct-law": "construct --dim 16 --law uniform --out {d}/law",
+    "verify": "verify --candidate {d}/sigma.json --inputs {d}/s1.json {d}/s2.json",
+    "barycentre": "barycentre --inputs {d}/s1.json {d}/s2.json --ridge 1e-6 --ridge-decay 0.5"
+                  " --out {d}/bary.json",
+    "barycentre-init": "barycentre --inputs {d}/s1.json {d}/s2.json --init {d}/sigma.json"
+                       " --out {d}/bary_init.json",
+    "recurrence": "recurrence --y0 1 --y1 0 --steps 30",
+    "recurrence-csv": "recurrence --y0 0.3 --y1 -0.7 --sign minus --csv {d}/rec.csv",
+    "recurrence-json": "--report json recurrence --y0 1e10 --y1 0.1",
+    "sweep": "sweep --dims 8..32 --out-csv {d}/s.csv",
+    "mc": "mc --dim 8 --n 4 --seed 3",
+}
+
+
+@pytest.fixture(scope="module")
+def subcommand_modules(tmp_path_factory):
+    """The modules each of :data:`SUBCOMMANDS` imported, each run in a fresh interpreter."""
+    d = str(tmp_path_factory.mktemp("cli"))
+    return {name: cli_modules(*(arg.format(d=d) for arg in command.split()))
+            for name, command in SUBCOMMANDS.items()}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_loads_only_its_modules(name, subcommand_modules):
+    modules = subcommand_modules[name]
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+    if name.startswith("recurrence"):
+        assert not {"numpy", "bwbary.linalg", "bwbary.barycentre"} & modules
+    else:
+        assert "numpy" in modules and "numpy.ma" not in modules
+    if name in ("construct-pair", "construct-c"):
+        assert "bwbary.barycentre" not in modules
+    draws = name in ("mc", "construct-law")
+    assert ("bwbary.randomized" in modules) == draws
+    assert ("numpy.random" in modules) == draws
 
 
 def test_package_import_loads_no_submodule():
@@ -59,36 +102,12 @@ def test_package_import_loads_no_submodule():
     """) == "[]"
 
 
-def test_each_subcommand_loads_only_its_modules(tmp_path):
-    inputs = ("--inputs", str(tmp_path / "s1.json"), str(tmp_path / "s2.json"))
-    runs = {  # in order: construct writes the files the others read
-        "construct": ("construct", "--dim", "32", "--pair", "--out", str(tmp_path)),
-        "construct --c": ("construct", "--dim", "16", "--out", str(tmp_path / "c")),
-        "verify": ("verify", "--candidate", str(tmp_path / "sigma.json"), *inputs),
-        "barycentre": ("barycentre", *inputs, "--ridge", "1e-6", "--ridge-decay", "0.5",
-                       "--out", str(tmp_path / "bary.json")),
-        "recurrence": ("recurrence", "--y0", "1", "--y1", "0", "--steps", "30"),
-        "recurrence --csv": ("recurrence", "--y0", "0.3", "--y1", "-0.7", "--sign", "minus",
-                             "--csv", str(tmp_path / "rec.csv")),
-        "recurrence json": ("--report", "json", "recurrence", "--y0", "1e10", "--y1", "0.1"),
-        "sweep": ("sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv")),
-        "construct --law": ("construct", "--dim", "16", "--law", "uniform",
-                            "--out", str(tmp_path / "law")),
-        "mc": ("mc", "--dim", "8", "--n", "4", "--seed", "3"),
-    }
-    loaded = {name: cli_modules(*argv) for name, argv in runs.items()}
-    for name, modules in loaded.items():
-        if name.startswith("recurrence"):
-            # the recurrence computes on Python floats
-            assert not {"numpy", "bwbary.linalg", "bwbary.barycentre"} & modules, name
-        else:
-            # the partition's component sizes come from bincount, not np.unique
-            assert "numpy" in modules and "numpy.ma" not in modules, name
-    assert "bwbary.barycentre" not in loaded["construct"]
-    for name, modules in loaded.items():
-        draws = name in ("mc", "construct --law")
-        assert ("bwbary.randomized" in modules) == draws, name
-        assert ("numpy.random" in modules) == draws, name
+def test_package_import_leaves_scipy_out():
+    assert run_fresh("""
+        import sys
+        import bwbary, bwbary.cli
+        print("scipy" in sys.modules)
+    """) == "False"
 
 
 def test_star_import_binds_all_to_the_defining_objects():
@@ -138,44 +157,6 @@ def test_exports_are_looked_up_at_each_access(monkeypatch):
     assert "problem" not in vars(bwbary)
 
 
-def test_package_import_leaves_scipy_out():
-    assert run_fresh("""
-        import sys
-        import bwbary, bwbary.cli
-        print("scipy" in sys.modules)
-    """) == "False"
-
-
-def test_cli_loads_scipy_only_when_it_factors(tmp_path):
-    assert not cli_loads_scipy("recurrence", "--y0", "1", "--y1", "0", "--steps", "30")
-    assert not cli_loads_scipy("construct", "--dim", "32", "--pair", "--out", str(tmp_path))
-    inputs = ("--inputs", str(tmp_path / "s1.json"), str(tmp_path / "s2.json"))
-    assert not cli_loads_scipy("verify", "--candidate", str(tmp_path / "sigma.json"), *inputs)
-    assert not cli_loads_scipy("barycentre", *inputs, "--ridge", "1e-6", "--ridge-decay", "0.5",
-                               "--out", str(tmp_path / "bary.json"))
-    assert not cli_loads_scipy("sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv"))
-    # --init is checked by the eigendecomposition of its blocks, with no pstrf
-    assert not cli_loads_scipy("barycentre", *inputs, "--init", str(tmp_path / "sigma.json"),
-                               "--max-iter", "2", "--out", str(tmp_path / "bary.json"))
-
-
-def test_no_subcommand_imports_scipy(tmp_path):
-    inputs = ("--inputs", str(tmp_path / "s1.json"), str(tmp_path / "s2.json"))
-    runs = {  # in order: construct writes the files the others read
-        "construct": ("construct", "--dim", "32", "--pair", "--out", str(tmp_path)),
-        "verify": ("verify", "--candidate", str(tmp_path / "sigma.json"), *inputs),
-        "barycentre": ("barycentre", *inputs, "--ridge", "1e-6", "--out", str(tmp_path / "b.json")),
-        "barycentre --init": ("barycentre", *inputs, "--init", str(tmp_path / "sigma.json"),
-                              "--out", str(tmp_path / "b.json")),
-        "recurrence": ("recurrence", "--y0", "1", "--y1", "0", "--steps", "30"),
-        "sweep": ("sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv")),
-        "mc": ("mc", "--dim", "8", "--n", "4"),
-    }
-    loaded = {name: sorted(m for m in cli_modules(*argv) if m.split(".")[0] == "scipy")
-              for name, argv in runs.items()}
-    assert loaded == {name: [] for name in runs}
-
-
 def test_lazily_fetched_pstrf_is_the_lapack_routine():
     # the factor of a rank-20 dim-32 covariance, first through the lazy path,
     # then from the routine fetched directly, with the pivoting undone by hand
@@ -199,17 +180,3 @@ def test_lazily_fetched_pstrf_is_the_lapack_routine():
         expected = np.triu(c[:rank])[:, inv]
         print(rank, F.shape, np.array_equal(F, expected))
     """) == "20 (20, 32) True"
-
-
-def test_cli_never_imports_scipy_linalg(tmp_path):
-    assert not cli_loads_scipy("construct", "--dim", "32", "--pair", "--out", str(tmp_path),
-                               module="scipy.linalg")
-    assert not cli_loads_scipy("verify", "--candidate", str(tmp_path / "sigma.json"),
-                               "--inputs", str(tmp_path / "s1.json"), str(tmp_path / "s2.json"),
-                               module="scipy.linalg")
-    assert not cli_loads_scipy("barycentre", "--inputs", str(tmp_path / "s1.json"),
-                               str(tmp_path / "s2.json"), "--ridge", "1e-6",
-                               "--ridge-decay", "0.5", "--out", str(tmp_path / "bary.json"),
-                               module="scipy.linalg")
-    assert not cli_loads_scipy("sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "sweep.csv"),
-                               module="scipy.linalg")

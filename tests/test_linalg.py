@@ -20,7 +20,6 @@ from bwbary import linalg
 from bwbary.construct import build_covariance, TruncationConfig
 from bwbary.linalg import (
     PSD_TOL,
-    RANK_TOL,
     check_psd_floor,
     check_symmetric,
     congruence_sqrt,
@@ -30,18 +29,7 @@ from bwbary.linalg import (
     principal_angles,
     psd_factor,
 )
-
-
-def random_psd(rng, n, rank=None):
-    G = rng.standard_normal((n, rank or n))
-    return G @ G.T
-
-
-def range_projector(M, rank_tol=RANK_TOL):
-    """``V_r V_r^T`` for the eigenvectors ``V_r`` above the rank cutoff."""
-    dec = eig_sym(M)
-    V = dec.eigenvectors[:, dec.eigenvalues > rank_tol * max(1.0, dec.eigenvalues[0])]
-    return V @ V.T
+from helpers import random_psd, range_projector
 
 
 class TestEigSym:

@@ -4,9 +4,11 @@ Subcommands construct the shift-conjugation family, verify barycentre
 certificates, run the fixed-point solver, cross-check the kernel recurrence,
 run the Monte-Carlo population experiment, and sweep truncation dimensions.
 Exit codes: 0 success / within tolerance, 1 tolerance failure, 2 invalid
-input, 3 numerical failure.  ``construct`` and ``sweep`` take the kernels of
-the constructed covariances from the maps (:func:`construct.conjugated_kernel`),
-so their counts need no cutoff and hold at any dimension.
+input, 3 numerical failure.  ``construct`` reports each kernel dimension as
+``(dim + 1) // 2``, that of the odd directions, since every map it builds is
+positive definite and ``ker(T C T) = T^{-1} ker C``; ``sweep`` takes the
+kernels themselves from the maps (:func:`construct.kernel_report`).  Neither
+count needs an eigenvalue cutoff, and both hold at any dimension.
 """
 
 import argparse
@@ -17,9 +19,10 @@ from pathlib import Path
 from .errors import InvalidInput, KernelNotIncluded, NonFinite
 from .io import RunReport, _read_matrix, file_digest, save_matrix
 
-# Each cmd_* imports the library modules it runs, and numpy and csv, inside its
-# body, so a process loads only its subcommand's modules: ``recurrence`` no
-# numpy and no linalg, only ``mc`` and ``construct --law`` numpy.random.
+# Each cmd_* imports the library modules it runs, and numpy, inside its body
+# (csv loads in _write_csv), so a process loads only its subcommand's modules:
+# ``recurrence`` no numpy and no linalg, only ``mc`` and ``construct --law``
+# numpy.random.
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -35,13 +38,24 @@ def _parse_decay(text: str):
     raise InvalidInput(f"bad --decay {text!r}; use geometric:<r> or list:<v,..>")
 
 
-def _parse_weights(text, n):
-    if text is None:
-        return [1.0 / n] * n
-    weights = [float(v) for v in text.split(",")]
+def _read_inputs(args, report: RunReport) -> tuple:
+    """The ``--inputs`` matrices, each recorded in ``report``, and the ``--weights``.
+
+    Weights default to uniform.  The files are parsed only: each is checked by
+    the code that uses it.
+    """
+    inputs = []
+    for path in args.inputs:
+        mat, _ = _read_matrix(path)
+        report.add_input(path)
+        inputs.append(mat)
+    n = len(inputs)
+    if args.weights is None:
+        return inputs, [1.0 / n] * n
+    weights = [float(v) for v in args.weights.split(",")]
     if len(weights) != n:
         raise InvalidInput(f"got {len(weights)} weights for {n} inputs")
-    return weights
+    return inputs, weights
 
 
 def _parse_dims(text: str):
@@ -60,6 +74,17 @@ def _parse_dims(text: str):
     return [int(v) for v in text.split(",")]
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV, floats by ``repr`` (the shortest round-trip)."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
 def _emit(report: RunReport, args, text_lines) -> None:
     if args.report == "json":
         print(report.to_json())
@@ -73,9 +98,9 @@ def cmd_construct(args) -> int:
 
     Each conjugation is checked once, by :func:`conjugate`'s eigenvalues; the
     files are not read back.  A covariance's ``trace`` comes from the matrix in
-    memory, whose file reproduces it bit-exactly, its ``kernel_dim`` is the
-    column count of :func:`conjugated_kernel` for the map it was conjugated
-    by, and every ``digest`` is of the file as written.
+    memory, whose file reproduces it bit-exactly, its ``kernel_dim`` is that
+    of the odd directions, ``(dim + 1) // 2``, since every map built here is
+    positive definite, and every ``digest`` is of the file as written.
     """
     import numpy as np
 
@@ -85,7 +110,6 @@ def cmd_construct(args) -> int:
         build_pair_maps,
         build_shift_map,
         conjugate,
-        conjugated_kernel,
     )
 
     report = RunReport(args.argv, seed=args.seed)
@@ -93,14 +117,14 @@ def cmd_construct(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # name -> (matrix, kind, map conjugating sigma to it), in the order written
+    # name -> (matrix, kind), in the order written
     sigma = build_covariance(config)
-    files = {"sigma": (sigma, "covariance", np.eye(args.dim))}
+    files = {"sigma": (sigma, "covariance")}
     if args.pair:
         t1, t2 = build_pair_maps(args.dim)
-        files.update(t1=(t1, "map", None), t2=(t2, "map", None),
-                       s1=(conjugate(t1, sigma), "covariance", t1),
-                       s2=(conjugate(t2, sigma), "covariance", t2))
+        files.update(t1=(t1, "map"), t2=(t2, "map"),
+                     s1=(conjugate(t1, sigma), "covariance"),
+                     s2=(conjugate(t2, sigma), "covariance"))
     else:
         if args.law is not None:
             from .randomized import RandomMapLaw, random_map_sample
@@ -108,15 +132,15 @@ def cmd_construct(args) -> int:
             t = random_map_sample(RandomMapLaw(args.law), args.seed, args.dim)
         else:
             t = build_shift_map(args.dim, c=args.c)
-        files.update(t=(t, "map", None), s=(conjugate(t, sigma), "covariance", t))
+        files.update(t=(t, "map"), s=(conjugate(t, sigma), "covariance"))
 
+    kdim = (args.dim + 1) // 2
     lines = []
-    for name, (mat, kind, T) in files.items():
+    for name, (mat, kind) in files.items():
         path = out / f"{name}.json"
         save_matrix(path, mat, kind)
         report.add_result(f"digest_{name}", file_digest(path))
         if kind == "covariance":
-            kdim = conjugated_kernel(config, T).shape[1]
             report.add_result(f"kernel_dim_{name}", kdim)
             report.add_result(f"trace_{name}", float(np.trace(mat)))
             lines.append(f"{name}: wrote {path}  kernel_dim={kdim}  trace={np.trace(mat):.6g}")
@@ -136,12 +160,7 @@ def cmd_verify(args) -> int:
     report = RunReport(args.argv)
     candidate, _ = _read_matrix(args.candidate)
     report.add_input(args.candidate)
-    inputs = []
-    for path in args.inputs:
-        mat, _ = _read_matrix(path)
-        report.add_input(path)
-        inputs.append(mat)
-    weights = _parse_weights(args.weights, len(inputs))
+    inputs, weights = _read_inputs(args, report)
     residual = verify_barycentre_certificate(candidate, problem(inputs, weights))
     ok = residual <= args.tol
     report.add_result("certificate_residual", residual)
@@ -157,18 +176,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_barycentre(args) -> int:
-    import csv
-
     from .barycentre import SolverSettings, barycentre_fixed_point, problem
 
     # the inputs are checked by problem(), --init by barycentre_fixed_point
     report = RunReport(args.argv)
-    inputs = []
-    for path in args.inputs:
-        mat, _ = _read_matrix(path)
-        report.add_input(path)
-        inputs.append(mat)
-    weights = _parse_weights(args.weights, len(inputs))
+    inputs, weights = _read_inputs(args, report)
     # a solver flag not given is absent from args, so SolverSettings' default holds
     settings = SolverSettings(**{k: v for k, v in vars(args).items()
                                  if k in ("tol", "max_iter", "ridge", "ridge_decay")})
@@ -180,11 +192,7 @@ def cmd_barycentre(args) -> int:
 
     save_matrix(args.out, result.barycentre, "covariance")
     if args.csv is not None:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "change", "frechet_value"])
-            for row in result.history:
-                writer.writerow([row[0], repr(row[1]), repr(row[2])])
+        _write_csv(args.csv, ["iteration", "change", "frechet_value"], result.history)
     report.add_result("iterations", result.iterations)
     report.add_result("final_change", result.final_change)
     report.add_result("certificate_residual", result.certificate_residual)
@@ -219,13 +227,7 @@ def cmd_recurrence(args) -> int:
     rows = [(j, r, c, abs(r - c))
             for j, (r, c) in enumerate(zip(iterate(params), closed_form(params)))]
     if args.csv is not None:
-        import csv
-
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "recurrence", "closed_form", "abs_diff"])
-            for row in rows:
-                writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
+        _write_csv(args.csv, ["j", "recurrence", "closed_form", "abs_diff"], rows)
     max_diff = max(row[3] for row in rows)
     tol = 1e-9 * max(1.0, params.term_bound())
     a, b = params.affine_coefficients()
@@ -272,8 +274,6 @@ def cmd_mc(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import csv
-
     import numpy as np
 
     from .barycentre import problem, verify_barycentre_certificate
@@ -302,11 +302,7 @@ def cmd_sweep(args) -> int:
             "min_nonzero_angle_s1": info["min_nonzero_angles"][0],
             "certificate_residual": residual,
         })
-    with open(args.out_csv, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
+    _write_csv(args.out_csv, list(rows[0]), [row.values() for row in rows])
     report.add_result("rows", rows)
     _emit(report, args, [", ".join(f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
                                    for k, v in row.items()) for row in rows])

@@ -9,18 +9,20 @@ are PSD and average to the identity, the barycentre certificate holds with
 equality.
 
 At finite truncation each conjugated covariance has the same kernel
-dimension as the original: its kernel is the inverse image of the original
-kernel under the map, and :func:`conjugated_kernel` computes it that way, with
-no eigenvalue cutoff.  The odd directions ``e_j`` with ``2j > dim`` are fixed by
+dimension as the original, ``(dim + 1) // 2``: its kernel is the inverse image
+of the original kernel under the map, and :func:`conjugated_kernel` computes it
+that way, with no eigenvalue cutoff.  The odd directions ``e_j`` with ``2j > dim`` are fixed by
 the truncated maps, so every conjugated kernel shares their span (of dimension
-``dim/4`` under the default pattern) with the original kernel; the rest of the
+``dim/4`` for a power of two) with the original kernel; the rest of the
 kernels are tilted apart, by canonical angles of at least ``arctan(1/2)`` for
 the pair maps.  Vanishing of the conjugated kernels is
 strictly a limit phenomenon, so this module reports kernel dimensions and
 angles rather than asserting injectivity.
 """
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,47 +39,50 @@ SHARED_ANGLE_TOL = 1e-8
 class TruncationConfig:
     """Finite truncation of the singular-covariance construction.
 
+    The kernel is the odd 1-based directions 1, 3, 5, ..., the heads of the
+    doubling chains; the ``dim // 2`` even directions carry the decay law.
+
     Attributes
     ----------
     dim : int
-        Truncation dimension (a power of two keeps the shift orbits tidy).
+        Truncation dimension, an integer >= 2 (``bool`` is not one); a power
+        of two keeps the shift orbits tidy.
     decay : float or sequence of float
         A float ``r`` in (0, 1) puts eigenvalue ``r**k`` on the k-th kept
-        direction (geometric decay); a sequence lists the kept eigenvalues
-        explicitly, in increasing index order.
-    kernel_pattern : tuple of int, optional
-        1-based indices of the zero directions.  Defaults to all odd indices
-        1, 3, 5, ...
+        direction (geometric decay); a sequence lists the ``dim // 2`` kept
+        eigenvalues explicitly, in increasing index order.
+    values : tuple of float
+        The kept eigenvalues, derived from ``decay`` (not an init argument).
+        Each is a positive finite float, so a geometric ``r`` whose
+        ``r**(dim // 2)`` underflows to 0 raises :class:`InvalidInput`
+        (``r = 0.5`` reaches ``dim = 2149``).
     """
 
     dim: int
     decay: float | Sequence[float] = 0.5
-    kernel_pattern: tuple = None
+    values: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise InvalidInput("dim must be >= 2")
-        if self.kernel_pattern is None:
-            object.__setattr__(self, "kernel_pattern", tuple(range(1, self.dim + 1, 2)))
-        else:
-            pattern = tuple(sorted(set(int(k) for k in self.kernel_pattern)))
-            if pattern and (pattern[0] < 1 or pattern[-1] > self.dim):
-                raise InvalidInput("kernel_pattern indices must lie in 1..dim")
-            object.__setattr__(self, "kernel_pattern", pattern)
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) \
+                or self.dim < 2:
+            raise InvalidInput("dim must be an integer >= 2")
+        kept = self.dim // 2
         if np.isscalar(self.decay):
             r = float(self.decay)
             if not (0.0 < r < 1.0):
                 raise InvalidInput("geometric decay ratio must be in (0, 1)")
+            values = tuple(r ** k for k in range(1, kept + 1))
         else:
             values = tuple(float(v) for v in self.decay)
-            if len(values) != self.dim - len(self.kernel_pattern):
+            if len(values) != kept:
                 raise InvalidInput(
-                    f"decay list has {len(values)} entries but "
-                    f"{self.dim - len(self.kernel_pattern)} kept directions"
-                )
-            if any(v <= 0 for v in values):
-                raise InvalidInput("decay values must be strictly positive")
+                    f"decay list has {len(values)} entries but {kept} kept directions")
             object.__setattr__(self, "decay", values)
+        if not all(0.0 < v < math.inf for v in values):
+            raise InvalidInput(
+                "every kept eigenvalue must be a positive finite float; "
+                "a geometric ratio r needs r**(dim // 2) > 0")
+        object.__setattr__(self, "values", values)
 
 
 def doubling_shift(dim: int) -> np.ndarray:
@@ -122,14 +127,15 @@ def symmetrized_shift(dim: int) -> np.ndarray:
 
 
 def build_shift_map(dim: int, c: float = 2.0) -> np.ndarray:
-    """The self-adjoint map ``F + F^T + c I``, for ``c >= 2``.
+    """The self-adjoint map ``F + F^T + c I``, for finite ``c >= 2``.
 
     PSD for every such ``c``: the symmetrized shift has operator norm below 2,
     so the smallest eigenvalue exceeds ``c - 2``.  The operator norm is at
-    most ``c + 2``.  ``c < 2`` raises :class:`InvalidInput`.
+    most ``c + 2``.  Any other ``c``, NaN and infinity included, raises
+    :class:`InvalidInput`.
     """
-    if c < 2.0:
-        raise InvalidInput("c must be >= 2 to keep the map PSD")
+    if not (2.0 <= c < math.inf):
+        raise InvalidInput("c must be finite and >= 2 to keep the map PSD")
     return symmetrized_shift(dim) + c * np.eye(dim)
 
 
@@ -150,11 +156,11 @@ def build_map_family(dim: int, n: int = None, coeffs=None, weights=None) -> list
 
     Either give ``n`` (coefficients default to ``linspace(-1/2, 1/2, n)``,
     equally spaced and symmetric about 0) or explicit ``coeffs``.  Each
-    ``|a_i|`` must be at most 1/2 so every map is PSD.  ``weights`` (default
-    uniform) follow :class:`barycentre.BarycentreProblem`'s rule, one finite
-    nonnegative weight per map summing to 1 within 1e-12, and the weighted
-    coefficient sum must vanish (tolerance 1e-15), so the family averages to
-    the identity.
+    ``|a_i|`` must be at most 1/2 (NaN is not) so every map is PSD.
+    ``weights`` (default uniform) follow
+    :class:`barycentre.BarycentreProblem`'s rule, one finite nonnegative
+    weight per map summing to 1 within 1e-12, and the weighted coefficient sum
+    must vanish (tolerance 1e-15), so the family averages to the identity.
     """
     if coeffs is None:
         if n is None or n < 2:
@@ -163,7 +169,7 @@ def build_map_family(dim: int, n: int = None, coeffs=None, weights=None) -> list
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 1 or coeffs.size < 2:
         raise InvalidInput("need at least two coefficients")
-    if np.max(np.abs(coeffs)) > 0.5:
+    if not np.all(np.abs(coeffs) <= 0.5):
         raise InvalidInput("coefficients must lie in [-1/2, 1/2] to keep maps PSD")
     if weights is None:
         weights = np.full(coeffs.size, 1.0 / coeffs.size)
@@ -176,22 +182,14 @@ def build_map_family(dim: int, n: int = None, coeffs=None, weights=None) -> list
 
 
 def build_covariance(config: TruncationConfig) -> np.ndarray:
-    """Diagonal covariance that vanishes on the configured kernel pattern.
+    """Diagonal covariance that vanishes on the odd directions.
 
-    Kept directions carry the decay law: ``r**k`` on the k-th kept index for
-    geometric decay, or the explicit list.  With the default pattern and
-    ``dim=8``, ``r=1/2`` this is ``diag(0, 1/2, 0, 1/4, 0, 1/8, 0, 1/16)``.
+    The even directions carry ``config.values`` in order: ``r**k`` on the k-th
+    for geometric decay, or the explicit list.  With ``dim=8``, ``r=1/2`` this
+    is ``diag(0, 1/2, 0, 1/4, 0, 1/8, 0, 1/16)``.
     """
     d = np.zeros(config.dim)
-    kernel = set(config.kernel_pattern)
-    kept = [i for i in range(1, config.dim + 1) if i not in kernel]
-    if np.isscalar(config.decay):
-        r = float(config.decay)
-        values = [r ** k for k in range(1, len(kept) + 1)]
-    else:
-        values = list(config.decay)
-    for idx, val in zip(kept, values):
-        d[idx - 1] = val
+    d[1::2] = config.values
     return np.diag(d)
 
 
@@ -213,22 +211,20 @@ def conjugate(T, cov) -> np.ndarray:
     return P
 
 
-def conjugated_kernel(config: TruncationConfig, T) -> np.ndarray:
-    """Orthonormal basis (columns) of ``ker(T C T)``, ``C = build_covariance(config)``.
+def conjugated_kernel(T) -> np.ndarray:
+    """Orthonormal basis (columns) of ``ker(T C T)``, ``C`` a constructed covariance.
 
     Exact for a symmetric positive-definite ``T``, as every map this module
-    builds is: ``ker(T C T) = T^{-1} E``, ``E`` the coordinate directions of
-    ``config.kernel_pattern`` (they span ``ker C``), so no eigenvalue is
-    classified.  Raises :class:`InvalidInput` when ``T`` has no Cholesky factor.
+    builds is: ``ker(T C T) = T^{-1} E``, ``E`` the odd coordinate directions
+    (they span ``ker C`` for every decay), so no eigenvalue is classified.  Raises
+    :class:`InvalidInput` when ``T`` has no Cholesky factor.
     """
     T = linalg.check_symmetric(T)
-    if T.shape != (config.dim, config.dim):
-        raise DimensionMismatch(f"dimension mismatch: {T.shape} vs dim {config.dim}")
     try:
         L = np.linalg.cholesky(T)
     except np.linalg.LinAlgError:
         raise InvalidInput("map is not positive definite") from None
-    E = np.eye(config.dim)[:, np.array(config.kernel_pattern, dtype=np.intp) - 1]
+    E = np.eye(T.shape[0])[:, 0::2]
     return np.linalg.qr(np.linalg.solve(L.T, np.linalg.solve(L, E)))[0]
 
 
@@ -247,14 +243,13 @@ def kernel_report(config: TruncationConfig, maps) -> dict:
         kernels outside the shared subspace, ``arctan(1/2)`` for the pair
         maps.  NaN when every angle is shared.
 
-    When the kernel is trivial there are no angles: ``shared_dims`` is 0 and
-    ``min_nonzero_angles`` is NaN.
+    A map of another dim raises :class:`DimensionMismatch`.
     """
-    base = conjugated_kernel(config, np.eye(config.dim))
-    report = {"kernel_dim": int(base.shape[1]),
+    base = np.eye(config.dim)[:, 0::2]
+    report = {"kernel_dim": base.shape[1],
               "kernel_dims": [], "shared_dims": [], "min_nonzero_angles": []}
     for T in maps:
-        ker = conjugated_kernel(config, T)
+        ker = conjugated_kernel(T)
         angles = linalg.principal_angles(ker, base)
         nonzero = angles[angles > SHARED_ANGLE_TOL]
         report["kernel_dims"].append(int(ker.shape[1]))

@@ -13,7 +13,6 @@ without it.
 """
 
 import json
-import sys
 import time
 from pathlib import Path
 
@@ -117,13 +116,7 @@ class RunReport:
         self.doc["inputs"][str(path)] = file_digest(path)
 
     def add_result(self, key: str, value) -> None:
-        # a numpy value can only come from a process that has loaded numpy
-        np = sys.modules.get("numpy")
-        if np is not None:
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            elif isinstance(value, (np.floating, np.integer)):
-                value = value.item()
+        """Record ``value``, a JSON-ready Python value, under ``key``."""
         self.doc["results"][key] = value
 
     def finish(self) -> dict:

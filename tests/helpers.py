@@ -1,9 +1,10 @@
 """Helpers shared by the test modules: random inputs, the constructed triple and oracles."""
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from bwbary import TruncationConfig, build_covariance, build_pair_maps, conjugate
+from bwbary import TruncationConfig, build_covariance, build_pair_maps, conjugate, optimal_map
 from bwbary.linalg import RANK_TOL, eig_sym
 
 
@@ -17,6 +18,23 @@ def constructed_triple(dim):
     cov = build_covariance(TruncationConfig(dim=dim))
     t1, t2 = build_pair_maps(dim)
     return cov, conjugate(t1, cov), conjugate(t2, cov)
+
+
+def two_input_oracle(A, B, t):
+    """The exact barycentre of ``A``, ``B`` with weights ``1 - t``, ``t``, and its dual maps.
+
+    For ``A`` positive definite the barycentre is the point at ``t`` on the
+    Bures-Wasserstein geodesic from ``A`` to ``B`` (McCann 1997):
+    ``C* = M A M`` with ``M = (1 - t) I + t T``, ``T`` the optimal map from
+    ``A`` to ``B``.  The maps from ``C*`` to the inputs are ``M^{-1}`` and
+    ``T M^{-1}``, and they average to the identity.  ``B`` may be singular.
+    Returns ``(C*, M^{-1}, T M^{-1})``.
+    """
+    T = optimal_map(A, B)
+    M = (1.0 - t) * np.eye(len(T)) + t * T
+    M_inv = np.linalg.inv(M)
+    C = M @ A @ M
+    return (C + C.T) / 2.0, M_inv, T @ M_inv
 
 
 def range_projector(M, rank_tol=RANK_TOL):

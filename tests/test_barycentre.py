@@ -23,12 +23,44 @@ from bwbary import (
     verify_barycentre_certificate,
 )
 from bwbary import barycentre, construct, linalg
-from helpers import constructed_triple, random_psd
+from helpers import constructed_triple, random_psd, two_input_oracle
 
 
 def project_psd(M):
     w, V = np.linalg.eigh((M + M.T) / 2)
     return (V * np.clip(w, 0.0, None)) @ V.T
+
+
+class TestTwoInputOracle:
+    """Two inputs that do not commute, against their closed-form barycentre.
+
+    ``A`` is a full-rank Wishart matrix ``G G^T / 2d`` (condition number
+    about 20 to 40, well inside ``RANK_TOL``), ``B`` has rank 8 to
+    ``min(d, 64)``.
+    """
+
+    @pytest.fixture(params=[(d, t) for d in (16, 32, 64, 128) for t in (0.2, 0.5)],
+                    ids=lambda p: f"d{p[0]}_t{p[1]}")
+    def case(self, request):
+        d, t = request.param
+        rng = np.random.default_rng([d, round(10 * t)])
+        A = random_psd(rng, d, 2 * d) / (2 * d)
+        B = random_psd(rng, d, int(rng.integers(8, min(d, 64) + 1))) / d
+        return A, B, t
+
+    def test_oracle_is_exact(self, case):
+        A, B, t = case
+        C, to_a, to_b = two_input_oracle(A, B, t)
+        assert verify_barycentre_certificate(C, problem([A, B], [1.0 - t, t])) <= 1e-13
+        assert np.linalg.norm((1.0 - t) * to_a + t * to_b - np.eye(len(A))) <= 1e-13
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-6])
+    def test_solver_converges_to_the_oracle(self, case, ridge):
+        A, B, t = case
+        C = two_input_oracle(A, B, t)[0]
+        result = barycentre_fixed_point(problem([A, B], [1.0 - t, t], SolverSettings(ridge=ridge)))
+        assert result.converged
+        assert np.linalg.norm(result.barycentre - C) <= 1e-9 * np.linalg.norm(C)
 
 
 class TestFrechetFunctional:

@@ -91,6 +91,12 @@ class TestShiftMap:
         with pytest.raises(InvalidInput):
             build_shift_map(8, c=1.0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_c_is_invalid(self, c):
+        # NaN and +inf both pass a bare c < 2 check
+        with pytest.raises(InvalidInput, match="finite and >= 2"):
+            build_shift_map(8, c=c)
+
 
 class TestPairMaps:
     @pytest.mark.parametrize("dim", [2, 16, 64, 256])
@@ -140,6 +146,12 @@ class TestMapFamily:
         with pytest.raises(InvalidInput):
             build_map_family(8, coeffs=[0.6, -0.6])
 
+    @pytest.mark.parametrize("coeffs", [[np.nan, np.nan], [np.inf, -np.inf]])
+    def test_rejects_non_finite_coefficients(self, coeffs):
+        # NaN compares false with 1/2 and with the vanishing-sum tolerance
+        with pytest.raises(InvalidInput, match=r"\[-1/2, 1/2\]"):
+            build_map_family(8, coeffs=coeffs)
+
     def test_rejects_nonzero_mean(self):
         with pytest.raises(InvalidInput):
             build_map_family(8, coeffs=[0.5, 0.25])
@@ -158,10 +170,23 @@ class TestMapFamily:
 
 class TestBuildCovariance:
     def test_dim_eight_geometric(self):
-        cov = build_covariance(TruncationConfig(dim=8, decay=0.5))
+        config = TruncationConfig(dim=8, decay=0.5)
+        assert config.values == (0.5, 0.25, 0.125, 0.0625)
         np.testing.assert_array_equal(
-            np.diag(cov), [0.0, 0.5, 0.0, 0.25, 0.0, 0.125, 0.0, 0.0625]
+            np.diag(build_covariance(config)), [0.0, 0.5, 0.0, 0.25, 0.0, 0.125, 0.0, 0.0625]
         )
+
+    def test_values_are_derived(self):
+        # two init fields; values follows them and takes no part in equality
+        assert TruncationConfig(dim=4, decay=(0.5, 0.25)) == TruncationConfig(
+            dim=4, decay=[0.5, 0.25])
+        with pytest.raises(TypeError):
+            TruncationConfig(dim=4, values=(1.0, 1.0))
+
+    def test_odd_dim(self):
+        # the odd directions 1, 3, 5 are the kernel; 2 and 4 carry the decay
+        np.testing.assert_array_equal(
+            np.diag(build_covariance(TruncationConfig(dim=5))), [0.0, 0.5, 0.0, 0.25, 0.0])
 
     def test_kernel_dim(self):
         cov = build_covariance(TruncationConfig(dim=16))
@@ -171,10 +196,6 @@ class TestBuildCovariance:
         cov = build_covariance(TruncationConfig(dim=4, decay=(1.0, 1.0)))
         np.testing.assert_array_equal(np.diag(cov), [0.0, 1.0, 0.0, 1.0])
 
-    def test_custom_kernel_pattern(self):
-        cov = build_covariance(TruncationConfig(dim=4, decay=0.5, kernel_pattern=(1, 2)))
-        np.testing.assert_array_equal(np.diag(cov), [0.0, 0.0, 0.5, 0.25])
-
     def test_bad_configs(self):
         with pytest.raises(InvalidInput):
             TruncationConfig(dim=1)
@@ -182,8 +203,28 @@ class TestBuildCovariance:
             TruncationConfig(dim=4, decay=1.5)
         with pytest.raises(InvalidInput):
             TruncationConfig(dim=4, decay=(1.0,))  # two kept directions
+
+    @pytest.mark.parametrize("dim", [8.0, True, "8"])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(InvalidInput, match="integer >= 2"):
+            TruncationConfig(dim=dim)
+
+    @pytest.mark.parametrize("dim, decay", [
+        (4096, 0.5),  # 0.5**2048 underflows to 0
+        (8, 1e-200),  # 1e-200**2 does
+        (8, (float("nan"), 1.0, 1.0, 1.0)),
+        (8, (float("inf"), 1.0, 1.0, 1.0)),
+        (8, (1.0, 0.0, 1.0, 1.0)),
+    ], ids=["underflow_4096", "underflow_1e-200", "nan", "inf", "zero"])
+    def test_kept_eigenvalues_positive_and_finite(self, dim, decay):
+        with pytest.raises(InvalidInput, match="positive finite"):
+            TruncationConfig(dim=dim, decay=decay)
+
+    def test_last_dim_before_underflow(self):
+        # 0.5**1074 is the smallest positive double
+        assert TruncationConfig(dim=2149).values[-1] == 5e-324
         with pytest.raises(InvalidInput):
-            TruncationConfig(dim=4, kernel_pattern=(0, 1))
+            TruncationConfig(dim=2150)
 
 
 class TestConjugate:
@@ -243,7 +284,7 @@ class TestKernelBookkeeping:
             assert abs(angle - np.arctan(0.5)) <= 1e-15
         # orthonormal bases of the kernels of the conjugated covariances
         for T in (t1, t2):
-            Q = conjugated_kernel(config, T)
+            Q = conjugated_kernel(T)
             np.testing.assert_allclose(Q.T @ Q, np.eye(dim // 2), atol=1e-14)
             S = T @ cov @ T
             assert np.linalg.norm(S @ Q, 2) <= 1e-15 * np.linalg.norm(S, 2)
@@ -255,14 +296,6 @@ class TestKernelBookkeeping:
         report = kernel_report(config, maps)
         assert report["kernel_dims"] == [dim // 2] * len(maps)
 
-    def test_trivial_kernel(self):
-        config = TruncationConfig(dim=4, decay=(1.0, 0.5, 0.25, 0.125), kernel_pattern=())
-        report = kernel_report(config, [build_pair_maps(4)[0]])
-        assert report["kernel_dim"] == 0
-        assert report["kernel_dims"] == [0]
-        assert report["shared_dims"] == [0]
-        assert np.isnan(report["min_nonzero_angles"][0])
-
     def test_indefinite_map_is_invalid_input(self):
         T = symmetrized_shift(16) + np.eye(16)
         assert np.linalg.eigvalsh(T)[0] < 0
@@ -271,7 +304,7 @@ class TestKernelBookkeeping:
 
     def test_map_of_wrong_dim(self):
         with pytest.raises(DimensionMismatch):
-            conjugated_kernel(TruncationConfig(dim=16), np.eye(8))
+            kernel_report(TruncationConfig(dim=16), [np.eye(8)])
 
     def test_truncated_tail_directions_are_shared(self):
         # odd indices j with 2j > dim are fixed points of the truncated maps,

@@ -16,6 +16,7 @@ from bwbary import (
     save_matrix,
 )
 from bwbary.cli import main
+from bwbary.construct import conjugated_kernel
 from bwbary.io import file_digest
 
 
@@ -143,6 +144,20 @@ class TestConstructCommand:
                      "--out", str(tmp_path))
         assert rc == 2
 
+    @pytest.mark.parametrize("option", [
+        ["--decay", "geometric:1e-200"],  # the kept spectrum underflows to 0
+        ["--decay", "list:nan,1,1,1"],
+        ["--decay", "list:inf,1,1,1"],
+        ["--c", "nan"],
+        ["--c", "inf"],
+        ["--dim", "4096"],  # 0.5**2048 underflows to 0
+    ], ids=["underflow", "nan_list", "inf_list", "nan_c", "inf_c", "dim_4096"])
+    def test_bad_option_is_invalid_input(self, option, tmp_path, capsys):
+        argv = ["construct", "--dim", "8", *option, "--out", str(tmp_path)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("dim", [64, 128])
     def test_large_dim_kernels_are_exact(self, dim, tmp_path, capsys):
         # the eigenvalue count read 33 at dim 64; the maps give the kernels exactly
@@ -155,7 +170,9 @@ class TestConstructCommand:
     @pytest.mark.parametrize("branch", [["--pair"], ["--c", "2"], ["--law", "uniform"]],
                              ids=["pair", "c", "law"])
     def test_report_matches_files_on_disk(self, branch, tmp_path, capsys):
-        # the traces come from the matrices in memory, the digests from the files
+        # the traces come from the matrices in memory, the digests from the
+        # files, the kernel dims from (dim + 1) // 2, here checked against the
+        # kernels conjugated from the maps on disk
         assert run_cli("--report", "json", "construct", "--dim", "16", *branch,
                        "--out", str(tmp_path)) == 0
         results = json.loads(capsys.readouterr().out)["results"]
@@ -167,6 +184,10 @@ class TestConstructCommand:
             mat, kind = load_matrix(path)
             if kind == "covariance":
                 assert results[f"trace_{path.stem}"] == float(np.trace(mat))
+                # s, s1 and s2 are conjugated by t, t1 and t2, sigma by the identity
+                T = (np.eye(16) if path.stem == "sigma"
+                     else load_matrix(tmp_path / f"t{path.stem[1:]}.json")[0])
+                assert results[f"kernel_dim_{path.stem}"] == conjugated_kernel(T).shape[1]
             else:
                 assert f"trace_{path.stem}" not in results
 

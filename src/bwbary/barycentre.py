@@ -19,27 +19,27 @@ always does).
 
 Every pass runs block by block.  The inputs are block diagonal along the
 connected components of the union of their nonzero patterns (the doubling
-chains, for the paper's construction), the matrix a pass starts from is
-block diagonal along them merged with its own pattern, and the iteration
-commutes with a common block structure.  So each pass stacks the blocks of
-equal size, across blocks and inputs, into one ``eigh`` and one stacked
-:func:`linalg.polar` per size: a closed form for blocks that keep at most
-two rows, one-sided Jacobi sweeps over a large stack of blocks that keep
-three to five (the Monte-Carlo run's longer chains), and an SVD otherwise; a
-dense problem is the case of one block.  What decides a verdict stays
+chains, for the paper's construction).  A pass over a matrix block diagonal
+along them runs on them, a pass over any other matrix on the whole space as
+one block, and the iteration commutes with a common block structure.  So
+each pass stacks the blocks of equal size, across blocks and inputs, into
+one ``eigh`` and one stacked :func:`linalg.polar` per size: a closed form
+for blocks that keep at most two rows, one-sided Jacobi sweeps over a large
+stack of blocks that keep three to five (the Monte-Carlo run's longer
+chains), and an SVD otherwise; a dense problem is the case of one block.
+What decides a verdict stays
 global: the PSD rule and the pseudo-inverse cutoff take the largest
 eigenvalue over all blocks, and the change, the certificate residual and the
 Fréchet value are norms and traces summed over the blocks.
 """
 
-import numbers
 import warnings
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, NonFinite
+from .errors import InvalidInput, NonFinite, check_integer, is_real
 from .linalg import PSD_TOL, check_same_dim, check_symmetric, check_weights
 
 # Relative eigenvalue cutoff for the pseudo-inverse inside the solver only.
@@ -57,6 +57,8 @@ class SolverSettings:
     ----------
     tol : float
         Relative Frobenius change of the iterate below which we stop; finite.
+        It, ``ridge`` and ``ridge_decay`` must be real numbers (``bool`` and
+        strings are not).
     max_iter : int
         Iteration cap, an integer >= 1 (``bool`` is not one).
     ridge : float
@@ -74,11 +76,11 @@ class SolverSettings:
     ridge_decay: float = 0.5
 
     def __post_init__(self):
+        if not all(map(is_real, (self.tol, self.ridge, self.ridge_decay))):
+            raise InvalidInput("tol, ridge and ridge_decay must be real numbers")
         if not (0.0 < self.tol < np.inf):
             raise InvalidInput("tol must be positive and finite")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) \
-                or self.max_iter < 1:
-            raise InvalidInput("max_iter must be an integer >= 1")
+        check_integer(self.max_iter, "max_iter", 1)
         if not (0.0 <= self.ridge < np.inf):
             raise InvalidInput("ridge must be finite and nonnegative")
         if not (0.0 < self.ridge_decay < 1.0):
@@ -114,36 +116,6 @@ def _components(pattern: np.ndarray) -> tuple:
     rows = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
     return tuple(np.array([r for r in rows if len(r) == L])
                  for L in np.flatnonzero(np.bincount(sizes)))
-
-
-def _join_factors(blocks: tuple, block_factors: tuple, joined: tuple) -> tuple:
-    """The factors on a coarser partition ``joined``: one ``(n, k_L, m_L, L)`` array per size.
-
-    Every block of ``joined`` is a union of blocks of ``blocks``, and each input
-    is block diagonal along ``blocks``, so a joined block's factor is the
-    row-stack of its parts' factors, each on its part's columns.  Its all-zero
-    rows are dropped, in order, and it is padded with zero rows to ``m_L``, the
-    most any block of that size keeps.
-    """
-    starts = {int(idx[k, 0]): (s, k) for s, idx in enumerate(blocks) for k in range(len(idx))}
-    n = len(block_factors[0])
-    out = []
-    for idx in joined:
-        parts = [[starts[i] for i in row if i in starts] for row in idx.tolist()]
-        height = max(sum(block_factors[s].shape[2] for s, _ in p) for p in parts)
-        stacked = np.zeros((n, len(idx), height, idx.shape[1]))
-        for c, (row, p) in enumerate(zip(idx, parts)):
-            top = 0
-            for s, k in p:
-                part = block_factors[s][:, k]
-                target = stacked[:, c, top:top + part.shape[1]]
-                target[..., np.searchsorted(row, blocks[s][k])] = part
-                top += part.shape[1]
-        live = (stacked != 0).any(axis=-1)
-        m = int(live.sum(axis=-1).max())
-        rows = np.argsort(~live, axis=-1, kind="stable")[..., :m]
-        out.append(np.take_along_axis(stacked, rows[..., None], axis=2))
-    return tuple(out)
 
 
 def _checked_stack(chunk, first: np.ndarray) -> np.ndarray:
@@ -294,20 +266,33 @@ def _block_size(dim: int) -> int:
 
 
 def _split(prob: BarycentreProblem, M: np.ndarray) -> tuple:
-    """``(blocks, block_factors)`` of the problem's partition merged with the nonzero pattern of ``M``.
+    """``(blocks, block_factors)`` for a pass over ``M``: the problem's own, or the whole space.
 
-    The problem's own when ``M`` is block diagonal along it, as every iterate
-    from the default start is; otherwise the components of the union, each
-    factor the row-stack of its parts' (see :func:`_join_factors`).
+    The problem's own when ``M`` is block diagonal along its partition, as
+    the constructed covariance and every solver output are; otherwise the
+    one block ``0..d-1``, on which each input's factor is its block factors,
+    each on its block's columns, stacked by rows: one ``(n, 1, m, d)`` array
+    with ``m <= d``.
     """
     label = np.empty(prob.dim, dtype=np.intp)
     for idx in prob.blocks:
         label[idx] = idx[:, :1]
-    same = label[:, None] == label
-    if not np.any((M != 0) & ~same):
+    if not np.any((M != 0) & (label[:, None] != label)):
         return prob.blocks, prob.block_factors
-    blocks = _components(same | (M != 0))
-    return blocks, _join_factors(prob.blocks, prob.block_factors, blocks)
+    rows = []
+    for idx, G in zip(prob.blocks, prob.block_factors):
+        F = np.zeros((*G.shape[:-1], prob.dim))
+        np.put_along_axis(F, idx[None, :, None, :], G, axis=-1)
+        rows.append(F.reshape(len(G), -1, prob.dim))
+    return (np.arange(prob.dim)[None],), (np.concatenate(rows, axis=1)[:, None],)
+
+
+def _on_blocks(prob: BarycentreProblem, M) -> tuple:
+    """``(blocks, block_factors, stacks)``: the symmetrized ``M`` on :func:`_split`'s blocks."""
+    C = check_symmetric(M)
+    check_same_dim(C, prob.mean)
+    blocks, block_factors = _split(prob, C)
+    return blocks, block_factors, _gather(C, blocks)
 
 
 def _gather(M: np.ndarray, blocks: tuple) -> list:
@@ -407,11 +392,9 @@ def _evaluate(C: list, block_factors: tuple, prob: BarycentreProblem) -> tuple:
 
 
 def _evaluate_candidate(candidate, prob: BarycentreProblem) -> tuple:
-    """:func:`_evaluate` of the symmetrized candidate, on its blocks (see :func:`_split`)."""
-    C = check_symmetric(candidate)
-    check_same_dim(C, prob.mean)
-    blocks, block_factors = _split(prob, C)
-    return _evaluate(_gather(C, blocks), block_factors, prob)
+    """:func:`_evaluate` of the symmetrized candidate, on its blocks (see :func:`_on_blocks`)."""
+    _, block_factors, C = _on_blocks(prob, candidate)
+    return _evaluate(C, block_factors, prob)
 
 
 def frechet_functional(candidate, prob: BarycentreProblem) -> float:
@@ -437,8 +420,9 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     Each step decomposes its iterate once, one stacked ``eigh`` per block
     size; one pass over the inputs gives both the update and the iterate's
     Fréchet value.  The iterate is kept as its diagonal blocks along the
-    problem's partition merged with ``init``'s pattern; the update keeps that
-    block structure, so this is the dense iteration organised by blocks.
+    problem's partition, or as one block when ``init`` has an entry between
+    two of its blocks (:func:`_split`); the update keeps that block
+    structure, so this is the dense iteration organised by blocks.
 
     Parameters
     ----------
@@ -461,11 +445,11 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         If the iterate leaves the realm of finite floats.
     """
     st = prob.settings
-    sigma = prob.mean + st.ridge * np.eye(prob.dim) if init is None else check_symmetric(init)
-    check_same_dim(sigma, prob.mean)
-    blocks, block_factors = _split(prob, sigma)
-    sigma = _gather(sigma, blocks)
-    if init is not None:
+    if init is None:
+        blocks, block_factors = prob.blocks, prob.block_factors
+        sigma = _gather(prob.mean + st.ridge * np.eye(prob.dim), blocks)
+    else:
+        blocks, block_factors, sigma = _on_blocks(prob, init)
         _decompose(sigma)  # init's one check: the first step decomposes init + ridge I
     eyes = [np.eye(idx.shape[1]) for idx in blocks]
     ridge = st.ridge

@@ -21,14 +21,13 @@ angles rather than asserting injectivity.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidInput
+from .errors import InvalidInput, check_integer, is_real
 
 # Canonical angles at or below this are rounding noise around zero: the
 # directions they belong to lie in both kernels.
@@ -50,7 +49,8 @@ class TruncationConfig:
     decay : float or sequence of float
         A float ``r`` in (0, 1) puts eigenvalue ``r**k`` on the k-th kept
         direction (geometric decay); a sequence lists the ``dim // 2`` kept
-        eigenvalues explicitly, in increasing index order.
+        eigenvalues explicitly, in increasing index order.  Each is a real
+        number (``bool`` and strings are not).
     values : tuple of float
         The kept eigenvalues, derived from ``decay`` (not an init argument).
         Each is a positive finite float, so a geometric ``r`` whose
@@ -63,11 +63,11 @@ class TruncationConfig:
     values: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) \
-                or self.dim < 2:
-            raise InvalidInput("dim must be an integer >= 2")
-        kept = self.dim // 2
-        if np.isscalar(self.decay):
+        kept = check_integer(self.dim, "dim", 2) // 2
+        scalar = np.ndim(self.decay) == 0  # a 0-d array is no sequence
+        if not all(map(is_real, [self.decay] if scalar else self.decay)):
+            raise InvalidInput("decay must be a real number or a sequence of real numbers")
+        if scalar:
             r = float(self.decay)
             if not (0.0 < r < 1.0):
                 raise InvalidInput("geometric decay ratio must be in (0, 1)")
@@ -92,8 +92,7 @@ def doubling_shift(dim: int) -> np.ndarray:
     0/1 diagonal projector and the operator norm is exactly 1.  The result is
     not symmetric.
     """
-    if dim < 2:
-        raise InvalidInput("dim must be >= 2")
+    check_integer(dim, "dim", 2)
     F = np.zeros((dim, dim))
     ks = np.arange(1, dim // 2 + 1)
     F[2 * ks - 1, ks - 1] = 1.0
@@ -109,8 +108,7 @@ def doubling_chains(dim: int) -> list:
     block diagonal along them.  There are ``ceil(dim/2)`` chains, the one from
     ``m`` of length ``floor(log2(dim/m)) + 1``.
     """
-    if dim < 1:
-        raise InvalidInput("dim must be >= 1")
+    check_integer(dim, "dim", 1)
     chains = []
     for m in range(1, dim + 1, 2):
         chain = [m]
@@ -131,10 +129,10 @@ def build_shift_map(dim: int, c: float = 2.0) -> np.ndarray:
 
     PSD for every such ``c``: the symmetrized shift has operator norm below 2,
     so the smallest eigenvalue exceeds ``c - 2``.  The operator norm is at
-    most ``c + 2``.  Any other ``c``, NaN and infinity included, raises
-    :class:`InvalidInput`.
+    most ``c + 2``.  Any other ``c``, NaN, infinity and anything that is not a
+    real number included, raises :class:`InvalidInput`.
     """
-    if not (2.0 <= c < math.inf):
+    if not (is_real(c) and 2.0 <= c < math.inf):
         raise InvalidInput("c must be finite and >= 2 to keep the map PSD")
     return symmetrized_shift(dim) + c * np.eye(dim)
 
@@ -163,9 +161,9 @@ def build_map_family(dim: int, n: int = None, coeffs=None, weights=None) -> list
     must vanish (tolerance 1e-15), so the family averages to the identity.
     """
     if coeffs is None:
-        if n is None or n < 2:
+        if n is None:
             raise InvalidInput("need n >= 2 or explicit coeffs")
-        coeffs = np.linspace(-0.5, 0.5, n)
+        coeffs = np.linspace(-0.5, 0.5, check_integer(n, "n", 2))
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 1 or coeffs.size < 2:
         raise InvalidInput("need at least two coefficients")
@@ -196,14 +194,15 @@ def build_covariance(config: TruncationConfig) -> np.ndarray:
 def conjugate(T, cov) -> np.ndarray:
     """Conjugation ``T @ cov @ T`` of a covariance by a self-adjoint map.
 
-    The product is symmetrized and returned as computed: its eigenvalues are
-    checked by the PSD rule of :func:`linalg.check_psd_floor` (rounding-level
-    negatives pass, anything below raises :class:`NotPSD`) but never clamped.
+    Both operands must pass :func:`linalg.check_symmetric` (finite, symmetric
+    within its tolerance) and share a dim; it returns an exactly symmetric
+    operand with its bits.  The product is symmetrized and returned as
+    computed: its eigenvalues are checked by the PSD rule of
+    :func:`linalg.check_psd_floor` (rounding-level negatives pass, anything
+    below raises :class:`NotPSD`) but never clamped.
     """
-    T = np.asarray(T, dtype=np.float64)
-    C = np.asarray(cov, dtype=np.float64)
-    if T.shape != C.shape:
-        raise DimensionMismatch(f"dimension mismatch: {T.shape} vs {C.shape}")
+    T, C = linalg.check_symmetric(T), linalg.check_symmetric(cov)
+    linalg.check_same_dim(T, C)
     P = T @ C @ T
     P = (P + P.T) / 2.0
     w = np.linalg.eigvalsh(P)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and scalar checks that import no numpy."""
+
+import numbers
 
 
 class InvalidInput(ValueError):
@@ -24,3 +26,15 @@ class KernelNotIncluded(Exception):
 
 class NonFinite(ArithmeticError):
     """A numerical computation produced NaN or infinity (e.g. a diverging iteration)."""
+
+
+def check_integer(x, name: str, least: int):
+    """``x`` if it is an integer ``>= least`` (numpy's count, ``bool`` does not); else raise."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}")
+    return x
+
+
+def is_real(x) -> bool:
+    """Whether ``x`` is a real number: numpy's floats and ints are, ``bool`` and strings not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)

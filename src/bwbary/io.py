@@ -89,8 +89,8 @@ def _read_matrix(path) -> tuple:
         A = np.asarray(data, dtype=np.float64).reshape(dim, dim)
     except OverflowError as exc:  # an integer entry beyond the float range
         raise InvalidInput(f"data entry too large for a float in {path}") from exc
-    if not np.all(np.isfinite(A)):
-        raise InvalidInput("matrix has non-finite entries")
+    if not np.all(np.isfinite(A)):  # json reads the NaN and Infinity tokens
+        raise InvalidInput(f"matrix has non-finite entries in {path}")
     return A, kind
 
 

@@ -31,7 +31,7 @@ from .barycentre import (
     verify_barycentre_certificate,
 )
 from .construct import TruncationConfig, build_covariance, symmetrized_shift
-from .errors import InvalidInput
+from .errors import InvalidInput, check_integer
 
 LAWS = ("uniform", "two-point", "triangular")
 
@@ -63,7 +63,9 @@ def draw_coefficients(law: RandomMapLaw, seed: int, n: int, antithetic: bool = F
 
     With ``antithetic=True`` (n even) only n/2 draws are made and each is
     paired with its negation, forcing the empirical mean to vanish exactly.
+    ``n`` is an integer >= 1.
     """
+    check_integer(n, "n", 1)
     if antithetic:
         if n % 2:
             raise InvalidInput("antithetic pairing requires an even n")
@@ -76,8 +78,9 @@ def draw_coefficients(law: RandomMapLaw, seed: int, n: int, antithetic: bool = F
 
 def random_map_sample(law: RandomMapLaw, seed: int, dim: int) -> np.ndarray:
     """One draw of the random map ``I + a (F + F^T)``; deterministic given seed."""
+    shift = symmetrized_shift(dim)  # checks dim
     a = law.draw(_stream(np.random.SeedSequence(seed)))
-    return np.eye(dim) + a * symmetrized_shift(dim)
+    return np.eye(dim) + a * shift
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ def population_mc_experiment(
     config : TruncationConfig
     law : RandomMapLaw
     n : int
-        Number of draws, at least 2.
+        Number of draws, an integer >= 2.
     seed : int
         64-bit seed for the Philox streams.
     settings : SolverSettings, optional
@@ -130,8 +133,7 @@ def population_mc_experiment(
     antithetic : bool
         Pair each draw with its negation (n must be even).
     """
-    if n < 2:
-        raise InvalidInput("need n >= 2 draws")
+    check_integer(n, "n", 2)
     base = build_covariance(config)
     shift = symmetrized_shift(config.dim)
     eye = np.eye(config.dim)

@@ -20,11 +20,10 @@ float64 arrays of them at the API boundary, and only they import numpy, so
 ``bwbary recurrence`` runs without it.
 """
 
-import numbers
 from dataclasses import dataclass
 from math import ceil, isfinite
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_integer, is_real
 
 SIGNS = ("plus", "minus")
 
@@ -37,10 +36,11 @@ class RecurrenceParams:
     ``1 + 2t + t**2``); ``sign="minus"`` selects ``y_j = +2 y_{j-1} - y_{j-2}``
     (denominator ``1 - 2t + t**2``).  ``horizon`` is the largest index J
     computed, an integer >= 2 that a float can hold; sequences have length
-    J + 1.  The seeds must be finite floats (an int beyond the float range is
-    not one), and so must be twice :meth:`term_bound`, the closed form's bound
-    on every term: the iteration doubles a term before it subtracts the one
-    before.  The seeds are kept as Python floats and the horizon as an int.
+    J + 1.  The seeds must be finite real numbers that a float can hold (an
+    int beyond the float range, a ``bool`` and a string are not), and so must
+    be twice :meth:`term_bound`, the closed form's bound on every term: the
+    iteration doubles a term before it subtracts the one before.  The seeds
+    are kept as Python floats and the horizon as an int.
     """
 
     y0: float
@@ -51,13 +51,11 @@ class RecurrenceParams:
     def __post_init__(self):
         if self.sign not in SIGNS:
             raise InvalidInput(f"sign must be one of {SIGNS}")
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral) \
-                or self.horizon < 2:
-            raise InvalidInput("horizon must be an integer >= 2")
+        check_integer(self.horizon, "horizon", 2)
         if not _fits_float(self.horizon):
             raise InvalidInput("horizon must be an integer >= 2 that a float can hold")
-        if not (_fits_float(self.y0) and _fits_float(self.y1)):
-            raise InvalidInput("y0 and y1 must be finite")
+        if not all(is_real(y) and _fits_float(y) for y in (self.y0, self.y1)):
+            raise InvalidInput("y0 and y1 must be finite real numbers")
         # Python numbers overflow to inf without a warning, where numpy
         # scalars would warn
         for name, kind in (("y0", float), ("y1", float), ("horizon", int)):

@@ -97,6 +97,37 @@ class TestShiftMap:
         with pytest.raises(InvalidInput, match="finite and >= 2"):
             build_shift_map(8, c=c)
 
+    def test_c_must_be_a_number(self):
+        # a string c compared with 2.0 raised TypeError
+        with pytest.raises(InvalidInput, match="finite and >= 2"):
+            build_shift_map(8, c="3")
+        np.testing.assert_array_equal(build_shift_map(8, c=np.float64(3.0)),
+                                      build_shift_map(8, c=3.0))
+
+
+class TestIntegerArguments:
+    """A dim or a count that is not an integer is invalid input, not a TypeError."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: doubling_shift(8.0), "dim must be an integer >= 2"),
+        (lambda: doubling_shift(True), "dim must be an integer >= 2"),
+        (lambda: doubling_chains(8.0), "dim must be an integer >= 1"),
+        (lambda: build_pair_maps(8.0), "dim must be an integer >= 2"),
+        (lambda: build_shift_map(8.0), "dim must be an integer >= 2"),
+        (lambda: build_map_family(8.0, n=3), "dim must be an integer >= 2"),
+        (lambda: build_map_family(8, n=2.5), "n must be an integer >= 2"),
+        (lambda: build_map_family(8, n=1), "n must be an integer >= 2"),
+    ], ids=["shift-float", "shift-bool", "chains-float", "pair-float", "shift-map-float",
+            "family-dim-float", "family-n-float", "family-n-one"])
+    def test_not_an_integer(self, call, message):
+        with pytest.raises(InvalidInput, match=message):
+            call()
+
+    def test_numpy_integers_count(self):
+        assert doubling_chains(np.int64(8)) == doubling_chains(8)
+        np.testing.assert_array_equal(build_map_family(np.int64(8), n=np.int64(3))[0],
+                                      build_map_family(8, n=3)[0])
+
 
 class TestPairMaps:
     @pytest.mark.parametrize("dim", [2, 16, 64, 256])
@@ -204,6 +235,17 @@ class TestBuildCovariance:
         with pytest.raises(InvalidInput):
             TruncationConfig(dim=4, decay=(1.0,))  # two kept directions
 
+    @pytest.mark.parametrize("decay", ["0.5", [1, 2, 3, "4"], [True, 1, 1, 1], np.array(0.5)],
+                             ids=["string", "string-entry", "bool-entry", "0-d-array"])
+    def test_decay_must_be_numbers(self, decay):
+        # float() read the first three as 0.5, 4.0 and 1.0; the 0-d array raised TypeError
+        with pytest.raises(InvalidInput, match="real number"):
+            TruncationConfig(8, decay=decay)
+
+    def test_numpy_decay_is_a_number(self):
+        assert TruncationConfig(8, decay=np.float64(0.5)).values == TruncationConfig(8).values
+        assert TruncationConfig(4, decay=np.array([1.0, 2.0])).values == (1.0, 2.0)
+
     @pytest.mark.parametrize("dim", [8.0, True, "8"])
     def test_dim_must_be_an_integer(self, dim):
         with pytest.raises(InvalidInput, match="integer >= 2"):
@@ -247,6 +289,16 @@ class TestConjugate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             conjugate(np.eye(3), np.eye(4))
+
+    @pytest.mark.parametrize("T, cov, message", [
+        # T C T of this T, symmetrized, read [[1, 1], [1, 1]], not T C T^T = [[2, 1], [1, 1]]
+        ([[1.0, 1.0], [0.0, 1.0]], np.eye(2), "not symmetric"),
+        ([[np.nan, 0.0], [0.0, 1.0]], np.eye(2), "non-finite"),
+        (np.eye(2), [[1.0, 0.0], [0.0, np.inf]], "non-finite"),
+    ], ids=["asymmetric-map", "nan-map", "inf-covariance"])
+    def test_operands_are_checked(self, T, cov, message):
+        with pytest.raises(InvalidInput, match=message):
+            conjugate(T, cov)
 
     def test_rounding_negatives_kept_and_indefinite_rejected(self):
         # -1e-12 is above the PSD floor (1e-8): checked, passed through unclamped

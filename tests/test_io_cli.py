@@ -85,6 +85,17 @@ class TestMatrixFiles:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim": 1, "kind": "covariance"}', "missing 'data'"),
+        ('{"dim": 1, "kind": "covariance", "data": [NaN]}', "non-finite entries"),  # json reads it
+    ], ids=["no-data", "nan-token"])
+    def test_verify_exits_two_on_a_bad_file_and_names_it(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert run_cli("verify", "--candidate", str(path), "--inputs", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and str(path) in err
+
     def test_load_takes_integer_entries(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"dim": 2, "kind": "covariance", "data": [2, 0, 0, 1.5]}')
@@ -270,6 +281,18 @@ class TestVerifyCommand:
                      *option)
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "barycentre"])
+def test_weights_count_must_match_the_inputs(command, constructed, capsys):
+    s1, s2 = str(constructed / "s1.json"), str(constructed / "s2.json")
+    argv = {
+        "verify": ["verify", "--candidate", s1],
+        "barycentre": ["barycentre", "--out", str(constructed / "bary.json")],
+    }[command]
+    assert run_cli(*argv, "--inputs", s1, s2, "--weights", "0.2,0.3,0.5") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "got 3 weights for 2 inputs" in err
 
 
 class TestBadFiles:
@@ -561,6 +584,14 @@ class TestSweepCommand:
         assert [{k: repr(v) if isinstance(v, float) else str(v) for k, v in r.items()}
                 for r in doc["results"]["rows"]] == rows
         assert [line.split(", ")[0] for line in lines] == ["dim=8", "dim=16", "dim=32"]
+
+    def test_comma_list(self, tmp_path):
+        listed, ranged = tmp_path / "listed.csv", tmp_path / "ranged.csv"
+        assert run_cli("sweep", "--dims", "8,16", "--out-csv", str(listed)) == 0
+        assert run_cli("sweep", "--dims", "8..16", "--out-csv", str(ranged)) == 0
+        with open(listed) as fh:
+            assert [r["dim"] for r in csv.DictReader(fh)] == ["8", "16"]
+        assert listed.read_text() == ranged.read_text()
 
     @pytest.mark.parametrize("dims", ["64..32", "0..8", "-4..8"])
     def test_bad_range_is_invalid_input(self, dims, tmp_path, capsys):

@@ -24,6 +24,10 @@ class TestLawsAndDraws:
         with pytest.raises(InvalidInput):
             RandomMapLaw("gaussian")
 
+    def test_sample_dim_must_be_an_integer(self):
+        with pytest.raises(InvalidInput, match="dim must be an integer >= 2"):
+            random_map_sample(RandomMapLaw("uniform"), 0, 8.0)
+
     def test_draws_are_deterministic(self):
         law = RandomMapLaw("uniform")
         a = draw_coefficients(law, seed=123, n=50)
@@ -81,6 +85,14 @@ class TestPopulationExperiment:
         config = TruncationConfig(dim=8)
         with pytest.raises(InvalidInput):
             population_mc_experiment(config, RandomMapLaw("uniform"), n=1, seed=0)
+
+    def test_draw_count_must_be_an_integer(self):
+        # 2.5 passed the n >= 2 check and broke SeedSequence.spawn
+        law = RandomMapLaw("uniform")
+        with pytest.raises(InvalidInput, match="n must be an integer >= 2"):
+            population_mc_experiment(TruncationConfig(dim=8), law, 2.5, 0)
+        with pytest.raises(InvalidInput, match="n must be an integer >= 1"):
+            draw_coefficients(law, 0, 2.5)
 
     def test_antithetic_two_point_reduces_to_deterministic_pair(self):
         dim = 16

@@ -45,6 +45,11 @@ class TestRecurrenceIteration:
         with pytest.raises(InvalidInput, match="horizon must be an integer >= 2"):
             RecurrenceParams(1.0, 0.0, "plus", horizon)
 
+    @pytest.mark.parametrize("y0", [True, "1"], ids=["bool", "str"])
+    def test_seeds_must_be_numbers(self, y0):
+        with pytest.raises(InvalidInput, match="y0 and y1 must be finite real numbers"):
+            RecurrenceParams(y0, 0.0, "plus", 6)
+
     def test_numpy_integer_horizon_is_an_int(self):
         p = RecurrenceParams(np.float64(1.0), np.float64(0.0), "plus", np.int64(6))
         assert type(p.horizon) is int and type(p.y0) is float and type(p.y1) is float

@@ -19,15 +19,18 @@ always does).
 
 Every pass runs block by block.  The inputs are block diagonal along the
 connected components of the union of their nonzero patterns (the doubling
-chains, for the paper's construction).  A pass over a matrix block diagonal
-along them runs on them, a pass over any other matrix on the whole space as
-one block, and the iteration commutes with a common block structure.  So
-each pass stacks the blocks of equal size, across blocks and inputs, into
-one ``eigh`` and one stacked :func:`linalg.polar` per size: a closed form
-for blocks that keep at most two rows, one-sided Jacobi sweeps over a large
-stack of blocks that keep three to five (the Monte-Carlo run's longer
-chains), and an SVD otherwise; a dense problem is the case of one block.
-What decides a verdict stays
+chains, for the paper's construction).  A problem keeps each input as the
+factors of its blocks: factored from dense inputs, or taken as given
+(:meth:`BarycentreProblem.from_block_factors`, to which
+``construct.chain_factors`` hands the constructed families' exact factors).
+A pass over a matrix block diagonal along them runs on them, a pass over
+any other matrix on the whole space as one block, and the iteration
+commutes with a common block structure.  So each pass stacks the blocks of
+equal size, across blocks and inputs, into one ``eigh`` and one stacked
+:func:`linalg.polar` per size: a closed form for blocks that keep at most
+two rows, one-sided Jacobi sweeps over a large stack of blocks that keep
+three to five (the Monte-Carlo run's longer chains), and an SVD otherwise;
+a dense problem is the case of one block.  What decides a verdict stays
 global: the PSD rule and the pseudo-inverse cutoff take the largest
 eigenvalue over all blocks, and the change, the certificate residual and the
 Fréchet value are norms and traces summed over the blocks.
@@ -35,6 +38,7 @@ Fréchet value are norms and traces summed over the blocks.
 
 import warnings
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,41 +139,132 @@ def _checked_stack(chunk, first: np.ndarray) -> np.ndarray:
     return linalg.check_symmetric_stack(np.stack(arrays))
 
 
+def _weights(weights, n: int) -> np.ndarray:
+    """The checked weights of ``n`` inputs, uniform for ``None``."""
+    if n < 1:
+        raise InvalidInput("need at least one input covariance")
+    return check_weights([1.0 / n] * n if weights is None else weights, n)
+
+
+def _read_dense(inputs, w: np.ndarray) -> tuple:
+    """``(blocks, block_factors, mean, input_trace)`` of dense inputs, in two passes.
+
+    See :class:`BarycentreProblem`: the first pass checks and sums, the second
+    factors the blocks and proves the PSD rule by the factors.
+    """
+    n = len(inputs)
+    first = linalg.check_square(inputs[0])  # its dim is the problem's; the pass checks the rest
+    step = _block_size(len(first))
+    chunks = [slice(start, start + step) for start in range(0, n, step)]
+
+    mean, input_trace, pattern = np.zeros(first.shape), 0.0, False
+    for part in chunks:
+        X = _checked_stack(inputs[part], first)
+        for wi, S, tr in zip(w[part], X, np.trace(X, axis1=1, axis2=2)):
+            mean += wi * S
+            input_trace += float(wi) * float(tr)
+        pattern |= (X != 0).any(axis=0)
+    blocks = _components(pattern)
+
+    # the inputs were checked by the first pass, and the blocks of the
+    # symmetrized inputs are the symmetrized blocks
+    stacks = [np.empty((n, *idx.shape, idx.shape[1])) for idx in blocks]
+    for part in chunks:
+        X = np.stack([np.asarray(S, dtype=np.float64) for S in inputs[part]])
+        for stack, B in zip(stacks, _gather(X, blocks)):
+            stack[part] = (B + np.swapaxes(B, -1, -2)) / 2.0
+    residual, max_diag, block_factors = 0.0, 0.0, []
+    for stack in stacks:
+        F, rank = linalg.pivoted_cholesky(stack)
+        R = stack - np.swapaxes(F, -1, -2) @ F
+        residual = residual + (R * R).sum(axis=(1, 2, 3))
+        max_diag = np.maximum(max_diag, np.diagonal(stack, axis1=-2, axis2=-1).max(axis=(1, 2)))
+        block_factors.append(F[:, :, :int(rank.max(initial=0))].copy())
+    del stacks
+    for i in np.flatnonzero(np.sqrt(residual) > PSD_TOL * np.maximum(1.0, max_diag)):
+        eig = np.linalg.eigvalsh(check_symmetric(inputs[i]))
+        linalg.check_psd_floor(float(eig[0]), float(eig[-1]))
+    return blocks, tuple(block_factors), mean, input_trace
+
+
+def _checked_factors(blocks, block_factors) -> tuple:
+    """``(blocks, block_factors)`` as integer and float64 arrays, checked at the boundary.
+
+    ``blocks`` must be nonempty ``(k, L)`` integer arrays that together
+    partition ``0..d-1``, and ``block_factors`` one finite ``(n, k, m, L)``
+    stack per block array, with one ``n`` for all.
+    """
+    blocks = tuple(np.asarray(idx) for idx in blocks)
+    block_factors = tuple(np.asarray(G, dtype=np.float64) for G in block_factors)
+    if not blocks or len(blocks) != len(block_factors):
+        raise InvalidInput("need one factor stack per block array, and at least one")
+    if not all(idx.ndim == 2 and idx.size and idx.dtype.kind in "iu" for idx in blocks):
+        raise InvalidInput("each block array must be a nonempty (k, L) integer array")
+    indices = np.sort(np.concatenate([idx.ravel() for idx in blocks]))
+    if not np.array_equal(indices, np.arange(len(indices))):
+        raise InvalidInput("the blocks must partition the indices 0..d-1")
+    n = len(block_factors[0]) if block_factors[0].ndim else 0
+    for idx, G in zip(blocks, block_factors):
+        if G.ndim != 4 or G.shape[:2] != (n, len(idx)) or G.shape[3] != idx.shape[1]:
+            raise InvalidInput(f"a factor stack of shape {G.shape} does not match "
+                               f"blocks of shape {idx.shape}")
+    if not all(np.isfinite(G).all() for G in block_factors):
+        raise InvalidInput("block factors have non-finite entries")
+    return blocks, block_factors
+
+
+def _factor_sums(blocks: tuple, block_factors: tuple, w: np.ndarray) -> tuple:
+    """``(mean, input_trace)`` of the inputs ``G_i^T G_i``: ``sum_i w_i G_i^T G_i`` and its trace."""
+    mean, traces = [], 0.0
+    for G in block_factors:
+        M = np.tensordot(w, np.swapaxes(G, -1, -2) @ G, axes=1)
+        mean.append((M + np.swapaxes(M, -1, -2)) / 2.0)
+        traces = traces + (G * G).sum(axis=(1, 2, 3))
+    return _scatter(mean, blocks, sum(idx.size for idx in blocks)), float(w @ traces)
+
+
+class _Factored(NamedTuple):
+    """Inputs given by their block factors (:meth:`BarycentreProblem.from_block_factors`)."""
+
+    blocks: tuple
+    block_factors: tuple
+
+
 @dataclass(frozen=True, eq=False)
 class BarycentreProblem:
     """A weighted family of covariances whose barycentre is sought.
 
     ``inputs`` must share one dimension; ``weights`` default to uniform and
     must be finite, nonnegative and sum to 1 within 1e-12.  The problem keeps
-    no dense input: it reads the inputs in two passes, chunks of at most
-    ``_block_size(d)`` inputs at a time, and keeps what the passes over the
-    inputs need.
+    no dense input, only what the passes over the inputs need: ``blocks``, a
+    partition of the indices ``0..d-1`` along which every input is block
+    diagonal, as one ``(k_L, L)`` index array per block size ``L``;
+    ``block_factors``, one ``(n, k_L, m_L, L)`` stack per size whose
+    ``G^T G`` are the inputs' blocks, which every pass over the inputs
+    reuses; ``mean = sum_i w_i S_i``, the solver's default start; and
+    ``input_trace = sum_i w_i tr S_i``.  Problems compare by identity.
 
-    The first pass checks each input as :func:`linalg.check_symmetric` does
-    (the first bad input raises that check's error), and sums, from 0 in
-    input order over the symmetrized inputs, ``mean = sum_i w_i S_i``, the
-    solver's default start, and ``input_trace = sum_i w_i tr S_i``.  It also
-    records a partition of the indices ``0..d-1``: ``blocks`` holds the
-    connected components of the union of the inputs' exact nonzero patterns,
-    grouped by size as one ``(k_L, L)`` index array per distinct size ``L``
-    (see :func:`_components`).  Every input is block diagonal along it; for
-    the doubling-shift construction the blocks are the chains
-    ``m, 2m, 4m, ...`` (``construct.doubling_chains``), and a dense family is
-    the one block ``0..d-1``.
-
-    The second pass gathers the inputs' blocks of each size as one
-    ``(n, k_L, L, L)`` stack and factors it with one
-    :func:`linalg.pivoted_cholesky` call.  Each block stops at LAPACK's
-    default rule for that block, ``L * u * max diag``, so the small
-    directions of a graded block are kept even when another block, or another
-    input, is far larger.  ``block_factors`` holds these factors, one
-    ``(n, k_L, m_L, L)`` array per size, cut to ``m_L``, the largest rank of a
-    block of that size; it is what every pass over the inputs reuses.  The
-    factors are also the PSD check: an input whose residual
-    ``||S - F^T F||_F``, summed over its blocks, exceeds
+    Dense inputs are read in two passes, chunks of at most
+    ``_block_size(d)`` inputs at a time.  The first pass checks each input as
+    :func:`linalg.check_symmetric` does (the first bad input raises that
+    check's error), and sums ``mean`` and ``input_trace`` from 0 in input
+    order over the symmetrized inputs.  It also finds ``blocks``: the
+    connected components of the union of the inputs' exact nonzero patterns
+    (see :func:`_components`).  For the doubling-shift construction these are
+    the chains ``m, 2m, 4m, ...`` (``construct.doubling_chains``), and a
+    dense family is the one block ``0..d-1``.  The second pass gathers the
+    inputs' blocks of each size as one ``(n, k_L, L, L)`` stack and factors
+    it with one :func:`linalg.pivoted_cholesky` call.  Each block stops at
+    LAPACK's default rule for that block, ``L * u * max diag``, so the small
+    directions of a graded block are kept even when another block, or
+    another input, is far larger; a stack is cut to ``m_L``, the largest rank
+    of a block of that size.  The factors are also the PSD check: an input
+    whose residual ``||S - F^T F||_F``, summed over its blocks, exceeds
     ``PSD_TOL * max(1, max diag S)`` is checked by the eigenvalues of the
-    whole input instead, as :func:`linalg.covariance_factor` does.  Problems
-    compare by identity.
+    whole input instead, as :func:`linalg.covariance_factor` does.
+
+    Inputs known by their factors skip all of that: see
+    :meth:`from_block_factors`.
     """
 
     inputs: InitVar[tuple]
@@ -181,49 +276,40 @@ class BarycentreProblem:
     input_trace: float = field(init=False, repr=False)
 
     def __post_init__(self, inputs):
-        n = len(inputs)
-        if n < 1:
-            raise InvalidInput("need at least one input covariance")
-        w = check_weights([1.0 / n] * n if self.weights is None else self.weights, n)
-        first = linalg.check_square(inputs[0])  # its dim is the problem's; the pass checks the rest
-        step = _block_size(len(first))
-        chunks = [slice(start, start + step) for start in range(0, n, step)]
-
-        mean, input_trace, pattern = np.zeros(first.shape), 0.0, False
-        for part in chunks:
-            X = _checked_stack(inputs[part], first)
-            for wi, S, tr in zip(w[part], X, np.trace(X, axis1=1, axis2=2)):
-                mean += wi * S
-                input_trace += float(wi) * float(tr)
-            pattern |= (X != 0).any(axis=0)
-        blocks = _components(pattern)
-
-        # the inputs were checked by the first pass, and the blocks of the
-        # symmetrized inputs are the symmetrized blocks
-        stacks = [np.empty((n, *idx.shape, idx.shape[1])) for idx in blocks]
-        for part in chunks:
-            X = np.stack([np.asarray(S, dtype=np.float64) for S in inputs[part]])
-            for stack, B in zip(stacks, _gather(X, blocks)):
-                stack[part] = (B + np.swapaxes(B, -1, -2)) / 2.0
-        residual, max_diag, block_factors = 0.0, 0.0, []
-        for stack in stacks:
-            F, rank = linalg.pivoted_cholesky(stack)
-            R = stack - np.swapaxes(F, -1, -2) @ F
-            residual = residual + (R * R).sum(axis=(1, 2, 3))
-            max_diag = np.maximum(max_diag, np.diagonal(stack, axis1=-2, axis2=-1).max(axis=(1, 2)))
-            block_factors.append(F[:, :, :int(rank.max(initial=0))].copy())
-        del stacks
-        for i in np.flatnonzero(np.sqrt(residual) > PSD_TOL * np.maximum(1.0, max_diag)):
-            eig = np.linalg.eigvalsh(check_symmetric(inputs[i]))
-            linalg.check_psd_floor(float(eig[0]), float(eig[-1]))
+        if isinstance(inputs, _Factored):
+            blocks, block_factors = _checked_factors(*inputs)
+            w = _weights(self.weights, len(block_factors[0]))
+            mean, input_trace = _factor_sums(blocks, block_factors, w)
+        else:
+            w = _weights(self.weights, len(inputs))
+            blocks, block_factors, mean, input_trace = _read_dense(inputs, w)
 
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         if self.settings is None:
             object.__setattr__(self, "settings", SolverSettings())
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "block_factors", tuple(block_factors))
+        object.__setattr__(self, "block_factors", block_factors)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "input_trace", input_trace)
+
+    @classmethod
+    def from_block_factors(cls, blocks, block_factors, weights=None,
+                           settings: SolverSettings | None = None) -> "BarycentreProblem":
+        """The problem of the inputs ``S_i``, given by the factors of their diagonal blocks.
+
+        ``blocks`` is a partition of ``0..d-1``, one ``(k_L, L)`` integer
+        index array per block size, and ``block_factors`` one ``(n, k_L, m, L)``
+        stack per index array: ``S_i``'s block on row ``j`` of ``blocks[s]``
+        is ``G^T G`` for ``G = block_factors[s][i, j]``, and ``S_i`` is zero
+        off its blocks.  ``construct.chain_factors`` gives the constructed
+        families in this form.  The problem keeps these arrays as they are,
+        and computes ``mean`` and ``input_trace`` from them.  Its check is at
+        the boundary: the factors must be finite, their shapes must match
+        ``blocks``, and ``blocks`` must partition the indices.  Each ``G^T G``
+        is symmetric PSD by construction, so no input is formed, checked or
+        factored.
+        """
+        return cls(_Factored(blocks, block_factors), weights, settings)
 
     @property
     def dim(self) -> int:

@@ -59,8 +59,14 @@ def _read_inputs(args, report: RunReport) -> tuple:
 
 
 def _parse_dims(text: str):
+    def dim(value: str) -> int:
+        try:
+            return int(value)
+        except ValueError:
+            raise InvalidInput(f"bad --dims {text!r}: {value!r} is not an integer") from None
+
     if ".." in text:
-        lo, hi = (int(v) for v in text.split("..", 1))
+        lo, hi = (dim(v) for v in text.split("..", 1))
         if lo < 1:
             raise InvalidInput(f"bad --dims {text!r}: the lower bound must be >= 1")
         dims = []
@@ -71,7 +77,7 @@ def _parse_dims(text: str):
         if not dims:
             raise InvalidInput(f"bad --dims {text!r}: the range is empty")
         return dims
-    return [int(v) for v in text.split(",")]
+    return [dim(v) for v in text.split(",")]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -276,8 +282,14 @@ def cmd_mc(args) -> int:
 def cmd_sweep(args) -> int:
     import numpy as np
 
-    from .barycentre import problem, verify_barycentre_certificate
-    from .construct import TruncationConfig, build_covariance, build_pair_maps, kernel_report
+    from .barycentre import BarycentreProblem, verify_barycentre_certificate
+    from .construct import (
+        TruncationConfig,
+        build_covariance,
+        build_pair_maps,
+        chain_factors,
+        kernel_report,
+    )
 
     report = RunReport(args.argv)
     dims = _parse_dims(args.dims)
@@ -287,8 +299,9 @@ def cmd_sweep(args) -> int:
         config = TruncationConfig(dim=dim, decay=decay)
         sigma = build_covariance(config)
         t1, t2 = build_pair_maps(dim)
-        # problem() is the one check of each conjugated input
-        prob = problem([t1 @ sigma @ t1, t2 @ sigma @ t2])
+        # the inputs t1 sigma t1 and t2 sigma t2, as their exact chain-block
+        # factors: no product is formed, checked or factored
+        prob = BarycentreProblem.from_block_factors(*chain_factors(config, (0.5, -0.5)))
         residual = verify_barycentre_certificate(sigma, prob)
         info = kernel_report(config, [t1, t2])
         min_eig_t1 = float(np.linalg.eigvalsh(t1)[0])

@@ -6,7 +6,10 @@ diagonal covariance that vanishes on every odd-indexed direction with PSD
 maps of the form ``I + a (F + F^T)`` produces families whose exact
 Bures-Wasserstein barycentre is that singular covariance: whenever the maps
 are PSD and average to the identity, the barycentre certificate holds with
-equality.
+equality.  Every conjugation ``T C T`` is block diagonal along the doubling
+chains (:func:`doubling_chains`), and :func:`chain_factors` gives its exact
+factor ``C^{1/2} T`` on each chain, the form a barycentre problem keeps, so
+no product need be formed.
 
 At finite truncation each conjugated covariance has the same kernel
 dimension as the original, ``(dim + 1) // 2``: its kernel is the inverse image
@@ -177,6 +180,43 @@ def build_map_family(dim: int, n: int = None, coeffs=None, weights=None) -> list
     S = symmetrized_shift(dim)
     eye = np.eye(dim)
     return [eye + a * S for a in coeffs]
+
+
+def chain_factors(config: TruncationConfig, coeffs) -> tuple:
+    """Exact chain-block factors of the conjugations ``T_i C T_i``: ``(blocks, block_factors)``.
+
+    ``C = build_covariance(config)`` and ``T_i = I + a_i (F + F^T)`` for the
+    coefficients ``a_i`` (each in ``[-1/2, 1/2]``, NaN not, so every map is
+    PSD).  Every ``T_i C T_i`` is block diagonal along the doubling chains,
+    and on a chain of length ``L`` it is ``G^T G`` with
+    ``G = diag(sqrt(c_1), .., sqrt(c_{L-1})) (I_L + a_i P_L)[1:, :]``: ``C``'s
+    block is ``diag(0, c_1, .., c_{L-1})``, its zero at the chain's head (the
+    direction in ``ker C``), and ``P_L`` is the path adjacency of the chain,
+    ``F + F^T``'s block.  So ``G`` is ``C^{1/2} T_i``'s block with its zero row
+    dropped, and its ``L - 1`` rows are the block's rank.
+
+    The result is in the form :class:`barycentre.BarycentreProblem` keeps:
+    ``blocks`` holds the chains as 0-based ``(k_L, L)`` index arrays, one per
+    length ``L`` ascending, rows ordered by their head, each row ascending
+    (the order of ``barycentre._components``); ``block_factors`` the matching
+    ``(n, k_L, L - 1, L)`` stacks, for all inputs and chains at once.
+    """
+    a = np.asarray(coeffs, dtype=np.float64)
+    if a.ndim != 1 or a.size < 1:
+        raise InvalidInput("need a one-dimensional sequence of at least one coefficient")
+    if not np.all(np.abs(a) <= 0.5):
+        raise InvalidInput("coefficients must lie in [-1/2, 1/2] to keep maps PSD")
+    chains = doubling_chains(config.dim)
+    # the 1-based even direction 2k carries values[k - 1]
+    root = np.sqrt(np.array((0.0, *config.values)))
+    blocks, block_factors = [], []
+    for L in sorted({len(chain) for chain in chains}):
+        chain = np.array([c for c in chains if len(c) == L])
+        path = np.eye(L, k=1) + np.eye(L, k=-1)
+        rows = (np.eye(L) + a[:, None, None] * path)[:, None, 1:]
+        blocks.append(chain - 1)
+        block_factors.append(root[chain[:, 1:] // 2][None, :, :, None] * rows)
+    return tuple(blocks), tuple(block_factors)
 
 
 def build_covariance(config: TruncationConfig) -> np.ndarray:

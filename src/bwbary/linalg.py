@@ -85,13 +85,15 @@ def check_symmetric_stack(X: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
     """
     high, low = X.max(axis=(1, 2)), X.min(axis=(1, 2))
     finite = np.isfinite(high) & np.isfinite(low)  # a NaN entry makes both NaN
-    scale = np.maximum(1.0, np.maximum(high, -low))
-    D = X - np.swapaxes(X, 1, 2)
-    asymmetry = np.abs(D, out=D).max(axis=(1, 2))
-    bad = np.flatnonzero(~finite | (asymmetry > tol * scale))
-    if len(bad):
-        raise InvalidInput("matrix has non-finite entries" if not finite[bad[0]]
-                           else "matrix is not symmetric within tolerance")
+    # only the matrices before the first non-finite one can fail first, and
+    # their asymmetry is finite
+    head = X[:np.argmin(finite)] if not finite.all() else X
+    scale = np.maximum(1.0, np.maximum(high, -low))[:len(head)]
+    D = head - np.swapaxes(head, 1, 2)
+    if np.any(np.abs(D, out=D).max(axis=(1, 2)) > tol * scale):
+        raise InvalidInput("matrix is not symmetric within tolerance")
+    if not finite.all():
+        raise InvalidInput("matrix has non-finite entries")
     S = X + np.swapaxes(X, 1, 2)
     S /= 2.0
     return S

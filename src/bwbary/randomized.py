@@ -5,11 +5,14 @@ PSD map ``T = I + a (F + F^T)`` with mean identity, so the singular
 covariance is the barycentre of the *population* of conjugations ``T C T``.
 An empirical family of n draws satisfies the barycentre certificate only up
 to the deviation of the empirical coefficient mean from zero, which shrinks
-like ``1/sqrt(12 n)``.
+like ``1/sqrt(12 n)``.  No conjugation is formed as a matrix: the problem
+takes each as its exact chain-block factors ``C^{1/2} T``
+(:func:`construct.chain_factors`), so an input costs ``O(dim)`` memory, not
+``O(dim^2)``.
 
 Randomness comes from the counter-based Philox engine.  Draw i uses its own
 generator ``Philox(SeedSequence(seed).spawn(n)[i])``, so results are
-bit-reproducible given the 64-bit seed and independent of evaluation order.
+bit-reproducible given the 64-bit seed (an integer >= 0) and independent of evaluation order.
 The coefficient draw per law: uniform -> ``g.uniform(-0.5, 0.5)``; two-point
 -> ``0.5 if g.integers(2) else -0.5``; triangular -> ``g.triangular(-0.5, 0.0,
 0.5)``.
@@ -24,13 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barycentre import (
+    BarycentreProblem,
     BarycentreResult,
     SolverSettings,
     barycentre_fixed_point,
-    problem,
     verify_barycentre_certificate,
 )
-from .construct import TruncationConfig, build_covariance, symmetrized_shift
+from .construct import TruncationConfig, build_covariance, chain_factors, symmetrized_shift
 from .errors import InvalidInput, check_integer
 
 LAWS = ("uniform", "two-point", "triangular")
@@ -63,9 +66,10 @@ def draw_coefficients(law: RandomMapLaw, seed: int, n: int, antithetic: bool = F
 
     With ``antithetic=True`` (n even) only n/2 draws are made and each is
     paired with its negation, forcing the empirical mean to vanish exactly.
-    ``n`` is an integer >= 1.
+    ``n`` is an integer >= 1 and ``seed`` an integer >= 0.
     """
     check_integer(n, "n", 1)
+    check_integer(seed, "seed", 0)
     if antithetic:
         if n % 2:
             raise InvalidInput("antithetic pairing requires an even n")
@@ -77,7 +81,8 @@ def draw_coefficients(law: RandomMapLaw, seed: int, n: int, antithetic: bool = F
 
 
 def random_map_sample(law: RandomMapLaw, seed: int, dim: int) -> np.ndarray:
-    """One draw of the random map ``I + a (F + F^T)``; deterministic given seed."""
+    """One draw of the random map ``I + a (F + F^T)``; deterministic given seed (an integer >= 0)."""
+    check_integer(seed, "seed", 0)
     shift = symmetrized_shift(dim)  # checks dim
     a = law.draw(_stream(np.random.SeedSequence(seed)))
     return np.eye(dim) + a * shift
@@ -113,10 +118,12 @@ def population_mc_experiment(
 ) -> McReport:
     """Monte-Carlo check that the base covariance is the population barycentre.
 
-    Draws n random maps, conjugates the configured covariance by each, and
-    reports (i) how far the empirical map average is from the identity,
-    (ii) the barycentre certificate residual of the base covariance against
-    the empirical family, and (iii) the fixed-point solver's output on the
+    Draws n random maps ``T_i``, gives the problem the conjugations
+    ``T_i C T_i`` of the configured covariance ``C`` by their exact
+    chain-block factors (:func:`construct.chain_factors`), and reports (i) how
+    far the empirical map average is from the identity, (ii) the barycentre
+    certificate residual of the base covariance against the empirical
+    family, and (iii) the fixed-point solver's output on the
     ridge-regularized empirical problem.
 
     Parameters
@@ -126,7 +133,7 @@ def population_mc_experiment(
     n : int
         Number of draws, an integer >= 2.
     seed : int
-        64-bit seed for the Philox streams.
+        64-bit seed for the Philox streams, an integer >= 0.
     settings : SolverSettings, optional
         Defaults to ``SolverSettings(ridge=1e-6)`` (the empirical barycentre
         is near-singular, so a vanishing ridge schedule is appropriate).
@@ -134,22 +141,18 @@ def population_mc_experiment(
         Pair each draw with its negation (n must be even).
     """
     check_integer(n, "n", 2)
-    base = build_covariance(config)
-    shift = symmetrized_shift(config.dim)
-    eye = np.eye(config.dim)
-
     coeffs = draw_coefficients(law, seed, n, antithetic)
-    # The maps are rebuilt where they are used, so no list of maps or inputs
-    # outlives the problem, which keeps each input only as its factor.
-    mean_map = sum(eye + a * shift for a in coeffs) / n
-    mean_deviation = float(np.linalg.norm(mean_map - eye))
+    # mean_i T_i - I = (sum_i a_i / n) (F + F^T); the draws are summed in
+    # order, as a running sum of the maps sums its entries
+    mean_deviation = float(np.linalg.norm(
+        symmetrized_shift(config.dim) * (float(np.cumsum(coeffs)[-1]) / n)))
 
     if settings is None:
         settings = SolverSettings(ridge=1e-6)
-    # The problem's validation symmetrizes and checks each product T C T once.
-    maps = (eye + a * shift for a in coeffs)
-    prob = problem([T @ base @ T for T in maps], settings=settings)
-    residual = verify_barycentre_certificate(base, prob)
+    # each input T C T is given by its exact chain-block factors C^{1/2} T,
+    # so no dense input is formed, checked or factored
+    prob = BarycentreProblem.from_block_factors(*chain_factors(config, coeffs), settings=settings)
+    residual = verify_barycentre_certificate(build_covariance(config), prob)
     solver = barycentre_fixed_point(prob)
 
     return McReport(

@@ -561,6 +561,100 @@ class TestBlockFactorAccuracy:
             assert verify_barycentre_certificate(cov, prob) <= 1e-15
 
 
+def pair_factors(dim, settings=None):
+    """The pair's problem from its exact chain-block factors."""
+    return barycentre.BarycentreProblem.from_block_factors(
+        *construct.chain_factors(TruncationConfig(dim=dim), (0.5, -0.5)), settings=settings)
+
+
+class TestFactorPath:
+    """A problem built from the inputs' block factors, against the same inputs given densely."""
+
+    @pytest.mark.parametrize("dim", [8, 32, 128, 512])
+    def test_pair_matches_the_dense_problem(self, dim):
+        cov, s1, s2 = constructed_triple(dim)
+        dense, factored = problem([s1, s2]), pair_factors(dim)
+        assert len(factored.blocks) == len(dense.blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(factored.blocks, dense.blocks))
+        assert factored.weights == dense.weights == (0.5, 0.5)
+        assert np.linalg.norm(factored.mean - dense.mean) <= 1e-15 * np.linalg.norm(dense.mean)
+        assert abs(factored.input_trace - dense.input_trace) <= 1e-15 * dense.input_trace
+
+    def test_weighted_family_sums_match_the_dense_problem(self):
+        config = TruncationConfig(dim=32)
+        rng = np.random.default_rng(80)
+        coeffs = rng.uniform(-0.5, 0.5, 16)
+        w = rng.uniform(0.5, 1.5, 16)
+        w = (w / w.sum()).tolist()
+        cov = build_covariance(config)
+        dense = problem([conjugate(np.eye(32) + a * symmetrized_shift(32), cov)
+                         for a in coeffs], w)
+        factored = barycentre.BarycentreProblem.from_block_factors(
+            *construct.chain_factors(config, coeffs), weights=w)
+        assert np.linalg.norm(factored.mean - dense.mean) <= 1e-15 * np.linalg.norm(dense.mean)
+        assert abs(factored.input_trace - dense.input_trace) <= 1e-15 * dense.input_trace
+        assert np.array_equal(factored.mean, factored.mean.T)
+
+    def test_pair_keeps_every_direction_at_dim_512(self):
+        # the exact factors keep the dim/2 rows of S1 that the per-block
+        # pivoted rule of the dense path cuts to 167
+        cov, s1, s2 = constructed_triple(512)
+        factored = pair_factors(512)
+        rows = [sum(int(np.count_nonzero(np.abs(G[0]).sum(axis=-1))) for G in p.block_factors)
+                for p in (factored, problem([s1, s2]))]
+        assert rows == [256, 167]
+        assert verify_barycentre_certificate(cov, factored) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [32, 128])
+    def test_pair_solve_matches_the_dense_solve(self, dim):
+        cov, s1, s2 = constructed_triple(dim)
+        settings = SolverSettings(ridge=1e-6, ridge_decay=0.5)
+        dense = barycentre_fixed_point(problem([s1, s2], settings=settings))
+        factored = barycentre_fixed_point(pair_factors(dim, settings))
+        assert factored.iterations == dense.iterations
+        assert abs(factored.frechet_value - dense.frechet_value) <= 1e-13 * dense.frechet_value
+        assert np.linalg.norm(factored.barycentre - cov) <= 1e-6
+
+    @staticmethod
+    def bad(kind):
+        blocks, factors = construct.chain_factors(TruncationConfig(dim=8), (0.5, -0.5))
+        blocks, factors = list(blocks), list(factors)
+        # dim 8: chains 5 and 7, chain 3-6, chain 1-2-4-8
+        if kind in ("nan", "inf"):
+            factors[2] = factors[2].copy()
+            factors[2][1, 0, 2, 3] = np.nan if kind == "nan" else np.inf
+        elif kind == "inputs":
+            factors[1] = factors[1][:1]
+        elif kind == "chains":
+            factors[0] = factors[0][:, :1]
+        elif kind == "length":
+            factors[2] = factors[2][..., :3]
+        elif kind == "ndim":
+            factors[0] = factors[0][0]
+        elif kind == "count":
+            factors = factors[:-1]
+        elif kind == "overlap":
+            blocks[0] = blocks[0] * 0
+        elif kind == "gap":
+            blocks[-1] = blocks[-1] + 1
+        elif kind == "float":
+            blocks[0] = blocks[0].astype(float)
+        return blocks, factors
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "inputs", "chains", "length", "ndim",
+                                      "count", "overlap", "gap", "float"])
+    def test_bad_factors_are_invalid_input(self, kind):
+        with pytest.raises(InvalidInput):
+            barycentre.BarycentreProblem.from_block_factors(*self.bad(kind))
+
+    def test_weights_are_checked(self):
+        blocks, factors = construct.chain_factors(TruncationConfig(dim=8), (0.5, -0.5))
+        with pytest.raises(InvalidInput):
+            barycentre.BarycentreProblem.from_block_factors(blocks, factors, weights=[1.0])
+        with pytest.raises(InvalidInput):
+            barycentre.BarycentreProblem.from_block_factors(blocks, factors, weights=[0.7, 0.4])
+
+
 class TestProblemState:
     """The problem keeps each input only as its block factors, and the two sums the passes read."""
 

@@ -23,8 +23,10 @@ from bwbary import (
     problem,
     verify_barycentre_certificate,
 )
+from bwbary import linalg
 from bwbary.cli import main
 from bwbary.construct import doubling_chains
+from bwbary.linalg import pivoted_cholesky
 
 
 def chain_lengths(dim):
@@ -80,13 +82,19 @@ def test_distance_checks_each_argument_by_its_factor(lapack_calls):
     assert lapack_calls["eigh"] == lapack_calls["eigvalsh"] == 0
 
 
-def test_monte_carlo_checks_each_input_once(lapack_calls):
+def test_monte_carlo_checks_each_input_once(lapack_calls, monkeypatch):
+    factored = []
+    monkeypatch.setattr(linalg, "pivoted_cholesky",
+                        lambda A: factored.append(A.shape) or pivoted_cholesky(A))
     n = 12
     report = population_mc_experiment(TruncationConfig(dim=8), RandomMapLaw(), n, seed=7)
     assert report.n == n
-    # the problem's stacked block factors are the inputs' one check
-    assert lapack_calls["eigvalsh"] == 0
+    # the problem takes each input as its exact chain-block factors, whose
+    # one check is the boundary check of their values and shapes: no input
+    # is factored, and none checked by its eigenvalues
+    assert factored == []
     assert lapack_calls["pstrf"] == 0
+    assert lapack_calls["eigvalsh"] == 0
 
 
 NOT_PSD = np.diag([1.0, -1e-6])
@@ -148,8 +156,8 @@ class TestCliChecksEachFileOnce:
 
     def test_sweep(self, tmp_path, lapack_calls, capsys):
         assert main(["sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv")]) == 0
-        # per dim: the conjugated inputs' stacked block factors in problem(),
-        # the only check of either; sigma's stacked eigh per chain length in
+        # per dim: the inputs are their exact chain-block factors, with no
+        # check and no factoring; sigma's stacked eigh per chain length in
         # the certificate; the eigvalsh of min_eig_t1.  The kernels come from
         # the maps, with no eigh.
         assert lapack_calls["pstrf"] == 0

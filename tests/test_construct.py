@@ -17,7 +17,7 @@ from bwbary import (
     kernel_report,
     symmetrized_shift,
 )
-from bwbary.construct import conjugated_kernel, doubling_chains
+from bwbary.construct import chain_factors, conjugated_kernel, doubling_chains
 from bwbary.errors import DimensionMismatch, NotPSD
 
 
@@ -69,6 +69,40 @@ class TestDoublingChains:
                 rest = np.setdiff1d(np.arange(dim), idx)
                 assert not np.any(S[np.ix_(idx, rest)])
                 assert np.all(np.diag(S[np.ix_(idx, idx)], 1) == 1.0)
+
+
+class TestChainFactors:
+    COEFFS = (-0.5, -0.125, 0.0, 0.3, 0.5)
+
+    @pytest.mark.parametrize("dim", [2, 8, 33, 64])
+    def test_factors_give_the_conjugations(self, dim):
+        config = TruncationConfig(dim=dim, decay=0.7)
+        cov = build_covariance(config)
+        blocks, factors = chain_factors(config, self.COEFFS)
+        for i, a in enumerate(self.COEFFS):
+            S = conjugate(np.eye(dim) + a * symmetrized_shift(dim), cov)
+            rebuilt = np.zeros((dim, dim))
+            for idx, G in zip(blocks, factors):
+                rebuilt[idx[:, :, None], idx[:, None, :]] = np.swapaxes(G[i], -1, -2) @ G[i]
+            np.testing.assert_allclose(rebuilt, S, rtol=0, atol=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("dim", [2, 7, 32, 100])
+    def test_blocks_are_the_chains_grouped_by_length(self, dim):
+        blocks, factors = chain_factors(TruncationConfig(dim=dim), self.COEFFS)
+        lengths = [idx.shape[1] for idx in blocks]
+        assert lengths == sorted(set(lengths))
+        chains = [(row + 1).tolist() for idx in blocks for row in idx]
+        assert chains == sorted(doubling_chains(dim), key=lambda c: (len(c), c[0]))
+        for idx, G in zip(blocks, factors):
+            L = idx.shape[1]
+            # one row per nonzero eigenvalue of C on the chain: all but the head
+            assert G.shape == (len(self.COEFFS), len(idx), L - 1, L)
+            assert np.all(np.abs(G).sum(axis=-1) > 0)
+
+    @pytest.mark.parametrize("coeffs", [[0.6], [np.nan], [], [[0.1]], 0.1])
+    def test_coefficients_are_checked(self, coeffs):
+        with pytest.raises(InvalidInput):
+            chain_factors(TruncationConfig(dim=8), coeffs)
 
 
 class TestShiftMap:

@@ -601,6 +601,23 @@ class TestSweepCommand:
         assert "bad --dims" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("dims", ["8,x", "8..x", "8,"])
+    def test_malformed_value_names_the_option(self, dims, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        assert run_cli("sweep", f"--dims={dims}", "--out-csv", str(path)) == 2
+        assert f"error: bad --dims {dims!r}: " in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_certificate_of_sigma_is_at_rounding_level(self, tmp_path):
+        # the inputs are their exact chain-block factors, which keep every
+        # direction of each chain, so the true barycentre certifies to 1e-15
+        path = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--dims", "8..512", "--out-csv", str(path)) == 0
+        with open(path) as fh:
+            residuals = [float(r["certificate_residual"]) for r in csv.DictReader(fh)]
+        assert len(residuals) == 7
+        assert max(residuals) <= 1e-15
+
     def test_large_dims_are_exact(self, tmp_path):
         # no option: the kernels come from the maps, not from an eigenvalue cutoff
         path = tmp_path / "sweep.csv"

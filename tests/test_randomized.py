@@ -1,5 +1,7 @@
 """Random map draws and the Monte-Carlo population experiment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,20 @@ class TestLawsAndDraws:
         else:
             pytest.fail("no positive two-point draw in 20 seeds")
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        law = RandomMapLaw("uniform")
+        for call in (lambda: draw_coefficients(law, seed, 4),
+                     lambda: random_map_sample(law, seed, 8),
+                     lambda: population_mc_experiment(TruncationConfig(dim=8), law, 4, seed)):
+            with pytest.raises(InvalidInput, match="seed must be an integer >= 0"):
+                call()
+
+    def test_numpy_integer_seed_draws_as_its_value(self):
+        law = RandomMapLaw("triangular")
+        np.testing.assert_array_equal(draw_coefficients(law, np.int64(5), 6),
+                                      draw_coefficients(law, 5, 6))
+
     def test_sample_mean_clt_bound(self):
         # var(a) = 1/12 for the uniform law; 3-sigma entrywise bound on the
         # nonzero diagonals of mean(T) - I at n = 10^4
@@ -118,6 +134,29 @@ class TestPopulationExperiment:
         assert report.certificate_residual <= report.mean_deviation
         assert report.solver.converged
         assert np.all(np.isfinite(report.solver.barycentre))
+
+    def test_mean_deviation_is_that_of_the_summed_maps(self):
+        # (sum_i T_i) / n - I, with the maps summed in draw order, has the
+        # bits of the mean coefficient times F + F^T
+        config = TruncationConfig(dim=16)
+        shift = symmetrized_shift(16)
+        for name in ("uniform", "two-point", "triangular"):
+            report = population_mc_experiment(config, RandomMapLaw(name), n=40, seed=8)
+            maps = sum(np.eye(16) + a * shift for a in report.coefficients) / 40
+            assert report.mean_deviation == float(np.linalg.norm(maps - np.eye(16)))
+
+    def test_memory_is_that_of_the_factors(self):
+        # 1,000 dim-32 inputs as their chain-block factors; as dense products
+        # T C T the peak was 10.6 MiB
+        population_mc_experiment(TruncationConfig(dim=8), RandomMapLaw("uniform"), n=4, seed=0)
+        tracemalloc.start()
+        try:
+            population_mc_experiment(TruncationConfig(dim=32), RandomMapLaw("uniform"),
+                                     n=1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     def test_experiment_is_reproducible(self):
         config = TruncationConfig(dim=8)

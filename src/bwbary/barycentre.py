@@ -122,23 +122,6 @@ def _components(pattern: np.ndarray) -> tuple:
                  for L in np.flatnonzero(np.bincount(sizes)))
 
 
-def _checked_stack(chunk, first: np.ndarray) -> np.ndarray:
-    """The symmetrized ``(k, d, d)`` stack of a chunk of inputs, each checked in order.
-
-    Each input must pass :func:`linalg.check_symmetric` and have the dim of
-    ``first``; the first that does not raises that check's error, as if each
-    were checked on its own.
-    """
-    arrays = [np.asarray(S, dtype=np.float64) for S in chunk]
-    wrong = [i for i, A in enumerate(arrays) if A.shape != first.shape]
-    if wrong:
-        if wrong[0]:
-            linalg.check_symmetric_stack(np.stack(arrays[:wrong[0]]))
-        # raises: a symmetric square matrix of another dim fails check_same_dim
-        check_same_dim(first, check_symmetric(arrays[wrong[0]]))
-    return linalg.check_symmetric_stack(np.stack(arrays))
-
-
 def _weights(weights, n: int) -> np.ndarray:
     """The checked weights of ``n`` inputs, uniform for ``None``."""
     if n < 1:
@@ -147,42 +130,33 @@ def _weights(weights, n: int) -> np.ndarray:
 
 
 def _read_dense(inputs, w: np.ndarray) -> tuple:
-    """``(blocks, block_factors, mean, input_trace)`` of dense inputs, in two passes.
+    """``(blocks, block_factors, mean, input_trace)`` of dense inputs, in one pass.
 
-    See :class:`BarycentreProblem`: the first pass checks and sums, the second
-    factors the blocks and proves the PSD rule by the factors.
+    See :class:`BarycentreProblem`: each input is checked in input order, the
+    sums are taken over the checked stack, and the factors of its blocks
+    prove the PSD rule.
     """
-    n = len(inputs)
-    first = linalg.check_square(inputs[0])  # its dim is the problem's; the pass checks the rest
-    step = _block_size(len(first))
-    chunks = [slice(start, start + step) for start in range(0, n, step)]
+    checked = []
+    for S in inputs:
+        checked.append(check_symmetric(S))
+        check_same_dim(checked[0], checked[-1])
+    X = np.stack(checked)
 
-    mean, input_trace, pattern = np.zeros(first.shape), 0.0, False
-    for part in chunks:
-        X = _checked_stack(inputs[part], first)
-        for wi, S, tr in zip(w[part], X, np.trace(X, axis1=1, axis2=2)):
-            mean += wi * S
-            input_trace += float(wi) * float(tr)
-        pattern |= (X != 0).any(axis=0)
-    blocks = _components(pattern)
+    mean, input_trace = np.zeros(X.shape[1:]), 0.0
+    for wi, S, tr in zip(w, X, np.trace(X, axis1=1, axis2=2)):
+        mean += wi * S
+        input_trace += float(wi) * float(tr)
+    blocks = _components((X != 0).any(axis=0))
 
-    # the inputs were checked by the first pass, and the blocks of the
-    # symmetrized inputs are the symmetrized blocks
-    stacks = [np.empty((n, *idx.shape, idx.shape[1])) for idx in blocks]
-    for part in chunks:
-        X = np.stack([np.asarray(S, dtype=np.float64) for S in inputs[part]])
-        for stack, B in zip(stacks, _gather(X, blocks)):
-            stack[part] = (B + np.swapaxes(B, -1, -2)) / 2.0
     residual, max_diag, block_factors = 0.0, 0.0, []
-    for stack in stacks:
+    for stack in _gather(X, blocks):
         F, rank = linalg.pivoted_cholesky(stack)
         R = stack - np.swapaxes(F, -1, -2) @ F
         residual = residual + (R * R).sum(axis=(1, 2, 3))
         max_diag = np.maximum(max_diag, np.diagonal(stack, axis1=-2, axis2=-1).max(axis=(1, 2)))
         block_factors.append(F[:, :, :int(rank.max(initial=0))].copy())
-    del stacks
     for i in np.flatnonzero(np.sqrt(residual) > PSD_TOL * np.maximum(1.0, max_diag)):
-        eig = np.linalg.eigvalsh(check_symmetric(inputs[i]))
+        eig = np.linalg.eigvalsh(X[i])
         linalg.check_psd_floor(float(eig[0]), float(eig[-1]))
     return blocks, tuple(block_factors), mean, input_trace
 
@@ -244,17 +218,17 @@ class BarycentreProblem:
     reuses; ``mean = sum_i w_i S_i``, the solver's default start; and
     ``input_trace = sum_i w_i tr S_i``.  Problems compare by identity.
 
-    Dense inputs are read in two passes, chunks of at most
-    ``_block_size(d)`` inputs at a time.  The first pass checks each input as
-    :func:`linalg.check_symmetric` does (the first bad input raises that
-    check's error), and sums ``mean`` and ``input_trace`` from 0 in input
-    order over the symmetrized inputs.  It also finds ``blocks``: the
-    connected components of the union of the inputs' exact nonzero patterns
-    (see :func:`_components`).  For the doubling-shift construction these are
-    the chains ``m, 2m, 4m, ...`` (``construct.doubling_chains``), and a
-    dense family is the one block ``0..d-1``.  The second pass gathers the
-    inputs' blocks of each size as one ``(n, k_L, L, L)`` stack and factors
-    it with one :func:`linalg.pivoted_cholesky` call.  Each block stops at
+    Dense inputs are read in one pass.  Each input is checked in input order
+    by :func:`linalg.check_symmetric` and against the first one's dim, so the
+    first bad input raises its own check's error; the symmetrized inputs are
+    stacked once, and ``mean`` and ``input_trace`` summed from 0 in input
+    order.  ``blocks`` are the connected components of the union of the
+    inputs' exact nonzero patterns (see :func:`_components`).  For the
+    doubling-shift construction these are the chains ``m, 2m, 4m, ...``
+    (``construct.doubling_chains``), and a dense family is the one block
+    ``0..d-1``.  The inputs' blocks of each size are gathered as one
+    ``(n, k_L, L, L)`` stack and factored with one
+    :func:`linalg.pivoted_cholesky` call.  Each block stops at
     LAPACK's default rule for that block, ``L * u * max diag``, so the small
     directions of a graded block are kept even when another block, or
     another input, is far larger; a stack is cut to ``m_L``, the largest rank

@@ -30,11 +30,19 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
+def _number(option: str, text: str, value: str) -> float:
+    """``value``, one field of ``option``'s argument ``text``, as a float; else name the option."""
+    try:
+        return float(value)
+    except ValueError:
+        raise InvalidInput(f"bad {option} {text!r}: {value!r} is not a number") from None
+
+
 def _parse_decay(text: str):
     if text.startswith("geometric:"):
-        return float(text.split(":", 1)[1])
+        return _number("--decay", text, text.split(":", 1)[1])
     if text.startswith("list:"):
-        return tuple(float(v) for v in text.split(":", 1)[1].split(","))
+        return tuple(_number("--decay", text, v) for v in text.split(":", 1)[1].split(","))
     raise InvalidInput(f"bad --decay {text!r}; use geometric:<r> or list:<v,..>")
 
 
@@ -52,23 +60,24 @@ def _read_inputs(args, report: RunReport) -> tuple:
     n = len(inputs)
     if args.weights is None:
         return inputs, [1.0 / n] * n
-    weights = [float(v) for v in args.weights.split(",")]
+    weights = [_number("--weights", args.weights, v) for v in args.weights.split(",")]
     if len(weights) != n:
         raise InvalidInput(f"got {len(weights)} weights for {n} inputs")
     return inputs, weights
 
 
 def _parse_dims(text: str):
+    """The dims of ``--dims``: a comma list, or ``lo..hi`` doubling from ``lo``; each >= 2."""
     def dim(value: str) -> int:
         try:
-            return int(value)
+            if int(value) >= 2:
+                return int(value)
         except ValueError:
-            raise InvalidInput(f"bad --dims {text!r}: {value!r} is not an integer") from None
+            pass
+        raise InvalidInput(f"bad --dims {text!r}: {value!r} is not an integer >= 2")
 
     if ".." in text:
         lo, hi = (dim(v) for v in text.split("..", 1))
-        if lo < 1:
-            raise InvalidInput(f"bad --dims {text!r}: the lower bound must be >= 1")
         dims = []
         d = lo
         while d <= hi:

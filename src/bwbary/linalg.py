@@ -14,7 +14,9 @@ over the whole stack at once; and :func:`pivoted_cholesky` factors a whole
 stack of matrices (the chain blocks of every barycentre input) in numpy, one
 factor row per step, under LAPACK ``pstrf``'s stopping rule applied to each
 matrix.
-A covariance is checked by the decomposition its caller needs anyway: its
+Every matrix from outside is first checked, one matrix at a time, to be
+square, finite and symmetric by :func:`check_symmetric`.  A covariance is
+then checked by the decomposition its caller needs anyway: its
 pivoted-Cholesky factor (:func:`covariance_factor`, or the block factors of
 a barycentre problem) or its eigendecomposition (:func:`_psd_eigs`), all
 under the one rule of :func:`check_psd_floor`.
@@ -65,38 +67,21 @@ def check_square(M) -> np.ndarray:
 def check_symmetric(M, tol: float = SYM_TOL) -> np.ndarray:
     """Validate and return a symmetrized copy of ``M``.
 
-    ``M`` must be a finite square matrix of dimension at least 1
-    (:func:`check_square`), with asymmetry at most
-    ``tol * max(1, maxAbsEntry)``; the returned matrix is ``(M + M.T) / 2``,
-    which is the documented normalization applied before any spectral
-    computation.  The checks after the shape are
-    :func:`check_symmetric_stack`'s on a stack of one.
+    ``M`` must be a square matrix of dimension at least 1
+    (:func:`check_square`), then finite, then symmetric within
+    ``tol * max(1, maxAbsEntry)``; each failure raises :class:`InvalidInput`
+    with its own message.  Finiteness is tested before ``M - M.T`` is formed,
+    so a non-finite entry raises no numpy warning.  The returned matrix is
+    ``(M + M.T) / 2``, which is the documented normalization applied before
+    any spectral computation.
     """
-    return check_symmetric_stack(check_square(M)[None], tol)[0]
-
-
-def check_symmetric_stack(X: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
-    """:func:`check_symmetric` of every matrix of a ``(k, n, n)`` stack at once.
-
-    Each matrix must be finite, then symmetric within its own
-    ``tol * max(1, maxAbsEntry)``; the first matrix that is not raises
-    :class:`InvalidInput` with the message of the check it fails.  Returns
-    ``(X + X^T) / 2``, matrix for matrix the bits of separate calls.
-    """
-    high, low = X.max(axis=(1, 2)), X.min(axis=(1, 2))
-    finite = np.isfinite(high) & np.isfinite(low)  # a NaN entry makes both NaN
-    # only the matrices before the first non-finite one can fail first, and
-    # their asymmetry is finite
-    head = X[:np.argmin(finite)] if not finite.all() else X
-    scale = np.maximum(1.0, np.maximum(high, -low))[:len(head)]
-    D = head - np.swapaxes(head, 1, 2)
-    if np.any(np.abs(D, out=D).max(axis=(1, 2)) > tol * scale):
-        raise InvalidInput("matrix is not symmetric within tolerance")
-    if not finite.all():
+    A = check_square(M)
+    high, low = float(A.max()), float(A.min())  # a NaN entry makes both NaN
+    if not (np.isfinite(high) and np.isfinite(low)):
         raise InvalidInput("matrix has non-finite entries")
-    S = X + np.swapaxes(X, 1, 2)
-    S /= 2.0
-    return S
+    if float(np.abs(A - A.T).max()) > tol * max(1.0, high, -low):
+        raise InvalidInput("matrix is not symmetric within tolerance")
+    return (A + A.T) / 2.0
 
 
 def check_covariance(M) -> np.ndarray:

@@ -481,7 +481,7 @@ def bad_input(kind, rng, dim):
 
 
 class TestChunkedChecks:
-    """The inputs are checked a chunk at a time; the first bad one raises its own check's error."""
+    """The inputs are checked in input order; the first bad one raises its own check's error."""
 
     DIM = 32
 

@@ -155,18 +155,24 @@ class TestConstructCommand:
                      "--out", str(tmp_path))
         assert rc == 2
 
-    @pytest.mark.parametrize("option", [
-        ["--decay", "geometric:1e-200"],  # the kept spectrum underflows to 0
-        ["--decay", "list:nan,1,1,1"],
-        ["--decay", "list:inf,1,1,1"],
-        ["--c", "nan"],
-        ["--c", "inf"],
-        ["--dim", "4096"],  # 0.5**2048 underflows to 0
-    ], ids=["underflow", "nan_list", "inf_list", "nan_c", "inf_c", "dim_4096"])
-    def test_bad_option_is_invalid_input(self, option, tmp_path, capsys):
+    @pytest.mark.parametrize("option, message", [
+        # the kept spectrum underflows to 0
+        (["--decay", "geometric:1e-200"], "every kept eigenvalue"),
+        (["--decay", "list:nan,1,1,1"], "every kept eigenvalue"),
+        (["--decay", "list:inf,1,1,1"], "every kept eigenvalue"),
+        (["--c", "nan"], "c must be finite"),
+        (["--c", "inf"], "c must be finite"),
+        (["--dim", "4096"], "every kept eigenvalue"),  # 0.5**2048 underflows to 0
+        (["--decay", "geometric:abc"], "bad --decay 'geometric:abc': 'abc' is not a number"),
+        (["--decay", "list:"], "bad --decay 'list:': '' is not a number"),
+        (["--decay", "list:1,x"], "bad --decay 'list:1,x': 'x' is not a number"),
+    ], ids=["underflow", "nan_list", "inf_list", "nan_c", "inf_c", "dim_4096",
+            "malformed_ratio", "empty_list", "malformed_list"])
+    def test_bad_option_is_invalid_input(self, option, message, tmp_path, capsys):
         argv = ["construct", "--dim", "8", *option, "--out", str(tmp_path)]
         assert run_cli(*argv) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("dim", [64, 128])
@@ -271,16 +277,19 @@ class TestVerifyCommand:
                      "--inputs", str(tmp_path / "nope.json"))
         assert rc == 2
 
-    @pytest.mark.parametrize("option", [["--weights", "0.5,nan"], ["--tol", "nan"],
-                                        ["--tol", "inf"], ["--tol=-1e-9"]],
-                             ids=["weights-nan", "tol-nan", "tol-inf", "tol-negative"])
-    def test_non_finite_option_is_invalid_input(self, option, constructed, capsys):
-        # a NaN weight or tolerance is a bad option, not a failed candidate (exit 1)
+    @pytest.mark.parametrize("option, message", [
+        (["--weights", "0.5,nan"], "finite"), (["--tol", "nan"], "finite"),
+        (["--tol", "inf"], "finite"), (["--tol=-1e-9"], "finite"),
+        (["--weights", "0.5,x"], "error: bad --weights '0.5,x': 'x' is not a number"),
+    ], ids=["weights-nan", "tol-nan", "tol-inf", "tol-negative", "weights-malformed"])
+    def test_non_finite_option_is_invalid_input(self, option, message, constructed, capsys):
+        # a NaN or malformed weight, or a NaN tolerance, is a bad option, not
+        # a failed candidate (exit 1)
         rc = run_cli("verify", "--candidate", str(constructed / "sigma.json"),
                      "--inputs", str(constructed / "s1.json"), str(constructed / "s2.json"),
                      *option)
         assert rc == 2
-        assert "finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "barycentre"])
@@ -593,15 +602,15 @@ class TestSweepCommand:
             assert [r["dim"] for r in csv.DictReader(fh)] == ["8", "16"]
         assert listed.read_text() == ranged.read_text()
 
-    @pytest.mark.parametrize("dims", ["64..32", "0..8", "-4..8"])
+    @pytest.mark.parametrize("dims", ["64..32", "0..8", "-4..8", "1..4"])
     def test_bad_range_is_invalid_input(self, dims, tmp_path, capsys):
-        # an empty range, or a lower bound that doubling never grows past
+        # an empty range, or a lower bound below the smallest dim, 2
         path = tmp_path / "sweep.csv"
         assert run_cli("sweep", f"--dims={dims}", "--out-csv", str(path)) == 2
         assert "bad --dims" in capsys.readouterr().err
         assert not path.exists()
 
-    @pytest.mark.parametrize("dims", ["8,x", "8..x", "8,"])
+    @pytest.mark.parametrize("dims", ["8,x", "8..x", "8,", "0,8", "3,1"])
     def test_malformed_value_names_the_option(self, dims, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         assert run_cli("sweep", f"--dims={dims}", "--out-csv", str(path)) == 2

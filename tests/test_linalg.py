@@ -1,5 +1,7 @@
 """Core linear algebra: eigendecomposition, PSD functions, rank bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,34 @@ from bwbary.linalg import (
     psd_factor,
 )
 from helpers import random_psd, range_projector
+
+
+class TestCheckSymmetric:
+    """Finiteness is tested before any subtraction, then asymmetry against ``tol * max(1, maxAbs)``."""
+
+    @pytest.mark.parametrize("entries", [
+        [(0, 0, np.nan)], [(1, 1, np.inf)],
+        [(0, 2, np.inf), (2, 0, np.inf)], [(0, 2, -np.inf), (2, 0, -np.inf)],
+    ], ids=["nan", "inf", "mirrored-inf", "mirrored-minus-inf"])
+    def test_non_finite_raises_without_a_warning(self, entries):
+        # an infinite entry on the diagonal or at both mirrored places makes
+        # M - M.T compute inf - inf, which numpy warns about
+        M = np.eye(3)
+        for i, j, value in entries:
+            M[i, j] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="^matrix has non-finite entries$"):
+                check_symmetric(M)
+
+    @pytest.mark.parametrize("largest", [1e3, -1e3])
+    def test_asymmetry_is_relative_to_the_largest_entry(self, largest):
+        M = np.diag([1.0, largest, 2.0])
+        M[0, 2] = 0.9e-9  # within 1e-12 * 1e3
+        np.testing.assert_array_equal(check_symmetric(M), (M + M.T) / 2.0)
+        M[0, 2] = 1.1e-9
+        with pytest.raises(InvalidInput, match="^matrix is not symmetric within tolerance$"):
+            check_symmetric(M)
 
 
 class TestEigSym:

@@ -408,12 +408,14 @@ def _mean_inner_root(roots: list, block_factors: tuple, weights) -> list:
     whose blocks have rank ``L - 1``), its one-sided Jacobi route for a
     large stack of blocks that keep three to five rows (on the Monte-Carlo
     run's 1,000 inputs at dim 32, the chains of length 4 and 6, so that run
-    makes no SVD), and one stacked SVD otherwise.  The weighted sum is a
-    running sum in input order, so a single block has the bits of
-    ``sum(w * P)`` over the stacked polars ``P`` of the trimmed factors,
-    which for stacks below the Jacobi route's size are the bits of
-    ``sum(w * polar(F @ root))``, and of ``sum(w * congruence_sqrt(root, S))``
-    when no input is trimmed.
+    makes no SVD), and one stacked SVD otherwise.  Every route returns its
+    polars C-contiguous, so the sum over a stack's inputs is an outer
+    reduction, taken term by term (over a strided axis numpy would sum
+    pairwise).  The weighted sum is thus a running sum in input order, and a
+    single block has the bits of ``sum(w * P)`` over the stacked polars
+    ``P`` of the trimmed factors, which for stacks below the Jacobi route's
+    size are the bits of ``sum(w * polar(F @ root))``, and of
+    ``sum(w * congruence_sqrt(root, S))`` when no input is trimmed.
     """
     w = np.asarray(weights)
     out = []

@@ -7,10 +7,11 @@ symmetric matrix.  Matrix functions go through a direct decomposition
 square-root schemes, so results are deterministic for identical input bits.
 Three exceptions to LAPACK: :func:`polar` of a matrix with at most two rows
 (the blocks of the doubling chains of length 1, 2 and 3, which are most of
-them) is computed in closed form, with one Jacobi rotation and no iteration;
-:func:`polar` of a large stack of matrices with three to five rows (the
-longer chains' blocks of many barycentre inputs) by one-sided Jacobi sweeps
-over the whole stack at once; and :func:`pivoted_cholesky` factors a whole
+them) is computed in closed form, with one Jacobi rotation and no iteration,
+and of a large stack of matrices with three to five rows (the longer chains'
+blocks of many barycentre inputs) by one-sided Jacobi sweeps over the whole
+stack at once, both on one rows-last layout in which every sum along a row is
+taken term by term; and :func:`pivoted_cholesky` factors a whole
 stack of matrices (the chain blocks of every barycentre input) in numpy, one
 factor row per step, under LAPACK ``pstrf``'s stopping rule applied to each
 matrix.
@@ -407,10 +408,11 @@ def polar(X: np.ndarray) -> np.ndarray:
     """Symmetric polar factor ``|X| = (X.T @ X)^{1/2}`` of one matrix or a stack of matrices.
 
     ``X`` is ``(r, d)`` or a stack of them (a factor cut to its nonzero rows
-    has ``r <= d``); the result is ``(d, d)``.  The route depends on the
-    shape alone:
+    has ``r <= d``); the result is ``(d, d)``, or the stack of them, and is
+    C-contiguous.  The route depends on the shape alone:
 
-    * at most two rows: closed form (:func:`_polar_rows`), no LAPACK call;
+    * no rows: zero;
+    * one or two rows: closed form (:func:`_polar_rows`), no LAPACK call;
     * ``3 <= r <= min(_JACOBI_MAX_ROWS, d)`` rows in a stack of at least
       ``_JACOBI_MIN_STACK`` matrices: one-sided Jacobi on every matrix of the
       stack at once (:func:`_jacobi_polar`), no LAPACK call;
@@ -418,24 +420,53 @@ def polar(X: np.ndarray) -> np.ndarray:
       shape ``(min(r, d), d)``, as ``Vt.T diag(s) Vt``, symmetrized; for
       square ``X`` the thin SVD has the bits of the full one.
 
-    Within a route, a stack gives, matrix for matrix, the same bits as
-    separate calls; a matrix has the bits of the Jacobi route only in a stack
-    large enough to take it, and those differ from its SVD polar by rounding.
+    The closed form and Jacobi make the rows ``y_k`` of every matrix
+    orthogonal in the layout of :func:`_rows_last` and share one finish:
+    ``|X| = sum_k y_k^T y_k / ||y_k||``, a zero row adding nothing.  Within a
+    route, a stack gives, matrix for matrix, the same bits as separate calls;
+    a matrix has the bits of the Jacobi route only in a stack large enough to
+    take it, and those differ from its SVD polar by rounding.
     """
-    rows = X.shape[-2]
+    shape, (rows, L) = X.shape, X.shape[-2:]
+    if rows == 0:
+        return np.zeros(shape[:-2] + (L, L))
     if rows <= 2:
-        return _polar_rows(X)
-    if rows <= min(_JACOBI_MAX_ROWS, X.shape[-1]) and prod(X.shape[:-2]) >= _JACOBI_MIN_STACK:
-        return _jacobi_polar(X)
-    _, sv, Vt = np.linalg.svd(X, full_matrices=False)
-    return _spectral_apply(np.swapaxes(Vt, -1, -2), sv)
+        Y = _polar_rows(_rows_last(X))
+    elif rows <= min(_JACOBI_MAX_ROWS, L) and prod(shape[:-2]) >= _JACOBI_MIN_STACK:
+        Y = _jacobi_polar(_rows_last(X))
+    else:
+        _, sv, Vt = np.linalg.svd(X, full_matrices=False)
+        return _spectral_apply(np.swapaxes(Vt, -1, -2), sv)
+    # row k scaled by ||y_k||^{-1/2}, so that its outer product is y_k^T y_k / ||y_k||
+    scale = np.sqrt(np.sqrt(np.einsum("kln,kln->kn", Y, Y)))
+    scale[scale == 0] = np.inf
+    V = Y / scale[:, None]
+    # summed rows-last, then copied once to C order: a caller's sum over the
+    # stack of a strided result would be taken pairwise
+    P = np.einsum("kin,kjn->ijn", V, V).transpose(2, 0, 1).copy()
+    return P[:prod(shape[:-2])].reshape(shape[:-2] + (L, L))
 
 
-def _rotation(a: np.ndarray, b: np.ndarray, g: np.ndarray, skip: np.ndarray) -> tuple:
-    """``(c, s)`` of the one-sided Jacobi rotation that makes two rows orthogonal.
+def _rows_last(X: np.ndarray) -> np.ndarray:
+    """An ``(..., m, L)`` stack of ``N`` matrices as a new C-contiguous ``(m, L, max(N, 2))`` array.
 
-    The rows ``x``, ``y`` have Gram matrix ``[[a, g], [g, b]]``; the rotated
-    rows ``c x - s y`` and ``s x + c y`` are orthogonal for
+    A sum along ``L`` (``.sum(-2)``, or an einsum over it) is then taken term
+    by term, so each matrix gets the same bits in any stack.  A single matrix
+    gets a zero matrix beside it: with ``N = 1`` the ``L`` axis would be
+    contiguous, and numpy sums a contiguous axis of 8 or more terms pairwise.
+    """
+    m, L = X.shape[-2:]
+    X = X.reshape(-1, m, L)
+    Y = np.zeros((m, L, max(len(X), 2)))
+    Y[..., :len(X)] = X.transpose(1, 2, 0)
+    return Y
+
+
+def _rotate_rows(x, y, a, b, g, skip) -> None:
+    """Make the rows ``x``, ``y`` orthogonal, in place, by one one-sided Jacobi rotation.
+
+    The rows have Gram matrix ``[[a, g], [g, b]]``; the rotated rows
+    ``c x - s y`` and ``s x + c y`` are orthogonal for
     ``zeta = (b - a) / 2g`` and ``t = sign(zeta) / (|zeta| + hypot(1, zeta))``,
     the smaller root of ``t^2 + 2 zeta t - 1``, so ``|t| <= 1`` (Golub & Van
     Loan, *Matrix Computations*, §8.5.2 and §8.6.3), with
@@ -446,38 +477,30 @@ def _rotation(a: np.ndarray, b: np.ndarray, g: np.ndarray, skip: np.ndarray) -> 
     t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
     t[skip] = 0.0
     c = 1.0 / np.sqrt(1.0 + t * t)
-    return c, c * t
+    s = c * t
+    sx, sy = s * x, s * y
+    x *= c
+    x -= sy
+    y *= c
+    y += sx
 
 
-def _polar_rows(X: np.ndarray) -> np.ndarray:
-    """:func:`polar` of matrices with at most two rows, in closed form.
+def _polar_rows(Y: np.ndarray) -> np.ndarray:
+    """Orthogonal rows for :func:`polar` of one or two rows, in closed form.
 
-    ``|QX| = |X|`` for orthogonal ``Q``, and rows ``x_k`` that are orthogonal
-    give ``|X| = sum_k x_k^T x_k / ||x_k||`` (a zero row adds nothing; no
-    rows give zero).  Two rows are made orthogonal by the one
-    :func:`_rotation` that diagonalizes their Gram matrix, with ``t = 0``
-    where ``g == 0``.  The result is exact up to rounding while the squared
-    entries neither overflow nor underflow (entries within about
-    ``1e-150 .. 1e150``), and is exactly symmetric.  Every step is
-    elementwise or a reduction along a row, so a stack has, matrix for
-    matrix, the bits of separate calls.
+    ``Y`` is a :func:`_rows_last` stack, rotated in place and returned.
+    ``|QX| = |X|`` for orthogonal ``Q``, and two rows are made orthogonal by
+    the one rotation (:func:`_rotate_rows`) that diagonalizes their Gram
+    matrix, with ``t = 0`` where ``g == 0``; one row is orthogonal already.
+    The polar is exact up to rounding while the squared entries neither
+    overflow nor underflow (entries within about ``1e-150 .. 1e150``), and
+    is exactly symmetric.
     """
-    if X.shape[-2] == 2:
-        x, y = X[..., 0, :], X[..., 1, :]
-        g = (x * y).sum(-1, keepdims=True)
-        c, s = _rotation((x * x).sum(-1, keepdims=True), (y * y).sum(-1, keepdims=True),
-                         g, g == 0)
-        X = np.empty(X.shape)
-        X[..., 0, :] = c * x - s * y
-        X[..., 1, :] = s * x + c * y
-    # row k scaled by ||x_k||^{-1/2}, so that its outer product is x_k^T x_k / ||x_k||
-    scale = np.sqrt(np.sqrt((X * X).sum(-1, keepdims=True)))
-    scale[scale == 0] = np.inf
-    V = X / scale
-    R = np.zeros(X.shape[:-2] + (X.shape[-1],) * 2)
-    for k in range(X.shape[-2]):
-        R += V[..., k, :, None] * V[..., k, None, :]
-    return R
+    if len(Y) == 2:
+        x, y = Y
+        g = (x * y).sum(-2)
+        _rotate_rows(x, y, (x * x).sum(-2), (y * y).sum(-2), g, g == 0)
+    return Y
 
 
 # The one-sided Jacobi route of polar: stacks of at least _JACOBI_MIN_STACK
@@ -490,42 +513,38 @@ def _polar_rows(X: np.ndarray) -> np.ndarray:
 # Xeon VM, numpy 2.4:
 #
 #   rows |     N=128     |     N=256     |     N=512     |    N=1000
-#     3  |  0.68 / 0.66  |  0.85 / 1.36  |  1.16 / 2.77  |  1.82 / 5.49
-#     4  |  1.75 / 0.97  |  2.18 / 2.02  |  2.44 / 3.85  |  2.94 / 6.99
-#     5  |  1.92 / 0.75  |  2.79 / 1.54  |  3.52 / 3.30  |  5.90 / 6.02
-#     6  |  3.01 / 0.88  |  4.20 / 1.86  |  7.13 / 5.00  |  8.98 / 7.85
+#     3  |  0.36 / 0.35  |  0.43 / 0.68  |  0.57 / 1.61  |  0.88 / 2.55
+#     4  |  0.83 / 0.61  |  1.51 / 0.97  |  1.45 / 1.92  |  2.35 / 4.01
+#     5  |  1.67 / 0.65  |  2.07 / 1.42  |  2.84 / 2.78  |  4.44 / 5.39
+#     6  |  2.82 / 0.89  |  3.67 / 1.77  |  4.93 / 3.68  |  8.57 / 7.52
 #
 # Five rows only break even on these, which take seven sweeps; the Monte-Carlo
 # run's (1000, 1, 5, 6) stacks take four, the last rotating nothing, and
-# 2.6 ms against 5.0 (its (1000, 1, 3, 4) stacks three, and 0.7 ms against 2.8).
+# 2.6-3.8 ms against 6.5-8.4 (its (1000, 1, 3, 4) stacks three, and 0.5-0.8 ms
+# against 3.2-4.8).
 _JACOBI_MAX_ROWS = 5
 _JACOBI_MIN_STACK = 512
 # The sweep cap of LAPACK dgesvj.
 _JACOBI_MAX_SWEEPS = 30
 
 
-def _jacobi_polar(X: np.ndarray) -> np.ndarray:
-    """:func:`polar` of every matrix of an ``(..., m, L)`` stack, by one-sided Jacobi.
+def _jacobi_polar(Y: np.ndarray) -> np.ndarray:
+    """Orthogonal rows for :func:`polar` of every matrix of a stack, by one-sided Jacobi.
 
-    Hestenes' method on the rows (Golub & Van Loan, §8.6.3): a sweep visits
-    the pairs ``(p, q)``, ``p < q``, in row-cyclic order and rotates each
-    (:func:`_rotation`) in every matrix of the stack at once where
-    ``|g| > sqrt(L) eps sqrt(a) sqrt(b)``, the rows not yet orthogonal to
-    working precision; elsewhere ``t = 0``.  The bound is LAPACK
-    ``dgesvj``'s: with ``eps`` alone, the rounding of a rotation can leave
-    ``|g|`` just above it with alternating sign, sweep after sweep.  It is
-    written with two roots because ``a b`` overflows for entries above about
-    ``1e77``.  The iteration stops after the first sweep in which no matrix
-    rotates, and raises :class:`numpy.linalg.LinAlgError` when
-    ``_JACOBI_MAX_SWEEPS`` sweeps do not get there.  The orthogonal rows give
-    ``|X| = sum_k x_k^T x_k / ||x_k||``, as in :func:`_polar_rows`.
-
-    Rows are kept as contiguous ``(L, N)`` slabs of an ``(m, L, N)`` array,
-    and every step is elementwise or a sum along the ``L`` axis, so a stack
-    has, matrix for matrix, the bits of any other stack that takes this route.
+    ``Y`` is a :func:`_rows_last` stack of ``m`` rows of length ``L``,
+    rotated in place and returned.  Hestenes' method on the rows (Golub &
+    Van Loan, §8.6.3): a sweep visits the pairs ``(p, q)``, ``p < q``, in
+    row-cyclic order and rotates each (:func:`_rotate_rows`) in every matrix
+    of the stack at once where ``|g| > sqrt(L) eps sqrt(a) sqrt(b)``, the
+    rows not yet orthogonal to working precision; elsewhere ``t = 0``.  The
+    bound is LAPACK ``dgesvj``'s: with ``eps`` alone, the rounding of a
+    rotation can leave ``|g|`` just above it with alternating sign, sweep
+    after sweep.  It is written with two roots because ``a b`` overflows for
+    entries above about ``1e77``.  The iteration stops after the first sweep
+    in which no matrix rotates, and raises :class:`numpy.linalg.LinAlgError`
+    when ``_JACOBI_MAX_SWEEPS`` sweeps do not get there.
     """
-    shape, (m, L) = X.shape, X.shape[-2:]
-    Y = np.ascontiguousarray(np.moveaxis(X.reshape(-1, m, L), 0, -1))
+    m, L = Y.shape[:2]
     tol = np.sqrt(L) * np.finfo(np.float64).eps
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
@@ -538,22 +557,11 @@ def _jacobi_polar(X: np.ndarray) -> np.ndarray:
                 if skip.all():
                     continue
                 rotated = True
-                c, s = _rotation(a, b, g, skip)
-                sx, sy = s * x, s * y
-                x *= c
-                x -= sy
-                y *= c
-                y += sx
+                _rotate_rows(x, y, a, b, g, skip)
         if not rotated:
-            break
-    else:
-        raise np.linalg.LinAlgError(
-            f"one-sided Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
-    # row k scaled by ||x_k||^{-1/2}, so that its outer product is x_k^T x_k / ||x_k||
-    scale = np.sqrt(np.sqrt(np.einsum("kln,kln->kn", Y, Y)))
-    scale[scale == 0] = np.inf
-    V = Y / scale[:, None]
-    return np.einsum("kin,kjn->nij", V, V, order="C").reshape(shape[:-2] + (L, L))
+            return Y
+    raise np.linalg.LinAlgError(
+        f"one-sided Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
 
 
 def congruence_sqrt(root: np.ndarray, M: np.ndarray) -> np.ndarray:

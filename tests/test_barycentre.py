@@ -298,6 +298,23 @@ class TestBlockedPass:
         expected = sum(wi * P for wi, P in zip(prob.weights, linalg.polar(G @ roots[-1])))
         assert np.array_equal(mean, expected)
 
+    def test_closed_form_polars_are_summed_in_input_order(self, lapack_calls):
+        # at dim 16 the chain 3, 6, 12 keeps 2 rows and 5, 10 and 7, 14 keep
+        # 1 row, and the polars of a stack this large would be summed pairwise were they
+        # strided (dim 8 has no chain that keeps 2 rows)
+        n = linalg._JACOBI_MIN_STACK + 3
+        rng = np.random.default_rng(36)
+        w = rng.uniform(0.5, 1.5, n)
+        prob = problem(conjugated_family(16, n, seed=37), (w / w.sum()).tolist())
+        assert [G.shape[2] for G in prob.block_factors] == [0, 1, 2, 4]
+        roots = barycentre._gather(linalg.sqrt_psd(prob.mean), prob.blocks)
+        lapack_calls.clear()
+        means = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)
+        assert lapack_calls["svd"] == 0
+        for G, root, mean in list(zip(prob.block_factors, roots, means))[1:3]:
+            expected = sum(wi * P for wi, P in zip(prob.weights, linalg.polar(G @ root)))
+            assert np.array_equal(mean, expected)
+
     def test_scalar_inputs_are_summed_in_input_order(self):
         # (n, 1, 1, 1) stacks: a plain reduction over the inputs would be pairwise
         rng = np.random.default_rng(33)

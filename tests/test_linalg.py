@@ -1,6 +1,7 @@
 """Core linear algebra: eigendecomposition, PSD functions, rank bookkeeping."""
 
 import warnings
+from math import prod
 
 import numpy as np
 import pytest
@@ -295,17 +296,41 @@ class TestClosedFormPolar:
         if rows == 0:
             assert not np.any(P)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.integers(2, 13), st.integers(-100, 100),
+           st.sampled_from(["graded", "zero row", "parallel", "equal norms"]),
+           st.integers(0, 2**32 - 1))
+    def test_stack_matches_the_svd(self, rows, L, k, kind, seed):
+        if kind == "parallel" and rows == 1:
+            kind = "zero row"
+        X = jacobi_stack(np.random.default_rng(seed), linalg._JACOBI_MIN_STACK, rows, L, kind)
+        X[0] = 0.0  # a zero matrix
+        X *= 10.0**k
+        P = polar(X)
+        assert P.shape == (len(X), L, L)
+        assert np.array_equal(P, np.swapaxes(P, -1, -2))
+        # the SVD reference's own error bounds this (see TestJacobiPolar)
+        error = np.linalg.norm(P - svd_polar(X), axis=(1, 2))
+        assert np.all(error <= 3e-14 * np.linalg.norm(X, axis=(1, 2)))
+        assert not np.any(P[0])
+
     @pytest.mark.parametrize("rows", [1, 2])
     def test_stack_has_the_bits_of_separate_calls(self, rows):
+        # rows of 12 would be summed pairwise were they contiguous in memory
+        # (numpy does so from 8 terms on), and a matrix alone would then
+        # lose the bits it has in a stack
         rng = np.random.default_rng(11)
-        X = rng.standard_normal((3, 4, rows, 7)) * 0.5 ** np.arange(7)
-        X[0, 1] = 0.0  # a zero matrix
-        X[1, 2, -1] = 0.0  # a zero row
-        X[2, 0, -1] = 3.0 * X[2, 0, 0]  # parallel rows when there are two
-        P = polar(X)
-        for idx in np.ndindex(3, 4):
-            assert np.array_equal(P[idx], polar(X[idx]))
-            assert np.array_equal(P[idx], polar(X[idx][None])[0])
+        for L in (7, 12):
+            for stack in ((3, 4), (linalg._JACOBI_MIN_STACK,)):
+                X = rng.standard_normal(stack + (rows, L)) * 0.5 ** np.arange(L)
+                flat = X.reshape(-1, rows, L)
+                flat[1] = 0.0  # a zero matrix
+                flat[6, -1] = 0.0  # a zero row
+                flat[8, -1] = 3.0 * flat[8, 0]  # parallel rows when there are two
+                P = polar(X)
+                for idx in np.ndindex(stack):
+                    assert np.array_equal(P[idx], polar(X[idx]))
+                    assert np.array_equal(P[idx], polar(X[idx][None])[0])
 
     def test_two_by_two_congruence_is_the_polar_of_its_factor(self, lapack_calls):
         rng = np.random.default_rng(12)
@@ -402,6 +427,22 @@ class TestJacobiPolar:
         monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             polar(X)
+
+
+@pytest.mark.parametrize("stack, rows, svd_calls", [
+    ((), 0, 0), ((), 2, 0), ((linalg._JACOBI_MIN_STACK,), 1, 0),  # zero, closed form
+    ((linalg._JACOBI_MIN_STACK,), 4, 0),  # Jacobi
+    ((), 4, 1), ((linalg._JACOBI_MIN_STACK - 1,), 4, 1),  # SVD
+], ids=["no rows", "closed form", "closed form stack", "jacobi", "svd", "svd stack"])
+def test_polar_is_c_contiguous_on_every_route(stack, rows, svd_calls, lapack_calls):
+    # the barycentre pass sums polars over the stack in order only when
+    # each is contiguous; over a strided axis numpy would sum pairwise
+    X = jacobi_stack(np.random.default_rng(17), max(1, prod(stack)), rows, 6, "graded")
+    lapack_calls.clear()
+    P = polar(X.reshape(stack + (rows, 6)))
+    assert lapack_calls["svd"] == svd_calls
+    assert P.shape == stack + (6, 6)
+    assert P.flags.c_contiguous
 
 
 def bases_with_angles(rng, n, angles, extra=0):

@@ -52,12 +52,9 @@ _MODULE_EXPORTS = {
     "linalg": (
         "PSD_TOL",
         "RANK_TOL",
-        "SpectralDecomp",
-        "eig_sym",
         "kernel_basis",
         "kernel_dim",
         "principal_angles",
-        "sqrt_psd",
     ),
     "randomized": (
         "McReport",

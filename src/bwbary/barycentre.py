@@ -44,7 +44,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NonFinite, check_integer, is_real
-from .linalg import PSD_TOL, check_same_dim, check_symmetric, check_weights
+from .linalg import check_same_dim, check_symmetric, check_weights
 
 # Relative eigenvalue cutoff for the pseudo-inverse inside the solver only.
 # Deliberately far below linalg.RANK_TOL: truncating at 1e-10 freezes the
@@ -155,9 +155,8 @@ def _read_dense(inputs, w: np.ndarray) -> tuple:
         residual = residual + (R * R).sum(axis=(1, 2, 3))
         max_diag = np.maximum(max_diag, np.diagonal(stack, axis1=-2, axis2=-1).max(axis=(1, 2)))
         block_factors.append(F[:, :, :int(rank.max(initial=0))].copy())
-    for i in np.flatnonzero(np.sqrt(residual) > PSD_TOL * np.maximum(1.0, max_diag)):
-        eig = np.linalg.eigvalsh(X[i])
-        linalg.check_psd_floor(float(eig[0]), float(eig[-1]))
+    for S, r, top in zip(X, np.sqrt(residual), max_diag):
+        linalg.check_factor_residual(S, float(r), float(top))
     return blocks, tuple(block_factors), mean, input_trace
 
 
@@ -235,7 +234,8 @@ class BarycentreProblem:
     of a block of that size.  The factors are also the PSD check: an input
     whose residual ``||S - F^T F||_F``, summed over its blocks, exceeds
     ``PSD_TOL * max(1, max diag S)`` is checked by the eigenvalues of the
-    whole input instead, as :func:`linalg.covariance_factor` does.
+    whole input instead, by the rule :func:`linalg.covariance_factor` uses
+    (:func:`linalg.check_factor_residual`).
 
     Inputs known by their factors skip all of that: see
     :meth:`from_block_factors`.
@@ -377,27 +377,6 @@ def _norm(stacks: list) -> float:
     return float(np.sqrt(sum(float(X.ravel() @ X.ravel()) for X in stacks)))
 
 
-def _decompose(stacks: list) -> tuple:
-    """Eigendecompositions of PSD block stacks under one PSD check: ``([(w, V), ...], lam_max)``.
-
-    One stacked ``eigh`` per size, eigenvalues descending.  The check is
-    :func:`linalg.check_psd_floor` on the smallest eigenvalue over all blocks
-    against the largest, ``lam_max``, so the verdict is that of the whole
-    matrix; rounding-level negatives are then clamped to zero.
-    """
-    decs = []
-    for X in stacks:
-        w, V = np.linalg.eigh(X)
-        decs.append((w[..., ::-1].copy(), V[..., ::-1].copy()))
-    lam_max = max(float(w[..., 0].max()) for w, _ in decs)
-    linalg.check_psd_floor(min(float(w[..., -1].min()) for w, _ in decs), lam_max)
-    return [(np.clip(w, 0.0, None), V) for w, V in decs], lam_max
-
-
-def _roots(decs: list) -> list:
-    return [linalg._spectral_apply(V, np.sqrt(w)) for w, V in decs]
-
-
 def _mean_inner_root(roots: list, block_factors: tuple, weights) -> list:
     """The blocks of ``sum_i w_i (R^{1/2} S_i R^{1/2})^{1/2}`` from those of ``R^{1/2}``.
 
@@ -414,8 +393,8 @@ def _mean_inner_root(roots: list, block_factors: tuple, weights) -> list:
     pairwise).  The weighted sum is thus a running sum in input order, and a
     single block has the bits of ``sum(w * P)`` over the stacked polars
     ``P`` of the trimmed factors, which for stacks below the Jacobi route's
-    size are the bits of ``sum(w * polar(F @ root))``, and of
-    ``sum(w * congruence_sqrt(root, S))`` when no input is trimmed.
+    size are the bits of ``sum(w * polar(F @ root))`` over the inputs'
+    trimmed factors ``F``.
     """
     w = np.asarray(weights)
     out = []
@@ -448,7 +427,8 @@ def _evaluate(C: list, block_factors: tuple, prob: BarycentreProblem) -> tuple:
     diagonal on, and ``block_factors`` are the factors cut to that partition;
     the decomposition behind ``C^{1/2}`` is the one PSD check of ``C``.
     """
-    mid = _mean_inner_root(_roots(_decompose(C)[0]), block_factors, prob.weights)
+    roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in linalg.psd_eigh(C)[0]]
+    mid = _mean_inner_root(roots, block_factors, prob.weights)
     residual = _norm([M - X for M, X in zip(mid, C)]) / max(1.0, _norm(C))
     return residual, _frechet(C, mid, prob.input_trace)
 
@@ -491,7 +471,7 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     prob : BarycentreProblem
     init : array_like, optional
         Starting covariance, checked by the eigendecomposition of its blocks
-        (:func:`_decompose`).  Defaults to the Euclidean mean of the inputs
+        (:func:`linalg.psd_eigh`).  Defaults to the Euclidean mean of the inputs
         plus ``settings.ridge * I`` (positive definite, cheap, unbiased).
 
     Returns
@@ -512,15 +492,16 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         sigma = _gather(prob.mean + st.ridge * np.eye(prob.dim), blocks)
     else:
         blocks, block_factors, sigma = _on_blocks(prob, init)
-        _decompose(sigma)  # init's one check: the first step decomposes init + ridge I
+        linalg.psd_eigh(sigma)  # init's one check: the first step decomposes init + ridge I
     eyes = [np.eye(idx.shape[1]) for idx in blocks]
     ridge = st.ridge
     history = []
 
     for t in range(1, st.max_iter + 1):
         reg = [S + ridge * eye for S, eye in zip(sigma, eyes)] if ridge > 0 else sigma
-        decs, lam_max = _decompose(reg)
-        mid = _mean_inner_root(_roots(decs), block_factors, prob.weights)
+        decs, lam_max = linalg.psd_eigh(reg)
+        roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in decs]
+        mid = _mean_inner_root(roots, block_factors, prob.weights)
         cutoff = SOLVER_RANK_TOL * max(1.0, lam_max)
         new = []
         for (w, V), M in zip(decs, mid):

@@ -20,7 +20,7 @@ from .linalg import RANK_TOL, check_same_dim, check_symmetric, covariance_factor
 # so comparing A with M again is the whole mutation check; results depend only
 # on the entries, so that comparison is also all a hit needs.  Entries are
 # replaced whole, so concurrent callers at worst compute twice.  _factors
-# keeps (A, F) of covariance_factor, _sources (A, dec) of a map source.
+# keeps (A, F) of covariance_factor, _sources (A, w, V) of a map source.
 _factors: dict = {}
 _sources: dict = {}
 
@@ -53,10 +53,11 @@ def _factor(M) -> tuple:
 
 
 def _source_decomposition(M) -> tuple:
-    """``(A, dec)``: the symmetrized ``M`` and its checked eigendecomposition, through the memo."""
+    """``(A, w, V)``: the symmetrized ``M`` and its :func:`linalg.psd_eigh`, through the memo."""
     def compute(M):
         A = check_symmetric(M)
-        return A, linalg._psd_eigs(A)
+        [(w, V)], _ = linalg.psd_eigh([A[None]])
+        return A, w[0], V[0]
 
     return _memo(_sources, M, compute)
 
@@ -139,12 +140,13 @@ def optimal_map(A, B) -> np.ndarray:
     ndarray, shape (n, n)
         Symmetric, PSD on range(A).
     """
-    A, dec = _source_decomposition(A)
+    A, w, V = _source_decomposition(A)
     B, factor_b = _factor(B)
     check_same_dim(A, B)
     n = A.shape[0]
 
-    ker = dec.kernel()
+    cutoff = RANK_TOL * max(1.0, float(w[0]))
+    ker = V[:, w < cutoff]
     if ker.shape[1]:
         # lam_max(B) = ||F_B||_2^2; a rank-0 target has lam_max 0
         lam_max = 0.0
@@ -157,6 +159,6 @@ def optimal_map(A, B) -> np.ndarray:
                 f"ker(A) not contained in ker(B): ||B v|| = {worst:.3e} exceeds {limit:.3e}"
             )
 
-    pinv = dec.pinv_sqrt()
-    M = pinv @ linalg.polar(factor_b @ dec.sqrt()) @ pinv
+    pinv = linalg._spectral_apply(V, linalg._pinv_sqrt_values(w, cutoff))
+    M = pinv @ linalg.polar(factor_b @ linalg._spectral_apply(V, np.sqrt(w))) @ pinv
     return (M + M.T) / 2.0

@@ -46,11 +46,11 @@ def load_matrix(path) -> tuple:
     to tolerance); map files only symmetry.
     """
     # linalg loads here, not with the module: ``recurrence`` writes reports only
-    from .linalg import check_covariance, check_symmetric
+    from .linalg import check_symmetric, covariance_factor
 
     A, kind = _read_matrix(path)
     if kind == "covariance":
-        check_covariance(A)
+        covariance_factor(A)
     else:
         check_symmetric(A)
     return A, kind

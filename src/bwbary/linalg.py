@@ -19,21 +19,21 @@ Every matrix from outside is first checked, one matrix at a time, to be
 square, finite and symmetric by :func:`check_symmetric`.  A covariance is
 then checked by the decomposition its caller needs anyway: its
 pivoted-Cholesky factor (:func:`covariance_factor`, or the block factors of
-a barycentre problem) or its eigendecomposition (:func:`_psd_eigs`), all
-under the one rule of :func:`check_psd_floor`.
+a barycentre problem, both under :func:`check_factor_residual`) or its
+eigendecomposition (:func:`psd_eigh`), all under the one rule of
+:func:`check_psd_floor`.
 
 scipy supplies only LAPACK ``pstrf`` (``_pstrf``), which only
-:func:`covariance_factor` calls (distances, maps, ``check_covariance``,
-``io.load_matrix``); ``scipy.linalg`` is imported at the first such
-factorization, not with the package (see ``_lapack``).  Barycentre problems
-factor in numpy and the solver checks its ``init`` by its eigendecomposition,
-so no CLI subcommand imports scipy.
+:func:`covariance_factor` calls (distances, maps, ``io.load_matrix``);
+``scipy.linalg`` is imported at the first such factorization, not with the
+package (see ``_lapack``).  Barycentre problems factor in numpy and the
+solver checks its ``init`` by its eigendecomposition, so no CLI subcommand
+imports scipy.
 :func:`principal_angles` is numpy's SVD with the cosine/sine method of
 Knyazev & Argentati, each angle taken from whichever of its cosine and sine
 gives it accurately.
 """
 
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -85,17 +85,6 @@ def check_symmetric(M, tol: float = SYM_TOL) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
-def check_covariance(M) -> np.ndarray:
-    """Validate ``M`` as a covariance: symmetric within :data:`SYM_TOL` and PSD.
-
-    Returns the symmetrized ``M``.  The check is :func:`covariance_factor`'s
-    (one pivoted Cholesky); a caller that needs the factor calls that instead,
-    and one that eigendecomposes ``M`` anyway checks it through
-    :func:`_psd_eigs`.
-    """
-    return covariance_factor(M)[0]
-
-
 def covariance_factor(M) -> tuple:
     """Validate ``M`` as a covariance and factor it: ``(A, F)`` with ``F.T @ F = A``.
 
@@ -108,16 +97,26 @@ def covariance_factor(M) -> tuple:
     ``lam_min(A) >= -||A - F.T @ F||_F``, and ``max diag A <= lam_max(A)``; a
     residual ``||A - F.T @ F||_F <= PSD_TOL * max(1, max diag A)`` therefore
     shows (up to the rounding of the product) that :func:`check_psd_floor`'s
-    rule holds, at the cost of one matrix product.  Only when it does not is
-    the rule applied to the eigenvalues of ``A``, so the verdict and the
-    :class:`NotPSD` message are the rule's.
+    rule holds, at the cost of one matrix product (:func:`check_factor_residual`).
     """
     A = check_symmetric(M)
     F = _trimmed_factor(A)
-    if np.linalg.norm(A - F.T @ F) > PSD_TOL * max(1.0, float(np.max(np.diag(A)))):
+    check_factor_residual(A, float(np.linalg.norm(A - F.T @ F)), float(np.max(np.diag(A))))
+    return A, F
+
+
+def check_factor_residual(A: np.ndarray, residual: float, max_diag: float) -> None:
+    """The PSD proof of a factor ``F`` of a symmetric ``A``, and the rule where it fails.
+
+    ``residual`` is ``||A - F.T @ F||_F`` and ``max_diag`` is ``max diag A``.
+    A residual of at most ``PSD_TOL * max(1, max_diag)`` proves
+    :func:`check_psd_floor`'s rule (see :func:`covariance_factor`); only a
+    larger one applies the rule to the eigenvalues of ``A``, so the verdict
+    and the :class:`NotPSD` message are the rule's.
+    """
+    if residual > PSD_TOL * max(1.0, max_diag):
         w = np.linalg.eigvalsh(A)
         check_psd_floor(float(w[0]), float(w[-1]))
-    return A, F
 
 
 def check_psd_floor(w_min: float, lam_max: float, what: str = "smallest eigenvalue") -> None:
@@ -143,41 +142,6 @@ def check_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigendecomposition of a symmetric matrix.
-
-    Attributes
-    ----------
-    eigenvalues : ndarray, shape (n,)
-        In descending order.
-    eigenvectors : ndarray, shape (n, n)
-        Orthonormal columns, ``eigenvectors[:, i]`` belonging to
-        ``eigenvalues[i]``.  Signs are fixed so that the largest-magnitude
-        component of each eigenvector is positive (ties broken by lowest
-        index), which makes golden-file tests possible.
-
-    ``sqrt``, ``pinv_sqrt`` and ``kernel`` need nonnegative eigenvalues (a PSD
-    decomposition); their ``rank_tol`` is relative to ``max(1, lam_max)``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def _cutoff(self, rank_tol: float) -> float:
-        return rank_tol * max(1.0, float(self.eigenvalues[0]))
-
-    def sqrt(self) -> np.ndarray:
-        return _spectral_apply(self.eigenvectors, np.sqrt(self.eigenvalues))
-
-    def pinv_sqrt(self, rank_tol: float = RANK_TOL) -> np.ndarray:
-        return _spectral_apply(self.eigenvectors,
-                               _pinv_sqrt_values(self.eigenvalues, self._cutoff(rank_tol)))
-
-    def kernel(self, rank_tol: float = RANK_TOL) -> np.ndarray:
-        return self.eigenvectors[:, self.eigenvalues < self._cutoff(rank_tol)]
-
-
 def _spectral_apply(V: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``V diag(values) V^T``, symmetrized, for one eigenbasis or a stack of them.
 
@@ -194,52 +158,24 @@ def _pinv_sqrt_values(w: np.ndarray, cutoff: float) -> np.ndarray:
     return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
 
 
-def eig_sym(M) -> SpectralDecomp:
-    """Spectral decomposition of a symmetric matrix.
+def psd_eigh(stacks: list) -> tuple:
+    """Eigendecompositions of PSD stacks under one PSD check: ``([(w, V), ...], lam_max)``.
 
-    The input is symmetrized first (documented normalization, not an error).
-    Output is deterministic: eigenvalues descending, eigenvector signs fixed
-    by the largest-magnitude-component convention.
-
-    Parameters
-    ----------
-    M : array_like, shape (n, n)
-        Symmetric matrix (covariance or map).
-
-    Returns
-    -------
-    SpectralDecomp
+    ``stacks`` is a list of ``(..., n, n)`` stacks of symmetric matrices (the
+    diagonal blocks of one matrix, or a single matrix as a stack of one).
+    One ``eigh`` per stack, eigenvalues descending with their eigenvectors
+    as columns.  The check is :func:`check_psd_floor` on the smallest
+    eigenvalue over all stacks against the largest, ``lam_max``, so the
+    verdict is that of the whole matrix; rounding-level negatives are then
+    clamped to zero.  A stack of one has the bits of ``eigh`` of its matrix.
     """
-    A = check_symmetric(M, tol=np.inf)  # symmetrize; finiteness still enforced
-    w, V = np.linalg.eigh(A)
-    w = w[::-1].copy()
-    V = V[:, ::-1].copy()
-    # sign convention: largest-|component| positive, first occurrence wins
-    idx = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[idx, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    V *= signs
-    return SpectralDecomp(eigenvalues=w, eigenvectors=V)
-
-
-def _psd_eigs(M) -> SpectralDecomp:
-    """Decompose a covariance, verify PSD-ness and clamp rounding-level negatives to zero.
-
-    Every root, pseudo-inverse root and kernel basis derives from this one decomposition.
-    """
-    dec = eig_sym(M)
-    w = dec.eigenvalues
-    check_psd_floor(float(w[-1]), float(w[0]))
-    return SpectralDecomp(np.clip(w, 0.0, None), dec.eigenvectors)
-
-
-def sqrt_psd(M) -> np.ndarray:
-    """Symmetric PSD square root of a covariance matrix.
-
-    Eigenvalues in ``[-PSD_TOL * max(1, lam_max), 0)`` are clamped to zero;
-    anything below raises :class:`NotPSD`.
-    """
-    return _psd_eigs(M).sqrt()
+    decs = []
+    for X in stacks:
+        w, V = np.linalg.eigh(X)
+        decs.append((w[..., ::-1].copy(), V[..., ::-1].copy()))
+    lam_max = max(float(w[..., 0].max()) for w, _ in decs)
+    check_psd_floor(min(float(w[..., -1].min()) for w, _ in decs), lam_max)
+    return [(np.clip(w, 0.0, None), V) for w, V in decs], lam_max
 
 
 def kernel_dim(M, rank_tol: float = RANK_TOL) -> int:
@@ -259,9 +195,17 @@ def kernel_basis(M, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of a PSD matrix.
 
     The eigenvectors below :func:`kernel_dim`'s cutoff, so it spans the true
-    kernel only for the well-separated spectra that count holds for.
+    kernel only for the well-separated spectra that count holds for.  ``M``
+    is symmetrized first and checked by :func:`psd_eigh`.  Signs are fixed
+    so that the largest-magnitude component of each column is positive
+    (ties broken by lowest index), which makes golden-file tests possible.
     """
-    return _psd_eigs(M).kernel(rank_tol)
+    [(w, V)], _ = psd_eigh([check_symmetric(M, tol=np.inf)[None]])
+    w, V = w[0], V[0]
+    K = V[:, w < rank_tol * max(1.0, float(w[0]))]
+    signs = np.sign(K[np.argmax(np.abs(K), axis=0), np.arange(K.shape[1])])
+    signs[signs == 0] = 1.0
+    return K * signs
 
 
 def _orth(A: np.ndarray) -> np.ndarray:
@@ -316,19 +260,6 @@ def principal_angles(U, W) -> np.ndarray:
         sin = np.linalg.svd(residual, compute_uv=False)[::-1]
         angles[small] = np.arcsin(np.clip(sin[small], -1.0, 1.0))
     return angles[::-1]
-
-
-def psd_factor(M) -> np.ndarray:
-    """Factor ``C`` with ``C.T @ C = M`` via diagonally pivoted Cholesky.
-
-    For graded PSD matrices (D A D with D diagonal and A well-conditioned)
-    the pivoted factor retains small eigenvalues with high relative accuracy,
-    which a plain eigendecomposition loses once the spectrum spans more than
-    ~16 decades.  ``M`` is symmetrized first; the factor is
-    :func:`pivoted_cholesky`'s of a stack of one, so it has the bits of any
-    stack holding ``M``.  Rows beyond the numerically detected rank are zero.
-    """
-    return pivoted_cholesky(check_symmetric(M, tol=np.inf)[None])[0][0]
 
 
 def _trimmed_factor(A: np.ndarray) -> np.ndarray:
@@ -562,18 +493,3 @@ def _jacobi_polar(Y: np.ndarray) -> np.ndarray:
             return Y
     raise np.linalg.LinAlgError(
         f"one-sided Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
-
-
-def congruence_sqrt(root: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """PSD square root of ``root @ M @ root`` for PSD ``M`` and symmetric ``root``.
-
-    Computed as the symmetric polar factor ``|C @ root|`` of the
-    pivoted-Cholesky factor ``C`` of ``M``, which keeps absolute accuracy at
-    rounding level even when the product's spectrum spans hundreds of decades
-    (the regime where ``sqrt_psd`` of the explicit product degrades);
-    algebraically identical to ``sqrt_psd(root @ M @ root)``.  The transport
-    map, the barycentre iteration and the barycentre certificate take the same
-    :func:`polar` of the factors they already hold, cut to their rank; this
-    function is their reference.
-    """
-    return polar(psd_factor(M) @ root)

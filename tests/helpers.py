@@ -1,16 +1,64 @@
-"""Helpers shared by the test modules: random inputs, the constructed triple and oracles."""
+"""Helpers shared by the test modules: random inputs, the constructed triple and oracles.
+
+``sqrt_psd``, ``psd_factor`` and ``congruence_sqrt`` are the plain dense
+references that the package's block-stacked passes are checked against,
+bit for bit where the passes promise it.
+"""
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
 from bwbary import TruncationConfig, build_covariance, build_pair_maps, conjugate, optimal_map
-from bwbary.linalg import RANK_TOL, eig_sym
+from bwbary.linalg import (
+    RANK_TOL,
+    _spectral_apply,
+    check_symmetric,
+    pivoted_cholesky,
+    polar,
+    psd_eigh,
+)
 
 
 def random_psd(rng, n, rank=None):
     G = rng.standard_normal((n, rank or n))
     return G @ G.T
+
+
+def eigh_one(M) -> tuple:
+    """``(w, V)``: :func:`psd_eigh` of the symmetrized ``M`` as a stack of one, descending."""
+    [(w, V)], _ = psd_eigh([check_symmetric(M, tol=np.inf)[None]])
+    return w[0], V[0]
+
+
+def sqrt_psd(M):
+    """Symmetric PSD square root of a covariance, from its checked eigendecomposition.
+
+    Eigenvalues in ``[-PSD_TOL * max(1, lam_max), 0)`` are clamped to zero;
+    anything below raises :class:`NotPSD`.
+    """
+    w, V = eigh_one(M)
+    return _spectral_apply(V, np.sqrt(w))
+
+
+def psd_factor(M):
+    """Factor ``C`` with ``C.T @ C = M``: :func:`pivoted_cholesky` of the symmetrized ``M``.
+
+    The factor of a stack of one, so it has the bits of any stack holding
+    ``M``.  Rows beyond the numerically detected rank are zero.
+    """
+    return pivoted_cholesky(check_symmetric(M, tol=np.inf)[None])[0][0]
+
+
+def congruence_sqrt(root, M):
+    """PSD square root of ``root @ M @ root`` for PSD ``M`` and symmetric ``root``.
+
+    The symmetric polar factor ``|C @ root|`` of the pivoted-Cholesky factor
+    ``C`` of ``M``, which keeps absolute accuracy at rounding level even
+    when the product's spectrum spans hundreds of decades, where
+    :func:`sqrt_psd` of the explicit product degrades.
+    """
+    return polar(psd_factor(M) @ root)
 
 
 def constructed_triple(dim):
@@ -39,8 +87,8 @@ def two_input_oracle(A, B, t):
 
 def range_projector(M, rank_tol=RANK_TOL):
     """``V_r V_r^T`` for the eigenvectors ``V_r`` above the rank cutoff."""
-    dec = eig_sym(M)
-    V = dec.eigenvectors[:, dec.eigenvalues > rank_tol * max(1.0, dec.eigenvalues[0])]
+    w, V = eigh_one(M)
+    V = V[:, w > rank_tol * max(1.0, w[0])]
     return V @ V.T
 
 

@@ -23,7 +23,14 @@ from bwbary import (
     verify_barycentre_certificate,
 )
 from bwbary import barycentre, construct, linalg
-from helpers import constructed_triple, random_psd, two_input_oracle
+from helpers import (
+    congruence_sqrt,
+    constructed_triple,
+    psd_factor,
+    random_psd,
+    sqrt_psd,
+    two_input_oracle,
+)
 
 
 def project_psd(M):
@@ -277,8 +284,8 @@ class TestBlockedPass:
                 inputs.append(conjugate(np.eye(dim) + rng.uniform(-0.5, 0.5) * shift, cov))
         w = rng.uniform(0.5, 1.5, n)
         prob = problem(inputs, (w / w.sum()).tolist())
-        root = linalg.sqrt_psd(sum(inputs) / n)
-        expected = sum(wi * linalg.congruence_sqrt(root, S)
+        root = sqrt_psd(sum(inputs) / n)
+        expected = sum(wi * congruence_sqrt(root, S)
                        for wi, S in zip(prob.weights, inputs))
         assert np.array_equal(dense_mean_inner_root(root, prob), expected)
 
@@ -291,7 +298,7 @@ class TestBlockedPass:
         prob = problem(conjugated_family(8, n, seed=35), (w / w.sum()).tolist())
         G = prob.block_factors[-1]
         assert G.shape == (n, 1, 3, 4)
-        roots = barycentre._gather(linalg.sqrt_psd(prob.mean), prob.blocks)
+        roots = barycentre._gather(sqrt_psd(prob.mean), prob.blocks)
         lapack_calls.clear()
         mean = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)[-1]
         assert lapack_calls["svd"] == 0
@@ -307,7 +314,7 @@ class TestBlockedPass:
         w = rng.uniform(0.5, 1.5, n)
         prob = problem(conjugated_family(16, n, seed=37), (w / w.sum()).tolist())
         assert [G.shape[2] for G in prob.block_factors] == [0, 1, 2, 4]
-        roots = barycentre._gather(linalg.sqrt_psd(prob.mean), prob.blocks)
+        roots = barycentre._gather(sqrt_psd(prob.mean), prob.blocks)
         lapack_calls.clear()
         means = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)
         assert lapack_calls["svd"] == 0
@@ -323,16 +330,16 @@ class TestBlockedPass:
         inputs = [np.array([[x]]) for x in rng.uniform(0.1, 9.0, n)]
         prob = problem(inputs, (w / w.sum()).tolist())
         root = np.array([[1.7]])
-        expected = sum(wi * linalg.congruence_sqrt(root, S)
+        expected = sum(wi * congruence_sqrt(root, S)
                        for wi, S in zip(prob.weights, inputs))
         assert np.array_equal(dense_mean_inner_root(root, prob), expected)
 
     def test_stack_of_one_has_the_bits_of_one_matrix(self):
         rng = np.random.default_rng(32)
         S = random_psd(rng, 16, rank=5)
-        root = linalg.sqrt_psd(random_psd(rng, 16))
-        X = linalg.psd_factor(S) @ root
-        single = linalg.congruence_sqrt(root, S)
+        root = sqrt_psd(random_psd(rng, 16))
+        X = psd_factor(S) @ root
+        single = congruence_sqrt(root, S)
         assert single.shape == (16, 16)
         assert np.array_equal(linalg.polar(X), single)
         assert np.array_equal(linalg.polar(X[None])[0], single)
@@ -377,11 +384,11 @@ class TestTrimmedStack:
         prob = problem(inputs, (w / w.sum()).tolist())
         [G] = prob.block_factors
         assert G.shape == (n, 1, dim // 2, dim)
-        root = linalg.sqrt_psd(sum(inputs) / n)
+        root = sqrt_psd(sum(inputs) / n)
         mean = dense_mean_inner_root(root, prob)
         expected = sum(wi * linalg.polar(F @ root) for wi, F in zip(prob.weights, G[:, 0]))
         assert np.array_equal(mean, expected)
-        square = sum(wi * linalg.congruence_sqrt(root, S)
+        square = sum(wi * congruence_sqrt(root, S)
                      for wi, S in zip(prob.weights, inputs))
         assert np.linalg.norm(mean - square) <= 1e-13 * np.linalg.norm(square)
 
@@ -497,20 +504,20 @@ def bad_input(kind, rng, dim):
     return M, NotPSD, f"smallest eigenvalue {w_min:.3e} below PSD tolerance"
 
 
-class TestChunkedChecks:
+class TestInputOrderChecks:
     """The inputs are checked in input order; the first bad one raises its own check's error."""
 
     DIM = 32
 
     @pytest.mark.parametrize("kind", ["non-square", "empty", "nan", "inf", "asymmetric",
                                       "wrong dim", "not PSD"])
-    @pytest.mark.parametrize("where", ["first", "middle", "ragged last chunk"])
+    @pytest.mark.parametrize("where", ["first", "middle", "end"])
     def test_bad_input_raises_its_own_error(self, kind, where):
         rng = np.random.default_rng(90)
         block = barycentre._block_size(self.DIM)
         n = 2 * block + 5
         inputs = conjugated_family(self.DIM, n, seed=91)
-        at = {"first": 0, "middle": block + 7, "ragged last chunk": 2 * block + 3}[where]
+        at = {"first": 0, "middle": block + 7, "end": 2 * block + 3}[where]
         inputs[at], kind_type, message = bad_input(kind, rng, self.DIM)
         if kind == "wrong dim" and at == 0:
             # the first input sets the dim, so the second is the one that differs
@@ -847,8 +854,8 @@ class TestSplitPass:
         # an entry between two blocks puts the pass on the whole space
         blocks, _ = barycentre._split(prob, candidate)
         assert [idx.shape for idx in blocks] == [(1, 32)]
-        root = linalg.sqrt_psd(candidate)
-        mid = sum(w * linalg.congruence_sqrt(root, S) for w, S in zip(prob.weights, inputs))
+        root = sqrt_psd(candidate)
+        mid = sum(w * congruence_sqrt(root, S) for w, S in zip(prob.weights, inputs))
         expected = np.linalg.norm(mid - candidate) / max(1.0, np.linalg.norm(candidate))
         assert expected > 1e-4
         assert verify_barycentre_certificate(candidate, prob) == pytest.approx(expected, rel=1e-9)

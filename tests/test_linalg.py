@@ -14,25 +14,33 @@ from bwbary import (
     NotPSD,
     build_pair_maps,
     conjugate,
-    eig_sym,
+    kernel_basis,
     kernel_dim,
-    sqrt_psd,
     symmetrized_shift,
 )
 from bwbary import linalg
 from bwbary.construct import build_covariance, TruncationConfig
 from bwbary.linalg import (
     PSD_TOL,
+    RANK_TOL,
+    _pinv_sqrt_values,
+    _spectral_apply,
     check_psd_floor,
     check_symmetric,
-    congruence_sqrt,
     covariance_factor,
     pivoted_cholesky,
     polar,
     principal_angles,
-    psd_factor,
+    psd_eigh,
 )
-from helpers import random_psd, range_projector
+from helpers import (
+    congruence_sqrt,
+    eigh_one,
+    psd_factor,
+    random_psd,
+    range_projector,
+    sqrt_psd,
+)
 
 
 class TestCheckSymmetric:
@@ -63,58 +71,80 @@ class TestCheckSymmetric:
             check_symmetric(M)
 
 
+def pinv_sqrt(M, rank_tol=RANK_TOL):
+    """The pseudo-inverse root of a covariance as the solver and the maps form it."""
+    w, V = eigh_one(M)
+    return _spectral_apply(V, _pinv_sqrt_values(w, rank_tol * max(1.0, w[0])))
+
+
 class TestEigSym:
+    """:func:`psd_eigh`, the one checked eigendecomposition, and ``kernel_basis``'s signs."""
+
     def test_diagonal(self):
-        dec = eig_sym(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(dec.eigenvalues, [3.0, 1.0])
-        np.testing.assert_allclose(dec.eigenvectors, np.eye(2))
+        w, V = eigh_one(np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(w, [3.0, 1.0])
+        np.testing.assert_allclose(np.abs(V), np.eye(2))
 
     def test_identity(self):
-        dec = eig_sym(np.eye(4))
-        np.testing.assert_allclose(dec.eigenvalues, np.ones(4))
+        w, _ = eigh_one(np.eye(4))
+        np.testing.assert_allclose(w, np.ones(4))
 
     def test_shift_spectrum_symmetric_about_zero(self):
         # the symmetrized doubling shift is the adjacency matrix of a forest
-        # of paths, hence bipartite: eigenvalues come in +/- pairs
-        w = eig_sym(symmetrized_shift(8)).eigenvalues
+        # of paths, hence bipartite: eigenvalues come in +/- pairs; it is
+        # indefinite, so psd_eigh rejects it
+        w = np.linalg.eigvalsh(symmetrized_shift(8))
         np.testing.assert_allclose(w, -w[::-1], atol=1e-10)
+        with pytest.raises(NotPSD):
+            eigh_one(symmetrized_shift(8))
 
     def test_golden_eigenvectors(self):
-        # the sign/tie convention pins the eigenvectors of [[2,1],[1,2]]
+        # the sign/tie convention pins the kernel basis of [[1,1],[1,1]]
         # exactly: both components tie in magnitude, so the first must be
-        # positive in each column
-        dec = eig_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        # positive
         s = np.sqrt(0.5)
-        np.testing.assert_allclose(dec.eigenvalues, [3.0, 1.0], atol=1e-15)
-        np.testing.assert_allclose(dec.eigenvectors, [[s, s], [s, -s]], atol=1e-15)
+        np.testing.assert_allclose(kernel_basis(np.ones((2, 2))), [[s], [-s]], atol=1e-15)
 
     def test_deterministic_and_sign_convention(self):
         rng = np.random.default_rng(0)
-        M = random_psd(rng, 6)
-        d1, d2 = eig_sym(M), eig_sym(M.copy())
-        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
-        for j in range(6):
-            col = d1.eigenvectors[:, j]
+        M = random_psd(rng, 6, rank=2)
+        K1, K2 = kernel_basis(M), kernel_basis(M.copy())
+        assert K1.shape == (6, 4)
+        assert np.array_equal(K1, K2)
+        for col in K1.T:
             assert col[np.argmax(np.abs(col))] > 0
+        w, V = eigh_one(M)
+        # the kernel columns are psd_eigh's last ones, up to sign
+        assert np.array_equal(np.abs(K1), np.abs(V[:, 2:]))
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(1)
         for n in (2, 5, 17):
-            A = rng.standard_normal((n, n))
-            M = (A + A.T) / 2
-            dec = eig_sym(M)
+            M = random_psd(rng, n, rank=max(1, n - 2))
+            w, V = eigh_one(M)
+            assert np.all(np.diff(w) <= 0) and np.all(w >= 0)
             scale = max(1.0, np.linalg.norm(M))
-            V = dec.eigenvectors
-            assert np.linalg.norm((V * dec.eigenvalues) @ V.T - M) <= 1e-10 * scale
+            assert np.linalg.norm((V * w) @ V.T - M) <= 1e-10 * scale
             assert np.linalg.norm(V.T @ V - np.eye(n)) <= 1e-10 * n
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInput):
-            eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            kernel_basis(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_one_check_over_all_stacks(self):
+        # -5e-8 is rounding noise beside an eigenvalue of 10 in another
+        # stack (floor 1e-7) but not on its own (floor 1e-8)
+        low = np.full((2, 1, 1), -5e-8)
+        decs, lam_max = psd_eigh([low, 10.0 * np.eye(2)[None]])
+        assert lam_max == 10.0
+        assert np.array_equal(decs[0][0], np.zeros((2, 1)))
+        with pytest.raises(NotPSD, match="^smallest eigenvalue -5.000e-08 below PSD tolerance$"):
+            psd_eigh([low])
 
 
 class TestSqrtPsd:
+    """The tests' reference root, on :func:`psd_eigh`."""
+
     def test_diagonal(self):
         np.testing.assert_allclose(sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
@@ -147,21 +177,23 @@ class TestSqrtPsd:
 
 
 class TestPinvSqrt:
+    """The pseudo-inverse root from :func:`psd_eigh` and ``_pinv_sqrt_values``."""
+
     def test_rank_one_diagonal(self):
-        np.testing.assert_allclose(eig_sym(np.diag([4.0, 0.0])).pinv_sqrt(), np.diag([0.5, 0.0]))
+        np.testing.assert_allclose(pinv_sqrt(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]))
 
     def test_identity(self):
-        np.testing.assert_allclose(eig_sym(np.eye(3)).pinv_sqrt(), np.eye(3))
+        np.testing.assert_allclose(pinv_sqrt(np.eye(3)), np.eye(3))
 
     def test_below_rank_threshold_is_zeroed(self):
         # threshold is rank_tol * max(1, lam_max) = 1e-10 here, so 1e-20 is kernel
-        np.testing.assert_allclose(eig_sym(np.diag([1e-20, 1.0])).pinv_sqrt(), np.diag([0.0, 1.0]))
+        np.testing.assert_allclose(pinv_sqrt(np.diag([1e-20, 1.0])), np.diag([0.0, 1.0]))
 
     def test_projector_identity(self):
         rng = np.random.default_rng(4)
         for rank in (2, 4):
             M = random_psd(rng, 5, rank=rank)
-            P = eig_sym(M).pinv_sqrt()
+            P = pinv_sqrt(M)
             proj = range_projector(M)
             scale = max(1.0, np.linalg.norm(M))
             assert np.linalg.norm(P @ M @ P - proj) <= 1e-8 * scale

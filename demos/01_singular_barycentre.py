@@ -5,14 +5,14 @@ every odd coordinate, the PSD pair T1 = I + (F + F^T)/2, T2 = I - (F + F^T)/2
 built from the doubling shift F, and the conjugations S1 = T1 C T1,
 S2 = T2 C T2.  Because T1 + T2 = 2I exactly, C satisfies the barycentre
 fixed-point identity for {S1, S2} with equal weights, which the certificate
-confirms at rounding level.  The ridge-regularized fixed-point solver then
-recovers C from S1, S2 alone.
+confirms at rounding level.  The fixed-point solver, iterating on a factor
+of its iterate so that it never inverts it, then recovers C from S1, S2
+alone.
 """
 
 import numpy as np
 
 from bwbary import (
-    SolverSettings,
     TruncationConfig,
     barycentre_fixed_point,
     build_covariance,
@@ -52,8 +52,7 @@ def main():
           f"{verify_barycentre_certificate(perturbed, prob):.3e}")
 
     # solve for the barycentre without knowing C
-    settings = SolverSettings(ridge=1e-6, ridge_decay=0.5)
-    result = barycentre_fixed_point(problem([s1, s2], settings=settings))
+    result = barycentre_fixed_point(problem([s1, s2]))
     err = np.linalg.norm(result.barycentre - cov)
     print(f"\nfixed-point solver: {result.iterations} iterations, "
           f"converged={result.converged}")

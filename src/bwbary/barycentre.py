@@ -2,12 +2,15 @@
 
 The barycentre of covariances S_1..S_n with weights w_i minimizes the
 weighted Fréchet functional ``F(C) = sum_i w_i d^2(C, S_i)``.  The solver is
-the standard fixed-point scheme of Álvarez-Esteban et al. (2016),
+the fixed-point scheme of Álvarez-Esteban et al. (2016), ``C_{t+1} = T̄ C_t T̄``
+with ``T̄`` the weighted mean of the optimal maps from ``C_t`` to the inputs,
+run on factors ``C_t = K_t^T K_t``, ``S_i = G_i^T G_i`` (generalised
+Procrustes analysis, Gower 1975):
 
-    C_{t+1} = C_t^{-1/2} ( sum_i w_i (C_t^{1/2} S_i C_t^{1/2})^{1/2} )^2 C_t^{-1/2},
+    K_{t+1} = sum_i w_i U_i^T G_i,   U_i the orthogonal polar factor of G_i K_t^T.
 
-run on ridge-regularized iterates so that singular limits can be approached.
-Independently of the solver, :func:`verify_barycentre_certificate` checks the
+It never inverts ``C_t``, so a singular iterate needs no ridge and no
+eigenvalue cutoff.  Independently of the solver, :func:`verify_barycentre_certificate` checks the
 inversion-free first-order identity
 
     sum_i w_i (C^{1/2} S_i C^{1/2})^{1/2} = C,
@@ -26,14 +29,15 @@ factors of its blocks: factored from dense inputs, or taken as given
 A pass over a matrix block diagonal along them runs on them, a pass over
 any other matrix on the whole space as one block, and the iteration
 commutes with a common block structure.  So each pass stacks the blocks of
-equal size, across blocks and inputs, into one ``eigh`` and one stacked
-:func:`linalg.polar` per size: a closed form for blocks that keep at most
-two rows, one-sided Jacobi sweeps over a large stack of blocks that keep
-three to five (the Monte-Carlo run's longer chains), and an SVD otherwise;
-a dense problem is the case of one block.  What decides a verdict stays
-global: the PSD rule and the pseudo-inverse cutoff take the largest
-eigenvalue over all blocks, and the change, the certificate residual and the
-Fréchet value are norms and traces summed over the blocks.
+equal size, across blocks and inputs, into one stacked :func:`linalg.polar`
+(the certificate, after one ``eigh`` of the candidate's blocks) or
+:func:`linalg.procrustes` (a solver step) per size: a closed form for blocks
+that keep at most two rows, one-sided Jacobi sweeps over a large stack of
+blocks that keep three to five (the Monte-Carlo run's longer chains), and an
+SVD otherwise; a dense problem is the case of one block.  What decides a
+verdict stays global: the PSD rule takes the largest eigenvalue over all
+blocks, and the change, the certificate residual and the Fréchet value are
+norms and traces summed over the blocks.
 """
 
 import warnings
@@ -46,16 +50,9 @@ from . import linalg
 from .errors import InvalidInput, NonFinite, check_integer, is_real
 from .linalg import check_same_dim, check_symmetric, check_weights
 
-# Relative eigenvalue cutoff for the pseudo-inverse inside the solver only.
-# Deliberately far below linalg.RANK_TOL: truncating at 1e-10 freezes the
-# support tilt of an iterate annealing toward a singular barycentre about
-# three decades too early.
-SOLVER_RANK_TOL = 1e-14
-
-
 @dataclass(frozen=True)
 class SolverSettings:
-    """Stopping and regularization parameters for the fixed-point solver.
+    """Stopping parameters for the fixed-point solver.
 
     Attributes
     ----------
@@ -66,12 +63,10 @@ class SolverSettings:
     max_iter : int
         Iteration cap, an integer >= 1 (``bool`` is not one).
     ridge : float
-        Initial regularization, finite, added as ``ridge * I`` to the iterate
-        before inverting; shrinks by ``ridge_decay`` each iteration (floor 0).
+        No effect (the solver inverts nothing), kept for compatibility;
+        finite and nonnegative.
     ridge_decay : float
-        Multiplicative decay of the ridge, in (0, 1).
-
-    The pseudo-inverse inside the iteration cuts at :data:`SOLVER_RANK_TOL`.
+        No effect, kept for compatibility; in (0, 1).
     """
 
     tol: float = 1e-10
@@ -147,7 +142,16 @@ def _read_dense(inputs, w: np.ndarray) -> tuple:
         mean += wi * S
         input_trace += float(wi) * float(tr)
     blocks = _components((X != 0).any(axis=0))
+    return blocks, _proved_factors(X, blocks), mean, input_trace
 
+
+def _proved_factors(X: np.ndarray, blocks: tuple) -> tuple:
+    """The ``(n, k_L, m_L, L)`` block factors of an ``(n, d, d)`` stack, each matrix proved PSD.
+
+    See :class:`BarycentreProblem`: one :func:`linalg.pivoted_cholesky` per
+    block size, cut to the largest rank, and the residual over each matrix's
+    blocks as its proof (:func:`linalg.check_factor_residual`).
+    """
     residual, max_diag, block_factors = 0.0, 0.0, []
     for stack in _gather(X, blocks):
         F, rank = linalg.pivoted_cholesky(stack)
@@ -157,7 +161,7 @@ def _read_dense(inputs, w: np.ndarray) -> tuple:
         block_factors.append(F[:, :, :int(rank.max(initial=0))].copy())
     for S, r, top in zip(X, np.sqrt(residual), max_diag):
         linalg.check_factor_residual(S, float(r), float(top))
-    return blocks, tuple(block_factors), mean, input_trace
+    return tuple(block_factors)
 
 
 def _checked_factors(blocks, block_factors) -> tuple:
@@ -217,24 +221,19 @@ class BarycentreProblem:
     reuses; ``mean = sum_i w_i S_i``, the solver's default start; and
     ``input_trace = sum_i w_i tr S_i``.  Problems compare by identity.
 
-    Dense inputs are read in one pass.  Each input is checked in input order
-    by :func:`linalg.check_symmetric` and against the first one's dim, so the
+    Dense inputs are read in one pass: each is checked in input order by
+    :func:`linalg.check_symmetric` and against the first one's dim, so the
     first bad input raises its own check's error; the symmetrized inputs are
-    stacked once, and ``mean`` and ``input_trace`` summed from 0 in input
-    order.  ``blocks`` are the connected components of the union of the
-    inputs' exact nonzero patterns (see :func:`_components`).  For the
-    doubling-shift construction these are the chains ``m, 2m, 4m, ...``
-    (``construct.doubling_chains``), and a dense family is the one block
-    ``0..d-1``.  The inputs' blocks of each size are gathered as one
-    ``(n, k_L, L, L)`` stack and factored with one
-    :func:`linalg.pivoted_cholesky` call.  Each block stops at
-    LAPACK's default rule for that block, ``L * u * max diag``, so the small
-    directions of a graded block are kept even when another block, or
-    another input, is far larger; a stack is cut to ``m_L``, the largest rank
-    of a block of that size.  The factors are also the PSD check: an input
-    whose residual ``||S - F^T F||_F``, summed over its blocks, exceeds
-    ``PSD_TOL * max(1, max diag S)`` is checked by the eigenvalues of the
-    whole input instead, by the rule :func:`linalg.covariance_factor` uses
+    stacked once, and ``mean`` and ``input_trace`` summed in input order.
+    ``blocks`` are the connected components of the union of the inputs'
+    exact nonzero patterns (:func:`_components`): for the construction, the
+    doubling chains ``m, 2m, 4m, ...``; for a dense family, one block.  The
+    blocks of each size are factored with one :func:`linalg.pivoted_cholesky`
+    call, each stopping at LAPACK's rule for that block, ``L * u * max diag``
+    (so a graded block keeps its small directions beside larger blocks), and
+    cut to ``m_L``, the largest rank of a block of that size.  The factors are
+    the PSD check: an input whose residual ``||S - F^T F||_F`` over its blocks
+    exceeds ``PSD_TOL * max(1, max diag S)`` is checked by its eigenvalues
     (:func:`linalg.check_factor_residual`).
 
     Inputs known by their factors skip all of that: see
@@ -271,17 +270,14 @@ class BarycentreProblem:
                            settings: SolverSettings | None = None) -> "BarycentreProblem":
         """The problem of the inputs ``S_i``, given by the factors of their diagonal blocks.
 
-        ``blocks`` is a partition of ``0..d-1``, one ``(k_L, L)`` integer
-        index array per block size, and ``block_factors`` one ``(n, k_L, m, L)``
-        stack per index array: ``S_i``'s block on row ``j`` of ``blocks[s]``
-        is ``G^T G`` for ``G = block_factors[s][i, j]``, and ``S_i`` is zero
-        off its blocks.  ``construct.chain_factors`` gives the constructed
-        families in this form.  The problem keeps these arrays as they are,
-        and computes ``mean`` and ``input_trace`` from them.  Its check is at
-        the boundary: the factors must be finite, their shapes must match
-        ``blocks``, and ``blocks`` must partition the indices.  Each ``G^T G``
-        is symmetric PSD by construction, so no input is formed, checked or
-        factored.
+        ``blocks`` partitions ``0..d-1``, one ``(k_L, L)`` integer index array
+        per block size, and ``block_factors`` holds one ``(n, k_L, m, L)``
+        stack per array: ``S_i``'s block on row ``j`` of ``blocks[s]`` is
+        ``G^T G``, ``G = block_factors[s][i, j]``, and ``S_i`` is zero off its
+        blocks (``construct.chain_factors`` gives the constructed families so).
+        The arrays are kept as they are; each ``G^T G`` is PSD by construction,
+        so the check is at the boundary only: finite factors, shapes matching
+        ``blocks``, and ``blocks`` a partition.
         """
         return cls(_Factored(blocks, block_factors), weights, settings)
 
@@ -300,11 +296,10 @@ class BarycentreResult:
     """Output of :func:`barycentre_fixed_point`.
 
     ``history`` holds one ``(iteration, change, frechet_value)`` triple per
-    iteration; its Fréchet value is at the iterate step ``t`` starts from,
-    ``R_t = sigma_{t-1} + ridge_t I`` (ridge included).  ``frechet_value`` is
-    at the returned ``barycentre``; ``monotone`` records whether the history
-    values followed by it were non-increasing (violations beyond 1e-9 also
-    emit a warning).
+    iteration: step ``t``'s relative change, and F at ``C_{t-1}``, the iterate
+    it starts from.  ``frechet_value`` is at the returned ``barycentre``;
+    ``monotone`` records whether the history values followed by it never
+    rose by more than ``1e-9 * input_trace`` (a larger rise also warns).
     """
 
     barycentre: np.ndarray
@@ -348,11 +343,10 @@ def _split(prob: BarycentreProblem, M: np.ndarray) -> tuple:
 
 
 def _on_blocks(prob: BarycentreProblem, M) -> tuple:
-    """``(blocks, block_factors, stacks)``: the symmetrized ``M`` on :func:`_split`'s blocks."""
+    """``(C, blocks, block_factors)``: the symmetrized ``M`` and :func:`_split`'s blocks for it."""
     C = check_symmetric(M)
     check_same_dim(C, prob.mean)
-    blocks, block_factors = _split(prob, C)
-    return blocks, block_factors, _gather(C, blocks)
+    return (C, *_split(prob, C))
 
 
 def _gather(M: np.ndarray, blocks: tuple) -> list:
@@ -377,47 +371,42 @@ def _norm(stacks: list) -> float:
     return float(np.sqrt(sum(float(X.ravel() @ X.ravel()) for X in stacks)))
 
 
+def _input_sum(G: np.ndarray, weights, term) -> np.ndarray:
+    """``sum_i w_i term(G_i)`` over an ``(n, k, m, L)`` stack, ``_block_size(L)`` blocks per call.
+
+    ``term`` returns C-contiguous stacks, so the sum over the inputs is an
+    outer reduction, taken term by term (over a strided axis numpy would sum
+    pairwise): a running sum in input order.
+    """
+    w = np.asarray(weights)
+    step = max(1, _block_size(G.shape[-1]) // G.shape[1])
+    acc = 0.0
+    for start in range(0, len(G), step):
+        P = w[start:start + step, None, None, None] * term(G[start:start + step])
+        P[0] += acc
+        # a stack of single 1x1 results has no other axis, and numpy would
+        # sum along its only one pairwise
+        acc = P.sum(axis=0) if P[0].size > 1 else np.cumsum(P, axis=0)[-1]
+    return acc
+
+
 def _mean_inner_root(roots: list, block_factors: tuple, weights) -> list:
     """The blocks of ``sum_i w_i (R^{1/2} S_i R^{1/2})^{1/2}`` from those of ``R^{1/2}``.
 
-    Per size ``L``, the products ``G_i @ root`` of every input and block are
-    stacked, at most ``_block_size(L)`` blocks to one stacked
-    :func:`linalg.polar`.  That is polar's closed form when the blocks keep
-    at most two rows (for the construction, the chains of length 3 or less,
-    whose blocks have rank ``L - 1``), its one-sided Jacobi route for a
-    large stack of blocks that keep three to five rows (on the Monte-Carlo
-    run's 1,000 inputs at dim 32, the chains of length 4 and 6, so that run
-    makes no SVD), and one stacked SVD otherwise.  Every route returns its
-    polars C-contiguous, so the sum over a stack's inputs is an outer
-    reduction, taken term by term (over a strided axis numpy would sum
-    pairwise).  The weighted sum is thus a running sum in input order, and a
-    single block has the bits of ``sum(w * P)`` over the stacked polars
-    ``P`` of the trimmed factors, which for stacks below the Jacobi route's
-    size are the bits of ``sum(w * polar(F @ root))`` over the inputs'
-    trimmed factors ``F``.
+    Per size ``L``, the products ``G_i @ root`` of every input and block go
+    to :func:`_input_sum`'s stacked :func:`linalg.polar` (on the Monte-Carlo
+    run's 1,000 inputs at dim 32 its closed form and Jacobi route, no SVD).
+    A single block has the bits of ``sum(w * P)`` over the stacked polars
+    ``P`` of the trimmed factors, which below the Jacobi route's stack size
+    are the bits of ``sum(w * polar(F @ root))`` over the trimmed factors.
     """
-    w = np.asarray(weights)
-    out = []
-    for root, G in zip(roots, block_factors):
-        step = max(1, _block_size(root.shape[-1]) // len(root))
-        acc = 0.0
-        for start in range(0, len(G), step):
-            P = w[start:start + step, None, None, None] * linalg.polar(G[start:start + step] @ root)
-            P[0] += acc
-            # summed over the inputs as an outer reduction, in input order; a
-            # stack of single 1x1 blocks has no other axis, and numpy would
-            # sum along its only one pairwise
-            acc = P.sum(axis=0) if P[0].size > 1 else np.cumsum(P, axis=0)[-1]
-        out.append(acc)
-    return out
+    return [_input_sum(G, weights, lambda F, root=root: linalg.polar(F @ root))
+            for root, G in zip(roots, block_factors)]
 
 
-def _frechet(R: list, mid: list, input_trace: float) -> float:
-    """``F(R) = tr R + sum_i w_i tr S_i - 2 tr(mid)``, ``mid`` the mean inner root at ``R``.
-
-    By linearity of the trace, ``tr(mid)`` is the weighted sum of the cross terms.
-    """
-    return max(_trace(R) + input_trace - 2.0 * _trace(mid), 0.0)
+def _frechet(trace: float, cross: float, input_trace: float) -> float:
+    """``F(C) = tr C + sum_i w_i tr S_i - 2 cross``, ``cross = sum_i w_i tr (C^{1/2} S_i C^{1/2})^{1/2}``."""
+    return max(trace + input_trace - 2.0 * cross, 0.0)
 
 
 def _evaluate(C: list, block_factors: tuple, prob: BarycentreProblem) -> tuple:
@@ -430,13 +419,13 @@ def _evaluate(C: list, block_factors: tuple, prob: BarycentreProblem) -> tuple:
     roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in linalg.psd_eigh(C)[0]]
     mid = _mean_inner_root(roots, block_factors, prob.weights)
     residual = _norm([M - X for M, X in zip(mid, C)]) / max(1.0, _norm(C))
-    return residual, _frechet(C, mid, prob.input_trace)
+    return residual, _frechet(_trace(C), _trace(mid), prob.input_trace)
 
 
 def _evaluate_candidate(candidate, prob: BarycentreProblem) -> tuple:
     """:func:`_evaluate` of the symmetrized candidate, on its blocks (see :func:`_on_blocks`)."""
-    _, block_factors, C = _on_blocks(prob, candidate)
-    return _evaluate(C, block_factors, prob)
+    C, blocks, block_factors = _on_blocks(prob, candidate)
+    return _evaluate(_gather(C, blocks), block_factors, prob)
 
 
 def frechet_functional(candidate, prob: BarycentreProblem) -> float:
@@ -456,23 +445,29 @@ def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
     return _evaluate_candidate(candidate, prob)[0]
 
 
-def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResult:
-    """Run the ridge-regularized fixed-point iteration for the barycentre.
+def _gram(K: list) -> list:
+    """The blocks of ``K^T K``, symmetrized, from the ``(k, r, L)`` factor stacks ``K``."""
+    return [(X + np.swapaxes(X, -1, -2)) / 2.0 for X in (np.swapaxes(F, -1, -2) @ F for F in K)]
 
-    Each step decomposes its iterate once, one stacked ``eigh`` per block
-    size; one pass over the inputs gives both the update and the iterate's
-    Fréchet value.  The iterate is kept as its diagonal blocks along the
-    problem's partition, or as one block when ``init`` has an entry between
-    two of its blocks (:func:`_split`); the update keeps that block
-    structure, so this is the dense iteration organised by blocks.
+
+def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResult:
+    """Run the fixed-point iteration for the barycentre on a factor of the iterate.
+
+    ``C_t = K_t^T K_t`` is kept as one ``(k_L, r_L, L)`` factor stack per
+    block size of the partition, or as one block when ``init`` has an entry
+    between two of its blocks (:func:`_split`).  A step is one pass of
+    :func:`linalg.procrustes` over the inputs, ``K_{t+1} = sum_i w_i U_i^T G_i``
+    (see the module), which also gives ``F(C_t) = tr C_t + input_trace -
+    2 <K_{t+1}, K_t>``, since ``tr(U_i^T G_i K_t^T) = ||G_i K_t^T||_*``.  It
+    stops once ``||C_{t+1} - C_t||_F / ||C_t||_F`` (0 when both are zero) is
+    at most ``settings.tol``.
 
     Parameters
     ----------
     prob : BarycentreProblem
     init : array_like, optional
-        Starting covariance, checked by the eigendecomposition of its blocks
-        (:func:`linalg.psd_eigh`).  Defaults to the Euclidean mean of the inputs
-        plus ``settings.ridge * I`` (positive definite, cheap, unbiased).
+        Starting covariance, the inputs' mean by default.  ``K_0`` is its
+        blocks' factor, whose residual is its PSD check (:func:`_proved_factors`).
 
     Returns
     -------
@@ -487,40 +482,30 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         If the iterate leaves the realm of finite floats.
     """
     st = prob.settings
-    if init is None:
-        blocks, block_factors = prob.blocks, prob.block_factors
-        sigma = _gather(prob.mean + st.ridge * np.eye(prob.dim), blocks)
-    else:
-        blocks, block_factors, sigma = _on_blocks(prob, init)
-        linalg.psd_eigh(sigma)  # init's one check: the first step decomposes init + ridge I
-    eyes = [np.eye(idx.shape[1]) for idx in blocks]
-    ridge = st.ridge
+    start, blocks, block_factors = ((prob.mean, prob.blocks, prob.block_factors)
+                                    if init is None else _on_blocks(prob, init))
+    K = [F[0] for F in _proved_factors(start[None], blocks)]
+    sigma = _gram(K)
     history = []
 
     for t in range(1, st.max_iter + 1):
-        reg = [S + ridge * eye for S, eye in zip(sigma, eyes)] if ridge > 0 else sigma
-        decs, lam_max = linalg.psd_eigh(reg)
-        roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in decs]
-        mid = _mean_inner_root(roots, block_factors, prob.weights)
-        cutoff = SOLVER_RANK_TOL * max(1.0, lam_max)
-        new = []
-        for (w, V), M in zip(decs, mid):
-            pinv = linalg._spectral_apply(V, linalg._pinv_sqrt_values(w, cutoff))
-            X = pinv @ M @ M @ pinv
-            new.append((X + np.swapaxes(X, -1, -2)) / 2.0)
+        new = [_input_sum(G, prob.weights, lambda F, k=k: linalg.procrustes(
+                   F @ np.swapaxes(k, -1, -2), F))
+               for k, G in zip(K, block_factors)]
         if not all(np.all(np.isfinite(X)) for X in new):
             raise NonFinite(f"iterate diverged at iteration {t}")
-
-        change = _norm([X - S for X, S in zip(new, sigma)]) / max(1.0, _norm(sigma))
-        history.append((t, change, _frechet(reg, mid, prob.input_trace)))
-        sigma = new
-        ridge *= st.ridge_decay
+        cross = sum(float(a.ravel() @ b.ravel()) for a, b in zip(new, K))
+        K, previous, sigma = new, sigma, _gram(new)
+        step, size = _norm([X - S for X, S in zip(sigma, previous)]), _norm(previous)
+        change = step / size if size > 0 else 0.0  # C_t = 0 makes every U_i^T G_i zero
+        history.append((t, change, _frechet(_trace(previous), cross, prob.input_trace)))
         if change <= st.tol:
             break
 
     residual, fval = _evaluate(sigma, block_factors, prob)
     fvals = [h[2] for h in history] + [fval]
-    rises = [(t, b - a) for t, (a, b) in enumerate(zip(fvals, fvals[1:]), 1) if b > a + 1e-9]
+    rises = [(t, b - a) for t, (a, b) in enumerate(zip(fvals, fvals[1:]), 1)
+             if b - a > 1e-9 * prob.input_trace]
     for t, rise in rises:
         warnings.warn(f"Fréchet value increased by {rise:.3e} at iteration {t}",
                       RuntimeWarning, stacklevel=2)

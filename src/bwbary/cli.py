@@ -366,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     # no defaults here: a flag not given leaves SolverSettings' own
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     p.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--ridge", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--ridge-decay", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--ridge", type=float, default=argparse.SUPPRESS, help="no effect")
+    p.add_argument("--ridge-decay", type=float, default=argparse.SUPPRESS, help="no effect")
     p.add_argument("--init", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None)

@@ -5,16 +5,13 @@ Everything here operates on plain ``numpy`` arrays of 64-bit floats.  A
 symmetric matrix.  Matrix functions go through a direct decomposition
 (LAPACK ``eigh`` / ``gesdd`` / pivoted Cholesky), never through iterative
 square-root schemes, so results are deterministic for identical input bits.
-Three exceptions to LAPACK: :func:`polar` of a matrix with at most two rows
-(the blocks of the doubling chains of length 1, 2 and 3, which are most of
-them) is computed in closed form, with one Jacobi rotation and no iteration,
-and of a large stack of matrices with three to five rows (the longer chains'
-blocks of many barycentre inputs) by one-sided Jacobi sweeps over the whole
-stack at once, both on one rows-last layout in which every sum along a row is
-taken term by term; and :func:`pivoted_cholesky` factors a whole
-stack of matrices (the chain blocks of every barycentre input) in numpy, one
-factor row per step, under LAPACK ``pstrf``'s stopping rule applied to each
-matrix.
+Three exceptions to LAPACK: :func:`polar` and :func:`procrustes` of matrices
+with at most two rows (most blocks of the doubling chains) take a closed form,
+one Jacobi rotation, and of a large stack of matrices with three to five rows
+one-sided Jacobi sweeps over the whole stack at once, both on one rows-last
+layout in which every sum along a row is taken term by term; and
+:func:`pivoted_cholesky` factors a whole stack of matrices in numpy, one
+factor row per step, under LAPACK ``pstrf``'s stopping rule for each matrix.
 Every matrix from outside is first checked, one matrix at a time, to be
 square, finite and symmetric by :func:`check_symmetric`.  A covariance is
 then checked by the decomposition its caller needs anyway: its
@@ -23,12 +20,9 @@ a barycentre problem, both under :func:`check_factor_residual`) or its
 eigendecomposition (:func:`psd_eigh`), all under the one rule of
 :func:`check_psd_floor`.
 
-scipy supplies only LAPACK ``pstrf`` (``_pstrf``), which only
-:func:`covariance_factor` calls (distances, maps, ``io.load_matrix``);
-``scipy.linalg`` is imported at the first such factorization, not with the
-package (see ``_lapack``).  Barycentre problems factor in numpy and the
-solver checks its ``init`` by its eigendecomposition, so no CLI subcommand
-imports scipy.
+scipy supplies only LAPACK ``pstrf`` (``_pstrf``) to :func:`covariance_factor`
+(distances, maps, ``io.load_matrix``), imported at the first such call (see
+``_lapack``), so no CLI subcommand imports scipy.
 :func:`principal_angles` is numpy's SVD with the cosine/sine method of
 Knyazev & Argentati, each angle taken from whichever of its cosine and sine
 gives it accurately.
@@ -338,44 +332,77 @@ def pivoted_cholesky(A: np.ndarray) -> tuple:
 def polar(X: np.ndarray) -> np.ndarray:
     """Symmetric polar factor ``|X| = (X.T @ X)^{1/2}`` of one matrix or a stack of matrices.
 
-    ``X`` is ``(r, d)`` or a stack of them (a factor cut to its nonzero rows
-    has ``r <= d``); the result is ``(d, d)``, or the stack of them, and is
-    C-contiguous.  The route depends on the shape alone:
-
-    * no rows: zero;
-    * one or two rows: closed form (:func:`_polar_rows`), no LAPACK call;
-    * ``3 <= r <= min(_JACOBI_MAX_ROWS, d)`` rows in a stack of at least
-      ``_JACOBI_MIN_STACK`` matrices: one-sided Jacobi on every matrix of the
-      stack at once (:func:`_jacobi_polar`), no LAPACK call;
-    * anything else: one (stacked) thin SVD ``X = U diag(s) Vt``, ``Vt`` of
-      shape ``(min(r, d), d)``, as ``Vt.T diag(s) Vt``, symmetrized; for
-      square ``X`` the thin SVD has the bits of the full one.
-
-    The closed form and Jacobi make the rows ``y_k`` of every matrix
-    orthogonal in the layout of :func:`_rows_last` and share one finish:
-    ``|X| = sum_k y_k^T y_k / ||y_k||``, a zero row adding nothing.  Within a
-    route, a stack gives, matrix for matrix, the same bits as separate calls;
-    a matrix has the bits of the Jacobi route only in a stack large enough to
-    take it, and those differ from its SVD polar by rounding.
+    ``X`` is ``(r, d)`` or a stack of them; the result is ``(d, d)``, or the
+    stack of them, C-contiguous (a caller's sum over a strided stack would be
+    pairwise).  No rows give zero; otherwise the route depends on the shape
+    alone (:func:`_orthogonal_rows`).  The closed form and Jacobi make the
+    rows ``y_k`` of every matrix orthogonal and share one finish,
+    ``|X| = sum_k y_k^T y_k / ||y_k||``, a zero row adding nothing; the thin
+    SVD ``X = U diag(s) Vt`` (for square ``X``, the bits of the full one)
+    gives ``Vt.T diag(s) Vt``, symmetrized.  Within a route, a stack gives,
+    matrix for matrix, the bits of separate calls; a matrix has the bits of
+    the Jacobi route only in a stack large enough to take it.
     """
     shape, (rows, L) = X.shape, X.shape[-2:]
     if rows == 0:
         return np.zeros(shape[:-2] + (L, L))
-    if rows <= 2:
-        Y = _polar_rows(_rows_last(X))
-    elif rows <= min(_JACOBI_MAX_ROWS, L) and prod(shape[:-2]) >= _JACOBI_MIN_STACK:
-        Y = _jacobi_polar(_rows_last(X))
-    else:
+    Y = _orthogonal_rows(X, L)
+    if Y is None:
         _, sv, Vt = np.linalg.svd(X, full_matrices=False)
         return _spectral_apply(np.swapaxes(Vt, -1, -2), sv)
     # row k scaled by ||y_k||^{-1/2}, so that its outer product is y_k^T y_k / ||y_k||
     scale = np.sqrt(np.sqrt(np.einsum("kln,kln->kn", Y, Y)))
     scale[scale == 0] = np.inf
     V = Y / scale[:, None]
-    # summed rows-last, then copied once to C order: a caller's sum over the
-    # stack of a strided result would be taken pairwise
-    P = np.einsum("kin,kjn->ijn", V, V).transpose(2, 0, 1).copy()
-    return P[:prod(shape[:-2])].reshape(shape[:-2] + (L, L))
+    return _stack_sum(V, V, shape[:-2])
+
+
+def procrustes(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``U^T G``, ``U = W Vt`` the orthogonal polar factor of ``X = W diag(s) Vt``.
+
+    ``X`` is ``(m, r)`` and ``G`` ``(m, L)``, or stacks of them; the result
+    is ``(r, L)``, or the stack of them, C-contiguous.  For ``X = G K^T`` it
+    is the rotation of ``G`` closest to ``K`` (orthogonal Procrustes), and
+    ``tr(U^T G K^T) = ||X||_*``.  The route is :func:`polar`'s for ``X``: the
+    closed form and Jacobi rotate the rows of ``[X | G]``, each rotation
+    chosen on ``X``'s columns, to rows ``[y_k | z_k]`` and give
+    ``sum_k y_k^T z_k / ||y_k||``; the SVD gives ``Vt^T (W^T G)``.  A
+    direction in which ``X`` is exactly zero (a zero row ``y_k``, a zero
+    singular value, no rows or columns) adds nothing.
+    """
+    shape, (rows, r), L = X.shape, X.shape[-2:], G.shape[-1]
+    if rows == 0 or r == 0:
+        return np.zeros(shape[:-2] + (r, L))
+    Y = _orthogonal_rows(np.concatenate([X, G], axis=-1), r)
+    if Y is None:
+        W, sv, Vt = np.linalg.svd(X, full_matrices=False)
+        return np.swapaxes(Vt * (sv > 0)[..., None], -1, -2) @ (np.swapaxes(W, -1, -2) @ G)
+    norm = np.sqrt(np.einsum("kln,kln->kn", Y[:, :r], Y[:, :r]))
+    norm[norm == 0] = np.inf
+    return _stack_sum(Y[:, :r] / norm[:, None], Y[:, r:], shape[:-2])
+
+
+def _orthogonal_rows(X: np.ndarray, cols: int) -> np.ndarray | None:
+    """The :func:`_rows_last` rows of ``X``, rotated orthogonal on their first ``cols`` columns.
+
+    The one route decision of :func:`polar` and :func:`procrustes`, for
+    ``m <= cols`` rows (more could not all be orthogonal and nonzero): the
+    closed form (:func:`_polar_rows`) for ``m <= 2``, one-sided Jacobi
+    (:func:`_jacobi_polar`) for ``m <= _JACOBI_MAX_ROWS`` in a stack of at
+    least ``_JACOBI_MIN_STACK`` matrices, and ``None``, the SVD, otherwise.
+    """
+    rows = X.shape[-2]
+    if rows <= min(2, cols):
+        return _polar_rows(_rows_last(X), cols)
+    if rows <= min(_JACOBI_MAX_ROWS, cols) and prod(X.shape[:-2]) >= _JACOBI_MIN_STACK:
+        return _jacobi_polar(_rows_last(X), cols)
+    return None
+
+
+def _stack_sum(A: np.ndarray, B: np.ndarray, stack: tuple) -> np.ndarray:
+    """``sum_k a_k^T b_k`` over :func:`_rows_last` rows, as a C-contiguous stack (see :func:`polar`)."""
+    P = np.einsum("kin,kjn->ijn", A, B).transpose(2, 0, 1).copy()
+    return P[:prod(stack)].reshape(stack + P.shape[1:])
 
 
 def _rows_last(X: np.ndarray) -> np.ndarray:
@@ -416,55 +443,44 @@ def _rotate_rows(x, y, a, b, g, skip) -> None:
     y += sx
 
 
-def _polar_rows(Y: np.ndarray) -> np.ndarray:
-    """Orthogonal rows for :func:`polar` of one or two rows, in closed form.
+def _polar_rows(Y: np.ndarray, cols: int) -> np.ndarray:
+    """One or two :func:`_rows_last` rows, rotated in place orthogonal on ``cols`` columns.
 
-    ``Y`` is a :func:`_rows_last` stack, rotated in place and returned.
-    ``|QX| = |X|`` for orthogonal ``Q``, and two rows are made orthogonal by
-    the one rotation (:func:`_rotate_rows`) that diagonalizes their Gram
-    matrix, with ``t = 0`` where ``g == 0``; one row is orthogonal already.
-    The polar is exact up to rounding while the squared entries neither
-    overflow nor underflow (entries within about ``1e-150 .. 1e150``), and
-    is exactly symmetric.
+    ``|QX| = |X|`` for orthogonal ``Q``: two rows take the one rotation
+    (:func:`_rotate_rows`) that diagonalizes the Gram matrix of their first
+    ``cols`` columns, ``t = 0`` where ``g == 0``.  The polar is exact up to
+    rounding while squared entries neither overflow nor underflow (entries
+    within about ``1e-150 .. 1e150``), and is exactly symmetric.
     """
     if len(Y) == 2:
         x, y = Y
-        g = (x * y).sum(-2)
-        _rotate_rows(x, y, (x * x).sum(-2), (y * y).sum(-2), g, g == 0)
+        xc, yc = x[:cols], y[:cols]
+        g = (xc * yc).sum(-2)
+        _rotate_rows(x, y, (xc * xc).sum(-2), (yc * yc).sum(-2), g, g == 0)
     return Y
 
 
-# The one-sided Jacobi route of polar: stacks of at least _JACOBI_MIN_STACK
-# matrices with 3 to _JACOBI_MAX_ROWS rows.  It saves LAPACK's fixed cost per
-# matrix, which a large stack of small matrices is mostly made of; its own
-# cost is a few numpy calls per row pair and sweep for the whole stack, which
-# grows with the square of the rows.  Jacobi against the SVD route, ms per
-# stacked polar (median of 25, best of 3), on random graded stacks of
-# (rows, rows + 1) matrices, column j scaled by 0.5**j, one BLAS thread, 2-core
-# Xeon VM, numpy 2.4:
-#
-#   rows |     N=128     |     N=256     |     N=512     |    N=1000
-#     3  |  0.36 / 0.35  |  0.43 / 0.68  |  0.57 / 1.61  |  0.88 / 2.55
-#     4  |  0.83 / 0.61  |  1.51 / 0.97  |  1.45 / 1.92  |  2.35 / 4.01
-#     5  |  1.67 / 0.65  |  2.07 / 1.42  |  2.84 / 2.78  |  4.44 / 5.39
-#     6  |  2.82 / 0.89  |  3.67 / 1.77  |  4.93 / 3.68  |  8.57 / 7.52
-#
-# Five rows only break even on these, which take seven sweeps; the Monte-Carlo
-# run's (1000, 1, 5, 6) stacks take four, the last rotating nothing, and
-# 2.6-3.8 ms against 6.5-8.4 (its (1000, 1, 3, 4) stacks three, and 0.5-0.8 ms
-# against 3.2-4.8).
+# The one-sided Jacobi route: stacks of at least _JACOBI_MIN_STACK matrices
+# with 3 to _JACOBI_MAX_ROWS rows.  It saves LAPACK's fixed cost per matrix,
+# which a large stack of small matrices is mostly made of; its own cost grows
+# with the square of the rows.  Jacobi / SVD, ms per stacked polar of N random
+# graded (rows, rows + 1) matrices (one BLAS thread, 2-core Xeon VM, numpy
+# 2.4): 3 rows 0.57 / 1.61 at N = 512 and 0.88 / 2.55 at N = 1000; 5 rows
+# 2.84 / 2.78 and 4.44 / 5.39; 6 rows 4.93 / 3.68 and 8.57 / 7.52; at N = 128
+# the SVD is as fast from 3 rows on.  The Monte-Carlo run's (1000, 1, 5, 6)
+# stacks take four sweeps, 2.6-3.8 ms against 6.5-8.4 for the SVD.
 _JACOBI_MAX_ROWS = 5
 _JACOBI_MIN_STACK = 512
 # The sweep cap of LAPACK dgesvj.
 _JACOBI_MAX_SWEEPS = 30
 
 
-def _jacobi_polar(Y: np.ndarray) -> np.ndarray:
-    """Orthogonal rows for :func:`polar` of every matrix of a stack, by one-sided Jacobi.
+def _jacobi_polar(Y: np.ndarray, cols: int) -> np.ndarray:
+    """``m`` :func:`_rows_last` rows, rotated in place orthogonal on ``L = cols`` columns.
 
-    ``Y`` is a :func:`_rows_last` stack of ``m`` rows of length ``L``,
-    rotated in place and returned.  Hestenes' method on the rows (Golub &
-    Van Loan, §8.6.3): a sweep visits the pairs ``(p, q)``, ``p < q``, in
+    Hestenes' method on the rows (Golub & Van Loan, §8.6.3), with ``a``,
+    ``b``, ``g`` the Gram entries of the first ``L`` columns, each rotation
+    turning whole rows: a sweep visits the pairs ``(p, q)``, ``p < q``, in
     row-cyclic order and rotates each (:func:`_rotate_rows`) in every matrix
     of the stack at once where ``|g| > sqrt(L) eps sqrt(a) sqrt(b)``, the
     rows not yet orthogonal to working precision; elsewhere ``t = 0``.  The
@@ -475,15 +491,16 @@ def _jacobi_polar(Y: np.ndarray) -> np.ndarray:
     in which no matrix rotates, and raises :class:`numpy.linalg.LinAlgError`
     when ``_JACOBI_MAX_SWEEPS`` sweeps do not get there.
     """
-    m, L = Y.shape[:2]
-    tol = np.sqrt(L) * np.finfo(np.float64).eps
+    m = len(Y)
+    tol = np.sqrt(cols) * np.finfo(np.float64).eps
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
         for p in range(m - 1):
             for q in range(p + 1, m):
                 x, y = Y[p], Y[q]
-                a, b, g = (np.einsum("ln,ln->n", x, x), np.einsum("ln,ln->n", y, y),
-                           np.einsum("ln,ln->n", x, y))
+                xc, yc = x[:cols], y[:cols]
+                a, b, g = (np.einsum("ln,ln->n", xc, xc), np.einsum("ln,ln->n", yc, yc),
+                           np.einsum("ln,ln->n", xc, yc))
                 skip = np.abs(g) <= tol * np.sqrt(a) * np.sqrt(b)
                 if skip.all():
                     continue

@@ -123,8 +123,9 @@ def population_mc_experiment(
     chain-block factors (:func:`construct.chain_factors`), and reports (i) how
     far the empirical map average is from the identity, (ii) the barycentre
     certificate residual of the base covariance against the empirical
-    family, and (iii) the fixed-point solver's output on the
-    ridge-regularized empirical problem.
+    family, and (iii) the fixed-point solver's output on the empirical
+    problem.  The maps commute and their mean ``T̄`` is positive definite, so
+    the empirical barycentre is ``T̄ C T̄`` exactly, singular as ``C`` is.
 
     Parameters
     ----------
@@ -135,8 +136,7 @@ def population_mc_experiment(
     seed : int
         64-bit seed for the Philox streams, an integer >= 0.
     settings : SolverSettings, optional
-        Defaults to ``SolverSettings(ridge=1e-6)`` (the empirical barycentre
-        is near-singular, so a vanishing ridge schedule is appropriate).
+        Defaults to ``SolverSettings()``.
     antithetic : bool
         Pair each draw with its negation (n must be even).
     """
@@ -147,8 +147,6 @@ def population_mc_experiment(
     mean_deviation = float(np.linalg.norm(
         symmetrized_shift(config.dim) * (float(np.cumsum(coeffs)[-1]) / n)))
 
-    if settings is None:
-        settings = SolverSettings(ridge=1e-6)
     # each input T C T is given by its exact chain-block factors C^{1/2} T,
     # so no dense input is formed, checked or factored
     prob = BarycentreProblem.from_block_factors(*chain_factors(config, coeffs), settings=settings)

@@ -91,8 +91,10 @@ def test_monte_carlo_checks_each_input_once(lapack_calls, monkeypatch):
     assert report.n == n
     # the problem takes each input as its exact chain-block factors, whose
     # one check is the boundary check of their values and shapes: no input
-    # is factored, and none checked by its eigenvalues
-    assert factored == []
+    # is factored, and none checked by its eigenvalues.  The only factors
+    # are the solver's start, the mean's blocks of each chain length (the
+    # dim-8 chains 5 and 7, 3-6 and 1-2-4-8), one matrix each
+    assert factored == [(1, 2, 1, 1), (1, 1, 2, 2), (1, 1, 4, 4)]
     assert lapack_calls["pstrf"] == 0
     assert lapack_calls["eigvalsh"] == 0
 
@@ -146,11 +148,11 @@ class TestCliChecksEachFileOnce:
         assert main(["barycentre", "--inputs", str(pair / "s1.json"), str(pair / "s2.json"),
                      "--init", str(pair / "sigma.json"), "--max-iter", "2",
                      "--out", str(pair / "bary.json")]) == 0
-        # the inputs' stacked block factors in problem(), with no pstrf; per
-        # chain length, one stacked eigh each for the --init check, the one
-        # step and the closing pass
+        # the inputs' stacked block factors in problem(), and --init's, with
+        # no pstrf; the step decomposes no iterate, so the closing pass makes
+        # the only stacked eigh of each chain length
         assert lapack_calls["pstrf"] == 0
-        assert lapack_calls["eigh"] == 3 * chain_lengths(16)
+        assert lapack_calls["eigh"] == chain_lengths(16)
         assert lapack_calls["eigvalsh"] == 0
         assert "iterations=1 " in capsys.readouterr().out
 

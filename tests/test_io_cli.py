@@ -411,13 +411,25 @@ class TestBarycentreCommand:
                          (tmp_path / f"{name}.json").read_bytes()))
         assert runs[0] == runs[1]
 
+    def test_ridge_flags_have_no_effect(self, constructed, tmp_path, capsys):
+        # the factor iteration needs no ridge; the flags stay accepted
+        inputs = ("--inputs", str(constructed / "s1.json"), str(constructed / "s2.json"))
+        runs = []
+        for name, flags in (("plain", ()), ("ridge", ("--ridge", "1e-6", "--ridge-decay", "0.5"))):
+            capsys.readouterr()
+            assert run_cli("--report", "json", "barycentre", *inputs, *flags,
+                           "--out", str(tmp_path / f"{name}.json")) == 0
+            runs.append((json.loads(capsys.readouterr().out)["results"],
+                         (tmp_path / f"{name}.json").read_bytes()))
+        assert runs[0] == runs[1]
+
 
     @pytest.mark.parametrize("option", [["--tol", "inf"], ["--tol", "nan"], ["--ridge", "nan"],
                                         ["--ridge", "inf"], ["--weights", "nan,0.5"]],
                              ids=["tol-inf", "tol-nan", "ridge-nan", "ridge-inf", "weights-nan"])
     def test_non_finite_option_is_invalid_input(self, option, constructed, tmp_path, capsys):
-        # an infinite --tol would report convergence after one step, and an
-        # infinite --ridge fails inside LAPACK
+        # an infinite --tol would report convergence after one step; --ridge
+        # has no effect, but is validated as before
         out = tmp_path / "bary.json"
         rc = run_cli("barycentre", "--inputs", str(constructed / "s1.json"),
                      str(constructed / "s2.json"), *option, "--out", str(out))

@@ -477,6 +477,74 @@ def test_polar_is_c_contiguous_on_every_route(stack, rows, svd_calls, lapack_cal
     assert P.flags.c_contiguous
 
 
+def svd_procrustes(X, G):
+    """``U^T G`` for the orthogonal polar factor ``U = W Vt`` of ``X`` from numpy's SVD: the reference."""
+    W, _, Vt = np.linalg.svd(X, full_matrices=False)
+    return np.swapaxes(Vt, -1, -2) @ (np.swapaxes(W, -1, -2) @ G)
+
+
+# (rows, stack) of each route: closed form alone and in a stack, Jacobi, SVD
+PROCRUSTES_ROUTES = [(1, 4), (2, 4), (2, linalg._JACOBI_MIN_STACK), (3, linalg._JACOBI_MIN_STACK),
+                     (5, linalg._JACOBI_MIN_STACK), (3, 4), (7, 4)]
+
+
+class TestProcrustes:
+    """``procrustes(X, G) = U^T G`` on ``polar``'s routes, against the SVD."""
+
+    @pytest.mark.parametrize("rows, n", PROCRUSTES_ROUTES)
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_matches_the_svd(self, rows, n, extra):
+        rng = np.random.default_rng([rows, n, extra])
+        X = jacobi_stack(rng, n, rows, rows + extra, "graded")
+        G = rng.standard_normal((n, rows, 7))
+        R = linalg.procrustes(X, G)
+        assert R.shape == (n, rows + extra, 7) and R.flags.c_contiguous
+        error = np.linalg.norm(R - svd_procrustes(X, G), axis=(1, 2))
+        assert np.all(error <= 1e-12 * np.linalg.norm(G, axis=(1, 2)))
+
+    @pytest.mark.parametrize("rows, n", PROCRUSTES_ROUTES)
+    def test_rotating_x_itself_gives_its_polar(self, rows, n, lapack_calls):
+        # U^T X = |X|, and the route is polar's: the same SVD calls or none
+        X = jacobi_stack(np.random.default_rng([rows, n]), n, rows, rows + 1, "graded")
+        lapack_calls.clear()
+        R = linalg.procrustes(X, X)
+        routed = list(lapack_calls.shapes["svd"])
+        lapack_calls.clear()
+        P = polar(X)
+        assert routed == lapack_calls.shapes["svd"]
+        error = np.linalg.norm(R - P, axis=(1, 2))
+        assert np.all(error <= 1e-13 * np.linalg.norm(X, axis=(1, 2)))
+
+    def test_more_rows_than_columns_take_the_svd(self, lapack_calls):
+        # two rows in one column cannot both be orthogonal and nonzero
+        rng = np.random.default_rng(18)
+        X, G = rng.standard_normal((4, 2, 1)), rng.standard_normal((4, 2, 3))
+        lapack_calls.clear()
+        R = linalg.procrustes(X, G)
+        assert lapack_calls.shapes["svd"] == [(4, 2, 1)]
+        np.testing.assert_allclose(R, svd_procrustes(X, G), atol=1e-14)
+
+    @pytest.mark.parametrize("rows, n", PROCRUSTES_ROUTES)
+    def test_exact_zero_directions_add_nothing(self, rows, n):
+        rng = np.random.default_rng([rows, n, 1])
+        X = jacobi_stack(rng, n, rows, rows + 1, "graded")
+        G = rng.standard_normal((n, rows, 7))
+        X[0] = 0.0  # a zero matrix
+        R = linalg.procrustes(X, G)
+        assert not np.any(R[0])
+        if rows <= 2 or n >= linalg._JACOBI_MIN_STACK:
+            # a zero row of the rows routes: U^T G of the other rows alone
+            X[1, -1] = 0.0
+            expected = linalg.procrustes(X[1:2, :-1], G[1:2, :-1])
+            np.testing.assert_allclose(linalg.procrustes(X, G)[1], expected[0], atol=1e-14)
+
+    def test_no_rows_or_no_columns_give_zero(self):
+        G = np.ones((3, 2, 4))
+        assert not np.any(linalg.procrustes(np.zeros((3, 0, 5)), G[:, :0]))
+        assert linalg.procrustes(np.zeros((3, 0, 5)), G[:, :0]).shape == (3, 5, 4)
+        assert linalg.procrustes(np.zeros((3, 2, 0)), G).shape == (3, 0, 4)
+
+
 def bases_with_angles(rng, n, angles, extra=0):
     """Bases ``U`` (``k + extra`` columns) and ``W`` (``k``) whose spans meet at ``angles``.
 

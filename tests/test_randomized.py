@@ -165,3 +165,17 @@ class TestPopulationExperiment:
         np.testing.assert_array_equal(r1.coefficients, r2.coefficients)
         assert r1.certificate_residual == r2.certificate_residual
         assert r1.mean_deviation == r2.mean_deviation
+
+    @pytest.mark.parametrize("seed", [1, 2, 113])
+    @pytest.mark.parametrize("law", ["uniform", "two-point", "triangular"])
+    def test_solver_reaches_the_exact_empirical_barycentre(self, law, seed):
+        # the maps T_a = I + a (F + F^T) commute and their mean T̄ is positive
+        # definite, so T̄ C T̄ is the empirical family's barycentre (the
+        # compatible case of Boissard, Le Gouic & Loubes 2015)
+        config = TruncationConfig(dim=32)
+        report = population_mc_experiment(config, RandomMapLaw(law), n=1000, seed=seed)
+        mean_map = np.eye(32) + np.mean(report.coefficients) * symmetrized_shift(32)
+        exact = conjugate(mean_map, build_covariance(config))
+        assert report.solver.converged and report.solver.monotone
+        error = np.linalg.norm(report.solver.barycentre - exact)
+        assert error <= 1e-9 * np.linalg.norm(exact)

@@ -10,8 +10,12 @@ Procrustes analysis, Gower 1975):
     K_{t+1} = sum_i w_i U_i^T G_i,   U_i the orthogonal polar factor of G_i K_t^T.
 
 It never inverts ``C_t``, so a singular iterate needs no ridge and no
-eigenvalue cutoff.  Independently of the solver, :func:`verify_barycentre_certificate` checks the
-inversion-free first-order identity
+eigenvalue cutoff.  ``U_i^T G_i`` does not change when the rows of ``G_i``
+are rotated, so each step starts from the rows the previous step's
+Procrustes rotated, on which one-sided Jacobi has less left to do
+(:func:`barycentre_fixed_point`).  Independently of the solver,
+:func:`verify_barycentre_certificate` checks the inversion-free first-order
+identity
 
     sum_i w_i (C^{1/2} S_i C^{1/2})^{1/2} = C,
 
@@ -445,6 +449,17 @@ def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
     return _evaluate_candidate(candidate, prob)[0]
 
 
+def _procrustes_step(H: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``U_i^T H_i``, ``U_i`` the orthogonal polar factor of ``H_i k^T``, over a stack ``H``.
+
+    :func:`linalg.procrustes` does the work; the rows it rotated replace
+    ``H``'s in place, which changes no later ``U_i^T H_i`` (see
+    :func:`barycentre_fixed_point`).
+    """
+    R, H[...] = linalg.procrustes(H @ np.swapaxes(k, -1, -2), H)
+    return R
+
+
 def _gram(K: list) -> list:
     """The blocks of ``K^T K``, symmetrized, from the ``(k, r, L)`` factor stacks ``K``."""
     return [(X + np.swapaxes(X, -1, -2)) / 2.0 for X in (np.swapaxes(F, -1, -2) @ F for F in K)]
@@ -461,6 +476,15 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     2 <K_{t+1}, K_t>``, since ``tr(U_i^T G_i K_t^T) = ||G_i K_t^T||_*``.  It
     stops once ``||C_{t+1} - C_t||_F / ||C_t||_F`` (0 when both are zero) is
     at most ``settings.tol``.
+
+    The steps run on a working copy of the input factors, ``H_i = Q_i G_i``:
+    each step replaces ``H_i`` with the rows that its Jacobi route rotated
+    (:func:`linalg.procrustes`; the other routes hand ``H_i`` back).  ``U_i^T G_i`` is the same
+    from ``H_i`` for any orthogonal ``Q_i``, so the iterates agree up to
+    rounding with a run from ``G_i`` at every step, while Jacobi starts from
+    rows that the previous step made orthogonal against ``K_t``, and which
+    ``K_{t+1}`` has moved less as the iteration settles.  ``prob``'s own
+    factors are not changed; the closing pass reads them.
 
     Parameters
     ----------
@@ -486,12 +510,12 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
                                     if init is None else _on_blocks(prob, init))
     K = [F[0] for F in _proved_factors(start[None], blocks)]
     sigma = _gram(K)
+    rotated = [G.copy() for G in block_factors]
     history = []
 
     for t in range(1, st.max_iter + 1):
-        new = [_input_sum(G, prob.weights, lambda F, k=k: linalg.procrustes(
-                   F @ np.swapaxes(k, -1, -2), F))
-               for k, G in zip(K, block_factors)]
+        new = [_input_sum(H, prob.weights, lambda F, k=k: _procrustes_step(F, k))
+               for k, H in zip(K, rotated)]
         if not all(np.all(np.isfinite(X)) for X in new):
             raise NonFinite(f"iterate diverged at iteration {t}")
         cross = sum(float(a.ravel() @ b.ravel()) for a, b in zip(new, K))

@@ -279,11 +279,14 @@ def cmd_mc(args) -> int:
     report.add_result("solver_iterations", mc.solver.iterations)
     report.add_result("solver_converged", mc.solver.converged)
     report.add_result("solver_certificate_residual", mc.solver.certificate_residual)
+    report.add_result("exact_barycentre_error", mc.exact_barycentre_error)
     _emit(report, args, [
         f"n={mc.n} seed={mc.seed} law={mc.law.name} antithetic={mc.antithetic}",
         f"empirical mean deviation ||mean T - I||_F = {mc.mean_deviation:.3g}",
         f"certificate residual of base covariance: {mc.certificate_residual:.3g}",
         f"solver: iterations={mc.solver.iterations} converged={mc.solver.converged}",
+        f"solver distance to the exact barycentre Tbar C Tbar (relative): "
+        f"{mc.exact_barycentre_error:.3g}",
     ])
     return EXIT_OK if mc.solver.converged else EXIT_TOLERANCE
 

@@ -357,10 +357,10 @@ def polar(X: np.ndarray) -> np.ndarray:
     return _stack_sum(V, V, shape[:-2])
 
 
-def procrustes(X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """``U^T G``, ``U = W Vt`` the orthogonal polar factor of ``X = W diag(s) Vt``.
+def procrustes(X: np.ndarray, G: np.ndarray) -> tuple:
+    """``(U^T G, H)``, ``U = W Vt`` the orthogonal polar factor of ``X = W diag(s) Vt``.
 
-    ``X`` is ``(m, r)`` and ``G`` ``(m, L)``, or stacks of them; the result
+    ``X`` is ``(m, r)`` and ``G`` ``(m, L)``, or stacks of them; ``U^T G``
     is ``(r, L)``, or the stack of them, C-contiguous.  For ``X = G K^T`` it
     is the rotation of ``G`` closest to ``K`` (orthogonal Procrustes), and
     ``tr(U^T G K^T) = ||X||_*``.  The route is :func:`polar`'s for ``X``: the
@@ -369,17 +369,26 @@ def procrustes(X: np.ndarray, G: np.ndarray) -> np.ndarray:
     ``sum_k y_k^T z_k / ||y_k||``; the SVD gives ``Vt^T (W^T G)``.  A
     direction in which ``X`` is exactly zero (a zero row ``y_k``, a zero
     singular value, no rows or columns) adds nothing.
+
+    ``H = Q G`` is ``G`` with its rows rotated as Jacobi rotated ``X``'s:
+    the rows ``z_k``.  Every other route returns ``G`` itself: the SVD
+    rotates no rows, and the closed form's one rotation costs the same
+    from any start.  Since ``procrustes(Q X, Q G)`` is ``U^T G`` again for
+    any orthogonal ``Q``, a caller whose next ``X`` is ``H K^T`` hands
+    Jacobi rows that ``K`` has moved little from orthogonal, which take
+    fewer rotations (see ``barycentre.barycentre_fixed_point``).
     """
     shape, (rows, r), L = X.shape, X.shape[-2:], G.shape[-1]
     if rows == 0 or r == 0:
-        return np.zeros(shape[:-2] + (r, L))
+        return np.zeros(shape[:-2] + (r, L)), G
     Y = _orthogonal_rows(np.concatenate([X, G], axis=-1), r)
     if Y is None:
         W, sv, Vt = np.linalg.svd(X, full_matrices=False)
-        return np.swapaxes(Vt * (sv > 0)[..., None], -1, -2) @ (np.swapaxes(W, -1, -2) @ G)
+        return np.swapaxes(Vt * (sv > 0)[..., None], -1, -2) @ (np.swapaxes(W, -1, -2) @ G), G
     norm = np.sqrt(np.einsum("kln,kln->kn", Y[:, :r], Y[:, :r]))
     norm[norm == 0] = np.inf
-    return _stack_sum(Y[:, :r] / norm[:, None], Y[:, r:], shape[:-2])
+    H = G if rows <= 2 else Y[:, r:, :prod(shape[:-2])].transpose(2, 0, 1).reshape(G.shape)
+    return _stack_sum(Y[:, :r] / norm[:, None], Y[:, r:], shape[:-2]), H
 
 
 def _orthogonal_rows(X: np.ndarray, cols: int) -> np.ndarray | None:
@@ -467,8 +476,13 @@ def _polar_rows(Y: np.ndarray, cols: int) -> np.ndarray:
 # graded (rows, rows + 1) matrices (one BLAS thread, 2-core Xeon VM, numpy
 # 2.4): 3 rows 0.57 / 1.61 at N = 512 and 0.88 / 2.55 at N = 1000; 5 rows
 # 2.84 / 2.78 and 4.44 / 5.39; 6 rows 4.93 / 3.68 and 8.57 / 7.52; at N = 128
-# the SVD is as fast from 3 rows on.  The Monte-Carlo run's (1000, 1, 5, 6)
-# stacks take four sweeps, 2.6-3.8 ms against 6.5-8.4 for the SVD.
+# the SVD is as fast from 3 rows on.  From unrotated rows, the Monte-Carlo
+# run's (1000, 1, 5, 6) stacks take 29 rotations (three rotating sweeps and a
+# fourth that finds nothing), 2.6-3.8 ms against 6.5-8.4 for the SVD.  The
+# solver hands each step the rows its previous step rotated
+# (barycentre.barycentre_fixed_point): on the uniform seed-1 run its 14 steps
+# then take 29, 21, 19, 20, 19, 15, 15, 11 and then 10 rotations (one
+# rotating sweep), down to 1.2 ms.
 _JACOBI_MAX_ROWS = 5
 _JACOBI_MIN_STACK = 512
 # The sweep cap of LAPACK dgesvj.

@@ -94,7 +94,10 @@ class McReport:
 
     ``mean_deviation`` is ``||mean_i T_i - I||_F``; ``certificate_residual``
     is the barycentre certificate of the base covariance against the
-    empirical family; ``solver`` is the fixed-point run on the same family.
+    empirical family; ``solver`` is the fixed-point run on the same family,
+    and ``exact_barycentre_error`` its relative Frobenius distance
+    ``||solver.barycentre - T̄ C T̄||_F / ||T̄ C T̄||_F`` to the family's exact
+    barycentre.
     """
 
     dim: int
@@ -106,6 +109,7 @@ class McReport:
     mean_deviation: float
     certificate_residual: float
     solver: BarycentreResult = field(repr=False)
+    exact_barycentre_error: float
 
 
 def population_mc_experiment(
@@ -124,8 +128,10 @@ def population_mc_experiment(
     far the empirical map average is from the identity, (ii) the barycentre
     certificate residual of the base covariance against the empirical
     family, and (iii) the fixed-point solver's output on the empirical
-    problem.  The maps commute and their mean ``T̄`` is positive definite, so
-    the empirical barycentre is ``T̄ C T̄`` exactly, singular as ``C`` is.
+    problem with (iv) its distance to the exact barycentre.  The maps
+    commute and their mean ``T̄ = I + mean(a) (F + F^T)`` is positive
+    definite, so the empirical barycentre is ``T̄ C T̄`` exactly, singular as
+    ``C`` is.
 
     Parameters
     ----------
@@ -144,14 +150,17 @@ def population_mc_experiment(
     coeffs = draw_coefficients(law, seed, n, antithetic)
     # mean_i T_i - I = (sum_i a_i / n) (F + F^T); the draws are summed in
     # order, as a running sum of the maps sums its entries
-    mean_deviation = float(np.linalg.norm(
-        symmetrized_shift(config.dim) * (float(np.cumsum(coeffs)[-1]) / n)))
+    deviation = symmetrized_shift(config.dim) * (float(np.cumsum(coeffs)[-1]) / n)
+    mean_map = np.eye(config.dim) + deviation
 
     # each input T C T is given by its exact chain-block factors C^{1/2} T,
     # so no dense input is formed, checked or factored
     prob = BarycentreProblem.from_block_factors(*chain_factors(config, coeffs), settings=settings)
-    residual = verify_barycentre_certificate(build_covariance(config), prob)
+    cov = build_covariance(config)
+    residual = verify_barycentre_certificate(cov, prob)
     solver = barycentre_fixed_point(prob)
+    exact = mean_map @ cov @ mean_map
+    exact_error = float(np.linalg.norm(solver.barycentre - exact) / np.linalg.norm(exact))
 
     return McReport(
         dim=config.dim,
@@ -160,7 +169,8 @@ def population_mc_experiment(
         law=law,
         antithetic=antithetic,
         coefficients=coeffs,
-        mean_deviation=mean_deviation,
+        mean_deviation=float(np.linalg.norm(deviation)),
         certificate_residual=residual,
         solver=solver,
+        exact_barycentre_error=exact_error,
     )

@@ -241,6 +241,48 @@ class TestFactorUpdate:
         assert not np.any(res.barycentre)
 
 
+def mc_problem(n, seed):
+    """The population experiment's problem: ``n`` uniform-law dim-32 inputs, by chain factors."""
+    from bwbary import randomized
+
+    coeffs = randomized.draw_coefficients(randomized.RandomMapLaw("uniform"), seed, n)
+    return barycentre.BarycentreProblem.from_block_factors(
+        *construct.chain_factors(TruncationConfig(dim=32), coeffs))
+
+
+class TestWarmStart:
+    """The steps run on a rotated copy of the input factors, which Jacobi starts from."""
+
+    def test_problem_factors_are_untouched_and_solves_repeat(self):
+        # 600 inputs: the (600, 1, 3, 4) and (600, 1, 5, 6) stacks take
+        # Jacobi, whose rotated rows the steps carry over
+        prob = mc_problem(linalg._JACOBI_MIN_STACK + 88, seed=4)
+        before = [G.copy() for G in prob.block_factors]
+        first = barycentre_fixed_point(prob)
+        assert all(np.array_equal(G, B) for G, B in zip(prob.block_factors, before))
+        second = barycentre_fixed_point(prob)
+        assert np.array_equal(first.barycentre, second.barycentre)
+        assert first.history == second.history
+        assert first.certificate_residual == second.certificate_residual
+
+    def test_monte_carlo_solve_rotates_rows_less(self, monkeypatch):
+        # the seed-1 run of 1,000 inputs takes 14 steps; restarted from the
+        # problem's factors at every step, its closed form and Jacobi made 540
+        # row rotations
+        prob = mc_problem(1000, seed=1)
+        calls = [0]
+        rotate = linalg._rotate_rows
+
+        def counting(*args):
+            calls[0] += 1
+            rotate(*args)
+
+        monkeypatch.setattr(linalg, "_rotate_rows", counting)
+        res = barycentre_fixed_point(prob)
+        assert res.converged and res.iterations == 14
+        assert calls[0] <= 400
+
+
 class TestSharedPass:
     """The solver's closing pass gives the certificate and the Fréchet value."""
 

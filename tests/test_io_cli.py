@@ -549,6 +549,7 @@ class TestMcCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"]["mean_deviation"] == 0.0
         assert doc["results"]["certificate_residual"] <= 1e-9
+        assert doc["results"]["exact_barycentre_error"] <= 1e-9
 
     def test_n_too_small(self):
         assert run_cli("mc", "--dim", "8", "--n", "1") == 2

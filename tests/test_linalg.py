@@ -497,7 +497,7 @@ class TestProcrustes:
         rng = np.random.default_rng([rows, n, extra])
         X = jacobi_stack(rng, n, rows, rows + extra, "graded")
         G = rng.standard_normal((n, rows, 7))
-        R = linalg.procrustes(X, G)
+        R, _ = linalg.procrustes(X, G)
         assert R.shape == (n, rows + extra, 7) and R.flags.c_contiguous
         error = np.linalg.norm(R - svd_procrustes(X, G), axis=(1, 2))
         assert np.all(error <= 1e-12 * np.linalg.norm(G, axis=(1, 2)))
@@ -507,7 +507,7 @@ class TestProcrustes:
         # U^T X = |X|, and the route is polar's: the same SVD calls or none
         X = jacobi_stack(np.random.default_rng([rows, n]), n, rows, rows + 1, "graded")
         lapack_calls.clear()
-        R = linalg.procrustes(X, X)
+        R, _ = linalg.procrustes(X, X)
         routed = list(lapack_calls.shapes["svd"])
         lapack_calls.clear()
         P = polar(X)
@@ -520,7 +520,7 @@ class TestProcrustes:
         rng = np.random.default_rng(18)
         X, G = rng.standard_normal((4, 2, 1)), rng.standard_normal((4, 2, 3))
         lapack_calls.clear()
-        R = linalg.procrustes(X, G)
+        R, _ = linalg.procrustes(X, G)
         assert lapack_calls.shapes["svd"] == [(4, 2, 1)]
         np.testing.assert_allclose(R, svd_procrustes(X, G), atol=1e-14)
 
@@ -530,19 +530,45 @@ class TestProcrustes:
         X = jacobi_stack(rng, n, rows, rows + 1, "graded")
         G = rng.standard_normal((n, rows, 7))
         X[0] = 0.0  # a zero matrix
-        R = linalg.procrustes(X, G)
+        R, _ = linalg.procrustes(X, G)
         assert not np.any(R[0])
         if rows <= 2 or n >= linalg._JACOBI_MIN_STACK:
             # a zero row of the rows routes: U^T G of the other rows alone
             X[1, -1] = 0.0
-            expected = linalg.procrustes(X[1:2, :-1], G[1:2, :-1])
-            np.testing.assert_allclose(linalg.procrustes(X, G)[1], expected[0], atol=1e-14)
+            expected, _ = linalg.procrustes(X[1:2, :-1], G[1:2, :-1])
+            np.testing.assert_allclose(linalg.procrustes(X, G)[0][1], expected[0], atol=1e-14)
 
     def test_no_rows_or_no_columns_give_zero(self):
         G = np.ones((3, 2, 4))
-        assert not np.any(linalg.procrustes(np.zeros((3, 0, 5)), G[:, :0]))
-        assert linalg.procrustes(np.zeros((3, 0, 5)), G[:, :0]).shape == (3, 5, 4)
-        assert linalg.procrustes(np.zeros((3, 2, 0)), G).shape == (3, 0, 4)
+        R, H = linalg.procrustes(np.zeros((3, 0, 5)), G[:, :0])
+        assert not np.any(R) and R.shape == (3, 5, 4) and H.shape == (3, 0, 4)
+        R, H = linalg.procrustes(np.zeros((3, 2, 0)), G)
+        assert R.shape == (3, 0, 4) and H is G
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PROCRUSTES_ROUTES), st.integers(0, 2), st.integers(0, 2**32 - 1))
+    def test_a_rotation_of_the_rows_changes_nothing(self, route, extra, seed):
+        # procrustes(Q X, Q G) = U^T Q^T Q G = U^T G for orthogonal Q, which
+        # lets a caller hand back the rotated rows H; X's singular values lie
+        # in [2**(1 - rows), 2], so U is well conditioned
+        rows, n = route
+        rng = np.random.default_rng(seed)
+        W = np.linalg.qr(rng.standard_normal((n, rows, rows)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, rows + extra, rows)))[0]
+        sv = rng.uniform(1.0, 2.0, (n, 1, rows)) * 0.5 ** np.arange(rows)
+        X = (W * sv) @ np.swapaxes(V, -1, -2)
+        G = rng.standard_normal((n, rows, 7)) * 0.5 ** np.arange(7)
+        Q = np.linalg.qr(rng.standard_normal((n, rows, rows)))[0]
+        R, H = linalg.procrustes(X, G)
+        scale = np.linalg.norm(G, axis=(1, 2))
+        error = np.linalg.norm(linalg.procrustes(Q @ X, Q @ G)[0] - R, axis=(1, 2))
+        assert np.all(error <= 1e-13 * scale)
+        jacobi = rows > 2 and n >= linalg._JACOBI_MIN_STACK
+        if not jacobi:
+            assert H is G  # the closed form and the SVD hand back G itself
+        assert H.shape == G.shape
+        gram = np.swapaxes(H, -1, -2) @ H - np.swapaxes(G, -1, -2) @ G
+        assert np.all(np.linalg.norm(gram, axis=(1, 2)) <= 1e-14 * scale**2)
 
 
 def bases_with_angles(rng, n, angles, extra=0):

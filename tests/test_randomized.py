@@ -177,5 +177,17 @@ class TestPopulationExperiment:
         mean_map = np.eye(32) + np.mean(report.coefficients) * symmetrized_shift(32)
         exact = conjugate(mean_map, build_covariance(config))
         assert report.solver.converged and report.solver.monotone
-        error = np.linalg.norm(report.solver.barycentre - exact)
-        assert error <= 1e-9 * np.linalg.norm(exact)
+        error = np.linalg.norm(report.solver.barycentre - exact) / np.linalg.norm(exact)
+        assert error <= 1e-9
+        assert report.exact_barycentre_error == pytest.approx(error, rel=1e-2)
+
+    def test_exact_barycentre_error_is_that_of_the_summed_maps(self):
+        # T̄ = I + mean(a) (F + F^T), the mean summed in draw order as for
+        # mean_deviation, and the error relative to T̄ C T̄
+        config = TruncationConfig(dim=16)
+        report = population_mc_experiment(config, RandomMapLaw("triangular"), n=40, seed=9)
+        mean = float(np.cumsum(report.coefficients)[-1]) / 40
+        mean_map = np.eye(16) + symmetrized_shift(16) * mean
+        exact = mean_map @ build_covariance(config) @ mean_map
+        error = np.linalg.norm(report.solver.barycentre - exact) / np.linalg.norm(exact)
+        assert report.exact_barycentre_error == float(error)

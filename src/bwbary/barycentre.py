@@ -32,13 +32,18 @@ factors of its blocks: factored from dense inputs, or taken as given
 ``construct.chain_factors`` hands the constructed families' exact factors).
 A pass over a matrix block diagonal along them runs on them, a pass over
 any other matrix on the whole space as one block, and the iteration
-commutes with a common block structure.  So each pass stacks the blocks of
-equal size, across blocks and inputs, into one stacked :func:`linalg.polar`
-(the certificate, after one ``eigh`` of the candidate's blocks) or
-:func:`linalg.procrustes` (a solver step) per size: a closed form for blocks
-that keep at most two rows, one-sided Jacobi sweeps over a large stack of
-blocks that keep three to five (the Monte-Carlo run's longer chains), and an
-SVD otherwise; a dense problem is the case of one block.  What decides a
+commutes with a common block structure.  So the certificate (also the
+solver's closing pass) stacks the blocks of equal size, across blocks and
+inputs, into one stacked :func:`linalg.polar` per size, after one ``eigh``
+of the candidate's blocks.  A solver step makes one stacked
+:func:`linalg.procrustes` per size that has at least
+``linalg._JACOBI_MIN_STACK`` blocks over all inputs, and joins the smaller
+sizes, zero-padded, into one stack for those it takes in closed form and one
+for the rest (:func:`_groups`), which saves LAPACK's fixed cost per call.
+The routes are a closed form for blocks that keep at most two rows,
+one-sided Jacobi sweeps over a large stack of blocks that keep three to five
+(the Monte-Carlo run's longer chains), and an SVD otherwise; a dense problem
+is the case of one block.  What decides a
 verdict stays global: the PSD rule takes the largest eigenvalue over all
 blocks, and the change, the certificate residual and the Fréchet value are
 norms and traces summed over the blocks.
@@ -452,17 +457,70 @@ def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
 def _procrustes_step(H: np.ndarray, k: np.ndarray) -> np.ndarray:
     """``U_i^T H_i``, ``U_i`` the orthogonal polar factor of ``H_i k^T``, over a stack ``H``.
 
-    :func:`linalg.procrustes` does the work; the rows it rotated replace
-    ``H``'s in place, which changes no later ``U_i^T H_i`` (see
-    :func:`barycentre_fixed_point`).
+    :func:`linalg.procrustes` does the work; rows that its Jacobi route
+    rotated replace ``H``'s in place, which changes no later ``U_i^T H_i``
+    (see :func:`barycentre_fixed_point`), and the other routes write nothing.
     """
-    R, H[...] = linalg.procrustes(H @ np.swapaxes(k, -1, -2), H)
+    R, rotated = linalg.procrustes(H @ np.swapaxes(k, -1, -2), H)
+    if rotated is not H:
+        H[...] = rotated
     return R
 
 
 def _gram(K: list) -> list:
     """The blocks of ``K^T K``, symmetrized, from the ``(k, r, L)`` factor stacks ``K``."""
     return [(X + np.swapaxes(X, -1, -2)) / 2.0 for X in (np.swapaxes(F, -1, -2) @ F for F in K)]
+
+
+def _groups(K: list, block_factors: tuple) -> list:
+    """The block sizes a solver step runs together, as lists of indices into ``K``.
+
+    A size with no iterate rows (``r_L = 0``) stays zero and is in no group.
+    A size with at least ``linalg._JACOBI_MIN_STACK`` blocks over all inputs
+    (``n k_L``) is a group of its own, so its stack takes the route it takes
+    alone.  The smaller sizes form at most two groups, each one zero-padded
+    stack (:func:`_pad`): those whose ``(m_L, r_L)`` blocks
+    :func:`linalg.procrustes` takes in closed form, and the rest, so that one
+    LAPACK call steps all the small sizes that need the SVD.
+    """
+    n, alone, closed, rest = len(block_factors[0]), [], [], []
+    for s, (k, G) in enumerate(zip(K, block_factors)):
+        count, r, _ = k.shape
+        if r == 0:
+            continue
+        if n * count >= linalg._JACOBI_MIN_STACK:
+            alone.append([s])
+        else:
+            (closed if linalg._route((G.shape[2], r)) == "closed form" else rest).append(s)
+    return alone + [g for g in (closed, rest) if g]
+
+
+def _pad(stacks: list) -> np.ndarray:
+    """``(..., k, r, L)`` stacks joined along ``k``, each zero-padded to the largest ``r`` and ``L``.
+
+    A single stack is returned as it is.  Zero rows and columns leave
+    ``U^T G`` of :func:`linalg.procrustes` unchanged: to the bit on its
+    closed form, and up to rounding on the SVD, where every zero row of ``X``
+    is one of ``G``.  Zero columns of ``G`` give exactly zero columns of
+    ``U^T G``; its rows that pad ``r`` stayed exactly zero on the SVD too,
+    in every solve measured.
+    """
+    if len(stacks) == 1:
+        return stacks[0]
+    *_, rows, cols = np.max([S.shape for S in stacks], axis=0)
+    P = np.zeros((*stacks[0].shape[:-3], sum(S.shape[-3] for S in stacks), rows, cols))
+    start = 0
+    for S in stacks:
+        k, r, L = S.shape[-3:]
+        P[..., start:start + k, :r, :L] = S
+        start += k
+    return P
+
+
+def _unpad(P: np.ndarray, shapes: list) -> list:
+    """The ``(..., k, r, L)`` stacks of the given ``(k, r, L)`` shapes that :func:`_pad` joined into ``P``."""
+    starts = np.cumsum([0] + [k for k, _, _ in shapes])
+    return [P[..., a:a + k, :r, :L] for a, (k, r, L) in zip(starts, shapes)]
 
 
 def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResult:
@@ -477,14 +535,20 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     stops once ``||C_{t+1} - C_t||_F / ||C_t||_F`` (0 when both are zero) is
     at most ``settings.tol``.
 
-    The steps run on a working copy of the input factors, ``H_i = Q_i G_i``:
-    each step replaces ``H_i`` with the rows that its Jacobi route rotated
-    (:func:`linalg.procrustes`; the other routes hand ``H_i`` back).  ``U_i^T G_i`` is the same
-    from ``H_i`` for any orthogonal ``Q_i``, so the iterates agree up to
-    rounding with a run from ``G_i`` at every step, while Jacobi starts from
-    rows that the previous step made orthogonal against ``K_t``, and which
-    ``K_{t+1}`` has moved less as the iteration settles.  ``prob``'s own
-    factors are not changed; the closing pass reads them.
+    The steps run on groups of block sizes (:func:`_groups`): a size with
+    many blocks alone, the small ones as one zero-padded stack (:func:`_pad`)
+    per route, so the steps, the change, the cross term and the history are
+    taken on the groups' stacks; the closing pass unpads ``K``.  A stack
+    that takes Jacobi steps on a working copy of its input factors,
+    ``H_i = Q_i G_i``: each step replaces ``H_i`` with the rows that Jacobi
+    rotated (:func:`linalg.procrustes`).  ``U_i^T G_i`` is the same from
+    ``H_i`` for any orthogonal ``Q_i``, so the iterates agree up to rounding
+    with a run from ``G_i`` at every step, while Jacobi starts from rows
+    that the previous step made orthogonal against ``K_t``, and which
+    ``K_{t+1}`` has moved less as the iteration settles.  The other routes
+    write nothing back, so their stacks are ``prob``'s own factors or a
+    group's padded copy.  ``prob``'s own factors are not changed; the
+    closing pass reads them.
 
     Parameters
     ----------
@@ -509,23 +573,33 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     start, blocks, block_factors = ((prob.mean, prob.blocks, prob.block_factors)
                                     if init is None else _on_blocks(prob, init))
     K = [F[0] for F in _proved_factors(start[None], blocks)]
-    sigma = _gram(K)
-    rotated = [G.copy() for G in block_factors]
+    groups = _groups(K, block_factors)
+    stacks, factors = [], []  # per group, K_t's stack and the input factors the steps run on
+    for g in groups:
+        stacks.append(_pad([K[s] for s in g]))
+        H = _pad([block_factors[s] for s in g])
+        jacobi = linalg._route((*H.shape[:-1], stacks[-1].shape[-2])) == "jacobi"
+        factors.append(H.copy() if jacobi and len(g) == 1 else H)  # a lone size's H is prob's
+    sigma = _gram(stacks)
     history = []
 
     for t in range(1, st.max_iter + 1):
         new = [_input_sum(H, prob.weights, lambda F, k=k: _procrustes_step(F, k))
-               for k, H in zip(K, rotated)]
+               for k, H in zip(stacks, factors)]
         if not all(np.all(np.isfinite(X)) for X in new):
             raise NonFinite(f"iterate diverged at iteration {t}")
-        cross = sum(float(a.ravel() @ b.ravel()) for a, b in zip(new, K))
-        K, previous, sigma = new, sigma, _gram(new)
+        cross = sum(float(a.ravel() @ b.ravel()) for a, b in zip(new, stacks))
+        stacks, previous, sigma = new, sigma, _gram(new)
         step, size = _norm([X - S for X, S in zip(sigma, previous)]), _norm(previous)
         change = step / size if size > 0 else 0.0  # C_t = 0 makes every U_i^T G_i zero
         history.append((t, change, _frechet(_trace(previous), cross, prob.input_trace)))
         if change <= st.tol:
             break
 
+    for g, P in zip(groups, stacks):
+        for s, F in zip(g, _unpad(P, [K[s].shape for s in g])):
+            K[s] = F
+    sigma = _gram(K)
     residual, fval = _evaluate(sigma, block_factors, prob)
     fvals = [h[2] for h in history] + [fval]
     rises = [(t, b - a) for t, (a, b) in enumerate(zip(fvals, fvals[1:]), 1)

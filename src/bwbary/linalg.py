@@ -335,7 +335,7 @@ def polar(X: np.ndarray) -> np.ndarray:
     ``X`` is ``(r, d)`` or a stack of them; the result is ``(d, d)``, or the
     stack of them, C-contiguous (a caller's sum over a strided stack would be
     pairwise).  No rows give zero; otherwise the route depends on the shape
-    alone (:func:`_orthogonal_rows`).  The closed form and Jacobi make the
+    alone (:func:`_route`).  The closed form and Jacobi make the
     rows ``y_k`` of every matrix orthogonal and share one finish,
     ``|X| = sum_k y_k^T y_k / ||y_k||``, a zero row adding nothing; the thin
     SVD ``X = U diag(s) Vt`` (for square ``X``, the bits of the full one)
@@ -366,9 +366,17 @@ def procrustes(X: np.ndarray, G: np.ndarray) -> tuple:
     ``tr(U^T G K^T) = ||X||_*``.  The route is :func:`polar`'s for ``X``: the
     closed form and Jacobi rotate the rows of ``[X | G]``, each rotation
     chosen on ``X``'s columns, to rows ``[y_k | z_k]`` and give
-    ``sum_k y_k^T z_k / ||y_k||``; the SVD gives ``Vt^T (W^T G)``.  A
-    direction in which ``X`` is exactly zero (a zero row ``y_k``, a zero
-    singular value, no rows or columns) adds nothing.
+    ``sum_k y_k^T z_k / ||y_k||``; the SVD gives ``Vt^T (W^T G)``, dropping
+    the directions of zero singular values.  On the closed form and Jacobi a
+    zero row ``y_k`` adds nothing, and no rows or columns give zero.  The
+    SVD gives no such guarantee for a rank-deficient ``X``: ``gesdd`` may
+    return a rounding-level positive singular value for an exactly zero
+    direction (for 30% of 512 random ``4 x 5`` matrices with a zero row, a
+    smallest singular value below ``5e-16``), and that direction then adds
+    ``w^T G``, up to ``0.74 ||G||`` against the Jacobi route for an
+    unrelated ``G``.  When every zero row of ``X`` is a zero row of ``G``, as
+    for ``X = G K^T`` in the barycentre solver, ``w^T G`` is itself at
+    rounding level, and nothing beyond rounding is added.
 
     ``H = Q G`` is ``G`` with its rows rotated as Jacobi rotated ``X``'s:
     the rows ``z_k``.  Every other route returns ``G`` itself: the SVD
@@ -391,21 +399,32 @@ def procrustes(X: np.ndarray, G: np.ndarray) -> tuple:
     return _stack_sum(Y[:, :r] / norm[:, None], Y[:, r:], shape[:-2]), H
 
 
+def _route(shape: tuple) -> str:
+    """The route :func:`polar` and :func:`procrustes` take for an ``X`` of this ``(..., m, cols)`` shape.
+
+    The one route decision, for ``m <= cols`` rows (more could not all be
+    orthogonal and nonzero): ``"closed form"`` (:func:`_polar_rows`) for
+    ``m <= 2``, ``"jacobi"`` (:func:`_jacobi_polar`) for
+    ``m <= _JACOBI_MAX_ROWS`` in a stack of at least ``_JACOBI_MIN_STACK``
+    matrices, and ``"svd"`` otherwise.
+    """
+    rows, cols = shape[-2:]
+    if rows <= min(2, cols):
+        return "closed form"
+    if rows <= min(_JACOBI_MAX_ROWS, cols) and prod(shape[:-2]) >= _JACOBI_MIN_STACK:
+        return "jacobi"
+    return "svd"
+
+
 def _orthogonal_rows(X: np.ndarray, cols: int) -> np.ndarray | None:
     """The :func:`_rows_last` rows of ``X``, rotated orthogonal on their first ``cols`` columns.
 
-    The one route decision of :func:`polar` and :func:`procrustes`, for
-    ``m <= cols`` rows (more could not all be orthogonal and nonzero): the
-    closed form (:func:`_polar_rows`) for ``m <= 2``, one-sided Jacobi
-    (:func:`_jacobi_polar`) for ``m <= _JACOBI_MAX_ROWS`` in a stack of at
-    least ``_JACOBI_MIN_STACK`` matrices, and ``None``, the SVD, otherwise.
+    By the route of :func:`_route`, or ``None`` for the SVD.
     """
-    rows = X.shape[-2]
-    if rows <= min(2, cols):
-        return _polar_rows(_rows_last(X), cols)
-    if rows <= min(_JACOBI_MAX_ROWS, cols) and prod(X.shape[:-2]) >= _JACOBI_MIN_STACK:
-        return _jacobi_polar(_rows_last(X), cols)
-    return None
+    way = _route((*X.shape[:-1], cols))
+    if way == "svd":
+        return None
+    return (_polar_rows if way == "closed form" else _jacobi_polar)(_rows_last(X), cols)
 
 
 def _stack_sum(A: np.ndarray, B: np.ndarray, stack: tuple) -> np.ndarray:

@@ -283,6 +283,75 @@ class TestWarmStart:
         assert calls[0] <= 400
 
 
+class TestGroupedSteps:
+    """A step runs each large block size alone and the small ones as one padded stack per route."""
+
+    def test_monte_carlo_steps_each_nonempty_size_once(self, monkeypatch):
+        # 1,000 inputs: every size has at least _JACOBI_MIN_STACK blocks and
+        # steps alone; the chains of length 1 keep no iterate rows, so they
+        # make no call
+        prob = mc_problem(1000, seed=1)
+        K = start_factors(prob)
+        assert [k.shape[1] for k in K] == [0, 2, 3, 4, 6]
+        shapes = []
+        procrustes = linalg.procrustes
+
+        def recording(X, G):
+            shapes.append(X.shape)
+            return procrustes(X, G)
+
+        monkeypatch.setattr(linalg, "procrustes", recording)
+        res = barycentre_fixed_point(prob)
+        assert res.iterations == 14
+        assert shapes == [(1000, 4, 1, 2), (1000, 2, 2, 3), (1000, 1, 3, 4),
+                          (1000, 1, 5, 6)] * res.iterations
+
+    @pytest.mark.parametrize("case", ["pair 64", "pair 128", "random"])
+    def test_padded_part_stays_exactly_zero(self, case, monkeypatch):
+        if case == "random":
+            prob = random_block_family()
+        else:
+            _, s1, s2 = constructed_triple(int(case.split()[1]))
+            prob = problem([s1, s2])
+        K = start_factors(prob)
+        groups = barycentre._groups(K, prob.block_factors)
+        # the sizes of at most two factor rows, in closed form, and the rest
+        assert len(groups) == 2 and all(len(g) > 1 for g in groups)
+        grams = []
+        gram = barycentre._gram
+
+        def recording(stacks):
+            grams.append([P.copy() for P in stacks])
+            return gram(stacks)
+
+        monkeypatch.setattr(barycentre, "_gram", recording)
+        res = barycentre_fixed_point(prob)
+        # the start's grouped iterate, one per step, and the closing pass's sizes
+        assert len(grams) == res.iterations + 2
+        for stacks in grams[:-1]:
+            for g, P in zip(groups, stacks):
+                padding = np.ones(P.shape, dtype=bool)
+                for part in barycentre._unpad(padding, [K[s].shape for s in g]):
+                    part[...] = False
+                assert padding.any() and not np.any(P[padding])
+        assert res.converged and res.monotone
+
+
+def start_factors(prob):
+    """The solver's ``K_0`` stacks from the problem's mean, one per block size."""
+    return [F[0] for F in barycentre._proved_factors(prob.mean[None], prob.blocks)]
+
+
+def random_block_family():
+    """Three inputs on blocks of sizes 2, 3, 4 and 5, keeping 2, 1, 3 and 4 factor rows."""
+    rng = np.random.default_rng(41)
+    blocks = (np.array([[0, 1], [2, 3]]), np.array([[4, 5, 6]]), np.arange(7, 11)[None],
+              np.arange(11, 16)[None])
+    factors = [rng.standard_normal((3, len(idx), m, idx.shape[1]))
+               for idx, m in zip(blocks, (2, 1, 3, 4))]
+    return barycentre.BarycentreProblem.from_block_factors(blocks, factors)
+
+
 class TestSharedPass:
     """The solver's closing pass gives the certificate and the Fréchet value."""
 
@@ -327,16 +396,18 @@ class TestSharedPass:
         assert lapack_calls["pstrf"] == 0
         assert lapack_calls["eigvalsh"] == 0
         if case == "pair":
-            # the dim-32 chains have 5 distinct lengths (6, 4, 3, 2, 1): per
-            # pass one stacked polar (a step's procrustes, the closing pass's
-            # polar) of each size over both inputs; a chain of length L keeps
-            # L - 1 rows, so only lengths 4 and 6 reach the SVD (the other
-            # routes take at most two rows in closed form).  The steps
-            # decompose no iterate: the closing pass's certificate makes the
-            # only stacked eigh of each size, over all chains of that size
+            # the dim-32 chains have 5 distinct lengths (6, 4, 3, 2, 1); a
+            # chain of length L keeps L - 1 rows, so only lengths 4 and 6
+            # reach the SVD (the other routes take at most two rows in closed
+            # form).  A step's procrustes stacks both, zero-padded to 5 rows
+            # and 6 columns, into one SVD; the closing pass's polar makes one
+            # per size.  The steps decompose no iterate: the closing pass's
+            # certificate makes the only stacked eigh of each size, over all
+            # chains of that size
             assert [idx.shape[1] for idx in prob.blocks] == [1, 2, 3, 4, 6]
-            assert lapack_calls["svd"] == 2 * passes
-            assert lapack_calls.shapes["svd"] == [(2, 1, 3, 4), (2, 1, 5, 6)] * passes
+            assert lapack_calls["svd"] == res.iterations + 2
+            assert lapack_calls.shapes["svd"] == ([(2, 2, 5, 6)] * res.iterations
+                                                  + [(2, 1, 3, 4), (2, 1, 5, 6)])
             assert lapack_calls.shapes["eigh"] == [(8, 1, 1), (4, 2, 2), (2, 3, 3),
                                                    (1, 4, 4), (1, 6, 6)]
             return

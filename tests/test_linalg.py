@@ -570,6 +570,52 @@ class TestProcrustes:
         gram = np.swapaxes(H, -1, -2) @ H - np.swapaxes(G, -1, -2) @ G
         assert np.all(np.linalg.norm(gram, axis=(1, 2)) <= 1e-14 * scale**2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 2), st.integers(2, 6), st.integers(1, 7), st.integers(0, 2),
+           st.integers(0, 2), st.sampled_from(["graded", "zero row"]), st.integers(0, 2**32 - 1))
+    def test_zero_padding_leaves_the_closed_form_bits(self, rows, r, L, extra_r, extra_L, kind,
+                                                      seed):
+        # the solver's padded stacks of small blocks: rows padded to 2, zero
+        # columns on X and on G
+        rng = np.random.default_rng(seed)
+        X = jacobi_stack(rng, 3, rows, r, kind)
+        G = rng.standard_normal((3, rows, L))
+        PX, PG = zero_padded(X, 2, r + extra_r), zero_padded(G, 2, L + extra_L)
+        assert linalg._route(PX.shape) == "closed form"
+        R, _ = linalg.procrustes(X, G)
+        P, _ = linalg.procrustes(PX, PG)
+        assert np.array_equal(P, zero_padded(R, r + extra_r, L + extra_L))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 6), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+           st.integers(0, 2), st.integers(0, 2**32 - 1))
+    def test_zero_padding_changes_the_svd_by_rounding(self, rows, extra, extra_rows, extra_r,
+                                                      extra_L, seed):
+        # X's singular values lie in [2**(1 - rows), 2]: a rank-deficient X is
+        # left out, since gesdd may give its exactly zero direction a
+        # rounding-level singular value (see procrustes)
+        rng = np.random.default_rng(seed)
+        n, r = 4, rows + extra
+        W = np.linalg.qr(rng.standard_normal((n, rows, rows)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, r, rows)))[0]
+        sv = rng.uniform(1.0, 2.0, (n, 1, rows)) * 0.5 ** np.arange(rows)
+        X = (W * sv) @ np.swapaxes(V, -1, -2)
+        G = rng.standard_normal((n, rows, 7)) * 0.5 ** np.arange(7)
+        PX = zero_padded(X, rows + extra_rows, r + extra_r)
+        PG = zero_padded(G, rows + extra_rows, 7 + extra_L)
+        assert linalg._route(PX.shape) == "svd"
+        R, _ = linalg.procrustes(X, G)
+        P, _ = linalg.procrustes(PX, PG)
+        error = np.linalg.norm(P - zero_padded(R, r + extra_r, 7 + extra_L), axis=(1, 2))
+        assert np.all(error <= 3e-14 * np.linalg.norm(G, axis=(1, 2)))
+
+
+def zero_padded(X, rows, cols):
+    """A stack of matrices with zero rows and columns appended, to ``(rows, cols)`` each."""
+    P = np.zeros(X.shape[:-2] + (rows, cols))
+    P[..., :X.shape[-2], :X.shape[-1]] = X
+    return P
+
 
 def bases_with_angles(rng, n, angles, extra=0):
     """Bases ``U`` (``k + extra`` columns) and ``W`` (``k``) whose spans meet at ``angles``.

@@ -21,8 +21,7 @@ from .io import RunReport, _read_matrix, file_digest, save_matrix
 
 # Each cmd_* imports the library modules it runs, and numpy, inside its body
 # (csv loads in _write_csv), so a process loads only its subcommand's modules:
-# ``recurrence`` no numpy and no linalg, only ``mc`` and ``construct --law``
-# numpy.random.
+# ``recurrence`` no numpy and no linalg, and none numpy.random.
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1

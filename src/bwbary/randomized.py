@@ -10,17 +10,24 @@ takes each as its exact chain-block factors ``C^{1/2} T``
 (:func:`construct.chain_factors`), so an input costs ``O(dim)`` memory, not
 ``O(dim^2)``.
 
-Randomness comes from the counter-based Philox engine.  Draw i uses its own
-generator ``Philox(SeedSequence(seed).spawn(n)[i])``, so results are
-bit-reproducible given the 64-bit seed (an integer >= 0) and independent of evaluation order.
-The coefficient draw per law: uniform -> ``g.uniform(-0.5, 0.5)``; two-point
--> ``0.5 if g.integers(2) else -0.5``; triangular -> ``g.triangular(-0.5, 0.0,
-0.5)``.
-"""
+Randomness comes from counter-based Philox4x64-10 streams (Salmon, Moraes,
+Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Draw i
+takes the first value of numpy's ``Generator(Philox(SeedSequence(seed).spawn(n)[i]))``,
+so results are bit-reproducible given the seed (an integer >= 0) and
+independent of evaluation order; :func:`random_map_sample` takes the first
+value of ``Generator(Philox(SeedSequence(seed)))``.  The coefficient per law:
+uniform -> ``g.uniform(-0.5, 0.5)``; two-point -> ``0.5 if g.integers(2) else
+-0.5``; triangular -> ``g.triangular(-0.5, 0.0, 0.5)``.
 
-# The ``np.random.*`` annotations stay strings, so importing this module does
-# not import numpy.random; the first draw does.
-from __future__ import annotations
+That contract is computed without numpy.random, for all n streams in one
+vectorised pass of integer arithmetic: the streams' keys by
+``SeedSequence``'s hash mixing (numpy's ``bit_generator.pyx``; only the last
+mixing round depends on the spawn index), the first output word of every
+stream by the ten Philox rounds (the constants of Random123's ``philox.h``),
+and each word's coefficient by the formula numpy's draw applies to it.  Only
+``+``, ``*`` and ``sqrt`` of doubles, each correctly rounded, follow the
+integers, so the coefficients have the same bits on every platform.
+"""
 
 from dataclasses import dataclass, field
 
@@ -49,16 +56,120 @@ class RandomMapLaw:
         if self.name not in LAWS:
             raise InvalidInput(f"law must be one of {LAWS}")
 
-    def draw(self, generator: np.random.Generator) -> float:
-        if self.name == "uniform":
-            return float(generator.uniform(-0.5, 0.5))
-        if self.name == "two-point":
-            return 0.5 if int(generator.integers(2)) else -0.5
-        return float(generator.triangular(-0.5, 0.0, 0.5))
+
+_MASK32 = 0xFFFFFFFF
+# SeedSequence's pool size and hash constants
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# Philox4x64-10's round multipliers and key bumps, as columns over the streams
+_PHILOX_MULT = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+# a spawn index of 2**32 or more would take a second spawn-key word
+_MAX_STREAMS = 2**32
 
 
-def _stream(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed_seq))
+def _hash(value, const: int, mult: int):
+    """SeedSequence's hash of one 32-bit word, and the advanced hash constant.
+
+    ``value`` is a Python int or a uint64 array of 32-bit words; each product
+    is reduced to 32 bits, as numpy's uint32 arithmetic wraps.
+    """
+    advanced = const * mult & _MASK32
+    value = (value ^ const) * advanced & _MASK32
+    return value ^ value >> 16, advanced
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _stream_keys(seed: int, spawn: np.ndarray | None) -> np.ndarray:
+    """The Philox keys of ``SeedSequence(seed)``'s children: a ``(2, streams)`` uint64 array.
+
+    Key j is ``SeedSequence(seed, spawn_key=(spawn[j],)).generate_state(2,
+    np.uint64)``, which for ``spawn = arange(n)`` is that of
+    ``SeedSequence(seed).spawn(n)[j]``; each index is below 2**32, a single
+    spawn-key word.  With ``spawn=None`` the one key is that of
+    ``SeedSequence(seed)`` itself.
+    """
+    # the seed's 32-bit words, least significant first
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # the first words fill the pool, a missing word hashing as 0, then every
+    # pool word is mixed into every other; a spawn key pads the seed's words
+    # to the pool, so it and any further seed word are mixed in after that
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL):
+        word, const = _hash(words[i] if i < len(words) else 0, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    extra = words[_POOL:] if spawn is None else [*words[_POOL:], spawn]
+    for entropy in extra:
+        for dst in range(_POOL):
+            word, const = _hash(entropy, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    # generate_state(2, uint64): the pool's four words hashed again, paired
+    # little-endian
+    const = _INIT_B
+    state = []
+    for word in pool:
+        word, const = _hash(np.asarray(word, dtype=np.uint64).reshape(-1), const, _MULT_B)
+        state.append(word)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32])
+
+
+def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The high and low 64-bit words of the 128-bit products ``a * b``, from 32-bit halves."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    carry = (lo_lo >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32), a * b
+
+
+def _philox_first_words(key: np.ndarray) -> np.ndarray:
+    """Each stream's first output: word 0 of Philox4x64-10 at counter ``(1, 0, 0, 0)``.
+
+    A fresh numpy ``Philox`` increments its zero counter before its first
+    block.  The counter's words 0 and 2, which the round multiplies, are
+    held as one ``(2, streams)`` array and words 1 and 3 as another.
+    """
+    even, odd = np.zeros_like(key), np.zeros_like(key)
+    even[0] = 1
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key = key + _PHILOX_BUMP
+        hi, lo = _mulhilo(_PHILOX_MULT, even)
+        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return even[0]
+
+
+def _law_values(law: RandomMapLaw, words: np.ndarray) -> np.ndarray:
+    """The coefficient numpy's draw for ``law`` makes from each stream's first word."""
+    if law.name == "two-point":
+        # integers(2) is Lemire's (low 32 bits * 2) >> 32, with nothing rejected
+        return np.where((words & _MASK32) * 2 >> 32, 0.5, -0.5)
+    u = (words >> 11) * 2.0**-53  # next_double
+    if law.name == "uniform":
+        return -0.5 + 1.0 * u  # low + (high - low) u
+    # left + sqrt(u (mode - left) (right - left)) for u <= (mode - left) / (right - left),
+    # else right - sqrt((1 - u) (right - mode) (right - left))
+    return np.where(u <= 0.5, -0.5 + np.sqrt(u * 0.5), 0.5 - np.sqrt((1.0 - u) * 0.5))
+
+
+def _draws(law: RandomMapLaw, seed: int, spawn: np.ndarray | None) -> np.ndarray:
+    """The first coefficient of each stream of :func:`_stream_keys`."""
+    return _law_values(law, _philox_first_words(_stream_keys(int(seed), spawn)))
 
 
 def draw_coefficients(law: RandomMapLaw, seed: int, n: int, antithetic: bool = False) -> np.ndarray:
@@ -66,25 +177,25 @@ def draw_coefficients(law: RandomMapLaw, seed: int, n: int, antithetic: bool = F
 
     With ``antithetic=True`` (n even) only n/2 draws are made and each is
     paired with its negation, forcing the empirical mean to vanish exactly.
-    ``n`` is an integer >= 1 and ``seed`` an integer >= 0.
+    ``n`` is an integer >= 1 and ``seed`` an integer >= 0; at most
+    2**32 streams are drawn.
     """
     check_integer(n, "n", 1)
     check_integer(seed, "seed", 0)
-    if antithetic:
-        if n % 2:
-            raise InvalidInput("antithetic pairing requires an even n")
-        children = np.random.SeedSequence(seed).spawn(n // 2)
-        half = [law.draw(_stream(c)) for c in children]
-        return np.array([x for a in half for x in (a, -a)])
-    children = np.random.SeedSequence(seed).spawn(n)
-    return np.array([law.draw(_stream(c)) for c in children])
+    if antithetic and n % 2:
+        raise InvalidInput("antithetic pairing requires an even n")
+    streams = n // 2 if antithetic else n
+    if streams > _MAX_STREAMS:
+        raise InvalidInput(f"a draw takes at most 2**32 streams; {streams} requested")
+    a = _draws(law, seed, np.arange(streams, dtype=np.uint64))
+    return np.stack([a, -a], axis=1).reshape(-1) if antithetic else a
 
 
 def random_map_sample(law: RandomMapLaw, seed: int, dim: int) -> np.ndarray:
     """One draw of the random map ``I + a (F + F^T)``; deterministic given seed (an integer >= 0)."""
     check_integer(seed, "seed", 0)
     shift = symmetrized_shift(dim)  # checks dim
-    a = law.draw(_stream(np.random.SeedSequence(seed)))
+    a = float(_draws(law, seed, None)[0])
     return np.eye(dim) + a * shift
 
 

@@ -2,7 +2,10 @@
 
 ``sqrt_psd``, ``psd_factor`` and ``congruence_sqrt`` are the plain dense
 references that the package's block-stacked passes are checked against,
-bit for bit where the passes promise it.
+bit for bit where the passes promise it.  ``reference_coefficients`` and
+``reference_map_coefficient`` draw the Monte-Carlo coefficients with one
+numpy ``Generator`` per stream, the reference for ``randomized``'s single
+vectorised pass.
 """
 
 import numpy as np
@@ -97,3 +100,30 @@ def quantile_coupling_w2sq(sigma1, sigma2):
     val, _ = quad(lambda u: (sigma1 * norm.ppf(u) - sigma2 * norm.ppf(u)) ** 2,
                   1e-12, 1 - 1e-12)
     return val
+
+
+def law_draw(name, generator):
+    """One coefficient of the named law from a numpy ``Generator``."""
+    if name == "uniform":
+        return float(generator.uniform(-0.5, 0.5))
+    if name == "two-point":
+        return 0.5 if int(generator.integers(2)) else -0.5
+    return float(generator.triangular(-0.5, 0.0, 0.5))
+
+
+def philox_stream(seed_seq):
+    return np.random.Generator(np.random.Philox(seed_seq))
+
+
+def reference_coefficients(law, seed, n, antithetic=False):
+    """``draw_coefficients``'s contract, one Philox generator per spawned stream."""
+    children = np.random.SeedSequence(seed).spawn(n // 2 if antithetic else n)
+    draws = [law_draw(law.name, philox_stream(child)) for child in children]
+    if antithetic:
+        draws = [x for a in draws for x in (a, -a)]
+    return np.array(draws)
+
+
+def reference_map_coefficient(law, seed):
+    """``random_map_sample``'s coefficient: the first draw of the unspawned stream."""
+    return law_draw(law.name, philox_stream(np.random.SeedSequence(seed)))

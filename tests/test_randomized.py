@@ -1,9 +1,12 @@
 """Random map draws and the Monte-Carlo population experiment."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwbary import (
     InvalidInput,
@@ -19,6 +22,8 @@ from bwbary import (
     symmetrized_shift,
     verify_barycentre_certificate,
 )
+from bwbary import randomized
+from helpers import reference_coefficients, reference_map_coefficient
 
 
 class TestLawsAndDraws:
@@ -96,6 +101,72 @@ class TestLawsAndDraws:
         assert abs(abar) <= 3.0 * (1.0 / np.sqrt(12.0)) / np.sqrt(n)
 
 
+# seeds of more 32-bit words than SeedSequence's 4-word pool, and numpy's
+# 64-bit range
+WIDE_SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([2**64, 2**128 + 5, 2**200 + 3]))
+
+# SHA-256 of draw_coefficients(law, seed, 1000).tobytes(), as numpy's
+# per-stream generators drew them: CI's Monte-Carlo (law, seed) pairs
+PINNED_DIGESTS = {
+    ("uniform", 1): "15b62093a2643e1cb6cd4d37e3bc149a67f87e24ea6a69513b31fe6eaa80875d",
+    ("two-point", 113): "a228a8d65d99d257744da89589a81cd3d858c4613c2b6f683662acbe333b5154",
+    ("triangular", 1): "14ccf227b6f5c24144e74e1020ecb6e858ef6bb90ca710fcc12ce969e69597a0",
+}
+
+
+class TestVectorisedStreams:
+    """The one vectorised pass draws the bits of one numpy generator per stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(randomized.LAWS), WIDE_SEEDS, st.integers(1, 64), st.booleans())
+    def test_coefficients_match_the_per_stream_reference(self, name, seed, streams, antithetic):
+        law = RandomMapLaw(name)
+        n = 2 * streams if antithetic else streams
+        got = draw_coefficients(law, seed, n, antithetic)
+        assert got.tobytes() == reference_coefficients(law, seed, n, antithetic).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(randomized.LAWS), WIDE_SEEDS)
+    def test_sampled_map_matches_the_unspawned_reference(self, name, seed):
+        law = RandomMapLaw(name)
+        a = reference_map_coefficient(law, seed)
+        expected = np.eye(8) + a * symmetrized_shift(8)
+        assert random_map_sample(law, seed, 8).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize(("name", "seed"), list(PINNED_DIGESTS))
+    def test_thousand_draws_match_the_per_stream_reference(self, name, seed, antithetic):
+        law = RandomMapLaw(name)
+        got = draw_coefficients(law, seed, 1000, antithetic)
+        assert got.tobytes() == reference_coefficients(law, seed, 1000, antithetic).tobytes()
+
+    @pytest.mark.parametrize(("name", "seed"), list(PINNED_DIGESTS))
+    def test_thousand_draws_keep_their_pinned_digest(self, name, seed):
+        got = draw_coefficients(RandomMapLaw(name), seed, 1000)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == PINNED_DIGESTS[name, seed]
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1, 2**200 + 3])
+    def test_keys_up_to_the_last_one_word_spawn_index(self, seed):
+        spawn = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint64)
+        key0, key1 = randomized._stream_keys(seed, spawn)
+        for j, index in enumerate(spawn.tolist()):
+            expected = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(2, np.uint64)
+            assert (int(key0[j]), int(key1[j])) == tuple(expected.tolist())
+
+    def test_more_streams_than_one_word_spawn_indices_are_refused(self, monkeypatch):
+        # the bound is checked before any stream is drawn: 2**32 + 1 streams
+        # would need 32 GiB for their coefficients alone
+        def no_draw(*args):
+            raise AssertionError("drew streams")
+
+        monkeypatch.setattr(randomized, "_draws", no_draw)
+        law = RandomMapLaw("uniform")
+        with pytest.raises(InvalidInput, match="at most 2\\*\\*32 streams"):
+            draw_coefficients(law, 1, 2**32 + 1)
+        with pytest.raises(InvalidInput, match="at most 2\\*\\*32 streams"):
+            draw_coefficients(law, 1, 2**33 + 2, antithetic=True)
+
+
 class TestPopulationExperiment:
     def test_needs_two_draws(self):
         config = TruncationConfig(dim=8)
@@ -103,7 +174,8 @@ class TestPopulationExperiment:
             population_mc_experiment(config, RandomMapLaw("uniform"), n=1, seed=0)
 
     def test_draw_count_must_be_an_integer(self):
-        # 2.5 passed the n >= 2 check and broke SeedSequence.spawn
+        # 2.5 passes a bare n >= 2 comparison, but a draw takes a whole
+        # number of streams
         law = RandomMapLaw("uniform")
         with pytest.raises(InvalidInput, match="n must be an integer >= 2"):
             population_mc_experiment(TruncationConfig(dim=8), law, 2.5, 0)

@@ -38,15 +38,15 @@ inputs, into one stacked :func:`linalg.polar` per size, after one ``eigh``
 of the candidate's blocks.  A solver step makes one stacked
 :func:`linalg.procrustes` per size that has at least
 ``linalg._JACOBI_MIN_STACK`` blocks over all inputs, and joins the smaller
-sizes, zero-padded, into one stack for those it takes in closed form and one
-for the rest (:func:`_groups`), which saves LAPACK's fixed cost per call.
-The routes are a closed form for blocks that keep at most two rows,
-one-sided Jacobi sweeps over a large stack of blocks that keep three to five
-(the Monte-Carlo run's longer chains), and an SVD otherwise; a dense problem
-is the case of one block.  What decides a
-verdict stays global: the PSD rule takes the largest eigenvalue over all
-blocks, and the change, the certificate residual and the Fréchet value are
-norms and traces summed over the blocks.
+sizes, zero-padded, into one stack for those it takes by one-sided Jacobi and
+one for the rest (:func:`_groups`), which saves LAPACK's fixed cost per call.
+The routes are one-sided Jacobi for blocks that keep at most two rows (one
+rotation) and for a large stack of blocks that keep three to five (sweeps,
+on the Monte-Carlo run's longer chains), and an SVD otherwise; a dense
+problem is the case of one block.  What decides a verdict stays global: the
+PSD rule takes the largest eigenvalue over all blocks, and the change, the
+certificate residual and the Fréchet value are norms and traces summed over
+the blocks.
 """
 
 import warnings
@@ -404,7 +404,7 @@ def _mean_inner_root(roots: list, block_factors: tuple, weights) -> list:
 
     Per size ``L``, the products ``G_i @ root`` of every input and block go
     to :func:`_input_sum`'s stacked :func:`linalg.polar` (on the Monte-Carlo
-    run's 1,000 inputs at dim 32 its closed form and Jacobi route, no SVD).
+    run's 1,000 inputs at dim 32 its Jacobi route, no SVD).
     A single block has the bits of ``sum(w * P)`` over the stacked polars
     ``P`` of the trimmed factors, which below the Jacobi route's stack size
     are the bits of ``sum(w * polar(F @ root))`` over the trimmed factors.
@@ -457,9 +457,9 @@ def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
 def _procrustes_step(H: np.ndarray, k: np.ndarray) -> np.ndarray:
     """``U_i^T H_i``, ``U_i`` the orthogonal polar factor of ``H_i k^T``, over a stack ``H``.
 
-    :func:`linalg.procrustes` does the work; rows that its Jacobi route
+    :func:`linalg.procrustes` does the work; rows that its Jacobi sweeps
     rotated replace ``H``'s in place, which changes no later ``U_i^T H_i``
-    (see :func:`barycentre_fixed_point`), and the other routes write nothing.
+    (see :func:`barycentre_fixed_point`); otherwise nothing is written.
     """
     R, rotated = linalg.procrustes(H @ np.swapaxes(k, -1, -2), H)
     if rotated is not H:
@@ -480,10 +480,11 @@ def _groups(K: list, block_factors: tuple) -> list:
     (``n k_L``) is a group of its own, so its stack takes the route it takes
     alone.  The smaller sizes form at most two groups, each one zero-padded
     stack (:func:`_pad`): those whose ``(m_L, r_L)`` blocks
-    :func:`linalg.procrustes` takes in closed form, and the rest, so that one
-    LAPACK call steps all the small sizes that need the SVD.
+    :func:`linalg.procrustes` takes by Jacobi in any stack (two rows at
+    most), and the rest, so that one LAPACK call steps all the small sizes
+    that need the SVD.
     """
-    n, alone, closed, rest = len(block_factors[0]), [], [], []
+    n, alone, jacobi, rest = len(block_factors[0]), [], [], []
     for s, (k, G) in enumerate(zip(K, block_factors)):
         count, r, _ = k.shape
         if r == 0:
@@ -491,19 +492,20 @@ def _groups(K: list, block_factors: tuple) -> list:
         if n * count >= linalg._JACOBI_MIN_STACK:
             alone.append([s])
         else:
-            (closed if linalg._route((G.shape[2], r)) == "closed form" else rest).append(s)
-    return alone + [g for g in (closed, rest) if g]
+            (jacobi if linalg._route((G.shape[2], r)) == "jacobi" else rest).append(s)
+    return alone + [g for g in (jacobi, rest) if g]
 
 
 def _pad(stacks: list) -> np.ndarray:
     """``(..., k, r, L)`` stacks joined along ``k``, each zero-padded to the largest ``r`` and ``L``.
 
     A single stack is returned as it is.  Zero rows and columns leave
-    ``U^T G`` of :func:`linalg.procrustes` unchanged: to the bit on its
-    closed form, and up to rounding on the SVD, where every zero row of ``X``
-    is one of ``G``.  Zero columns of ``G`` give exactly zero columns of
-    ``U^T G``; its rows that pad ``r`` stayed exactly zero on the SVD too,
-    in every solve measured.
+    ``U^T G`` of :func:`linalg.procrustes` unchanged: to the bit on two rows
+    (up to rounding if they are orthogonal within Jacobi's skip bound for one
+    column count and not the other), up to rounding on the SVD, where every
+    zero row of ``X`` is one of ``G``.  Zero columns of ``G`` give exactly
+    zero columns of ``U^T G``; its rows that pad ``r`` stayed exactly zero
+    on the SVD too, in every solve measured.
     """
     if len(stacks) == 1:
         return stacks[0]
@@ -540,15 +542,15 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     per route, so the steps, the change, the cross term and the history are
     taken on the groups' stacks; the closing pass unpads ``K``.  A stack
     that takes Jacobi steps on a working copy of its input factors,
-    ``H_i = Q_i G_i``: each step replaces ``H_i`` with the rows that Jacobi
-    rotated (:func:`linalg.procrustes`).  ``U_i^T G_i`` is the same from
-    ``H_i`` for any orthogonal ``Q_i``, so the iterates agree up to rounding
-    with a run from ``G_i`` at every step, while Jacobi starts from rows
-    that the previous step made orthogonal against ``K_t``, and which
-    ``K_{t+1}`` has moved less as the iteration settles.  The other routes
-    write nothing back, so their stacks are ``prob``'s own factors or a
-    group's padded copy.  ``prob``'s own factors are not changed; the
-    closing pass reads them.
+    ``H_i = Q_i G_i``: each step replaces ``H_i`` with the rows that Jacobi's
+    sweeps rotated (:func:`linalg.procrustes`; none for two rows or fewer).
+    ``U_i^T G_i`` is the same from ``H_i`` for any orthogonal ``Q_i``, so the
+    iterates agree up to rounding with a run from ``G_i`` at every step,
+    while Jacobi starts from rows that the previous step made orthogonal
+    against ``K_t``, and which ``K_{t+1}`` has moved less as the iteration
+    settles.  The SVD writes nothing back, so its stacks are ``prob``'s own
+    factors or a group's padded copy.  ``prob``'s own factors are not
+    changed; the closing pass reads them.
 
     Parameters
     ----------

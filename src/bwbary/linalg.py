@@ -5,11 +5,11 @@ Everything here operates on plain ``numpy`` arrays of 64-bit floats.  A
 symmetric matrix.  Matrix functions go through a direct decomposition
 (LAPACK ``eigh`` / ``gesdd`` / pivoted Cholesky), never through iterative
 square-root schemes, so results are deterministic for identical input bits.
-Three exceptions to LAPACK: :func:`polar` and :func:`procrustes` of matrices
-with at most two rows (most blocks of the doubling chains) take a closed form,
-one Jacobi rotation, and of a large stack of matrices with three to five rows
-one-sided Jacobi sweeps over the whole stack at once, both on one rows-last
-layout in which every sum along a row is taken term by term; and
+Two exceptions to LAPACK: :func:`polar` and :func:`procrustes` of matrices
+with at most two rows (most blocks of the doubling chains), and of a large
+stack of matrices with three to five rows, take one-sided Jacobi sweeps over
+the whole stack at once, on a rows-last layout in which every sum along a row
+is taken term by term (for two rows, one sweep of one rotation); and
 :func:`pivoted_cholesky` factors a whole stack of matrices in numpy, one
 factor row per step, under LAPACK ``pstrf``'s stopping rule for each matrix.
 Every matrix from outside is first checked, one matrix at a time, to be
@@ -28,7 +28,7 @@ Knyazev & Argentati, each angle taken from whichever of its cosine and sine
 gives it accurately.
 """
 
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
 
@@ -335,13 +335,13 @@ def polar(X: np.ndarray) -> np.ndarray:
     ``X`` is ``(r, d)`` or a stack of them; the result is ``(d, d)``, or the
     stack of them, C-contiguous (a caller's sum over a strided stack would be
     pairwise).  No rows give zero; otherwise the route depends on the shape
-    alone (:func:`_route`).  The closed form and Jacobi make the
-    rows ``y_k`` of every matrix orthogonal and share one finish,
-    ``|X| = sum_k y_k^T y_k / ||y_k||``, a zero row adding nothing; the thin
-    SVD ``X = U diag(s) Vt`` (for square ``X``, the bits of the full one)
-    gives ``Vt.T diag(s) Vt``, symmetrized.  Within a route, a stack gives,
-    matrix for matrix, the bits of separate calls; a matrix has the bits of
-    the Jacobi route only in a stack large enough to take it.
+    alone (:func:`_route`).  Jacobi makes the rows ``y_k`` of every matrix
+    orthogonal, and ``|X| = sum_k y_k^T y_k / ||y_k||``, a zero row adding
+    nothing; the thin SVD ``X = U diag(s) Vt`` (for square ``X``, the bits of
+    the full one) gives ``Vt.T diag(s) Vt``, symmetrized.  Within a route, a
+    stack gives, matrix for matrix, the bits of separate calls; a matrix with
+    three or more rows has the bits of the Jacobi route only in a stack large
+    enough to take it.
     """
     shape, (rows, L) = X.shape, X.shape[-2:]
     if rows == 0:
@@ -363,28 +363,28 @@ def procrustes(X: np.ndarray, G: np.ndarray) -> tuple:
     ``X`` is ``(m, r)`` and ``G`` ``(m, L)``, or stacks of them; ``U^T G``
     is ``(r, L)``, or the stack of them, C-contiguous.  For ``X = G K^T`` it
     is the rotation of ``G`` closest to ``K`` (orthogonal Procrustes), and
-    ``tr(U^T G K^T) = ||X||_*``.  The route is :func:`polar`'s for ``X``: the
-    closed form and Jacobi rotate the rows of ``[X | G]``, each rotation
-    chosen on ``X``'s columns, to rows ``[y_k | z_k]`` and give
-    ``sum_k y_k^T z_k / ||y_k||``; the SVD gives ``Vt^T (W^T G)``, dropping
-    the directions of zero singular values.  On the closed form and Jacobi a
-    zero row ``y_k`` adds nothing, and no rows or columns give zero.  The
-    SVD gives no such guarantee for a rank-deficient ``X``: ``gesdd`` may
-    return a rounding-level positive singular value for an exactly zero
-    direction (for 30% of 512 random ``4 x 5`` matrices with a zero row, a
-    smallest singular value below ``5e-16``), and that direction then adds
-    ``w^T G``, up to ``0.74 ||G||`` against the Jacobi route for an
-    unrelated ``G``.  When every zero row of ``X`` is a zero row of ``G``, as
-    for ``X = G K^T`` in the barycentre solver, ``w^T G`` is itself at
-    rounding level, and nothing beyond rounding is added.
+    ``tr(U^T G K^T) = ||X||_*``.  The route is :func:`polar`'s for ``X``:
+    Jacobi rotates the rows of ``[X | G]``, each rotation chosen on ``X``'s
+    columns, to rows ``[y_k | z_k]`` and gives ``sum_k y_k^T z_k / ||y_k||``;
+    the SVD gives ``Vt^T (W^T G)``, dropping the directions of zero singular
+    values.  On Jacobi a zero row ``y_k`` adds nothing, and no rows or
+    columns give zero.  The SVD gives no such guarantee for a rank-deficient
+    ``X``: ``gesdd`` may return a rounding-level positive singular value for
+    an exactly zero direction (for 30% of 512 random ``4 x 5`` matrices with
+    a zero row, a smallest singular value below ``5e-16``), and that
+    direction then adds ``w^T G``, up to ``0.74 ||G||`` against the Jacobi
+    route for an unrelated ``G``.  When every zero row of ``X`` is a zero row
+    of ``G``, as for ``X = G K^T`` in the barycentre solver, ``w^T G`` is
+    itself at rounding level, and nothing beyond rounding is added.
 
-    ``H = Q G`` is ``G`` with its rows rotated as Jacobi rotated ``X``'s:
-    the rows ``z_k``.  Every other route returns ``G`` itself: the SVD
-    rotates no rows, and the closed form's one rotation costs the same
-    from any start.  Since ``procrustes(Q X, Q G)`` is ``U^T G`` again for
-    any orthogonal ``Q``, a caller whose next ``X`` is ``H K^T`` hands
-    Jacobi rows that ``K`` has moved little from orthogonal, which take
-    fewer rotations (see ``barycentre.barycentre_fixed_point``).
+    ``H = Q G`` is ``G`` with its rows rotated as Jacobi's sweeps rotated
+    ``X``'s: the rows ``z_k``, for three or more rows.  Otherwise it is ``G``
+    itself: the SVD rotates no rows, and two rows take one rotation from any
+    start (carrying them changed the bits of a solve and saved nothing).
+    Since ``procrustes(Q X, Q G)`` is ``U^T G`` again for any orthogonal
+    ``Q``, a caller whose next ``X`` is ``H K^T`` hands Jacobi rows that
+    ``K`` has moved little from orthogonal, which take fewer rotations (see
+    ``barycentre.barycentre_fixed_point``).
     """
     shape, (rows, r), L = X.shape, X.shape[-2:], G.shape[-1]
     if rows == 0 or r == 0:
@@ -403,15 +403,14 @@ def _route(shape: tuple) -> str:
     """The route :func:`polar` and :func:`procrustes` take for an ``X`` of this ``(..., m, cols)`` shape.
 
     The one route decision, for ``m <= cols`` rows (more could not all be
-    orthogonal and nonzero): ``"closed form"`` (:func:`_polar_rows`) for
-    ``m <= 2``, ``"jacobi"`` (:func:`_jacobi_polar`) for
+    orthogonal and nonzero): ``"jacobi"`` (:func:`_jacobi_polar`) for
+    ``m <= 2`` in any stack, where its one sweep is one rotation, and for
     ``m <= _JACOBI_MAX_ROWS`` in a stack of at least ``_JACOBI_MIN_STACK``
-    matrices, and ``"svd"`` otherwise.
+    matrices; ``"svd"`` otherwise.
     """
     rows, cols = shape[-2:]
-    if rows <= min(2, cols):
-        return "closed form"
-    if rows <= min(_JACOBI_MAX_ROWS, cols) and prod(shape[:-2]) >= _JACOBI_MIN_STACK:
+    if rows <= min(2, cols) or (rows <= min(_JACOBI_MAX_ROWS, cols)
+                                and prod(shape[:-2]) >= _JACOBI_MIN_STACK):
         return "jacobi"
     return "svd"
 
@@ -419,12 +418,11 @@ def _route(shape: tuple) -> str:
 def _orthogonal_rows(X: np.ndarray, cols: int) -> np.ndarray | None:
     """The :func:`_rows_last` rows of ``X``, rotated orthogonal on their first ``cols`` columns.
 
-    By the route of :func:`_route`, or ``None`` for the SVD.
+    By :func:`_jacobi_polar`, or ``None`` where :func:`_route` takes the SVD.
     """
-    way = _route((*X.shape[:-1], cols))
-    if way == "svd":
+    if _route((*X.shape[:-1], cols)) == "svd":
         return None
-    return (_polar_rows if way == "closed form" else _jacobi_polar)(_rows_last(X), cols)
+    return _jacobi_polar(_rows_last(X), cols)
 
 
 def _stack_sum(A: np.ndarray, B: np.ndarray, stack: tuple) -> np.ndarray:
@@ -471,30 +469,17 @@ def _rotate_rows(x, y, a, b, g, skip) -> None:
     y += sx
 
 
-def _polar_rows(Y: np.ndarray, cols: int) -> np.ndarray:
-    """One or two :func:`_rows_last` rows, rotated in place orthogonal on ``cols`` columns.
-
-    ``|QX| = |X|`` for orthogonal ``Q``: two rows take the one rotation
-    (:func:`_rotate_rows`) that diagonalizes the Gram matrix of their first
-    ``cols`` columns, ``t = 0`` where ``g == 0``.  The polar is exact up to
-    rounding while squared entries neither overflow nor underflow (entries
-    within about ``1e-150 .. 1e150``), and is exactly symmetric.
-    """
-    if len(Y) == 2:
-        x, y = Y
-        xc, yc = x[:cols], y[:cols]
-        g = (xc * yc).sum(-2)
-        _rotate_rows(x, y, (xc * xc).sum(-2), (yc * yc).sum(-2), g, g == 0)
-    return Y
-
-
-# The one-sided Jacobi route: stacks of at least _JACOBI_MIN_STACK matrices
-# with 3 to _JACOBI_MAX_ROWS rows.  It saves LAPACK's fixed cost per matrix,
-# which a large stack of small matrices is mostly made of; its own cost grows
-# with the square of the rows.  Jacobi / SVD, ms per stacked polar of N random
-# graded (rows, rows + 1) matrices (one BLAS thread, 2-core Xeon VM, numpy
-# 2.4): 3 rows 0.57 / 1.61 at N = 512 and 0.88 / 2.55 at N = 1000; 5 rows
-# 2.84 / 2.78 and 4.44 / 5.39; 6 rows 4.93 / 3.68 and 8.57 / 7.52; at N = 128
+# The one-sided Jacobi route: matrices with at most two rows in a stack of any
+# size, where its one sweep is one rotation, and stacks of at least
+# _JACOBI_MIN_STACK matrices with 3 to _JACOBI_MAX_ROWS rows.  It saves
+# LAPACK's fixed cost per matrix, which a large stack of small matrices is
+# mostly made of; its own cost grows with the square of the rows.  For two
+# rows that cost is mostly numpy's per-call overhead: 0.035-0.045 ms for a
+# procrustes of one (2, 3) matrix, 0.10-0.11 ms for a polar of a stack of
+# 1000 (one BLAS thread, 2-core Xeon VM, numpy 2.4).  Jacobi / SVD, ms per
+# stacked polar of N random graded (rows, rows + 1) matrices: 3 rows
+# 0.57 / 1.61 at N = 512 and 0.88 / 2.55 at N = 1000; 5 rows 2.84 / 2.78 and
+# 4.44 / 5.39; 6 rows 4.93 / 3.68 and 8.57 / 7.52; at N = 128
 # the SVD is as fast from 3 rows on.  From unrotated rows, the Monte-Carlo
 # run's (1000, 1, 5, 6) stacks take 29 rotations (three rotating sweeps and a
 # fourth that finds nothing), 2.6-3.8 ms against 6.5-8.4 for the SVD.  The
@@ -506,6 +491,8 @@ _JACOBI_MAX_ROWS = 5
 _JACOBI_MIN_STACK = 512
 # The sweep cap of LAPACK dgesvj.
 _JACOBI_MAX_SWEEPS = 30
+# Machine epsilon, for the skip bound of _jacobi_polar.
+_EPS = np.finfo(np.float64).eps
 
 
 def _jacobi_polar(Y: np.ndarray, cols: int) -> np.ndarray:
@@ -521,11 +508,14 @@ def _jacobi_polar(Y: np.ndarray, cols: int) -> np.ndarray:
     rotation can leave ``|g|`` just above it with alternating sign, sweep
     after sweep.  It is written with two roots because ``a b`` overflows for
     entries above about ``1e77``.  The iteration stops after the first sweep
-    in which no matrix rotates, and raises :class:`numpy.linalg.LinAlgError`
-    when ``_JACOBI_MAX_SWEEPS`` sweeps do not get there.
+    in which no matrix rotates, or after the first for at most two rows,
+    whose one rotation leaves them orthogonal up to rounding (while squared
+    entries neither overflow nor underflow, about ``1e-150 .. 1e150``); it
+    raises :class:`numpy.linalg.LinAlgError` when ``_JACOBI_MAX_SWEEPS``
+    sweeps do not get there.
     """
     m = len(Y)
-    tol = np.sqrt(cols) * np.finfo(np.float64).eps
+    tol = sqrt(cols) * _EPS
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
         for p in range(m - 1):
@@ -539,7 +529,7 @@ def _jacobi_polar(Y: np.ndarray, cols: int) -> np.ndarray:
                     continue
                 rotated = True
                 _rotate_rows(x, y, a, b, g, skip)
-        if not rotated:
+        if not rotated or m <= 2:
             return Y
     raise np.linalg.LinAlgError(
         f"one-sided Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")

@@ -581,7 +581,7 @@ class TestProcrustes:
         X = jacobi_stack(rng, 3, rows, r, kind)
         G = rng.standard_normal((3, rows, L))
         PX, PG = zero_padded(X, 2, r + extra_r), zero_padded(G, 2, L + extra_L)
-        assert linalg._route(PX.shape) == "closed form"
+        assert linalg._route(PX.shape) == "jacobi"
         R, _ = linalg.procrustes(X, G)
         P, _ = linalg.procrustes(PX, PG)
         assert np.array_equal(P, zero_padded(R, r + extra_r, L + extra_L))
@@ -608,6 +608,99 @@ class TestProcrustes:
         P, _ = linalg.procrustes(PX, PG)
         error = np.linalg.norm(P - zero_padded(R, r + extra_r, 7 + extra_L), axis=(1, 2))
         assert np.all(error <= 3e-14 * np.linalg.norm(G, axis=(1, 2)))
+
+
+@pytest.fixture
+def rotations(monkeypatch):
+    """The number of ``_rotate_rows`` calls each ``_jacobi_polar`` call makes, in call order."""
+    counts = []
+    jacobi, rotate = linalg._jacobi_polar, linalg._rotate_rows
+
+    def counting_jacobi(Y, cols):
+        counts.append(0)
+        return jacobi(Y, cols)
+
+    def counting_rotate(*args):
+        counts[-1] += 1
+        return rotate(*args)
+
+    monkeypatch.setattr(linalg, "_jacobi_polar", counting_jacobi)
+    monkeypatch.setattr(linalg, "_rotate_rows", counting_rotate)
+    return counts
+
+
+def conditioned_stack(rng, n, rows, L):
+    """``n`` random ``(rows, L)`` matrices with singular values in ``[2**(1 - rows), 2]``."""
+    W = np.linalg.qr(rng.standard_normal((n, rows, rows)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, L, rows)))[0]
+    sv = rng.uniform(1.0, 2.0, (n, 1, rows)) * 0.5 ** np.arange(rows)
+    return (W * sv) @ np.swapaxes(V, -1, -2)
+
+
+def nearly_orthogonal_rows(n, scale):
+    """``(X, |g|, bound)``: ``n`` copies of the rows ``(1, 0, 0)``, ``(1e-17, 1, 0)``, scaled.
+
+    Their Gram entry ``g`` is nonzero but below Jacobi's skip bound
+    ``sqrt(3) eps sqrt(a) sqrt(b)``, while ``a == b`` would make the
+    rotation that zeroes ``g`` a turn by 45 degrees.
+    """
+    X = np.zeros((n, 2, 3))
+    X[:, 0, 0] = X[:, 1, 1] = scale
+    X[:, 1, 0] = 1e-17 * scale
+    a, b, g = (X[0] @ X[0].T)[[0, 1, 0], [0, 1, 1]]
+    return X, abs(g), np.sqrt(3) * np.finfo(np.float64).eps * np.sqrt(a) * np.sqrt(b)
+
+
+TWO_ROW_STACKS = [1, 2, 511, linalg._JACOBI_MIN_STACK, 1000]
+
+
+def without_lapack_as_the_svd(X, G, lapack_calls):
+    """``procrustes(X, G)``'s ``H``, after checking ``polar(X)`` and ``procrustes(X, G)``.
+
+    Both make no LAPACK call, and each matrix's result is within ``1e-14``
+    of the SVD's, relative to ``||X||`` and ``||G||``.
+    """
+    lapack_calls.clear()
+    P = polar(X)
+    R, H = linalg.procrustes(X, G)
+    assert not lapack_calls
+    error = np.linalg.norm(P - svd_polar(X), axis=(1, 2))
+    assert np.all(error <= 1e-14 * np.linalg.norm(X, axis=(1, 2)))
+    error = np.linalg.norm(R - svd_procrustes(X, G), axis=(1, 2))
+    assert np.all(error <= 1e-14 * np.linalg.norm(G, axis=(1, 2)))
+    return H
+
+
+class TestTwoRowsTakeOneSweep:
+    """At most two rows take the Jacobi route in a stack of any size, and stop after one sweep."""
+
+    @pytest.mark.parametrize("n", TWO_ROW_STACKS)
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_one_rotation_no_svd_and_the_svd_results(self, rows, n, rotations, lapack_calls):
+        rng = np.random.default_rng([rows, n, 2])
+        X = conditioned_stack(rng, n, rows, rows + 2)
+        G = rng.standard_normal((n, rows, 7)) * 0.5 ** np.arange(7)
+        assert linalg._route(X.shape) == "jacobi"
+        assert without_lapack_as_the_svd(X, G, lapack_calls) is G
+        # one sweep of one pair: a rotation for two rows, none for one
+        assert rotations == [rows - 1, rows - 1]
+
+    @pytest.mark.parametrize("n", TWO_ROW_STACKS)
+    @pytest.mark.parametrize("scale", [2.0**-300, 1.0, 2.0**300], ids=["2^-300", "1", "2^300"])
+    def test_nonzero_g_under_the_skip_bound(self, n, scale, rotations, lapack_calls):
+        X, g, bound = nearly_orthogonal_rows(n, scale)
+        assert 0.0 < g <= bound
+        without_lapack_as_the_svd(X, np.random.default_rng(n).standard_normal((n, 2, 7)),
+                                  lapack_calls)
+        assert rotations == [0, 0]  # the rows are orthogonal to working precision
+
+    def test_skipped_and_rotated_matrices_share_one_rotation(self, rotations, lapack_calls):
+        rng = np.random.default_rng(19)
+        n = linalg._JACOBI_MIN_STACK
+        X = conditioned_stack(rng, n, 2, 3)
+        X[::2] = nearly_orthogonal_rows(n // 2, 1.0)[0]
+        without_lapack_as_the_svd(X, rng.standard_normal((n, 2, 7)), lapack_calls)
+        assert rotations == [1, 1]
 
 
 def zero_padded(X, rows, cols):

@@ -56,8 +56,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, NonFinite, check_integer, is_real
-from .linalg import check_same_dim, check_symmetric, check_weights
+from .errors import DimensionMismatch, InvalidInput, NonFinite, check_integer, is_real
+from .linalg import check_real, check_same_dim, check_symmetric, check_weights
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -134,11 +134,11 @@ def _weights(weights, n: int) -> np.ndarray:
 
 
 def _read_dense(inputs, w: np.ndarray) -> tuple:
-    """``(blocks, block_factors, mean, input_trace)`` of dense inputs, in one pass.
+    """``(blocks, block_factors, input_trace)`` of dense inputs, in one pass.
 
-    See :class:`BarycentreProblem`: each input is checked in input order, the
-    sums are taken over the checked stack, and the factors of its blocks
-    prove the PSD rule.
+    See :class:`BarycentreProblem`: each input is checked in input order,
+    ``input_trace`` is summed over the checked stack in input order, and the
+    factors of its blocks prove the PSD rule.
     """
     checked = []
     for S in inputs:
@@ -146,12 +146,9 @@ def _read_dense(inputs, w: np.ndarray) -> tuple:
         check_same_dim(checked[0], checked[-1])
     X = np.stack(checked)
 
-    mean, input_trace = np.zeros(X.shape[1:]), 0.0
-    for wi, S, tr in zip(w, X, np.trace(X, axis1=1, axis2=2)):
-        mean += wi * S
-        input_trace += float(wi) * float(tr)
+    input_trace = sum(float(wi) * float(tr) for wi, tr in zip(w, np.trace(X, axis1=1, axis2=2)))
     blocks = _components((X != 0).any(axis=0))
-    return blocks, _proved_factors(X, blocks), mean, input_trace
+    return blocks, _proved_factors(X, blocks), input_trace
 
 
 def _proved_factors(X: np.ndarray, blocks: tuple) -> tuple:
@@ -181,7 +178,7 @@ def _checked_factors(blocks, block_factors) -> tuple:
     stack per block array, with one ``n`` for all.
     """
     blocks = tuple(np.asarray(idx) for idx in blocks)
-    block_factors = tuple(np.asarray(G, dtype=np.float64) for G in block_factors)
+    block_factors = tuple(check_real(G) for G in block_factors)
     if not blocks or len(blocks) != len(block_factors):
         raise InvalidInput("need one factor stack per block array, and at least one")
     if not all(idx.ndim == 2 and idx.size and idx.dtype.kind in "iu" for idx in blocks):
@@ -197,16 +194,6 @@ def _checked_factors(blocks, block_factors) -> tuple:
     if not all(np.isfinite(G).all() for G in block_factors):
         raise InvalidInput("block factors have non-finite entries")
     return blocks, block_factors
-
-
-def _factor_sums(blocks: tuple, block_factors: tuple, w: np.ndarray) -> tuple:
-    """``(mean, input_trace)`` of the inputs ``G_i^T G_i``: ``sum_i w_i G_i^T G_i`` and its trace."""
-    mean, traces = [], 0.0
-    for G in block_factors:
-        M = np.tensordot(w, np.swapaxes(G, -1, -2) @ G, axes=1)
-        mean.append((M + np.swapaxes(M, -1, -2)) / 2.0)
-        traces = traces + (G * G).sum(axis=(1, 2, 3))
-    return _scatter(mean, blocks, sum(idx.size for idx in blocks)), float(w @ traces)
 
 
 class _Factored(NamedTuple):
@@ -227,13 +214,15 @@ class BarycentreProblem:
     diagonal, as one ``(k_L, L)`` index array per block size ``L``;
     ``block_factors``, one ``(n, k_L, m_L, L)`` stack per size whose
     ``G^T G`` are the inputs' blocks, which every pass over the inputs
-    reuses; ``mean = sum_i w_i S_i``, the solver's default start; and
-    ``input_trace = sum_i w_i tr S_i``.  Problems compare by identity.
+    reuses; and ``input_trace = sum_i w_i tr S_i``.  It holds no ``d x d``
+    array: ``dim`` is read from ``blocks``, and the solver's default start
+    is built from the factors when it runs (:func:`barycentre_fixed_point`).
+    Problems compare by identity.
 
     Dense inputs are read in one pass: each is checked in input order by
     :func:`linalg.check_symmetric` and against the first one's dim, so the
     first bad input raises its own check's error; the symmetrized inputs are
-    stacked once, and ``mean`` and ``input_trace`` summed in input order.
+    stacked once, and ``input_trace`` summed in input order.
     ``blocks`` are the connected components of the union of the inputs'
     exact nonzero patterns (:func:`_components`): for the construction, the
     doubling chains ``m, 2m, 4m, ...``; for a dense family, one block.  The
@@ -254,24 +243,22 @@ class BarycentreProblem:
     settings: SolverSettings | None = None
     blocks: tuple = field(init=False, repr=False)
     block_factors: tuple = field(init=False, repr=False)
-    mean: np.ndarray = field(init=False, repr=False)
     input_trace: float = field(init=False, repr=False)
 
     def __post_init__(self, inputs):
         if isinstance(inputs, _Factored):
             blocks, block_factors = _checked_factors(*inputs)
             w = _weights(self.weights, len(block_factors[0]))
-            mean, input_trace = _factor_sums(blocks, block_factors, w)
+            input_trace = float(w @ sum((G * G).sum(axis=(1, 2, 3)) for G in block_factors))
         else:
             w = _weights(self.weights, len(inputs))
-            blocks, block_factors, mean, input_trace = _read_dense(inputs, w)
+            blocks, block_factors, input_trace = _read_dense(inputs, w)
 
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         if self.settings is None:
             object.__setattr__(self, "settings", SolverSettings())
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "block_factors", block_factors)
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "input_trace", input_trace)
 
     @classmethod
@@ -292,7 +279,7 @@ class BarycentreProblem:
 
     @property
     def dim(self) -> int:
-        return len(self.mean)
+        return sum(idx.size for idx in self.blocks)
 
 
 def problem(inputs, weights=None, settings: SolverSettings | None = None) -> BarycentreProblem:
@@ -354,7 +341,8 @@ def _split(prob: BarycentreProblem, M: np.ndarray) -> tuple:
 def _on_blocks(prob: BarycentreProblem, M) -> tuple:
     """``(C, blocks, block_factors)``: the symmetrized ``M`` and :func:`_split`'s blocks for it."""
     C = check_symmetric(M)
-    check_same_dim(C, prob.mean)
+    if C.shape != (prob.dim, prob.dim):
+        raise DimensionMismatch(f"dimension mismatch: {C.shape} vs {(prob.dim, prob.dim)}")
     return (C, *_split(prob, C))
 
 
@@ -369,6 +357,15 @@ def _scatter(stacks: list, blocks: tuple, dim: int) -> np.ndarray:
     for X, idx in zip(stacks, blocks):
         M[idx[:, :, None], idx[:, None, :]] = X
     return M
+
+
+def _mean(prob: BarycentreProblem) -> np.ndarray:
+    """The solver's default start ``sum_i w_i S_i``: ``sum_i w_i G_i^T G_i`` per block, symmetrized."""
+    mean = []
+    for G in prob.block_factors:
+        M = np.tensordot(prob.weights, np.swapaxes(G, -1, -2) @ G, axes=1)
+        mean.append((M + np.swapaxes(M, -1, -2)) / 2.0)
+    return _scatter(mean, prob.blocks, prob.dim)
 
 
 def _trace(stacks: list) -> float:
@@ -556,8 +553,9 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     ----------
     prob : BarycentreProblem
     init : array_like, optional
-        Starting covariance, the inputs' mean by default.  ``K_0`` is its
-        blocks' factor, whose residual is its PSD check (:func:`_proved_factors`).
+        Starting covariance; by default the inputs' mean ``sum_i w_i S_i``,
+        built from the problem's block factors.  ``K_0`` is its blocks'
+        factor, whose residual is its PSD check (:func:`_proved_factors`).
 
     Returns
     -------
@@ -572,8 +570,7 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         If the iterate leaves the realm of finite floats.
     """
     st = prob.settings
-    start, blocks, block_factors = ((prob.mean, prob.blocks, prob.block_factors)
-                                    if init is None else _on_blocks(prob, init))
+    start, blocks, block_factors = _on_blocks(prob, _mean(prob) if init is None else init)
     K = [F[0] for F in _proved_factors(start[None], blocks)]
     groups = _groups(K, block_factors)
     stacks, factors = [], []  # per group, K_t's stack and the input factors the steps run on

@@ -167,7 +167,7 @@ def build_map_family(dim: int, n: int = None, coeffs=None, weights=None) -> list
         if n is None:
             raise InvalidInput("need n >= 2 or explicit coeffs")
         coeffs = np.linspace(-0.5, 0.5, check_integer(n, "n", 2))
-    coeffs = np.asarray(coeffs, dtype=np.float64)
+    coeffs = linalg.check_real(coeffs)
     if coeffs.ndim != 1 or coeffs.size < 2:
         raise InvalidInput("need at least two coefficients")
     if not np.all(np.abs(coeffs) <= 0.5):
@@ -201,7 +201,7 @@ def chain_factors(config: TruncationConfig, coeffs) -> tuple:
     (the order of ``barycentre._components``); ``block_factors`` the matching
     ``(n, k_L, L - 1, L)`` stacks, for all inputs and chains at once.
     """
-    a = np.asarray(coeffs, dtype=np.float64)
+    a = linalg.check_real(coeffs)
     if a.ndim != 1 or a.size < 1:
         raise InvalidInput("need a one-dimensional sequence of at least one coefficient")
     if not np.all(np.abs(a) <= 0.5):

@@ -49,9 +49,22 @@ RANK_TOL = 1e-10
 SYM_TOL = 1e-12
 
 
+def check_real(x) -> np.ndarray:
+    """``x`` as a float64 array, checked to hold real numbers: float, int or unsigned int entries.
+
+    Complex, bool, string and object entries raise :class:`InvalidInput`
+    rather than being cast (a complex array would lose its imaginary part).
+    A float64 array is returned as it is, without a copy.
+    """
+    A = np.asarray(x)
+    if A.dtype.kind not in "fiu":
+        raise InvalidInput(f"expected an array of real numbers, got dtype {A.dtype}")
+    return A.astype(np.float64, copy=False)
+
+
 def check_square(M) -> np.ndarray:
-    """``M`` as a float64 array, checked to be a square matrix of dimension at least 1."""
-    A = np.asarray(M, dtype=np.float64)
+    """``M`` as a float64 array (:func:`check_real`), checked to be a square matrix of dim >= 1."""
+    A = check_real(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] < 1:
@@ -126,7 +139,7 @@ def check_same_dim(A: np.ndarray, B: np.ndarray) -> None:
 
 def check_weights(weights, n: int) -> np.ndarray:
     """``weights`` as an array, checked: ``n`` finite nonnegative entries summing to 1 ± 1e-12."""
-    w = np.asarray(weights, dtype=np.float64)
+    w = check_real(weights)
     if w.shape != (n,):
         raise InvalidInput("weights must match the number of inputs")
     if not np.all(np.isfinite(w) & (w >= 0)):
@@ -214,7 +227,7 @@ def _orth(A: np.ndarray) -> np.ndarray:
 
 
 def _as_basis(M) -> np.ndarray:
-    A = np.asarray(M, dtype=np.float64)
+    A = check_real(M)
     if A.ndim != 2:
         raise InvalidInput(f"expected a 2-D array of columns, got shape {A.shape}")
     if not np.all(np.isfinite(A)):

@@ -1,6 +1,7 @@
 """Fréchet functional, fixed-point solver, and the barycentre certificate."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,8 +268,8 @@ class TestWarmStart:
 
     def test_monte_carlo_solve_rotates_rows_less(self, monkeypatch):
         # the seed-1 run of 1,000 inputs takes 14 steps; restarted from the
-        # problem's factors at every step, its closed form and Jacobi made 540
-        # row rotations
+        # problem's factors at every step, its one-sided Jacobi made 540 row
+        # rotations
         prob = mc_problem(1000, seed=1)
         calls = [0]
         rotate = linalg._rotate_rows
@@ -315,7 +316,7 @@ class TestGroupedSteps:
             prob = problem([s1, s2])
         K = start_factors(prob)
         groups = barycentre._groups(K, prob.block_factors)
-        # the sizes of at most two factor rows, in closed form, and the rest
+        # the sizes of at most two factor rows, on the Jacobi route, and the rest
         assert len(groups) == 2 and all(len(g) > 1 for g in groups)
         grams = []
         gram = barycentre._gram
@@ -338,8 +339,8 @@ class TestGroupedSteps:
 
 
 def start_factors(prob):
-    """The solver's ``K_0`` stacks from the problem's mean, one per block size."""
-    return [F[0] for F in barycentre._proved_factors(prob.mean[None], prob.blocks)]
+    """The solver's ``K_0`` stacks from the inputs' mean, one per block size."""
+    return [F[0] for F in barycentre._proved_factors(barycentre._mean(prob)[None], prob.blocks)]
 
 
 def random_block_family():
@@ -398,9 +399,9 @@ class TestSharedPass:
         if case == "pair":
             # the dim-32 chains have 5 distinct lengths (6, 4, 3, 2, 1); a
             # chain of length L keeps L - 1 rows, so only lengths 4 and 6
-            # reach the SVD (the other routes take at most two rows in closed
-            # form).  A step's procrustes stacks both, zero-padded to 5 rows
-            # and 6 columns, into one SVD; the closing pass's polar makes one
+            # reach the SVD (the others keep at most two rows, which take one
+            # Jacobi rotation).  A step's procrustes stacks both, zero-padded
+            # to 5 rows and 6 columns, into one SVD; the closing pass's polar makes one
             # per size.  The steps decompose no iterate: the closing pass's
             # certificate makes the only stacked eigh of each size, over all
             # chains of that size
@@ -459,14 +460,14 @@ class TestBlockedPass:
         prob = problem(conjugated_family(8, n, seed=35), (w / w.sum()).tolist())
         G = prob.block_factors[-1]
         assert G.shape == (n, 1, 3, 4)
-        roots = barycentre._gather(sqrt_psd(prob.mean), prob.blocks)
+        roots = barycentre._gather(sqrt_psd(barycentre._mean(prob)), prob.blocks)
         lapack_calls.clear()
         mean = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)[-1]
         assert lapack_calls["svd"] == 0
         expected = sum(wi * P for wi, P in zip(prob.weights, linalg.polar(G @ roots[-1])))
         assert np.array_equal(mean, expected)
 
-    def test_closed_form_polars_are_summed_in_input_order(self, lapack_calls):
+    def test_two_row_polars_are_summed_in_input_order(self, lapack_calls):
         # at dim 16 the chain 3, 6, 12 keeps 2 rows and 5, 10 and 7, 14 keep
         # 1 row, and the polars of a stack this large would be summed pairwise were they
         # strided (dim 8 has no chain that keeps 2 rows)
@@ -475,7 +476,7 @@ class TestBlockedPass:
         w = rng.uniform(0.5, 1.5, n)
         prob = problem(conjugated_family(16, n, seed=37), (w / w.sum()).tolist())
         assert [G.shape[2] for G in prob.block_factors] == [0, 1, 2, 4]
-        roots = barycentre._gather(sqrt_psd(prob.mean), prob.blocks)
+        roots = barycentre._gather(sqrt_psd(barycentre._mean(prob)), prob.blocks)
         lapack_calls.clear()
         means = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)
         assert lapack_calls["svd"] == 0
@@ -563,8 +564,8 @@ class TestTrimmedStack:
         # one stacked polar per chain length, over every chain of that length
         # in every input; a chain of length L has rank L - 1 (its first index
         # is odd, so C vanishes there), and the length-1 chains are all zero.
-        # Lengths 1, 2 and 3 keep at most two rows and take polar's closed
-        # form, so only lengths 4 and 6 reach the SVD
+        # Lengths 1, 2 and 3 keep at most two rows and take polar's Jacobi
+        # route, so only lengths 4 and 6 reach the SVD
         assert lapack_calls.shapes["svd"] == [(block + 6, 1, 3, 4), (block + 6, 1, 5, 6)]
         # a dense input joins every chain into one block, and the dense pass
         # keeps its blocks of _block_size(d) inputs
@@ -762,7 +763,8 @@ class TestFactorPath:
         assert len(factored.blocks) == len(dense.blocks)
         assert all(np.array_equal(a, b) for a, b in zip(factored.blocks, dense.blocks))
         assert factored.weights == dense.weights == (0.5, 0.5)
-        assert np.linalg.norm(factored.mean - dense.mean) <= 1e-15 * np.linalg.norm(dense.mean)
+        start, dense_start = barycentre._mean(factored), barycentre._mean(dense)
+        assert np.linalg.norm(start - dense_start) <= 1e-15 * np.linalg.norm(dense_start)
         assert abs(factored.input_trace - dense.input_trace) <= 1e-15 * dense.input_trace
 
     def test_weighted_family_sums_match_the_dense_problem(self):
@@ -776,9 +778,10 @@ class TestFactorPath:
                          for a in coeffs], w)
         factored = barycentre.BarycentreProblem.from_block_factors(
             *construct.chain_factors(config, coeffs), weights=w)
-        assert np.linalg.norm(factored.mean - dense.mean) <= 1e-15 * np.linalg.norm(dense.mean)
+        start, dense_start = barycentre._mean(factored), barycentre._mean(dense)
+        assert np.linalg.norm(start - dense_start) <= 1e-15 * np.linalg.norm(dense_start)
         assert abs(factored.input_trace - dense.input_trace) <= 1e-15 * dense.input_trace
-        assert np.array_equal(factored.mean, factored.mean.T)
+        assert np.array_equal(start, start.T)
 
     def test_pair_keeps_every_direction_at_dim_512(self):
         # the exact factors keep the dim/2 rows of S1 that the per-block
@@ -840,7 +843,7 @@ class TestFactorPath:
 
 
 class TestProblemState:
-    """The problem keeps each input only as its block factors, and the two sums the passes read."""
+    """The problem keeps each input only as its block factors, and the trace the passes read."""
 
     @staticmethod
     def family():
@@ -855,15 +858,44 @@ class TestProblemState:
         prob = problem(*self.family())
         assert not hasattr(prob, "inputs")
         assert [f.name for f in dataclasses.fields(prob)] == [
-            "weights", "settings", "blocks", "block_factors", "mean", "input_trace"]
+            "weights", "settings", "blocks", "block_factors", "input_trace"]
 
     def test_sums_have_the_bits_of_the_symmetrized_inputs(self):
         inputs, weights = self.family()
         prob = problem(inputs, weights)
         sym = [linalg.check_symmetric(S) for S in inputs]
         assert not np.array_equal(sym[7], inputs[7])
-        assert np.array_equal(prob.mean, sum(w * S for w, S in zip(prob.weights, sym)))
         assert prob.input_trace == sum(w * float(np.trace(S)) for w, S in zip(prob.weights, sym))
+
+    def test_factored_problem_holds_no_dense_array(self):
+        # one dense d x d matrix alone takes 128 MiB at dim 4096
+        tracemalloc.start()
+        try:
+            prob = barycentre.BarycentreProblem.from_block_factors(
+                *construct.chain_factors(TruncationConfig(dim=4096, decay=0.999), (0.5, -0.5)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert prob.dim == 4096
+        assert not hasattr(prob, "mean")
+
+    @pytest.mark.parametrize("case", ["monte carlo", "dense pair"])
+    def test_default_start_is_the_factors_mean(self, case):
+        if case == "monte carlo":
+            prob = mc_problem(1000, seed=1)
+        else:
+            _, s1, s2 = constructed_triple(64)
+            prob = problem([s1, s2])
+        M = np.zeros((prob.dim, prob.dim))
+        for idx, G in zip(prob.blocks, prob.block_factors):
+            X = np.tensordot(prob.weights, np.swapaxes(G, -1, -2) @ G, axes=1)
+            M[idx[:, :, None], idx[:, None, :]] = (X + np.swapaxes(X, -1, -2)) / 2.0
+        default, started = barycentre_fixed_point(prob), barycentre_fixed_point(prob, init=M)
+        assert np.array_equal(default.barycentre, started.barycentre)
+        assert default.history == started.history
+        assert default.certificate_residual == started.certificate_residual
+        assert default.frechet_value == started.frechet_value
 
     def test_problems_compare_by_identity(self):
         # without its inputs, a generated __eq__ would compare only weights and settings

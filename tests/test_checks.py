@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from bwbary import (
+    BarycentreProblem,
+    InvalidInput,
     NotPSD,
     RandomMapLaw,
     TruncationConfig,
     barycentre_fixed_point,
     build_covariance,
+    build_map_family,
     build_pair_maps,
     bw_distance_sq,
     conjugate,
@@ -25,7 +28,7 @@ from bwbary import (
 )
 from bwbary import linalg
 from bwbary.cli import main
-from bwbary.construct import doubling_chains
+from bwbary.construct import chain_factors, doubling_chains
 from bwbary.linalg import pivoted_cholesky
 
 
@@ -112,6 +115,43 @@ PSD = np.diag([1.0, 0.5])
 def test_not_psd_is_rejected(call):
     with pytest.raises(NotPSD):
         call()
+
+
+EYE = np.eye(2)
+
+# each kind casts a valid real array to its dtype, so only the dtype is wrong
+NOT_REAL = {
+    "complex": lambda x: np.asarray(x, dtype=complex),
+    "bool": lambda x: np.asarray(x, dtype=bool),
+    "string": lambda x: np.asarray(x).astype(str),
+    "object": lambda x: np.asarray(x, dtype=object),
+}
+
+
+def bad_block_factors(kind):
+    blocks, factors = chain_factors(TruncationConfig(dim=8), (0.5, -0.5))
+    return BarycentreProblem.from_block_factors(blocks, [kind(G) for G in factors])
+
+
+@pytest.mark.parametrize("kind", NOT_REAL.values(), ids=NOT_REAL.keys())
+@pytest.mark.parametrize("call", [
+    lambda kind: bw_distance_sq(kind(EYE), EYE),
+    lambda kind: optimal_map(EYE, kind(EYE)),
+    lambda kind: problem([EYE, kind(EYE)]),
+    lambda kind: problem([EYE, EYE], kind([1.0, 0.0])),
+    bad_block_factors,
+    lambda kind: verify_barycentre_certificate(kind(EYE), problem([EYE])),
+    lambda kind: barycentre_fixed_point(problem([EYE]), init=kind(EYE)),
+    lambda kind: linalg.kernel_basis(kind(EYE)),
+    lambda kind: linalg.principal_angles(kind(EYE), EYE),
+    lambda kind: chain_factors(TruncationConfig(dim=8), kind([0.0, 0.0])),
+    lambda kind: build_map_family(8, coeffs=kind([0.0, 0.0])),
+], ids=["bw_distance_sq", "optimal_map", "problem inputs", "problem weights",
+        "from_block_factors", "certificate candidate", "solver init", "kernel_basis",
+        "principal_angles", "chain_factors", "build_map_family"])
+def test_entries_that_are_not_real_numbers_are_rejected(call, kind):
+    with pytest.raises(InvalidInput, match="real numbers"):
+        call(kind)
 
 
 class TestCliChecksEachFileOnce:

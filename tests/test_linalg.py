@@ -291,8 +291,8 @@ def svd_polar(X):
     return (R + np.swapaxes(R, -1, -2)) / 2.0
 
 
-class TestClosedFormPolar:
-    """``polar`` of at most two rows is computed in closed form, without LAPACK."""
+class TestTwoRowPolar:
+    """``polar`` of at most two rows takes one-sided Jacobi's single rotation, without LAPACK."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, 2), st.integers(1, 9), st.integers(-100, 100),
@@ -462,10 +462,10 @@ class TestJacobiPolar:
 
 
 @pytest.mark.parametrize("stack, rows, svd_calls", [
-    ((), 0, 0), ((), 2, 0), ((linalg._JACOBI_MIN_STACK,), 1, 0),  # zero, closed form
+    ((), 0, 0), ((), 2, 0), ((linalg._JACOBI_MIN_STACK,), 1, 0),  # zero, one rotation
     ((linalg._JACOBI_MIN_STACK,), 4, 0),  # Jacobi
     ((), 4, 1), ((linalg._JACOBI_MIN_STACK - 1,), 4, 1),  # SVD
-], ids=["no rows", "closed form", "closed form stack", "jacobi", "svd", "svd stack"])
+], ids=["no rows", "two rows", "two rows stack", "jacobi", "svd", "svd stack"])
 def test_polar_is_c_contiguous_on_every_route(stack, rows, svd_calls, lapack_calls):
     # the barycentre pass sums polars over the stack in order only when
     # each is contiguous; over a strided axis numpy would sum pairwise
@@ -483,7 +483,7 @@ def svd_procrustes(X, G):
     return np.swapaxes(Vt, -1, -2) @ (np.swapaxes(W, -1, -2) @ G)
 
 
-# (rows, stack) of each route: closed form alone and in a stack, Jacobi, SVD
+# (rows, stack) of each route: at most two rows alone and in a stack, Jacobi sweeps, SVD
 PROCRUSTES_ROUTES = [(1, 4), (2, 4), (2, linalg._JACOBI_MIN_STACK), (3, linalg._JACOBI_MIN_STACK),
                      (5, linalg._JACOBI_MIN_STACK), (3, 4), (7, 4)]
 
@@ -565,7 +565,7 @@ class TestProcrustes:
         assert np.all(error <= 1e-13 * scale)
         jacobi = rows > 2 and n >= linalg._JACOBI_MIN_STACK
         if not jacobi:
-            assert H is G  # the closed form and the SVD hand back G itself
+            assert H is G  # at most two rows and the SVD hand back G itself
         assert H.shape == G.shape
         gram = np.swapaxes(H, -1, -2) @ H - np.swapaxes(G, -1, -2) @ G
         assert np.all(np.linalg.norm(gram, axis=(1, 2)) <= 1e-14 * scale**2)
@@ -573,8 +573,8 @@ class TestProcrustes:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 2), st.integers(2, 6), st.integers(1, 7), st.integers(0, 2),
            st.integers(0, 2), st.sampled_from(["graded", "zero row"]), st.integers(0, 2**32 - 1))
-    def test_zero_padding_leaves_the_closed_form_bits(self, rows, r, L, extra_r, extra_L, kind,
-                                                      seed):
+    def test_zero_padding_leaves_the_two_row_bits(self, rows, r, L, extra_r, extra_L, kind,
+                                                  seed):
         # the solver's padded stacks of small blocks: rows padded to 2, zero
         # columns on X and on G
         rng = np.random.default_rng(seed)

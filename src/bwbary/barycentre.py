@@ -13,7 +13,12 @@ It never inverts ``C_t``, so a singular iterate needs no ridge and no
 eigenvalue cutoff.  ``U_i^T G_i`` does not change when the rows of ``G_i``
 are rotated, so each step starts from the rows the previous step's
 Procrustes rotated, on which one-sided Jacobi has less left to do
-(:func:`barycentre_fixed_point`).  Independently of the solver,
+(:func:`barycentre_fixed_point`).  The step is gradient descent with unit
+step in the Bures-Wasserstein metric (Chewi, Maunu, Rigollet & Stromme,
+COLT 2020), and the solver accelerates it by type-II Anderson mixing of the
+factor (Walker & Ni, SIAM J. Numer. Anal. 2011), depth ``_MIX_DEPTH``:
+``C = K^T K`` is PSD for any mixed ``K``, and a mixed iterate whose Fréchet
+value rises is dropped for the plain step.  Independently of the solver,
 :func:`verify_barycentre_certificate` checks the inversion-free first-order
 identity
 
@@ -70,7 +75,8 @@ class SolverSettings:
         It, ``ridge`` and ``ridge_decay`` must be real numbers (``bool`` and
         strings are not).
     max_iter : int
-        Iteration cap, an integer >= 1 (``bool`` is not one).
+        Cap on the solver's passes, an integer >= 1 (``bool`` is not one); a
+        pass whose Anderson-mixed iterate is dropped counts.
     ridge : float
         No effect (the solver inverts nothing), kept for compatibility;
         finite and nonnegative.
@@ -293,7 +299,10 @@ class BarycentreResult:
 
     ``history`` holds one ``(iteration, change, frechet_value)`` triple per
     iteration: step ``t``'s relative change, and F at ``C_{t-1}``, the iterate
-    it starts from.  ``frechet_value`` is at the returned ``barycentre``;
+    it starts from (after the first steps, an Anderson-mixed one).  A pass
+    whose mixed iterate is dropped adds no row, so ``t`` counts the accepted
+    steps and ``iterations`` is at most ``max_iter``, which also counts the
+    dropped passes.  ``frechet_value`` is at the returned ``barycentre``;
     ``monotone`` records whether the history values followed by it never
     rose by more than ``1e-9 * input_trace`` (a larger rise also warns).
     """
@@ -522,6 +531,52 @@ def _unpad(P: np.ndarray, shapes: list) -> list:
     return [P[..., a:a + k, :r, :L] for a, (k, r, L) in zip(starts, shapes)]
 
 
+# Depth of the solver's Anderson mixing: the most residual differences one
+# step's least-squares problem takes.
+_MIX_DEPTH = 5
+
+
+def _anderson(x: list, g: list, memory: list) -> tuple:
+    """``(x_{t+1}, mixed)``: the type-II Anderson iterate after ``g = g(x_t)``, over the groups' stacks.
+
+    ``x_t`` is the groups' stacks as one vector and ``f_t = g(x_t) - x_t``
+    its residual.  ``memory`` keeps the last ``_MIX_DEPTH + 1`` pairs
+    ``(f, g)`` and is updated in place; with ``ΔF``, ``ΔG`` the differences
+    of consecutive ones, ``γ = argmin ||f_t - ΔF γ||`` and
+    ``x_{t+1} = g_t - ΔG γ`` (Walker & Ni 2011).  With no difference yet the
+    iterate is ``g`` itself, and ``mixed`` is false.  The mix is linear, so
+    entries that are zero in every ``g`` (a group's padding) stay exactly
+    zero.
+    """
+    flat = np.concatenate([X.ravel() for X in g])
+    memory.append((flat - np.concatenate([X.ravel() for X in x]), flat))
+    del memory[:-_MIX_DEPTH - 1]
+    if len(memory) == 1:
+        return g, False
+    pairs = list(zip(memory, memory[1:]))
+    dF = np.stack([b[0] - a[0] for a, b in pairs], axis=1)
+    dG = np.stack([b[1] - a[1] for a, b in pairs], axis=1)
+    gamma = np.linalg.lstsq(dF, memory[-1][0], rcond=None)[0]
+    mix = flat - dG @ gamma
+    ends = np.cumsum([X.size for X in g])
+    return [v.reshape(X.shape) for v, X in zip(np.split(mix, ends[:-1]), g)], True
+
+
+def _closing_pass(stacks: list, groups: list, K: list, block_factors: tuple,
+                  prob: BarycentreProblem) -> tuple:
+    """``(sigma, residual, frechet_value)`` of the groups' stacks, unpadded into a copy of ``K``.
+
+    ``sigma`` is the blocks of ``K^T K`` per size; the residual and the
+    value come from one pass (:func:`_evaluate`).
+    """
+    K = list(K)
+    for g, P in zip(groups, stacks):
+        for s, F in zip(g, _unpad(P, [K[s].shape for s in g])):
+            K[s] = F
+    sigma = _gram(K)
+    return (sigma, *_evaluate(sigma, block_factors, prob))
+
+
 def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResult:
     """Run the fixed-point iteration for the barycentre on a factor of the iterate.
 
@@ -532,7 +587,22 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     (see the module), which also gives ``F(C_t) = tr C_t + input_trace -
     2 <K_{t+1}, K_t>``, since ``tr(U_i^T G_i K_t^T) = ||G_i K_t^T||_*``.  It
     stops once ``||C_{t+1} - C_t||_F / ||C_t||_F`` (0 when both are zero) is
-    at most ``settings.tol``.
+    at most ``settings.tol``, and then returns ``C_{t+1}``.
+
+    The iterate the next step starts from is Anderson-mixed
+    (:func:`_anderson`): with ``x_t`` the groups' stacks of ``K_t`` as one
+    vector and ``g(x_t)`` its plain step (``K_{t+1}`` above), the next
+    iterate is ``g(x_t) - ΔG γ``, ``γ`` from at most ``_MIX_DEPTH``
+    differences of past residuals ``g(x) - x``.  The stop rule keeps its
+    meaning: the change is between ``C`` of ``g(x_t)`` and of ``x_t``.  A
+    safeguard keeps the Fréchet values monotone: when a mixed iterate's F,
+    from its own pass, exceeds the last accepted one's by more than
+    ``1e-9 * input_trace``, the pass is dropped (no history row), the next
+    iterate is the plain step of the last accepted iterate, and the mixing
+    restarts.  ``settings.max_iter`` caps the passes, dropped ones included;
+    a cap returns the iterate the next pass would start from, or, when the
+    closing pass finds a mixed one higher by that bound, the plain step
+    that pass would restart from.
 
     The steps run on groups of block sizes (:func:`_groups`): a size with
     many blocks alone, the small ones as one zero-padded stack (:func:`_pad`)
@@ -547,7 +617,9 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     against ``K_t``, and which ``K_{t+1}`` has moved less as the iteration
     settles.  The SVD writes nothing back, so its stacks are ``prob``'s own
     factors or a group's padded copy.  ``prob``'s own factors are not
-    changed; the closing pass reads them.
+    changed; the closing pass reads them.  The mix is linear, so a group's
+    padding stays exactly zero, and it needs no change of ``H_i``:
+    ``procrustes(Q X, Q G) = U^T G`` for any ``K_t``.
 
     Parameters
     ----------
@@ -580,7 +652,8 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         jacobi = linalg._route((*H.shape[:-1], stacks[-1].shape[-2])) == "jacobi"
         factors.append(H.copy() if jacobi and len(g) == 1 else H)  # a lone size's H is prob's
     sigma = _gram(stacks)
-    history = []
+    history, memory, mixed = [], [], False
+    bound = 1e-9 * prob.input_trace  # a rise of F up to this is rounding
 
     for t in range(1, st.max_iter + 1):
         new = [_input_sum(H, prob.weights, lambda F, k=k: _procrustes_step(F, k))
@@ -588,21 +661,29 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         if not all(np.all(np.isfinite(X)) for X in new):
             raise NonFinite(f"iterate diverged at iteration {t}")
         cross = sum(float(a.ravel() @ b.ravel()) for a, b in zip(new, stacks))
-        stacks, previous, sigma = new, sigma, _gram(new)
-        step, size = _norm([X - S for X, S in zip(sigma, previous)]), _norm(previous)
+        fval = _frechet(_trace(sigma), cross, prob.input_trace)
+        if mixed and fval > history[-1][2] + bound:
+            # drop the mixed iterate: restart from the last accepted one's plain step
+            stacks, sigma, mixed = plain, plain_sigma, False
+            memory.clear()
+            continue
+        plain, plain_sigma = new, _gram(new)
+        step, size = _norm([X - S for X, S in zip(plain_sigma, sigma)]), _norm(sigma)
         change = step / size if size > 0 else 0.0  # C_t = 0 makes every U_i^T G_i zero
-        history.append((t, change, _frechet(_trace(previous), cross, prob.input_trace)))
+        history.append((len(history) + 1, change, fval))
         if change <= st.tol:
+            stacks, mixed = plain, False
             break
+        stacks, mixed = _anderson(stacks, plain, memory)
+        sigma = _gram(stacks) if mixed else plain_sigma
 
-    for g, P in zip(groups, stacks):
-        for s, F in zip(g, _unpad(P, [K[s].shape for s in g])):
-            K[s] = F
-    sigma = _gram(K)
-    residual, fval = _evaluate(sigma, block_factors, prob)
+    sigma, residual, fval = _closing_pass(stacks, groups, K, block_factors, prob)
+    if mixed and fval > history[-1][2] + bound:
+        # the cap stopped at a mixed iterate that the next pass would drop
+        sigma, residual, fval = _closing_pass(plain, groups, K, block_factors, prob)
     fvals = [h[2] for h in history] + [fval]
     rises = [(t, b - a) for t, (a, b) in enumerate(zip(fvals, fvals[1:]), 1)
-             if b - a > 1e-9 * prob.input_trace]
+             if b - a > bound]
     for t, rise in rises:
         warnings.warn(f"Fréchet value increased by {rise:.3e} at iteration {t}",
                       RuntimeWarning, stacklevel=2)

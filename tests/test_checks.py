@@ -154,6 +154,23 @@ def test_entries_that_are_not_real_numbers_are_rejected(call, kind):
         call(kind)
 
 
+RAGGED = [[1.0, 0.0], [0.0]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.check_real(RAGGED),
+    lambda: problem([RAGGED]),
+    lambda: problem([EYE, EYE], [[0.5], [0.25, 0.25]]),
+    lambda: bw_distance_sq(RAGGED, EYE),
+    lambda: verify_barycentre_certificate(RAGGED, problem([EYE])),
+], ids=["check_real", "problem inputs", "problem weights", "bw_distance_sq",
+        "certificate candidate"])
+def test_ragged_nested_lists_are_rejected(call):
+    # numpy itself raises a plain ValueError on an inhomogeneous shape
+    with pytest.raises(InvalidInput, match="rectangular array"):
+        call()
+
+
 class TestCliChecksEachFileOnce:
     """Each matrix file is read without a check and checked by the code that uses it."""
 

@@ -108,6 +108,16 @@ class TestMatrixFiles:
             save_matrix(path, np.diag([1.0, value]), "covariance")
         assert not path.exists()
 
+    @pytest.mark.parametrize("matrix", [[[1 + 1j, 0], [0, 1]], [[True, False], [False, True]],
+                                        [[1.0, 0.0], [0.0]]],
+                             ids=["complex", "bool", "ragged"])
+    def test_save_rejects_entries_that_are_not_real_numbers(self, tmp_path, matrix):
+        # a complex matrix used to escape as a TypeError from the float cast
+        path = tmp_path / "m.json"
+        with pytest.raises(InvalidInput, match="real numbers"):
+            save_matrix(path, matrix, "covariance")
+        assert not path.exists()
+
     def test_load_rejects_non_psd_covariance(self, tmp_path):
         path = tmp_path / "m.json"
         save_matrix(path, -np.eye(2), "covariance")

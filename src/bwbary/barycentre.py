@@ -154,25 +154,25 @@ def _read_dense(inputs, w: np.ndarray) -> tuple:
 
     input_trace = sum(float(wi) * float(tr) for wi, tr in zip(w, np.trace(X, axis1=1, axis2=2)))
     blocks = _components((X != 0).any(axis=0))
-    return blocks, _proved_factors(X, blocks), input_trace
+    return blocks, _proved_factors(_gather(X, blocks)), input_trace
 
 
-def _proved_factors(X: np.ndarray, blocks: tuple) -> tuple:
-    """The ``(n, k_L, m_L, L)`` block factors of an ``(n, d, d)`` stack, each matrix proved PSD.
+def _proved_factors(stacks: list) -> tuple:
+    """The ``(n, k_L, m_L, L)`` block factors of ``(n, k_L, L, L)`` diagonal blocks, each matrix proved PSD.
 
     See :class:`BarycentreProblem`: one :func:`linalg.pivoted_cholesky` per
     block size, cut to the largest rank, and the residual over each matrix's
     blocks as its proof (:func:`linalg.check_factor_residual`).
     """
     residual, max_diag, block_factors = 0.0, 0.0, []
-    for stack in _gather(X, blocks):
+    for stack in stacks:
         F, rank = linalg.pivoted_cholesky(stack)
         R = stack - np.swapaxes(F, -1, -2) @ F
         residual = residual + (R * R).sum(axis=(1, 2, 3))
         max_diag = np.maximum(max_diag, np.diagonal(stack, axis1=-2, axis2=-1).max(axis=(1, 2)))
         block_factors.append(F[:, :, :int(rank.max(initial=0))].copy())
-    for S, r, top in zip(X, np.sqrt(residual), max_diag):
-        linalg.check_factor_residual(S, float(r), float(top))
+    for matrix, r, top in zip(zip(*stacks), np.sqrt(residual), max_diag):
+        linalg.check_factor_residual(matrix, float(r), float(top))
     return tuple(block_factors)
 
 
@@ -221,8 +221,8 @@ class BarycentreProblem:
     ``block_factors``, one ``(n, k_L, m_L, L)`` stack per size whose
     ``G^T G`` are the inputs' blocks, which every pass over the inputs
     reuses; and ``input_trace = sum_i w_i tr S_i``.  It holds no ``d x d``
-    array: ``dim`` is read from ``blocks``, and the solver's default start
-    is built from the factors when it runs (:func:`barycentre_fixed_point`).
+    array: ``dim`` is read from ``blocks``, and the solver builds its
+    default start block by block from the factors (:func:`barycentre_fixed_point`).
     Problems compare by identity.
 
     Dense inputs are read in one pass: each is checked in input order by
@@ -237,8 +237,8 @@ class BarycentreProblem:
     (so a graded block keeps its small directions beside larger blocks), and
     cut to ``m_L``, the largest rank of a block of that size.  The factors are
     the PSD check: an input whose residual ``||S - F^T F||_F`` over its blocks
-    exceeds ``PSD_TOL * max(1, max diag S)`` is checked by its eigenvalues
-    (:func:`linalg.check_factor_residual`).
+    exceeds ``PSD_TOL * max(1, max diag S)`` is checked by its blocks'
+    eigenvalues (:func:`linalg.check_factor_residual`).
 
     Inputs known by their factors skip all of that: see
     :meth:`from_block_factors`.
@@ -325,34 +325,30 @@ def _block_size(dim: int) -> int:
     return max(1, _BLOCK_ELEMENTS // dim**2)
 
 
-def _split(prob: BarycentreProblem, M: np.ndarray) -> tuple:
-    """``(blocks, block_factors)`` for a pass over ``M``: the problem's own, or the whole space.
+def _on_blocks(prob: BarycentreProblem, M) -> tuple:
+    """``(stacks, blocks, block_factors)`` for a pass over ``M``, ``stacks`` its diagonal blocks.
 
-    The problem's own when ``M`` is block diagonal along its partition, as
-    the constructed covariance and every solver output are; otherwise the
-    one block ``0..d-1``, on which each input's factor is its block factors,
-    each on its block's columns, stacked by rows: one ``(n, 1, m, d)`` array
-    with ``m <= d``.
+    ``M`` is outside input: checked and symmetrized
+    (:func:`linalg.check_symmetric`), and ``d x d``.  The blocks are the
+    problem's own when ``M`` is block diagonal along its partition, as the
+    constructed covariance and every solver output are; the blocks
+    partition the indices, so that is when its blocks hold all of its
+    nonzeros, an exact count.  Otherwise they are the one block ``0..d-1``,
+    on which each input's factor is its block factors, each on its block's
+    columns, stacked by rows: one ``(n, 1, m, d)`` array with ``m <= d``.
     """
-    label = np.empty(prob.dim, dtype=np.intp)
-    for idx in prob.blocks:
-        label[idx] = idx[:, :1]
-    if not np.any((M != 0) & (label[:, None] != label)):
-        return prob.blocks, prob.block_factors
+    C = check_symmetric(M)
+    if C.shape != (prob.dim, prob.dim):
+        raise DimensionMismatch(f"dimension mismatch: {C.shape} vs {(prob.dim, prob.dim)}")
+    stacks = _gather(C, prob.blocks)
+    if np.count_nonzero(C) == sum(np.count_nonzero(S) for S in stacks):
+        return stacks, prob.blocks, prob.block_factors
     rows = []
     for idx, G in zip(prob.blocks, prob.block_factors):
         F = np.zeros((*G.shape[:-1], prob.dim))
         np.put_along_axis(F, idx[None, :, None, :], G, axis=-1)
         rows.append(F.reshape(len(G), -1, prob.dim))
-    return (np.arange(prob.dim)[None],), (np.concatenate(rows, axis=1)[:, None],)
-
-
-def _on_blocks(prob: BarycentreProblem, M) -> tuple:
-    """``(C, blocks, block_factors)``: the symmetrized ``M`` and :func:`_split`'s blocks for it."""
-    C = check_symmetric(M)
-    if C.shape != (prob.dim, prob.dim):
-        raise DimensionMismatch(f"dimension mismatch: {C.shape} vs {(prob.dim, prob.dim)}")
-    return (C, *_split(prob, C))
+    return [C[None]], (np.arange(prob.dim)[None],), (np.concatenate(rows, axis=1)[:, None],)
 
 
 def _gather(M: np.ndarray, blocks: tuple) -> list:
@@ -368,13 +364,13 @@ def _scatter(stacks: list, blocks: tuple, dim: int) -> np.ndarray:
     return M
 
 
-def _mean(prob: BarycentreProblem) -> np.ndarray:
-    """The solver's default start ``sum_i w_i S_i``: ``sum_i w_i G_i^T G_i`` per block, symmetrized."""
+def _mean(prob: BarycentreProblem) -> list:
+    """The solver's default start ``sum_i w_i S_i``, as its blocks ``sum_i w_i G_i^T G_i``, symmetrized."""
     mean = []
     for G in prob.block_factors:
         M = np.tensordot(prob.weights, np.swapaxes(G, -1, -2) @ G, axes=1)
         mean.append((M + np.swapaxes(M, -1, -2)) / 2.0)
-    return _scatter(mean, prob.blocks, prob.dim)
+    return mean
 
 
 def _trace(stacks: list) -> float:
@@ -439,8 +435,8 @@ def _evaluate(C: list, block_factors: tuple, prob: BarycentreProblem) -> tuple:
 
 def _evaluate_candidate(candidate, prob: BarycentreProblem) -> tuple:
     """:func:`_evaluate` of the symmetrized candidate, on its blocks (see :func:`_on_blocks`)."""
-    C, blocks, block_factors = _on_blocks(prob, candidate)
-    return _evaluate(_gather(C, blocks), block_factors, prob)
+    stacks, _, block_factors = _on_blocks(prob, candidate)
+    return _evaluate(stacks, block_factors, prob)
 
 
 def frechet_functional(candidate, prob: BarycentreProblem) -> float:
@@ -582,7 +578,7 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
 
     ``C_t = K_t^T K_t`` is kept as one ``(k_L, r_L, L)`` factor stack per
     block size of the partition, or as one block when ``init`` has an entry
-    between two of its blocks (:func:`_split`).  A step is one pass of
+    between two of its blocks (:func:`_on_blocks`).  A step is one pass of
     :func:`linalg.procrustes` over the inputs, ``K_{t+1} = sum_i w_i U_i^T G_i``
     (see the module), which also gives ``F(C_t) = tr C_t + input_trace -
     2 <K_{t+1}, K_t>``, since ``tr(U_i^T G_i K_t^T) = ||G_i K_t^T||_*``.  It
@@ -625,9 +621,10 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     ----------
     prob : BarycentreProblem
     init : array_like, optional
-        Starting covariance; by default the inputs' mean ``sum_i w_i S_i``,
-        built from the problem's block factors.  ``K_0`` is its blocks'
-        factor, whose residual is its PSD check (:func:`_proved_factors`).
+        Starting covariance, checked as a candidate is (:func:`_on_blocks`);
+        by default the inputs' mean ``sum_i w_i S_i``, built block by block
+        from the problem's block factors (:func:`_mean`).  ``K_0`` is its
+        blocks' factor, whose residual is its PSD check (:func:`_proved_factors`).
 
     Returns
     -------
@@ -642,8 +639,9 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         If the iterate leaves the realm of finite floats.
     """
     st = prob.settings
-    start, blocks, block_factors = _on_blocks(prob, _mean(prob) if init is None else init)
-    K = [F[0] for F in _proved_factors(start[None], blocks)]
+    start, blocks, block_factors = ((_mean(prob), prob.blocks, prob.block_factors)
+                                    if init is None else _on_blocks(prob, init))
+    K = [F[0] for F in _proved_factors([S[None] for S in start])]
     groups = _groups(K, block_factors)
     stacks, factors = [], []  # per group, K_t's stack and the input factors the steps run on
     for g in groups:

@@ -112,22 +112,24 @@ def covariance_factor(M) -> tuple:
     """
     A = check_symmetric(M)
     F = _trimmed_factor(A)
-    check_factor_residual(A, float(np.linalg.norm(A - F.T @ F)), float(np.max(np.diag(A))))
+    check_factor_residual([A], float(np.linalg.norm(A - F.T @ F)), float(np.max(np.diag(A))))
     return A, F
 
 
-def check_factor_residual(A: np.ndarray, residual: float, max_diag: float) -> None:
+def check_factor_residual(stacks, residual: float, max_diag: float) -> None:
     """The PSD proof of a factor ``F`` of a symmetric ``A``, and the rule where it fails.
 
+    ``stacks`` are the diagonal blocks of ``A`` along a partition it is
+    block diagonal on, as ``(..., L, L)`` stacks (``[A]`` for one block);
     ``residual`` is ``||A - F.T @ F||_F`` and ``max_diag`` is ``max diag A``.
     A residual of at most ``PSD_TOL * max(1, max_diag)`` proves
     :func:`check_psd_floor`'s rule (see :func:`covariance_factor`); only a
-    larger one applies the rule to the eigenvalues of ``A``, so the verdict
-    and the :class:`NotPSD` message are the rule's.
+    larger one applies the rule to the eigenvalues of ``A``, one ``eigvalsh``
+    per stack, so the verdict and the :class:`NotPSD` message are the rule's.
     """
     if residual > PSD_TOL * max(1.0, max_diag):
-        w = np.linalg.eigvalsh(A)
-        check_psd_floor(float(w[0]), float(w[-1]))
+        w = [np.linalg.eigvalsh(X) for X in stacks]
+        check_psd_floor(min(float(x.min()) for x in w), max(float(x.max()) for x in w))
 
 
 def check_psd_floor(w_min: float, lam_max: float, what: str = "smallest eigenvalue") -> None:
@@ -530,9 +532,20 @@ def _jacobi_polar(Y: np.ndarray, cols: int) -> np.ndarray:
     entries neither overflow nor underflow, about ``1e-150 .. 1e150``); it
     raises :class:`numpy.linalg.LinAlgError` when ``_JACOBI_MAX_SWEEPS``
     sweeps do not get there.
+
+    Rows of a rank-deficient matrix cannot all end orthogonal and nonzero:
+    a row in the span of the others shrinks by a factor each sweep, never
+    reaches zero, and keeps being rotated.  So after each rotating sweep of
+    three or more rows, a row whose squared norm on the first ``L`` columns
+    is at most ``eps^2`` times its squared norm there at entry is set to
+    exactly zero on them, and adds nothing to :func:`polar` or
+    :func:`procrustes`; the columns past ``L`` (``procrustes``'s ``G``)
+    keep their rotated rows.
     """
     m = len(Y)
     tol = sqrt(cols) * _EPS
+    X = Y[:, :cols]
+    entry = np.einsum("kln,kln->kn", X, X) if m > 2 else None
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
         for p in range(m - 1):
@@ -548,5 +561,8 @@ def _jacobi_polar(Y: np.ndarray, cols: int) -> np.ndarray:
                 _rotate_rows(x, y, a, b, g, skip)
         if not rotated or m <= 2:
             return Y
+        small = np.einsum("kln,kln->kn", X, X) <= _EPS**2 * entry
+        if small.any():
+            np.moveaxis(X, 1, 2)[small] = 0.0
     raise np.linalg.LinAlgError(
         f"one-sided Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")

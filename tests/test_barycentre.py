@@ -349,7 +349,12 @@ class TestGroupedSteps:
 
 def start_factors(prob):
     """The solver's ``K_0`` stacks from the inputs' mean, one per block size."""
-    return [F[0] for F in barycentre._proved_factors(barycentre._mean(prob)[None], prob.blocks)]
+    return [F[0] for F in barycentre._proved_factors([S[None] for S in barycentre._mean(prob)])]
+
+
+def dense_mean(prob):
+    """The solver's default start as one ``d x d`` matrix."""
+    return barycentre._scatter(barycentre._mean(prob), prob.blocks, prob.dim)
 
 
 def random_block_family():
@@ -518,7 +523,7 @@ class TestBlockedPass:
         prob = problem(conjugated_family(8, n, seed=35), (w / w.sum()).tolist())
         G = prob.block_factors[-1]
         assert G.shape == (n, 1, 3, 4)
-        roots = barycentre._gather(sqrt_psd(barycentre._mean(prob)), prob.blocks)
+        roots = barycentre._gather(sqrt_psd(dense_mean(prob)), prob.blocks)
         lapack_calls.clear()
         mean = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)[-1]
         assert lapack_calls["svd"] == 0
@@ -534,7 +539,7 @@ class TestBlockedPass:
         w = rng.uniform(0.5, 1.5, n)
         prob = problem(conjugated_family(16, n, seed=37), (w / w.sum()).tolist())
         assert [G.shape[2] for G in prob.block_factors] == [0, 1, 2, 4]
-        roots = barycentre._gather(sqrt_psd(barycentre._mean(prob)), prob.blocks)
+        roots = barycentre._gather(sqrt_psd(dense_mean(prob)), prob.blocks)
         lapack_calls.clear()
         means = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)
         assert lapack_calls["svd"] == 0
@@ -767,7 +772,8 @@ class TestInputOrderChecks:
 
     def test_eigenvalues_only_where_the_factor_proof_fails(self, lapack_calls):
         # lam_max = 2 max diag and lam_min = -1.5 PSD_TOL max diag: the block
-        # residual exceeds PSD_TOL max diag, so the rule decides, and accepts
+        # residual exceeds PSD_TOL max diag, so the rule decides, and accepts;
+        # the eigenvalues are taken block by block, one eigvalsh per block size
         c = np.sqrt(0.5)
         Q = np.array([[c, -c], [c, c]])
         M = np.zeros((4, 4))
@@ -775,8 +781,21 @@ class TestInputOrderChecks:
         M[2, 2], M[3, 3] = 5.0, 3.0
         lapack_calls.clear()
         prob = problem([np.diag([1.0, 2.0, 3.0, 4.0]), M])
-        assert lapack_calls["eigvalsh"] == 1 and lapack_calls["pstrf"] == 0
+        assert lapack_calls["eigvalsh"] == 2 and lapack_calls["pstrf"] == 0
         assert [idx.shape for idx in prob.blocks] == [(2, 1), (1, 2)]
+
+    def test_block_diagonal_input_is_decomposed_block_by_block(self, lapack_calls):
+        # a not-PSD input on blocks of sizes 1 and 3: the rule reads the
+        # eigenvalues of its blocks, and no d x d eigvalsh is made
+        M = np.zeros((7, 7))
+        M[:3, :3] = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, -0.5]]
+        M[3:6, 3:6] = np.eye(3)
+        M[6, 6] = 4.0
+        w_min = np.linalg.eigvalsh(M[:3, :3])[0]
+        lapack_calls.clear()
+        with pytest.raises(NotPSD, match=f"smallest eigenvalue {w_min:.3e} below"):
+            problem([np.eye(7), M])
+        assert lapack_calls.shapes["eigvalsh"] == [(4, 1, 1), (1, 3, 3)]
 
 
 class TestBlockFactorAccuracy:
@@ -821,7 +840,7 @@ class TestFactorPath:
         assert len(factored.blocks) == len(dense.blocks)
         assert all(np.array_equal(a, b) for a, b in zip(factored.blocks, dense.blocks))
         assert factored.weights == dense.weights == (0.5, 0.5)
-        start, dense_start = barycentre._mean(factored), barycentre._mean(dense)
+        start, dense_start = dense_mean(factored), dense_mean(dense)
         assert np.linalg.norm(start - dense_start) <= 1e-15 * np.linalg.norm(dense_start)
         assert abs(factored.input_trace - dense.input_trace) <= 1e-15 * dense.input_trace
 
@@ -836,7 +855,7 @@ class TestFactorPath:
                          for a in coeffs], w)
         factored = barycentre.BarycentreProblem.from_block_factors(
             *construct.chain_factors(config, coeffs), weights=w)
-        start, dense_start = barycentre._mean(factored), barycentre._mean(dense)
+        start, dense_start = dense_mean(factored), dense_mean(dense)
         assert np.linalg.norm(start - dense_start) <= 1e-15 * np.linalg.norm(dense_start)
         assert abs(factored.input_trace - dense.input_trace) <= 1e-15 * dense.input_trace
         assert np.array_equal(start, start.T)
@@ -937,6 +956,30 @@ class TestProblemState:
         assert peak < 4 * 2**20
         assert prob.dim == 4096
         assert not hasattr(prob, "mean")
+
+    def test_default_start_solve_forms_no_dense_array_but_its_result(self, monkeypatch):
+        # the result alone takes 32 MiB at dim 2048; the start is built, and
+        # factored, block by block, and is not checked as outside input is
+        prob = pair_factors(2048)
+        calls = [0]
+        check_symmetric = barycentre.check_symmetric
+
+        def counting(M):
+            calls[0] += 1
+            return check_symmetric(M)
+
+        monkeypatch.setattr(barycentre, "check_symmetric", counting)
+        tracemalloc.start()
+        try:
+            res = barycentre_fixed_point(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.barycentre.shape == (2048, 2048)
+        assert peak <= 40 * 2**20
+        assert calls[0] == 0
+        barycentre_fixed_point(prob, init=res.barycentre)
+        assert calls[0] == 1
 
     @pytest.mark.parametrize("case", ["monte carlo", "dense pair"])
     def test_default_start_is_the_factors_mean(self, case):
@@ -1097,7 +1140,7 @@ class TestSplitPass:
             P = rng.standard_normal((32, 32))
             candidate = project_psd(cov + 1e-3 * (P + P.T))
         # an entry between two blocks puts the pass on the whole space
-        blocks, _ = barycentre._split(prob, candidate)
+        _, blocks, _ = barycentre._on_blocks(prob, candidate)
         assert [idx.shape for idx in blocks] == [(1, 32)]
         root = sqrt_psd(candidate)
         mid = sum(w * congruence_sqrt(root, S) for w, S in zip(prob.weights, inputs))
@@ -1111,7 +1154,7 @@ class TestSplitPass:
         prob = problem([s1, s2])
         M = np.ones((32, 32)) if reach == "dense" else np.eye(32)
         M[1, 2] = M[2, 1] = 1.0  # joins the chains of 1 and 3 (1-based indices 2 and 3)
-        blocks, factors = barycentre._split(prob, M)
+        _, blocks, factors = barycentre._on_blocks(prob, M)
         assert [idx.shape for idx in blocks] == [(1, 32)]
         part_rank = {frozenset(row.tolist()): np.count_nonzero(np.abs(G).sum(axis=-1), axis=-1)
                      for idx, Gs in zip(prob.blocks, prob.block_factors)
@@ -1155,6 +1198,23 @@ class TestSplitPass:
         assert res.barycentre[0, 0] == pytest.approx(1e6, rel=1e-15)
         np.testing.assert_allclose(res.barycentre[1:, 1:], S[1:, 1:], rtol=1e-14)
 
+    @pytest.mark.parametrize("entry, anchor, whole", [(-0.0, 0.0, False), (5e-324, 1e-300, True)])
+    def test_partition_decision_is_exact(self, entry, anchor, whole):
+        # an off-block -0.0 is a zero, and a subnormal is a nonzero: each
+        # takes the path, and gives the bits, of its unambiguous anchor
+        cov, s1, s2 = constructed_triple(32)
+        prob = problem([s1, s2])
+        values = []
+        for x in (entry, anchor):
+            candidate = cov.copy()
+            candidate[1, 2] = candidate[2, 1] = x  # joins the chains of 1 and 3
+            _, blocks, _ = barycentre._on_blocks(prob, candidate)
+            assert (blocks is not prob.blocks) == whole
+            values.append((verify_barycentre_certificate(candidate, prob).hex(),
+                           frechet_functional(candidate, prob).hex()))
+        assert values[0] == values[1]
+        assert (values[0][0] != verify_barycentre_certificate(cov, prob).hex()) == whole
+
     def test_psd_floor_is_global(self):
         # the floor is -PSD_TOL * max(1, lam_max) with lam_max over all blocks:
         # 10 on the chain of 1, so a block (the chain of 3) whose own floor
@@ -1164,7 +1224,7 @@ class TestSplitPass:
         candidate = cov.copy()
         candidate[1, 1] = 10.0
         candidate[2, 2] = -5e-8
-        assert len(barycentre._split(prob, candidate)[0]) > 1
+        assert len(barycentre._on_blocks(prob, candidate)[1]) > 1
         verify_barycentre_certificate(candidate, prob)
         candidate[2, 2] = -2e-7
         with pytest.raises(NotPSD, match="smallest eigenvalue -2.000e-07 below PSD tolerance"):

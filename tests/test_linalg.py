@@ -454,6 +454,17 @@ class TestJacobiPolar:
         polar(X)
         assert lapack_calls.shapes["svd"] == [X.shape]
 
+    def test_rows_in_the_span_of_the_others_are_zeroed(self):
+        # three rows on two nonzero columns cannot all be orthogonal and
+        # nonzero: one shrinks each sweep, and would never reach zero
+        X = jacobi_stack(np.random.default_rng(19), self.N, 3, 4, "graded")
+        X[..., 2:] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            P = polar(X)
+        error = np.linalg.norm(P - svd_polar(X), axis=(1, 2))
+        assert np.all(error <= 3e-14 * np.linalg.norm(X, axis=(1, 2)))
+
     def test_sweep_cap_raises(self, monkeypatch):
         X = jacobi_stack(np.random.default_rng(16), self.N, 3, 4, "graded")
         monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
@@ -523,6 +534,26 @@ class TestProcrustes:
         R, _ = linalg.procrustes(X, G)
         assert lapack_calls.shapes["svd"] == [(4, 2, 1)]
         np.testing.assert_allclose(R, svd_procrustes(X, G), atol=1e-14)
+
+    def test_rows_in_the_span_of_the_others_add_nothing(self):
+        # X's three rows on two nonzero columns have rank 2: Jacobi zeroes the
+        # row in the span of the others, and U^T G is the SVD's on the rank-2
+        # part, while the rotated rows of G stay a rotation of G
+        n = linalg._JACOBI_MIN_STACK
+        rng = np.random.default_rng(20)
+        X = jacobi_stack(rng, n, 3, 4, "graded")
+        X[..., 2:] = 0.0
+        G = rng.standard_normal((n, 3, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            R, H = linalg.procrustes(X, G)
+        W, _, Vt = np.linalg.svd(X, full_matrices=False)
+        expected = np.swapaxes(Vt[:, :2], -1, -2) @ (np.swapaxes(W[..., :2], -1, -2) @ G)
+        error = np.linalg.norm(R - expected, axis=(1, 2))
+        assert np.all(error <= 3e-14 * np.linalg.norm(G, axis=(1, 2)))
+        gram = np.swapaxes(G, -1, -2) @ G
+        assert np.all(np.linalg.norm(np.swapaxes(H, -1, -2) @ H - gram, axis=(1, 2))
+                      <= 1e-14 * np.linalg.norm(gram, axis=(1, 2)))
 
     @pytest.mark.parametrize("rows, n", PROCRUSTES_ROUTES)
     def test_exact_zero_directions_add_nothing(self, rows, n):

@@ -253,6 +253,19 @@ class TestPopulationExperiment:
         assert error <= 1e-9
         assert report.exact_barycentre_error == pytest.approx(error, rel=1e-2)
 
+    @pytest.mark.parametrize("law, seed, antithetic", [
+        ("uniform", 1, False), ("two-point", 1, False), ("triangular", 1, False),
+        ("uniform", 2, True)])
+    def test_solver_converges_at_dim_512(self, law, seed, antithetic):
+        # at dim 512 some chains of length 4 start from a factor of 2 rows,
+        # padded with zero rows to the 4 of their stack: their (3, 4) blocks
+        # of G K^T have rank 2, so one row lies in the span of the others,
+        # which Jacobi zeroes rather than sweeping to its cap
+        report = population_mc_experiment(TruncationConfig(dim=512), RandomMapLaw(law),
+                                          n=1000, seed=seed, antithetic=antithetic)
+        assert report.solver.converged and report.solver.monotone
+        assert report.exact_barycentre_error <= 1e-9
+
     @pytest.mark.parametrize("seed", [1, 2, 113])
     @pytest.mark.parametrize("law", ["uniform", "two-point", "triangular"])
     def test_certificate_of_an_exact_barycentre_is_at_rounding(self, law, seed):

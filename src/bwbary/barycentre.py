@@ -12,7 +12,8 @@ Procrustes analysis, Gower 1975):
 It never inverts ``C_t``, so a singular iterate needs no ridge and no
 eigenvalue cutoff.  ``U_i^T G_i`` does not change when the rows of ``G_i``
 are rotated, so each step starts from the rows the previous step's
-Procrustes rotated, on which one-sided Jacobi has less left to do
+Procrustes rotated, on which one-sided Jacobi has less left to do; they
+stay in Jacobi's rows-last layout from step to step
 (:func:`barycentre_fixed_point`).  The step is gradient descent with unit
 step in the Bures-Wasserstein metric (Chewi, Maunu, Rigollet & Stromme,
 COLT 2020), and the solver accelerates it by type-II Anderson mixing of the
@@ -40,8 +41,8 @@ any other matrix on the whole space as one block, and the iteration
 commutes with a common block structure.  So the certificate (also the
 solver's closing pass) stacks the blocks of equal size, across blocks and
 inputs, into one stacked :func:`linalg.polar` per size, after one ``eigh``
-of the candidate's blocks.  A solver step makes one stacked
-:func:`linalg.procrustes` per size that has at least
+of the candidate's blocks.  A solver step makes one stacked Procrustes pass
+(:func:`_procrustes_sum`) per size that has at least
 ``linalg._JACOBI_MIN_STACK`` blocks over all inputs, and joins the smaller
 sizes, zero-padded, into one stack for those it takes by one-sided Jacobi and
 one for the rest (:func:`_groups`), which saves LAPACK's fixed cost per call.
@@ -382,22 +383,37 @@ def _norm(stacks: list) -> float:
     return float(np.sqrt(sum(float(X.ravel() @ X.ravel()) for X in stacks)))
 
 
-def _input_sum(G: np.ndarray, weights, term) -> np.ndarray:
-    """``sum_i w_i term(G_i)`` over an ``(n, k, m, L)`` stack, ``_block_size(L)`` blocks per call.
+def _chunks(shape: tuple) -> list:
+    """The slices of the inputs one call takes of an ``(n, k, m, L)`` stack.
 
-    ``term`` returns C-contiguous stacks, so the sum over the inputs is an
-    outer reduction, taken term by term (over a strided axis numpy would sum
-    pairwise): a running sum in input order.
+    At most ``_block_size(L)`` blocks per slice, and at least one input.
     """
-    w = np.asarray(weights)
-    step = max(1, _block_size(G.shape[-1]) // G.shape[1])
-    acc = 0.0
-    for start in range(0, len(G), step):
-        P = w[start:start + step, None, None, None] * term(G[start:start + step])
-        P[0] += acc
-        # a stack of single 1x1 results has no other axis, and numpy would
-        # sum along its only one pairwise
-        acc = P.sum(axis=0) if P[0].size > 1 else np.cumsum(P, axis=0)[-1]
+    n, k, _, L = shape
+    step = max(1, _block_size(L) // k)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _weighted_sum(acc, w: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``acc + sum_i w_i P_i`` over a C-contiguous stack ``P``, as a running sum in input order.
+
+    ``P`` is C-contiguous, so the sum over the inputs is an outer reduction,
+    taken term by term (over a strided axis numpy would sum pairwise).
+    """
+    P = w[:, None, None, None] * P
+    P[0] += acc
+    # a stack of single 1x1 results has no other axis, and numpy would
+    # sum along its only one pairwise
+    return P.sum(axis=0) if P[0].size > 1 else np.cumsum(P, axis=0)[-1]
+
+
+def _input_sum(G: np.ndarray, weights, term) -> np.ndarray:
+    """``sum_i w_i term(G_i)`` over an ``(n, k, m, L)`` stack, one call per :func:`_chunks` slice.
+
+    ``term`` returns C-contiguous stacks (:func:`_weighted_sum`).
+    """
+    w, acc = np.asarray(weights), 0.0
+    for part in _chunks(G.shape):
+        acc = _weighted_sum(acc, w[part], term(G[part]))
     return acc
 
 
@@ -456,17 +472,91 @@ def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
     return _evaluate_candidate(candidate, prob)[0]
 
 
-def _procrustes_step(H: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """``U_i^T H_i``, ``U_i`` the orthogonal polar factor of ``H_i k^T``, over a stack ``H``.
+class _Resident(NamedTuple):
+    """A Jacobi-route chunk of a step group's input factors, kept rows-last between steps.
 
-    :func:`linalg.procrustes` does the work; rows that its Jacobi sweeps
-    rotated replace ``H``'s in place, which changes no later ``U_i^T H_i``
-    (see :func:`barycentre_fixed_point`); otherwise nothing is written.
+    ``Y`` is the ``(m, r + L, max(N, 2))`` array :func:`linalg._jacobi_procrustes`
+    rotates, for the chunk's ``N = n k`` blocks in block-major order (the
+    last axis runs over the inputs within each of the ``k`` blocks); ``X``
+    and ``H`` are its first ``r`` and last ``L`` columns as ``(m, cols, k, n)``
+    views.  ``H`` holds the factors the next step starts from.  ``G`` is
+    ``None`` when it carries Jacobi's rotated rows (three rows or more);
+    otherwise it is the chunk's ``(n, k, m, L)`` factors, contiguous, from
+    which every step restores ``H``, as :func:`linalg.procrustes` rotates
+    no more than two rows into its ``H``.
     """
-    R, rotated = linalg.procrustes(H @ np.swapaxes(k, -1, -2), H)
-    if rotated is not H:
-        H[...] = rotated
-    return R
+
+    Y: np.ndarray
+    X: np.ndarray
+    H: np.ndarray
+    G: np.ndarray | None
+
+
+class _StepFactors(NamedTuple):
+    """A step group's ``(n, k, m, L)`` input factors ``F`` and its :func:`_chunks`, as the steps keep them.
+
+    A chunk is ``(part, resident)``: its slice of the inputs and, when
+    :func:`linalg.procrustes` would take it by Jacobi, its
+    :class:`_Resident` buffer; ``None`` for the SVD, which reads ``F[part]``.
+    ``F`` is never written.
+    """
+
+    F: np.ndarray
+    chunks: list
+
+
+def _step_factors(F: np.ndarray, r: int) -> _StepFactors:
+    """The :class:`_StepFactors` of a group's input factors ``F``, for ``r`` iterate rows."""
+    chunks = []
+    for part in _chunks(F.shape):
+        G = F[part]
+        n, k, m, L = G.shape
+        if m == 0 or linalg._route((n, k, m, r)) == "svd":
+            chunks.append((part, None))
+            continue
+        Y = np.zeros((m, r + L, max(n * k, 2)))
+        X, H = (Y[:, cols, :n * k].reshape(m, -1, k, n) for cols in (slice(r), slice(r, None)))
+        H[...] = G.transpose(2, 3, 1, 0)
+        chunks.append((part, _Resident(Y, X, H, np.ascontiguousarray(G) if m <= 2 else None)))
+    return _StepFactors(F, chunks)
+
+
+def _resident_step(chunk: _Resident, k: np.ndarray) -> np.ndarray:
+    """``U_i^T H_i`` over a :class:`_Resident` chunk, ``U_i`` the orthogonal polar factor of ``H_i k^T``.
+
+    One batched product writes ``X = H k^T`` into ``Y``; Jacobi then rotates
+    ``Y`` in place, so the rotated rows stay in ``H`` for the next step.  A
+    one-row chunk forms ``X`` from ``G`` instead: the stacked product of one
+    row is a matrix-vector product, with other bits than the batched one.
+    """
+    Y, X, H, G = chunk
+    m, r, count, n = X.shape
+    if G is not None:
+        H[...] = G.transpose(2, 3, 1, 0)
+    if m == 1:
+        X[...] = (G @ np.swapaxes(k, -1, -2)).transpose(2, 3, 1, 0)
+    else:
+        np.matmul(k, H.transpose(0, 2, 1, 3), out=X.transpose(0, 2, 1, 3))
+    P = linalg._jacobi_procrustes(Y, r)[..., :count * n]
+    return P.reshape(r, -1, count, n).transpose(3, 2, 0, 1).copy()
+
+
+def _procrustes_sum(factors: _StepFactors, k: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One step of a group: ``sum_i w_i U_i^T G_i``, ``U_i`` the orthogonal polar factor of ``H_i k^T``.
+
+    Chunk by chunk (:func:`_chunks`), as :func:`_input_sum` would sum
+    :func:`linalg.procrustes`: a Jacobi chunk by :func:`_resident_step`, the
+    SVD on ``F`` (the SVD rotates no rows, so there ``H_i = G_i``).
+    """
+    acc = 0.0
+    for part, resident in factors.chunks:
+        if resident is None:
+            G = factors.F[part]
+            R = linalg.procrustes(G @ np.swapaxes(k, -1, -2), G)[0]
+        else:
+            R = _resident_step(resident, k)
+        acc = _weighted_sum(acc, w[part], R)
+    return acc
 
 
 def _gram(K: list) -> list:
@@ -578,8 +668,8 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
 
     ``C_t = K_t^T K_t`` is kept as one ``(k_L, r_L, L)`` factor stack per
     block size of the partition, or as one block when ``init`` has an entry
-    between two of its blocks (:func:`_on_blocks`).  A step is one pass of
-    :func:`linalg.procrustes` over the inputs, ``K_{t+1} = sum_i w_i U_i^T G_i``
+    between two of its blocks (:func:`_on_blocks`).  A step is one orthogonal
+    Procrustes pass over the inputs, ``K_{t+1} = sum_i w_i U_i^T G_i``
     (see the module), which also gives ``F(C_t) = tr C_t + input_trace -
     2 <K_{t+1}, K_t>``, since ``tr(U_i^T G_i K_t^T) = ||G_i K_t^T||_*``.  It
     stops once ``||C_{t+1} - C_t||_F / ||C_t||_F`` (0 when both are zero) is
@@ -603,19 +693,26 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     The steps run on groups of block sizes (:func:`_groups`): a size with
     many blocks alone, the small ones as one zero-padded stack (:func:`_pad`)
     per route, so the steps, the change, the cross term and the history are
-    taken on the groups' stacks; the closing pass unpads ``K``.  A stack
-    that takes Jacobi steps on a working copy of its input factors,
-    ``H_i = Q_i G_i``: each step replaces ``H_i`` with the rows that Jacobi's
-    sweeps rotated (:func:`linalg.procrustes`; none for two rows or fewer).
-    ``U_i^T G_i`` is the same from ``H_i`` for any orthogonal ``Q_i``, so the
-    iterates agree up to rounding with a run from ``G_i`` at every step,
-    while Jacobi starts from rows that the previous step made orthogonal
-    against ``K_t``, and which ``K_{t+1}`` has moved less as the iteration
-    settles.  The SVD writes nothing back, so its stacks are ``prob``'s own
-    factors or a group's padded copy.  ``prob``'s own factors are not
-    changed; the closing pass reads them.  The mix is linear, so a group's
-    padding stays exactly zero, and it needs no change of ``H_i``:
-    ``procrustes(Q X, Q G) = U^T G`` for any ``K_t``.
+    taken on the groups' stacks; the closing pass unpads ``K``.  A step
+    takes each group's stack in the chunks :func:`_input_sum` would
+    (:func:`_procrustes_sum`), the route decided per chunk.  A chunk that
+    takes Jacobi steps on a working copy of its input factors,
+    ``H_i = Q_i G_i``, kept in Jacobi's rows-last layout beside the columns
+    of ``X_i = H_i K_t^T`` (:class:`_Resident`): each step writes ``X_i``
+    there by one batched product, and Jacobi's sweeps rotate the rows of
+    both in place, so ``H_i`` carries the rotated rows to the next step
+    with no copy (three rows or more; fewer keep ``G_i``, as
+    :func:`linalg.procrustes` does).  ``U_i^T G_i`` is the same from
+    ``H_i`` for any orthogonal ``Q_i``, so the iterates agree up to rounding
+    with a run from ``G_i`` at every step, while Jacobi starts from rows that
+    the previous step made orthogonal against ``K_t``, and which ``K_{t+1}``
+    has moved less as the iteration settles.  Every step has the bits of a
+    :func:`linalg.procrustes` of the chunk in its ``(n, k, m, L)`` layout
+    that writes its rotated rows back.  The SVD writes nothing back, so its
+    chunks read ``prob``'s own factors or a group's padded copy.  ``prob``'s
+    own factors are not changed; the closing pass reads them.  The mix is
+    linear, so a group's padding stays exactly zero, and it needs no change
+    of ``H_i``: ``procrustes(Q X, Q G) = U^T G`` for any ``K_t``.
 
     Parameters
     ----------
@@ -646,16 +743,14 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     stacks, factors = [], []  # per group, K_t's stack and the input factors the steps run on
     for g in groups:
         stacks.append(_pad([K[s] for s in g]))
-        H = _pad([block_factors[s] for s in g])
-        jacobi = linalg._route((*H.shape[:-1], stacks[-1].shape[-2])) == "jacobi"
-        factors.append(H.copy() if jacobi and len(g) == 1 else H)  # a lone size's H is prob's
+        factors.append(_step_factors(_pad([block_factors[s] for s in g]), stacks[-1].shape[-2]))
     sigma = _gram(stacks)
+    w = np.asarray(prob.weights)
     history, memory, mixed = [], [], False
     bound = 1e-9 * prob.input_trace  # a rise of F up to this is rounding
 
     for t in range(1, st.max_iter + 1):
-        new = [_input_sum(H, prob.weights, lambda F, k=k: _procrustes_step(F, k))
-               for k, H in zip(stacks, factors)]
+        new = [_procrustes_sum(f, k, w) for k, f in zip(stacks, factors)]
         if not all(np.all(np.isfinite(X)) for X in new):
             raise NonFinite(f"iterate diverged at iteration {t}")
         cross = sum(float(a.ravel() @ b.ravel()) for a, b in zip(new, stacks))

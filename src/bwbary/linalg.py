@@ -9,7 +9,10 @@ Two exceptions to LAPACK: :func:`polar` and :func:`procrustes` of matrices
 with at most two rows (most blocks of the doubling chains), and of a large
 stack of matrices with three to five rows, take one-sided Jacobi sweeps over
 the whole stack at once, on a rows-last layout in which every sum along a row
-is taken term by term (for two rows, one sweep of one rotation); and
+is taken term by term (for two rows, one sweep of one rotation).  The
+Procrustes core, :func:`_jacobi_procrustes`, takes and rotates that layout
+in place: :func:`procrustes` converts its input to it and the result back,
+and the barycentre solver keeps its factors in it between steps; and
 :func:`pivoted_cholesky` factors a whole stack of matrices in numpy, one
 factor row per step, under LAPACK ``pstrf``'s stopping rule for each matrix.
 Every matrix from outside is first checked, one matrix at a time, to be
@@ -365,15 +368,15 @@ def polar(X: np.ndarray) -> np.ndarray:
     shape, (rows, L) = X.shape, X.shape[-2:]
     if rows == 0:
         return np.zeros(shape[:-2] + (L, L))
-    Y = _orthogonal_rows(X, L)
-    if Y is None:
+    if _route(shape) == "svd":
         _, sv, Vt = np.linalg.svd(X, full_matrices=False)
         return _spectral_apply(np.swapaxes(Vt, -1, -2), sv)
+    Y = _jacobi_polar(_rows_last(X), L)
     # row k scaled by ||y_k||^{-1/2}, so that its outer product is y_k^T y_k / ||y_k||
     scale = np.sqrt(np.sqrt(np.einsum("kln,kln->kn", Y, Y)))
     scale[scale == 0] = np.inf
     V = Y / scale[:, None]
-    return _stack_sum(V, V, shape[:-2])
+    return _rows_first(np.einsum("kin,kjn->ijn", V, V), shape[:-2])
 
 
 def procrustes(X: np.ndarray, G: np.ndarray) -> tuple:
@@ -408,14 +411,13 @@ def procrustes(X: np.ndarray, G: np.ndarray) -> tuple:
     shape, (rows, r), L = X.shape, X.shape[-2:], G.shape[-1]
     if rows == 0 or r == 0:
         return np.zeros(shape[:-2] + (r, L)), G
-    Y = _orthogonal_rows(np.concatenate([X, G], axis=-1), r)
-    if Y is None:
+    if _route(shape) == "svd":
         W, sv, Vt = np.linalg.svd(X, full_matrices=False)
         return np.swapaxes(Vt * (sv > 0)[..., None], -1, -2) @ (np.swapaxes(W, -1, -2) @ G), G
-    norm = np.sqrt(np.einsum("kln,kln->kn", Y[:, :r], Y[:, :r]))
-    norm[norm == 0] = np.inf
+    Y = _rows_last(np.concatenate([X, G], axis=-1))
+    R = _rows_first(_jacobi_procrustes(Y, r), shape[:-2])
     H = G if rows <= 2 else Y[:, r:, :prod(shape[:-2])].transpose(2, 0, 1).reshape(G.shape)
-    return _stack_sum(Y[:, :r] / norm[:, None], Y[:, r:], shape[:-2]), H
+    return R, H
 
 
 def _route(shape: tuple) -> str:
@@ -434,19 +436,27 @@ def _route(shape: tuple) -> str:
     return "svd"
 
 
-def _orthogonal_rows(X: np.ndarray, cols: int) -> np.ndarray | None:
-    """The :func:`_rows_last` rows of ``X``, rotated orthogonal on their first ``cols`` columns.
+def _jacobi_procrustes(Y: np.ndarray, r: int) -> np.ndarray:
+    """:func:`procrustes`'s Jacobi route on :func:`_rows_last` rows ``[X | G]``: ``U^T G``, rows last.
 
-    By :func:`_jacobi_polar`, or ``None`` where :func:`_route` takes the SVD.
+    ``Y`` is ``(m, r + L, N)``, ``X`` its first ``r`` columns; it is rotated
+    in place (:func:`_jacobi_polar`), so its last ``L`` columns end as ``H``.
+    Returns ``sum_k y_k^T z_k / ||y_k||`` as an ``(r, L, N)`` array, each
+    matrix's sum taken term by term (:func:`_rows_first` gives the stack).
     """
-    if _route((*X.shape[:-1], cols)) == "svd":
-        return None
-    return _jacobi_polar(_rows_last(X), cols)
+    _jacobi_polar(Y, r)
+    norm = np.sqrt(np.einsum("kln,kln->kn", Y[:, :r], Y[:, :r]))
+    norm[norm == 0] = np.inf
+    return np.einsum("kin,kjn->ijn", Y[:, :r] / norm[:, None], Y[:, r:])
 
 
-def _stack_sum(A: np.ndarray, B: np.ndarray, stack: tuple) -> np.ndarray:
-    """``sum_k a_k^T b_k`` over :func:`_rows_last` rows, as a C-contiguous stack (see :func:`polar`)."""
-    P = np.einsum("kin,kjn->ijn", A, B).transpose(2, 0, 1).copy()
+def _rows_first(P: np.ndarray, stack: tuple) -> np.ndarray:
+    """The first ``prod(stack)`` matrices of a rows-last ``(i, j, N)`` array, as a ``stack + (i, j)`` stack.
+
+    C-contiguous, so a caller's sum over the stack is an outer reduction
+    (see :func:`polar`).
+    """
+    P = P.transpose(2, 0, 1).copy()
     return P[:prod(stack)].reshape(stack + P.shape[1:])
 
 
@@ -505,7 +515,13 @@ def _rotate_rows(x, y, a, b, g, skip) -> None:
 # solver hands each step the rows its previous step rotated
 # (barycentre.barycentre_fixed_point): on the uniform seed-1 run its 9
 # Anderson-mixed steps then take 29, 21, 19, 19, 19, 15, 11, 10 and 10
-# rotations (one rotating sweep at the last two), down to 1.2 ms.
+# rotations (one rotating sweep at the last two), down to 1.2 ms.  It keeps
+# them rows-last between steps (barycentre._Resident), so a step adds little
+# to the rotations: median ms of a first step on that run's stacks, through
+# procrustes from the (n, k, m, L) layout / on the resident buffer / Jacobi
+# alone: (1000, 1, 5, 6) 2.87 / 2.52 / 2.38, (1000, 1, 3, 4) 0.70 / 0.56 /
+# 0.46, (1000, 2, 2, 3) 0.38 / 0.17 / 0.09.  Of that, X = H K^T takes 0.011 ms
+# as one batched product into the buffer, 0.113 ms as the stacked H @ K^T.
 _JACOBI_MAX_ROWS = 5
 _JACOBI_MIN_STACK = 512
 # The sweep cap of LAPACK dgesvj.
@@ -540,13 +556,16 @@ def _jacobi_polar(Y: np.ndarray, cols: int) -> np.ndarray:
     is at most ``eps^2`` times its squared norm there at entry is set to
     exactly zero on them, and adds nothing to :func:`polar` or
     :func:`procrustes`; the columns past ``L`` (``procrustes``'s ``G``)
-    keep their rotated rows.
+    keep their rotated rows.  The norms are the next sweep's own: its first
+    pairs meet every row before they rotate it, row 0 as ``a`` of ``(0, 1)``
+    and row ``q`` as ``b`` of ``(0, q)``, so the test takes no sum of its
+    own; a zeroed row's ``a`` or ``b`` and the pair's ``g`` are then set to
+    exactly 0, as the sums of the zeroed row would give.
     """
     m = len(Y)
     tol = sqrt(cols) * _EPS
-    X = Y[:, :cols]
-    entry = np.einsum("kln,kln->kn", X, X) if m > 2 else None
-    for _ in range(_JACOBI_MAX_SWEEPS):
+    entry = np.empty((m, Y.shape[-1]))  # the rows' squared norms on the first cols columns
+    for sweep in range(_JACOBI_MAX_SWEEPS):
         rotated = False
         for p in range(m - 1):
             for q in range(p + 1, m):
@@ -554,6 +573,18 @@ def _jacobi_polar(Y: np.ndarray, cols: int) -> np.ndarray:
                 xc, yc = x[:cols], y[:cols]
                 a, b, g = (np.einsum("ln,ln->n", xc, xc), np.einsum("ln,ln->n", yc, yc),
                            np.einsum("ln,ln->n", xc, yc))
+                if p == 0 and m > 2:
+                    # the sweep's first pairs meet each row before it rotates
+                    # it: row 0 at (0, 1), as a, and row q at (0, q), as b
+                    for row, v, norm2 in ((0, xc, a), (q, yc, b)) if q == 1 else ((q, yc, b),):
+                        if sweep == 0:
+                            entry[row] = norm2
+                            continue
+                        small = norm2 <= _EPS**2 * entry[row]
+                        if small.any():
+                            v[:, small] = 0.0
+                            norm2[small] = 0.0
+                            g[small] = 0.0
                 skip = np.abs(g) <= tol * np.sqrt(a) * np.sqrt(b)
                 if skip.all():
                     continue
@@ -561,8 +592,5 @@ def _jacobi_polar(Y: np.ndarray, cols: int) -> np.ndarray:
                 _rotate_rows(x, y, a, b, g, skip)
         if not rotated or m <= 2:
             return Y
-        small = np.einsum("kln,kln->kn", X, X) <= _EPS**2 * entry
-        if small.any():
-            np.moveaxis(X, 1, 2)[small] = 0.0
     raise np.linalg.LinAlgError(
         f"one-sided Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")

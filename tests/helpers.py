@@ -5,7 +5,10 @@ references that the package's block-stacked passes are checked against,
 bit for bit where the passes promise it.  ``reference_coefficients`` and
 ``reference_map_coefficient`` draw the Monte-Carlo coefficients with one
 numpy ``Generator`` per stream, the reference for ``randomized``'s single
-vectorised pass.
+vectorised pass.  ``reference_input_sum`` and ``reference_procrustes_step``
+take a solver step stack by stack through ``linalg.procrustes``, writing
+the rows its Jacobi sweeps rotated back into the factors, the reference for
+the solver's resident rows-last buffers.
 """
 
 import numpy as np
@@ -13,12 +16,14 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from bwbary import TruncationConfig, build_covariance, build_pair_maps, conjugate, optimal_map
+from bwbary.barycentre import _block_size
 from bwbary.linalg import (
     RANK_TOL,
     _spectral_apply,
     check_symmetric,
     pivoted_cholesky,
     polar,
+    procrustes,
     psd_eigh,
 )
 
@@ -127,3 +132,32 @@ def reference_coefficients(law, seed, n, antithetic=False):
 def reference_map_coefficient(law, seed):
     """``random_map_sample``'s coefficient: the first draw of the unspawned stream."""
     return law_draw(law.name, philox_stream(np.random.SeedSequence(seed)))
+
+
+def reference_input_sum(G, weights, term):
+    """``sum_i w_i term(G_i)`` over an ``(n, k, m, L)`` stack, ``_block_size(L)`` blocks per call.
+
+    ``term`` returns C-contiguous stacks, summed over the inputs as a running
+    sum in input order (a stack of 1x1 results by ``cumsum``, which is
+    sequential).
+    """
+    w = np.asarray(weights)
+    step = max(1, _block_size(G.shape[-1]) // G.shape[1])
+    acc = 0.0
+    for start in range(0, len(G), step):
+        P = w[start:start + step, None, None, None] * term(G[start:start + step])
+        P[0] += acc
+        acc = P.sum(axis=0) if P[0].size > 1 else np.cumsum(P, axis=0)[-1]
+    return acc
+
+
+def reference_procrustes_step(H, k):
+    """``U_i^T H_i``, ``U_i`` the orthogonal polar factor of ``H_i k^T``, over a stack ``H``.
+
+    The rows that ``procrustes``'s Jacobi sweeps rotated replace ``H``'s in
+    place (three rows or more); otherwise nothing is written.
+    """
+    R, rotated = procrustes(H @ np.swapaxes(k, -1, -2), H)
+    if rotated is not H:
+        H[...] = rotated
+    return R

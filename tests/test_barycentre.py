@@ -30,6 +30,8 @@ from helpers import (
     constructed_triple,
     psd_factor,
     random_psd,
+    reference_input_sum,
+    reference_procrustes_step,
     sqrt_psd,
     two_input_oracle,
 )
@@ -285,6 +287,66 @@ class TestWarmStart:
         assert calls[0] <= 250
 
 
+def resident_case(case):
+    """A problem whose steps take the resident buffers, and the routes its step groups cover."""
+    if case.startswith("mc"):
+        from bwbary import randomized
+
+        coeffs = randomized.draw_coefficients(randomized.RandomMapLaw("uniform"), 1, 1000)
+        return barycentre.BarycentreProblem.from_block_factors(
+            *construct.chain_factors(TruncationConfig(dim=int(case[2:])), coeffs))
+    if case.startswith("pair"):
+        _, s1, s2 = constructed_triple(int(case[4:]))
+        return problem([s1, s2])
+    if case == "random":
+        return random_block_family()
+    # dense Wishart families, one block of size d: rank 2 takes one Jacobi
+    # rotation, and rank 4 over 600 inputs (factors of up to five rows)
+    # takes Jacobi sweeps
+    rng = np.random.default_rng(43)
+    n, rank = (5, 2) if case == "wishart rank 2" else (linalg._JACOBI_MIN_STACK + 88, 4)
+    return problem([random_psd(rng, 8, rank=rank) for _ in range(n)])
+
+
+class TestResidentSteps:
+    """Each step keeps a Jacobi chunk's factors rows-last, with the bits of the stack-by-stack step."""
+
+    @pytest.mark.parametrize("case", ["mc32", "mc256", "mc512", "pair64", "pair128", "random",
+                                      "wishart rank 2", "wishart rank 4"])
+    def test_steps_have_the_bits_of_the_stacked_procrustes(self, case, monkeypatch):
+        prob = resident_case(case)
+        for G in prob.block_factors:
+            G.flags.writeable = False  # a write into the problem's factors raises
+        before = [G.copy() for G in prob.block_factors]
+        steps, procrustes_sum = [], barycentre._procrustes_sum
+
+        def recording(factors, k, weights):
+            out = procrustes_sum(factors, k, weights)
+            steps.append((factors, k.copy(), out))
+            return out
+
+        monkeypatch.setattr(barycentre, "_procrustes_sum", recording)
+        res = barycentre_fixed_point(prob)
+        assert res.converged
+        assert all(np.array_equal(G, B) for G, B in zip(prob.block_factors, before))
+        # replay every group's steps on a working copy of its factors, which
+        # the stacked procrustes rotates in place
+        working, residents = {}, set()
+        for factors, k, out in steps:
+            H = working.setdefault(id(factors), factors.F.copy())
+            expected = reference_input_sum(
+                H, prob.weights, lambda F, k=k: reference_procrustes_step(F, k))
+            assert np.array_equal(out, expected)
+            residents |= {chunk.H.shape[0] for _, chunk in factors.chunks if chunk is not None}
+        if case == "mc32":
+            # one-, two-, three- and five-row chunks
+            assert residents == {1, 2, 3, 5}
+        if case == "mc512":
+            # one size's stack is split between a Jacobi and an SVD chunk
+            assert any(len({r is None for _, r in f.chunks}) == 2 for f, _, _ in steps)
+        assert residents
+
+
 class TestGroupedSteps:
     """A step runs each large block size alone and the small ones as one padded stack per route."""
 
@@ -296,13 +358,14 @@ class TestGroupedSteps:
         K = start_factors(prob)
         assert [k.shape[1] for k in K] == [0, 2, 3, 4, 6]
         shapes = []
-        procrustes = linalg.procrustes
+        procrustes_sum = barycentre._procrustes_sum
 
-        def recording(X, G):
-            shapes.append(X.shape)
-            return procrustes(X, G)
+        def recording(factors, k, weights):
+            # the shape of the group's X = G k^T
+            shapes.append((*factors.F.shape[:-1], k.shape[1]))
+            return procrustes_sum(factors, k, weights)
 
-        monkeypatch.setattr(linalg, "procrustes", recording)
+        monkeypatch.setattr(barycentre, "_procrustes_sum", recording)
         res = barycentre_fixed_point(prob)
         assert res.iterations == 9
         assert shapes == [(1000, 4, 1, 2), (1000, 2, 2, 3), (1000, 1, 3, 4),
@@ -384,17 +447,17 @@ class TestAndersonMixing:
         prob = random_block_family()
         groups = barycentre._groups(start_factors(prob), prob.block_factors)
         calls = [0]
-        procrustes = linalg.procrustes
+        procrustes_sum = barycentre._procrustes_sum
 
-        def counting(X, G):
+        def counting(*args):
             calls[0] += 1
-            return procrustes(X, G)
+            return procrustes_sum(*args)
 
-        monkeypatch.setattr(linalg, "procrustes", counting)
+        monkeypatch.setattr(barycentre, "_procrustes_sum", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = barycentre_fixed_point(prob)
-        # one procrustes per group and pass; a dropped pass adds no history row
+        # one step per group and pass; a dropped pass adds no history row
         passes = calls[0] // len(groups)
         assert calls[0] == passes * len(groups) and passes > res.iterations
         assert [h[0] for h in res.history] == list(range(1, res.iterations + 1))

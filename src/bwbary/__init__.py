@@ -32,7 +32,6 @@ _MODULE_EXPORTS = {
         "SHARED_ANGLE_TOL",
         "TruncationConfig",
         "build_covariance",
-        "build_map_family",
         "build_pair_maps",
         "build_shift_map",
         "conjugate",

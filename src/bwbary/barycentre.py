@@ -12,10 +12,10 @@ Procrustes analysis, Gower 1975):
 It never inverts ``C_t``, so a singular iterate needs no ridge and no
 eigenvalue cutoff.  ``U_i^T G_i`` does not change when the rows of ``G_i``
 are rotated, so each step starts from the rows the previous step's
-Procrustes rotated, on which one-sided Jacobi has less left to do; they
-stay in Jacobi's rows-last layout from step to step
-(:func:`barycentre_fixed_point`).  The step is gradient descent with unit
-step in the Bures-Wasserstein metric (Chewi, Maunu, Rigollet & Stromme,
+Procrustes rotated, on which one-sided Jacobi has less left to do; each
+chunk of the inputs keeps them in a :class:`linalg._ProcrustesStack` from
+step to step (:func:`barycentre_fixed_point`).  The step is gradient
+descent with unit step in the Bures-Wasserstein metric (Chewi, Maunu, Rigollet & Stromme,
 COLT 2020), and the solver accelerates it by type-II Anderson mixing of the
 factor (Walker & Ni, SIAM J. Numer. Anal. 2011), depth ``_MIX_DEPTH``:
 ``C = K^T K`` is PSD for any mixed ``K``, and a mixed iterate whose Fréchet
@@ -443,7 +443,7 @@ def _evaluate(C: list, block_factors: tuple, prob: BarycentreProblem) -> tuple:
     diagonal on, and ``block_factors`` are the factors cut to that partition;
     the decomposition behind ``C^{1/2}`` is the one PSD check of ``C``.
     """
-    roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in linalg.psd_eigh(C)[0]]
+    roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in linalg.psd_eigh(C)]
     mid = _mean_inner_root(roots, block_factors, prob.weights)
     residual = _norm([M - X for M, X in zip(mid, C)]) / max(1.0, _norm(C))
     return residual, _frechet(_trace(C), _trace(mid), prob.input_trace)
@@ -472,90 +472,23 @@ def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
     return _evaluate_candidate(candidate, prob)[0]
 
 
-class _Resident(NamedTuple):
-    """A Jacobi-route chunk of a step group's input factors, kept rows-last between steps.
+def _step_factors(F: np.ndarray, r: int) -> list:
+    """A step group's ``(n, k, m, L)`` input factors as ``(part, stack)`` pairs, for ``r`` iterate rows.
 
-    ``Y`` is the ``(m, r + L, max(N, 2))`` array :func:`linalg._jacobi_procrustes`
-    rotates, for the chunk's ``N = n k`` blocks in block-major order (the
-    last axis runs over the inputs within each of the ``k`` blocks); ``X``
-    and ``H`` are its first ``r`` and last ``L`` columns as ``(m, cols, k, n)``
-    views.  ``H`` holds the factors the next step starts from.  ``G`` is
-    ``None`` when it carries Jacobi's rotated rows (three rows or more);
-    otherwise it is the chunk's ``(n, k, m, L)`` factors, contiguous, from
-    which every step restores ``H``, as :func:`linalg.procrustes` rotates
-    no more than two rows into its ``H``.
+    One :class:`linalg._ProcrustesStack` per :func:`_chunks` slice ``part`` of
+    the inputs, which keeps what its steps carry from one to the next.
     """
-
-    Y: np.ndarray
-    X: np.ndarray
-    H: np.ndarray
-    G: np.ndarray | None
+    return [(part, linalg._ProcrustesStack(F[part], r)) for part in _chunks(F.shape)]
 
 
-class _StepFactors(NamedTuple):
-    """A step group's ``(n, k, m, L)`` input factors ``F`` and its :func:`_chunks`, as the steps keep them.
-
-    A chunk is ``(part, resident)``: its slice of the inputs and, when
-    :func:`linalg.procrustes` would take it by Jacobi, its
-    :class:`_Resident` buffer; ``None`` for the SVD, which reads ``F[part]``.
-    ``F`` is never written.
-    """
-
-    F: np.ndarray
-    chunks: list
-
-
-def _step_factors(F: np.ndarray, r: int) -> _StepFactors:
-    """The :class:`_StepFactors` of a group's input factors ``F``, for ``r`` iterate rows."""
-    chunks = []
-    for part in _chunks(F.shape):
-        G = F[part]
-        n, k, m, L = G.shape
-        if m == 0 or linalg._route((n, k, m, r)) == "svd":
-            chunks.append((part, None))
-            continue
-        Y = np.zeros((m, r + L, max(n * k, 2)))
-        X, H = (Y[:, cols, :n * k].reshape(m, -1, k, n) for cols in (slice(r), slice(r, None)))
-        H[...] = G.transpose(2, 3, 1, 0)
-        chunks.append((part, _Resident(Y, X, H, np.ascontiguousarray(G) if m <= 2 else None)))
-    return _StepFactors(F, chunks)
-
-
-def _resident_step(chunk: _Resident, k: np.ndarray) -> np.ndarray:
-    """``U_i^T H_i`` over a :class:`_Resident` chunk, ``U_i`` the orthogonal polar factor of ``H_i k^T``.
-
-    One batched product writes ``X = H k^T`` into ``Y``; Jacobi then rotates
-    ``Y`` in place, so the rotated rows stay in ``H`` for the next step.  A
-    one-row chunk forms ``X`` from ``G`` instead: the stacked product of one
-    row is a matrix-vector product, with other bits than the batched one.
-    """
-    Y, X, H, G = chunk
-    m, r, count, n = X.shape
-    if G is not None:
-        H[...] = G.transpose(2, 3, 1, 0)
-    if m == 1:
-        X[...] = (G @ np.swapaxes(k, -1, -2)).transpose(2, 3, 1, 0)
-    else:
-        np.matmul(k, H.transpose(0, 2, 1, 3), out=X.transpose(0, 2, 1, 3))
-    P = linalg._jacobi_procrustes(Y, r)[..., :count * n]
-    return P.reshape(r, -1, count, n).transpose(3, 2, 0, 1).copy()
-
-
-def _procrustes_sum(factors: _StepFactors, k: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _procrustes_sum(factors: list, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     """One step of a group: ``sum_i w_i U_i^T G_i``, ``U_i`` the orthogonal polar factor of ``H_i k^T``.
 
-    Chunk by chunk (:func:`_chunks`), as :func:`_input_sum` would sum
-    :func:`linalg.procrustes`: a Jacobi chunk by :func:`_resident_step`, the
-    SVD on ``F`` (the SVD rotates no rows, so there ``H_i = G_i``).
+    Chunk by chunk (:func:`_step_factors`), summed as :func:`_input_sum` sums.
     """
     acc = 0.0
-    for part, resident in factors.chunks:
-        if resident is None:
-            G = factors.F[part]
-            R = linalg.procrustes(G @ np.swapaxes(k, -1, -2), G)[0]
-        else:
-            R = _resident_step(resident, k)
-        acc = _weighted_sum(acc, w[part], R)
+    for part, stack in factors:
+        acc = _weighted_sum(acc, w[part], stack.stack(k))
     return acc
 
 
@@ -695,24 +628,20 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
     per route, so the steps, the change, the cross term and the history are
     taken on the groups' stacks; the closing pass unpads ``K``.  A step
     takes each group's stack in the chunks :func:`_input_sum` would
-    (:func:`_procrustes_sum`), the route decided per chunk.  A chunk that
-    takes Jacobi steps on a working copy of its input factors,
-    ``H_i = Q_i G_i``, kept in Jacobi's rows-last layout beside the columns
-    of ``X_i = H_i K_t^T`` (:class:`_Resident`): each step writes ``X_i``
-    there by one batched product, and Jacobi's sweeps rotate the rows of
-    both in place, so ``H_i`` carries the rotated rows to the next step
-    with no copy (three rows or more; fewer keep ``G_i``, as
+    (:func:`_procrustes_sum`), each a :class:`linalg._ProcrustesStack`,
+    which decides the chunk's route once.  On Jacobi it steps a working
+    copy of the chunk's factors, ``H_i = Q_i G_i``, whose rows the previous
+    step's sweeps rotated (three rows or more; fewer keep ``G_i``, as
     :func:`linalg.procrustes` does).  ``U_i^T G_i`` is the same from
     ``H_i`` for any orthogonal ``Q_i``, so the iterates agree up to rounding
     with a run from ``G_i`` at every step, while Jacobi starts from rows that
     the previous step made orthogonal against ``K_t``, and which ``K_{t+1}``
     has moved less as the iteration settles.  Every step has the bits of a
     :func:`linalg.procrustes` of the chunk in its ``(n, k, m, L)`` layout
-    that writes its rotated rows back.  The SVD writes nothing back, so its
-    chunks read ``prob``'s own factors or a group's padded copy.  ``prob``'s
-    own factors are not changed; the closing pass reads them.  The mix is
-    linear, so a group's padding stays exactly zero, and it needs no change
-    of ``H_i``: ``procrustes(Q X, Q G) = U^T G`` for any ``K_t``.
+    that writes its rotated rows back.  ``prob``'s own factors are not
+    changed; the closing pass reads them.  The mix is linear, so a group's
+    padding stays exactly zero, and it needs no change of ``H_i``:
+    ``procrustes(Q X, Q G) = U^T G`` for any ``K_t``.
 
     Parameters
     ----------

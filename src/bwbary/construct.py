@@ -152,36 +152,6 @@ def build_pair_maps(dim: int) -> tuple:
     return eye + half, eye - half
 
 
-def build_map_family(dim: int, n: int = None, coeffs=None, weights=None) -> list:
-    """Maps ``I + a_i (F + F^T)`` whose weighted average is the identity.
-
-    Either give ``n`` (coefficients default to ``linspace(-1/2, 1/2, n)``,
-    equally spaced and symmetric about 0) or explicit ``coeffs``.  Each
-    ``|a_i|`` must be at most 1/2 (NaN is not) so every map is PSD.
-    ``weights`` (default uniform) follow
-    :class:`barycentre.BarycentreProblem`'s rule, one finite nonnegative
-    weight per map summing to 1 within 1e-12, and the weighted coefficient sum
-    must vanish (tolerance 1e-15), so the family averages to the identity.
-    """
-    if coeffs is None:
-        if n is None:
-            raise InvalidInput("need n >= 2 or explicit coeffs")
-        coeffs = np.linspace(-0.5, 0.5, check_integer(n, "n", 2))
-    coeffs = linalg.check_real(coeffs)
-    if coeffs.ndim != 1 or coeffs.size < 2:
-        raise InvalidInput("need at least two coefficients")
-    if not np.all(np.abs(coeffs) <= 0.5):
-        raise InvalidInput("coefficients must lie in [-1/2, 1/2] to keep maps PSD")
-    if weights is None:
-        weights = np.full(coeffs.size, 1.0 / coeffs.size)
-    weights = linalg.check_weights(weights, coeffs.size)
-    if abs(float(weights @ coeffs)) > 1e-15:
-        raise InvalidInput("weighted coefficient sum must vanish")
-    S = symmetrized_shift(dim)
-    eye = np.eye(dim)
-    return [eye + a * S for a in coeffs]
-
-
 def chain_factors(config: TruncationConfig, coeffs) -> tuple:
     """Exact chain-block factors of the conjugations ``T_i C T_i``: ``(blocks, block_factors)``.
 

@@ -56,7 +56,7 @@ def _source_decomposition(M) -> tuple:
     """``(A, w, V)``: the symmetrized ``M`` and its :func:`linalg.psd_eigh`, through the memo."""
     def compute(M):
         A = check_symmetric(M)
-        [(w, V)], _ = linalg.psd_eigh([A[None]])
+        [(w, V)] = linalg.psd_eigh([A[None]])
         return A, w[0], V[0]
 
     return _memo(_sources, M, compute)

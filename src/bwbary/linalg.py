@@ -12,7 +12,9 @@ the whole stack at once, on a rows-last layout in which every sum along a row
 is taken term by term (for two rows, one sweep of one rotation).  The
 Procrustes core, :func:`_jacobi_procrustes`, takes and rotates that layout
 in place: :func:`procrustes` converts its input to it and the result back,
-and the barycentre solver keeps its factors in it between steps; and
+and :class:`_ProcrustesStack`, the barycentre solver's steps over one chunk
+of its inputs, keeps the chunk in it between steps, with the rules that
+give each step :func:`procrustes`'s bits; and
 :func:`pivoted_cholesky` factors a whole stack of matrices in numpy, one
 factor row per step, under LAPACK ``pstrf``'s stopping rule for each matrix.
 Every matrix from outside is first checked, one matrix at a time, to be
@@ -174,24 +176,23 @@ def _pinv_sqrt_values(w: np.ndarray, cutoff: float) -> np.ndarray:
     return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
 
 
-def psd_eigh(stacks: list) -> tuple:
-    """Eigendecompositions of PSD stacks under one PSD check: ``([(w, V), ...], lam_max)``.
+def psd_eigh(stacks: list) -> list:
+    """Eigendecompositions of PSD stacks under one PSD check: ``[(w, V), ...]``.
 
     ``stacks`` is a list of ``(..., n, n)`` stacks of symmetric matrices (the
     diagonal blocks of one matrix, or a single matrix as a stack of one).
     One ``eigh`` per stack, eigenvalues descending with their eigenvectors
     as columns.  The check is :func:`check_psd_floor` on the smallest
-    eigenvalue over all stacks against the largest, ``lam_max``, so the
-    verdict is that of the whole matrix; rounding-level negatives are then
-    clamped to zero.  A stack of one has the bits of ``eigh`` of its matrix.
+    eigenvalue over all stacks against the largest, so the verdict is that
+    of the whole matrix; rounding-level negatives are then clamped to zero.  A stack of one has the bits of ``eigh`` of its matrix.
     """
     decs = []
     for X in stacks:
         w, V = np.linalg.eigh(X)
         decs.append((w[..., ::-1].copy(), V[..., ::-1].copy()))
-    lam_max = max(float(w[..., 0].max()) for w, _ in decs)
-    check_psd_floor(min(float(w[..., -1].min()) for w, _ in decs), lam_max)
-    return [(np.clip(w, 0.0, None), V) for w, V in decs], lam_max
+    check_psd_floor(min(float(w[..., -1].min()) for w, _ in decs),
+                    max(float(w[..., 0].max()) for w, _ in decs))
+    return [(np.clip(w, 0.0, None), V) for w, V in decs]
 
 
 def kernel_dim(M, rank_tol: float = RANK_TOL) -> int:
@@ -216,7 +217,7 @@ def kernel_basis(M, rank_tol: float = RANK_TOL) -> np.ndarray:
     so that the largest-magnitude component of each column is positive
     (ties broken by lowest index), which makes golden-file tests possible.
     """
-    [(w, V)], _ = psd_eigh([check_symmetric(M, tol=np.inf)[None]])
+    [(w, V)] = psd_eigh([check_symmetric(M, tol=np.inf)[None]])
     w, V = w[0], V[0]
     K = V[:, w < rank_tol * max(1.0, float(w[0]))]
     signs = np.sign(K[np.argmax(np.abs(K), axis=0), np.arange(K.shape[1])])
@@ -405,8 +406,8 @@ def procrustes(X: np.ndarray, G: np.ndarray) -> tuple:
     start (carrying them changed the bits of a solve and saved nothing).
     Since ``procrustes(Q X, Q G)`` is ``U^T G`` again for any orthogonal
     ``Q``, a caller whose next ``X`` is ``H K^T`` hands Jacobi rows that
-    ``K`` has moved little from orthogonal, which take fewer rotations (see
-    ``barycentre.barycentre_fixed_point``).
+    ``K`` has moved little from orthogonal, which take fewer rotations
+    (:class:`_ProcrustesStack` does so, in place).
     """
     shape, (rows, r), L = X.shape, X.shape[-2:], G.shape[-1]
     if rows == 0 or r == 0:
@@ -448,6 +449,61 @@ def _jacobi_procrustes(Y: np.ndarray, r: int) -> np.ndarray:
     norm = np.sqrt(np.einsum("kln,kln->kn", Y[:, :r], Y[:, :r]))
     norm[norm == 0] = np.inf
     return np.einsum("kin,kjn->ijn", Y[:, :r] / norm[:, None], Y[:, r:])
+
+
+class _ProcrustesStack:
+    """The Procrustes steps ``U_i^T H_i`` of an ``(n, k, m, L)`` stack against ``(k, r, L)`` iterates.
+
+    ``U_i`` is the orthogonal polar factor of ``X_i = H_i K^T``, ``H_i`` a
+    working copy of the factor ``G_i`` with its rows rotated as the last
+    step's Jacobi sweeps rotated them: ``U_i^T H_i`` is ``U_i^T G_i`` for any
+    such rotation, and Jacobi starts each step from rows that the previous
+    one made orthogonal.  The route is :func:`procrustes`'s for an ``X`` of
+    ``(n, k, m, r)`` shape, decided once.  On Jacobi the stack keeps one
+    :func:`_rows_last` buffer ``Y`` of ``(m, r + L, max(N, 2))`` for the
+    ``N = n k`` blocks in block-major order (the last axis runs over the
+    inputs within each block), ``X`` and ``H`` its first ``r`` and last
+    ``L`` columns as ``(m, cols, k, n)`` views; :meth:`stack` writes ``X``
+    there and Jacobi rotates ``Y`` in place, so ``H`` carries the rotated
+    rows to the next step with no copy.  At most two rows keep ``G`` and
+    restore ``H`` from it, as :func:`procrustes` rotates no rows into its
+    ``H`` there.  The SVD route and a stack with no rows call
+    :func:`procrustes` on ``G``.  ``G`` is never written.
+
+    Each :meth:`stack` has the bits of :func:`procrustes` of ``H @ K^T`` and
+    ``H`` as ``(n, k, m, L)`` stacks that writes its rotated rows back into
+    ``H``.  ``X`` takes one batched product into the buffer, except for one
+    row or one input, where that product is a matrix-vector one with other
+    bits: there it is the stacked product, from ``G`` or a contiguous copy
+    of ``H``.
+    """
+
+    def __init__(self, G: np.ndarray, r: int):
+        n, k, m, L = G.shape
+        self.G, self.Y = G, None
+        if m == 0 or _route((n, k, m, r)) == "svd":
+            return
+        self.Y = _rows_last(np.concatenate([np.zeros((k, n, m, r)), G.swapaxes(0, 1)], axis=-1))
+        self.X, self.H = (self.Y[:, cols, :n * k].reshape(m, -1, k, n)
+                          for cols in (slice(r), slice(r, None)))
+        self.G = np.ascontiguousarray(G) if m <= 2 else None
+
+    def stack(self, K: np.ndarray) -> np.ndarray:
+        """The C-contiguous ``(n, k, r, L)`` stack ``U_i^T H_i`` against ``K``, one step."""
+        G = self.G
+        if self.Y is None:
+            return procrustes(G @ np.swapaxes(K, -1, -2), G)[0]
+        X, H = self.X, self.H
+        m, r, k, n = X.shape
+        if G is not None:
+            H[...] = G.transpose(2, 3, 1, 0)
+        if m == 1 or n == 1:
+            F = np.ascontiguousarray(H.transpose(3, 2, 0, 1)) if G is None else G
+            X[...] = (F @ np.swapaxes(K, -1, -2)).transpose(2, 3, 1, 0)
+        else:
+            np.matmul(K, H.transpose(0, 2, 1, 3), out=X.transpose(0, 2, 1, 3))
+        P = _jacobi_procrustes(self.Y, r)[..., :k * n]
+        return P.reshape(r, -1, k, n).transpose(3, 2, 0, 1).copy()
 
 
 def _rows_first(P: np.ndarray, stack: tuple) -> np.ndarray:
@@ -516,7 +572,7 @@ def _rotate_rows(x, y, a, b, g, skip) -> None:
 # (barycentre.barycentre_fixed_point): on the uniform seed-1 run its 9
 # Anderson-mixed steps then take 29, 21, 19, 19, 19, 15, 11, 10 and 10
 # rotations (one rotating sweep at the last two), down to 1.2 ms.  It keeps
-# them rows-last between steps (barycentre._Resident), so a step adds little
+# them rows-last between steps (_ProcrustesStack), so a step adds little
 # to the rotations: median ms of a first step on that run's stacks, through
 # procrustes from the (n, k, m, L) layout / on the resident buffer / Jacobi
 # alone: (1000, 1, 5, 6) 2.87 / 2.52 / 2.38, (1000, 1, 3, 4) 0.70 / 0.56 /

@@ -8,7 +8,7 @@ numpy ``Generator`` per stream, the reference for ``randomized``'s single
 vectorised pass.  ``reference_input_sum`` and ``reference_procrustes_step``
 take a solver step stack by stack through ``linalg.procrustes``, writing
 the rows its Jacobi sweeps rotated back into the factors, the reference for
-the solver's resident rows-last buffers.
+``linalg._ProcrustesStack``, which keeps them rows-last between steps.
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ def random_psd(rng, n, rank=None):
 
 def eigh_one(M) -> tuple:
     """``(w, V)``: :func:`psd_eigh` of the symmetrized ``M`` as a stack of one, descending."""
-    [(w, V)], _ = psd_eigh([check_symmetric(M, tol=np.inf)[None]])
+    [(w, V)] = psd_eigh([check_symmetric(M, tol=np.inf)[None]])
     return w[0], V[0]
 
 

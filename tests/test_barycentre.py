@@ -15,7 +15,6 @@ from bwbary import (
     TruncationConfig,
     barycentre_fixed_point,
     build_covariance,
-    build_map_family,
     build_pair_maps,
     bw_distance_sq,
     conjugate,
@@ -116,12 +115,10 @@ class TestCertificate:
         assert verify_barycentre_certificate(cov, prob) <= 1e-9
 
     def test_certificate_exact_for_weighted_families(self):
-        from bwbary import build_map_family
-
         cov = build_covariance(TruncationConfig(dim=16))
         weights = [0.2, 0.3, 0.5]
         coeffs = [0.5, 0.1, -0.26]  # weighted mean zero
-        maps = build_map_family(16, coeffs=coeffs, weights=weights)
+        maps = [np.eye(16) + a * symmetrized_shift(16) for a in coeffs]
         prob = problem([conjugate(T, cov) for T in maps], weights)
         assert verify_barycentre_certificate(cov, prob) <= 1e-9
 
@@ -300,6 +297,13 @@ def resident_case(case):
         return problem([s1, s2])
     if case == "random":
         return random_block_family()
+    # a single input: a dense one of rank 2, and one input's chain blocks
+    if case == "one input":
+        G = np.random.default_rng(5).standard_normal((8, 2))
+        return problem([G @ G.T])
+    if case == "one chain input":
+        return barycentre.BarycentreProblem.from_block_factors(
+            *construct.chain_factors(TruncationConfig(dim=32), [0.3]))
     # dense Wishart families, one block of size d: rank 2 takes one Jacobi
     # rotation, and rank 4 over 600 inputs (factors of up to five rows)
     # takes Jacobi sweeps
@@ -312,6 +316,7 @@ class TestResidentSteps:
     """Each step keeps a Jacobi chunk's factors rows-last, with the bits of the stack-by-stack step."""
 
     @pytest.mark.parametrize("case", ["mc32", "mc256", "mc512", "pair64", "pair128", "random",
+                                      "one input", "one chain input",
                                       "wishart rank 2", "wishart rank 4"])
     def test_steps_have_the_bits_of_the_stacked_procrustes(self, case, monkeypatch):
         prob = resident_case(case)
@@ -319,12 +324,19 @@ class TestResidentSteps:
             G.flags.writeable = False  # a write into the problem's factors raises
         before = [G.copy() for G in prob.block_factors]
         steps, procrustes_sum = [], barycentre._procrustes_sum
+        inputs, step_factors = {}, barycentre._step_factors  # each group's factors F
+
+        def wrapped(F, r):
+            factors = step_factors(F, r)
+            inputs[id(factors)] = F
+            return factors
 
         def recording(factors, k, weights):
             out = procrustes_sum(factors, k, weights)
             steps.append((factors, k.copy(), out))
             return out
 
+        monkeypatch.setattr(barycentre, "_step_factors", wrapped)
         monkeypatch.setattr(barycentre, "_procrustes_sum", recording)
         res = barycentre_fixed_point(prob)
         assert res.converged
@@ -333,17 +345,17 @@ class TestResidentSteps:
         # the stacked procrustes rotates in place
         working, residents = {}, set()
         for factors, k, out in steps:
-            H = working.setdefault(id(factors), factors.F.copy())
+            H = working.setdefault(id(factors), inputs[id(factors)].copy())
             expected = reference_input_sum(
                 H, prob.weights, lambda F, k=k: reference_procrustes_step(F, k))
             assert np.array_equal(out, expected)
-            residents |= {chunk.H.shape[0] for _, chunk in factors.chunks if chunk is not None}
+            residents |= {stack.H.shape[0] for _, stack in factors if stack.Y is not None}
         if case == "mc32":
             # one-, two-, three- and five-row chunks
             assert residents == {1, 2, 3, 5}
         if case == "mc512":
             # one size's stack is split between a Jacobi and an SVD chunk
-            assert any(len({r is None for _, r in f.chunks}) == 2 for f, _, _ in steps)
+            assert any(len({s.Y is None for _, s in f}) == 2 for f, _, _ in steps)
         assert residents
 
 
@@ -357,14 +369,20 @@ class TestGroupedSteps:
         prob = mc_problem(1000, seed=1)
         K = start_factors(prob)
         assert [k.shape[1] for k in K] == [0, 2, 3, 4, 6]
-        shapes = []
-        procrustes_sum = barycentre._procrustes_sum
+        shapes, inputs = [], {}
+        procrustes_sum, step_factors = barycentre._procrustes_sum, barycentre._step_factors
+
+        def wrapped(F, r):
+            factors = step_factors(F, r)
+            inputs[id(factors)] = F
+            return factors
 
         def recording(factors, k, weights):
             # the shape of the group's X = G k^T
-            shapes.append((*factors.F.shape[:-1], k.shape[1]))
+            shapes.append((*inputs[id(factors)].shape[:-1], k.shape[1]))
             return procrustes_sum(factors, k, weights)
 
+        monkeypatch.setattr(barycentre, "_step_factors", wrapped)
         monkeypatch.setattr(barycentre, "_procrustes_sum", recording)
         res = barycentre_fixed_point(prob)
         assert res.iterations == 9
@@ -724,8 +742,6 @@ class TestProblemValidation:
         # NaN fails every comparison, so only a finiteness check catches it
         with pytest.raises(InvalidInput, match="finite"):
             problem([np.eye(2), np.eye(2)], [0.5, bad])
-        with pytest.raises(InvalidInput, match="finite"):
-            build_map_family(8, coeffs=[0.5, -0.5], weights=[bad, 0.5])
 
     def test_settings_validation(self):
         with pytest.raises(InvalidInput):
@@ -1145,7 +1161,7 @@ class TestSplitPass:
 
     def test_partition_of_other_families_is_the_doubling_chains(self):
         cov = build_covariance(TruncationConfig(dim=32))
-        maps = build_map_family(32, n=5)
+        maps = [np.eye(32) + a * symmetrized_shift(32) for a in np.linspace(-0.5, 0.5, 5)]
         assert as_sets(problem([conjugate(T, cov) for T in maps]).blocks) == chain_sets(32)
         assert as_sets(problem(conjugated_family(32, 50, seed=60)).blocks) == chain_sets(32)
         # the +-1 similarity the pair-recovery benchmark applies keeps the pattern

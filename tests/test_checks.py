@@ -16,7 +16,6 @@ from bwbary import (
     TruncationConfig,
     barycentre_fixed_point,
     build_covariance,
-    build_map_family,
     build_pair_maps,
     bw_distance_sq,
     conjugate,
@@ -145,10 +144,9 @@ def bad_block_factors(kind):
     lambda kind: linalg.kernel_basis(kind(EYE)),
     lambda kind: linalg.principal_angles(kind(EYE), EYE),
     lambda kind: chain_factors(TruncationConfig(dim=8), kind([0.0, 0.0])),
-    lambda kind: build_map_family(8, coeffs=kind([0.0, 0.0])),
 ], ids=["bw_distance_sq", "optimal_map", "problem inputs", "problem weights",
         "from_block_factors", "certificate candidate", "solver init", "kernel_basis",
-        "principal_angles", "chain_factors", "build_map_family"])
+        "principal_angles", "chain_factors"])
 def test_entries_that_are_not_real_numbers_are_rejected(call, kind):
     with pytest.raises(InvalidInput, match="real numbers"):
         call(kind)

@@ -8,7 +8,6 @@ from bwbary import (
     InvalidInput,
     TruncationConfig,
     build_covariance,
-    build_map_family,
     build_pair_maps,
     build_shift_map,
     conjugate,
@@ -148,19 +147,14 @@ class TestIntegerArguments:
         (lambda: doubling_chains(8.0), "dim must be an integer >= 1"),
         (lambda: build_pair_maps(8.0), "dim must be an integer >= 2"),
         (lambda: build_shift_map(8.0), "dim must be an integer >= 2"),
-        (lambda: build_map_family(8.0, n=3), "dim must be an integer >= 2"),
-        (lambda: build_map_family(8, n=2.5), "n must be an integer >= 2"),
-        (lambda: build_map_family(8, n=1), "n must be an integer >= 2"),
-    ], ids=["shift-float", "shift-bool", "chains-float", "pair-float", "shift-map-float",
-            "family-dim-float", "family-n-float", "family-n-one"])
+    ], ids=["shift-float", "shift-bool", "chains-float", "pair-float", "shift-map-float"])
     def test_not_an_integer(self, call, message):
         with pytest.raises(InvalidInput, match=message):
             call()
 
     def test_numpy_integers_count(self):
         assert doubling_chains(np.int64(8)) == doubling_chains(8)
-        np.testing.assert_array_equal(build_map_family(np.int64(8), n=np.int64(3))[0],
-                                      build_map_family(8, n=3)[0])
+        np.testing.assert_array_equal(build_pair_maps(np.int64(8))[0], build_pair_maps(8)[0])
 
 
 class TestPairMaps:
@@ -184,53 +178,6 @@ class TestPairMaps:
         t1, t2 = build_pair_maps(64)
         assert np.linalg.eigvalsh(t1)[0] >= -1e-12
         assert np.linalg.eigvalsh(t2)[0] >= -1e-12
-
-
-class TestMapFamily:
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_uniform_family_averages_to_identity(self, n):
-        maps = build_map_family(16, n=n)
-        assert len(maps) == n
-        avg = sum(maps) / n
-        assert np.linalg.norm(avg - np.eye(16)) <= 1e-15
-
-    def test_weighted_family(self):
-        coeffs = [-0.5, 0.25]
-        weights = [1.0 / 3.0, 2.0 / 3.0]
-        maps = build_map_family(8, coeffs=coeffs, weights=weights)
-        avg = weights[0] * maps[0] + weights[1] * maps[1]
-        assert np.linalg.norm(avg - np.eye(8)) <= 1e-15
-
-    def test_pair_is_special_case(self):
-        t1, t2 = build_pair_maps(8)
-        fam = build_map_family(8, coeffs=[0.5, -0.5])
-        np.testing.assert_array_equal(fam[0], t1)
-        np.testing.assert_array_equal(fam[1], t2)
-
-    def test_rejects_large_coefficients(self):
-        with pytest.raises(InvalidInput):
-            build_map_family(8, coeffs=[0.6, -0.6])
-
-    @pytest.mark.parametrize("coeffs", [[np.nan, np.nan], [np.inf, -np.inf]])
-    def test_rejects_non_finite_coefficients(self, coeffs):
-        # NaN compares false with 1/2 and with the vanishing-sum tolerance
-        with pytest.raises(InvalidInput, match=r"\[-1/2, 1/2\]"):
-            build_map_family(8, coeffs=coeffs)
-
-    def test_rejects_nonzero_mean(self):
-        with pytest.raises(InvalidInput):
-            build_map_family(8, coeffs=[0.5, 0.25])
-
-    @pytest.mark.parametrize("coeffs, weights, message", [
-        ([-0.5, 0.5], [1.0, 1.0], "sum to 1"),  # the maps average to 2I
-        ([0.5, -0.5, 0.25], [0.8, 0.6, -0.4], "nonnegative"),
-        ([-0.5, 0.5], [0.25, 0.25, 0.5], "match the number"),
-    ], ids=["sum_two", "negative", "wrong_length"])
-    def test_rejects_bad_weights(self, coeffs, weights, message):
-        # each weighted coefficient sum vanishes (or cannot be formed); the
-        # weights break BarycentreProblem's rule
-        with pytest.raises(InvalidInput, match=message):
-            build_map_family(8, coeffs=coeffs, weights=weights)
 
 
 class TestBuildCovariance:
@@ -378,7 +325,8 @@ class TestKernelBookkeeping:
     def test_map_family_and_shift_map(self):
         dim = 32
         config = TruncationConfig(dim=dim)
-        maps = build_map_family(dim, n=5) + [build_shift_map(dim, c=2.0)]
+        maps = [np.eye(dim) + a * symmetrized_shift(dim) for a in np.linspace(-0.5, 0.5, 5)]
+        maps.append(build_shift_map(dim, c=2.0))
         report = kernel_report(config, maps)
         assert report["kernel_dims"] == [dim // 2] * len(maps)
 

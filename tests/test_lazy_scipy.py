@@ -135,7 +135,7 @@ def test_package_namespace():
     import bwbary
 
     assert set(bwbary.__all__) <= set(dir(bwbary))
-    assert len(bwbary.__all__) == len(set(bwbary.__all__)) == 42
+    assert len(bwbary.__all__) == len(set(bwbary.__all__)) == 41
     with pytest.raises(AttributeError, match="no_such_name"):
         bwbary.no_such_name  # noqa: B018
     assert not hasattr(bwbary, "no_such_name")

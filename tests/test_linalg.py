@@ -39,6 +39,7 @@ from helpers import (
     psd_factor,
     random_psd,
     range_projector,
+    reference_procrustes_step,
     sqrt_psd,
 )
 
@@ -135,8 +136,7 @@ class TestEigSym:
         # -5e-8 is rounding noise beside an eigenvalue of 10 in another
         # stack (floor 1e-7) but not on its own (floor 1e-8)
         low = np.full((2, 1, 1), -5e-8)
-        decs, lam_max = psd_eigh([low, 10.0 * np.eye(2)[None]])
-        assert lam_max == 10.0
+        decs = psd_eigh([low, 10.0 * np.eye(2)[None]])
         assert np.array_equal(decs[0][0], np.zeros((2, 1)))
         with pytest.raises(NotPSD, match="^smallest eigenvalue -5.000e-08 below PSD tolerance$"):
             psd_eigh([low])
@@ -639,6 +639,32 @@ class TestProcrustes:
         P, _ = linalg.procrustes(PX, PG)
         error = np.linalg.norm(P - zero_padded(R, r + extra_r, 7 + extra_L), axis=(1, 2))
         assert np.all(error <= 3e-14 * np.linalg.norm(G, axis=(1, 2)))
+
+
+class TestProcrustesStack:
+    """``_ProcrustesStack`` steps have the bits of procrustes writing its rotated rows back."""
+
+    @pytest.mark.parametrize("n, k, m, L, r, route", [
+        (1, 1, 1, 2, 2, "jacobi"), (1, 1, 2, 3, 3, "jacobi"),  # N = 1 pads a zero matrix
+        (3, 2, 2, 3, 3, "jacobi"),
+        (600, 1, 3, 4, 4, "jacobi"), (600, 1, 5, 6, 5, "jacobi"),
+        (1, 600, 3, 4, 4, "jacobi"), (1, 600, 5, 6, 5, "jacobi"), (1, 3, 2, 3, 3, "jacobi"),
+        (2, 4, 6, 7, 7, "svd"), (600, 1, 4, 5, 3, "svd"),  # six rows; four rows in three columns
+        (2, 3, 0, 4, 2, "no rows"),
+    ])
+    def test_each_step_has_the_bits_of_the_reference(self, n, k, m, L, r, route):
+        rng = np.random.default_rng([n, k, m, L, r])
+        G = rng.standard_normal((n, k, m, L))
+        G.flags.writeable = False  # a write into it raises
+        before, H = G.copy(), G.copy()
+        stack = linalg._ProcrustesStack(G, r)
+        assert (stack.Y is None) == (route != "jacobi")
+        for _ in range(3):
+            K = rng.standard_normal((k, r, L))
+            out = stack.stack(K)
+            assert out.shape == (n, k, r, L) and out.flags.c_contiguous
+            assert np.array_equal(out, reference_procrustes_step(H, K))
+        assert np.array_equal(G, before)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import pytest
 
 from bwbary import (
     SHARED_ANGLE_TOL,
+    BarycentreProblem,
     InvalidInput,
     TruncationConfig,
     build_covariance,
@@ -147,7 +148,11 @@ class TestIntegerArguments:
         (lambda: doubling_chains(8.0), "dim must be an integer >= 1"),
         (lambda: build_pair_maps(8.0), "dim must be an integer >= 2"),
         (lambda: build_shift_map(8.0), "dim must be an integer >= 2"),
-    ], ids=["shift-float", "shift-bool", "chains-float", "pair-float", "shift-map-float"])
+        # a family's dim is its TruncationConfig's
+        (lambda: chain_factors(TruncationConfig(dim=8.0), [0.5, -0.5]),
+         "dim must be an integer >= 2"),
+    ], ids=["shift-float", "shift-bool", "chains-float", "pair-float", "shift-map-float",
+            "family-dim-float"])
     def test_not_an_integer(self, call, message):
         with pytest.raises(InvalidInput, match=message):
             call()
@@ -178,6 +183,63 @@ class TestPairMaps:
         t1, t2 = build_pair_maps(64)
         assert np.linalg.eigvalsh(t1)[0] >= -1e-12
         assert np.linalg.eigvalsh(t2)[0] >= -1e-12
+
+
+class TestMapFamily:
+    """Families of maps ``I + a_i (F + F^T)``, given by their chain factors ``C^{1/2} T_i``."""
+
+    @staticmethod
+    def weighted_average(factors, weights):
+        return [np.tensordot(weights, G, axes=1) for G in factors]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_uniform_family_averages_to_identity(self, n):
+        config = TruncationConfig(dim=16)
+        _, factors = chain_factors(config, np.linspace(-0.5, 0.5, n))
+        _, identity = chain_factors(config, [0.0])
+        assert all(len(G) == n for G in factors)
+        for avg, G0 in zip(self.weighted_average(factors, np.full(n, 1.0 / n)), identity):
+            assert np.linalg.norm(avg - G0[0]) <= 1e-15
+
+    def test_weighted_family(self):
+        config = TruncationConfig(dim=8)
+        weights = np.array([1.0 / 3.0, 2.0 / 3.0])
+        _, factors = chain_factors(config, [-0.5, 0.25])
+        _, identity = chain_factors(config, [0.0])
+        for avg, G0 in zip(self.weighted_average(factors, weights), identity):
+            assert np.linalg.norm(avg - G0[0]) <= 1e-15
+
+    def test_pair_is_special_case(self):
+        config = TruncationConfig(dim=8)
+        root = np.sqrt(build_covariance(config))
+        blocks, factors = chain_factors(config, [0.5, -0.5])
+        for i, t in enumerate(build_pair_maps(8)):
+            for idx, G in zip(blocks, factors):
+                # the chain's rows of C^{1/2} T but its zero head row
+                rows = (root @ t)[idx[:, 1:, None], idx[:, None, :]]
+                np.testing.assert_array_equal(G[i], rows)
+
+    def test_rejects_large_coefficients(self):
+        with pytest.raises(InvalidInput):
+            chain_factors(TruncationConfig(dim=8), [0.6, -0.6])
+
+    @pytest.mark.parametrize("coeffs", [[np.nan, np.nan], [np.inf, -np.inf]])
+    def test_rejects_non_finite_coefficients(self, coeffs):
+        # NaN compares false with 1/2
+        with pytest.raises(InvalidInput, match=r"\[-1/2, 1/2\]"):
+            chain_factors(TruncationConfig(dim=8), coeffs)
+
+    @pytest.mark.parametrize("coeffs, weights, message", [
+        ([-0.5, 0.5], [1.0, 1.0], "sum to 1"),  # the maps average to 2I
+        ([0.5, -0.5, 0.25], [0.8, 0.6, -0.4], "nonnegative"),
+        ([-0.5, 0.5], [0.25, 0.25, 0.5], "match the number"),
+    ], ids=["sum_two", "negative", "wrong_length"])
+    def test_rejects_bad_weights(self, coeffs, weights, message):
+        # each weighted coefficient sum vanishes (or cannot be formed); the
+        # weights break BarycentreProblem's rule
+        with pytest.raises(InvalidInput, match=message):
+            BarycentreProblem.from_block_factors(
+                *chain_factors(TruncationConfig(dim=8), coeffs), weights=weights)
 
 
 class TestBuildCovariance:

@@ -38,21 +38,22 @@ factors of its blocks: factored from dense inputs, or taken as given
 ``construct.chain_factors`` hands the constructed families' exact factors).
 A pass over a matrix block diagonal along them runs on them, a pass over
 any other matrix on the whole space as one block, and the iteration
-commutes with a common block structure.  So the certificate (also the
-solver's closing pass) stacks the blocks of equal size, across blocks and
-inputs, into one stacked :func:`linalg.polar` per size, after one ``eigh``
-of the candidate's blocks.  A solver step makes one stacked Procrustes pass
-(:func:`_procrustes_sum`) per size that has at least
-``linalg._JACOBI_MIN_STACK`` blocks over all inputs, and joins the smaller
-sizes, zero-padded, into one stack for those it takes by one-sided Jacobi and
-one for the rest (:func:`_groups`), which saves LAPACK's fixed cost per call.
-The routes are one-sided Jacobi for blocks that keep at most two rows (one
-rotation) and for a large stack of blocks that keep three to five (sweeps,
-on the Monte-Carlo run's longer chains), and an SVD otherwise; a dense
-problem is the case of one block.  What decides a verdict stays global: the
-PSD rule takes the largest eigenvalue over all blocks, and the change, the
-certificate residual and the Fréchet value are norms and traces summed over
-the blocks.
+commutes with a common block structure.  Every pass, a solver step, the
+certificate and the solver's closing pass alike, runs on one layout
+(:func:`_groups`): the blocks of equal size stacked across blocks and
+inputs, each size that has at least ``linalg._JACOBI_MIN_STACK`` blocks over
+all inputs alone, and the smaller sizes joined, zero-padded (:func:`_pad`),
+into one stack for those taken by one-sided Jacobi and one for the rest,
+which saves LAPACK's fixed cost per call.  A step makes one stacked
+Procrustes pass per group, the certificate one ``eigh`` of the candidate's
+blocks and one stacked :func:`linalg.polar` per group, each over the inputs
+in the chunks of one loop (:func:`_input_sum`).  The routes are one-sided
+Jacobi for blocks that keep at most two rows (one rotation) and for a large
+stack of blocks that keep three to five (sweeps, on the Monte-Carlo run's
+longer chains), and an SVD otherwise; a dense problem is the case of one
+block.  What decides a verdict stays global: the PSD rule takes the largest
+eigenvalue over all blocks, and the change, the certificate residual and
+the Fréchet value are norms and traces summed over the blocks.
 """
 
 import warnings
@@ -393,41 +394,39 @@ def _chunks(shape: tuple) -> list:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def _weighted_sum(acc, w: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """``acc + sum_i w_i P_i`` over a C-contiguous stack ``P``, as a running sum in input order.
+def _input_sum(chunks: list, weights, term) -> np.ndarray:
+    """``sum_i w_i term(x)_i`` over ``(part, x)`` pairs, one per :func:`_chunks` slice ``part``.
 
-    ``P`` is C-contiguous, so the sum over the inputs is an outer reduction,
-    taken term by term (over a strided axis numpy would sum pairwise).
-    """
-    P = w[:, None, None, None] * P
-    P[0] += acc
-    # a stack of single 1x1 results has no other axis, and numpy would
-    # sum along its only one pairwise
-    return P.sum(axis=0) if P[0].size > 1 else np.cumsum(P, axis=0)[-1]
-
-
-def _input_sum(G: np.ndarray, weights, term) -> np.ndarray:
-    """``sum_i w_i term(G_i)`` over an ``(n, k, m, L)`` stack, one call per :func:`_chunks` slice.
-
-    ``term`` returns C-contiguous stacks (:func:`_weighted_sum`).
+    The one loop of every pass over the inputs, chunk by chunk in input
+    order: ``x`` holds the inputs ``part``, as their factors (the
+    certificate) or their :class:`linalg._ProcrustesStack` (a solver
+    step), and ``term(x)`` is a C-contiguous stack over them, so the sum
+    over the inputs is an outer reduction, a running sum taken term by term
+    (over a strided axis numpy would sum pairwise).
     """
     w, acc = np.asarray(weights), 0.0
-    for part in _chunks(G.shape):
-        acc = _weighted_sum(acc, w[part], term(G[part]))
+    for part, x in chunks:
+        P = w[part, None, None, None] * term(x)
+        P[0] += acc
+        # a stack of single 1x1 results has no other axis, and numpy would
+        # sum along its only one pairwise
+        acc = P.sum(axis=0) if P[0].size > 1 else np.cumsum(P, axis=0)[-1]
     return acc
 
 
 def _mean_inner_root(roots: list, block_factors: tuple, weights) -> list:
-    """The blocks of ``sum_i w_i (R^{1/2} S_i R^{1/2})^{1/2}`` from those of ``R^{1/2}``.
+    """The stacks of ``sum_i w_i (R^{1/2} S_i R^{1/2})^{1/2}`` from those of ``R^{1/2}``.
 
-    Per size ``L``, the products ``G_i @ root`` of every input and block go
-    to :func:`_input_sum`'s stacked :func:`linalg.polar` (on the Monte-Carlo
+    Per stack (a block size, or a group of them, :func:`_groups`), the
+    products ``G_i @ root`` of every input and block go to
+    :func:`_input_sum`'s stacked :func:`linalg.polar` (on the Monte-Carlo
     run's 1,000 inputs at dim 32 its Jacobi route, no SVD).
     A single block has the bits of ``sum(w * P)`` over the stacked polars
     ``P`` of the trimmed factors, which below the Jacobi route's stack size
     are the bits of ``sum(w * polar(F @ root))`` over the trimmed factors.
     """
-    return [_input_sum(G, weights, lambda F, root=root: linalg.polar(F @ root))
+    return [_input_sum([(p, G[p]) for p in _chunks(G.shape)], weights,
+                       lambda F, root=root: linalg.polar(F @ root))
             for root, G in zip(roots, block_factors)]
 
 
@@ -439,20 +438,32 @@ def _frechet(trace: float, cross: float, input_trace: float) -> float:
 def _evaluate(C: list, block_factors: tuple, prob: BarycentreProblem) -> tuple:
     """Certificate residual and Fréchet value of a symmetric ``C`` from one pass.
 
-    ``C`` is given as its diagonal blocks along a partition it is block
-    diagonal on, and ``block_factors`` are the factors cut to that partition;
-    the decomposition behind ``C^{1/2}`` is the one PSD check of ``C``.
+    ``C`` is given as the groups' zero-padded stacks (:func:`_groups`) of its
+    diagonal blocks along a partition it is block diagonal on, and
+    ``block_factors`` as the factors of the inputs' blocks, grouped and
+    padded alike: one ``eigh`` and one stacked :func:`linalg.polar` per
+    group.  The decomposition behind ``C^{1/2}`` is the one PSD check of
+    ``C``; padding adds zero eigenvalues, which leave the verdict as it is.
+    With no group (every size of the iterate zero) the residual is 0 and the
+    value ``input_trace``.
     """
-    roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in linalg.psd_eigh(C)]
+    decs = linalg.psd_eigh(C) if C else []
+    roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in decs]
     mid = _mean_inner_root(roots, block_factors, prob.weights)
     residual = _norm([M - X for M, X in zip(mid, C)]) / max(1.0, _norm(C))
     return residual, _frechet(_trace(C), _trace(mid), prob.input_trace)
 
 
 def _evaluate_candidate(candidate, prob: BarycentreProblem) -> tuple:
-    """:func:`_evaluate` of the symmetrized candidate, on its blocks (see :func:`_on_blocks`)."""
+    """:func:`_evaluate` of the symmetrized candidate, on its blocks (:func:`_on_blocks`) in groups.
+
+    The groups are the solver's (:func:`_groups`), a candidate block of size
+    ``L`` counting as ``L`` iterate rows.
+    """
     stacks, _, block_factors = _on_blocks(prob, candidate)
-    return _evaluate(stacks, block_factors, prob)
+    groups = _groups(stacks, block_factors)
+    C, G = ([_pad([X[s] for s in g]) for g in groups] for X in (stacks, block_factors))
+    return _evaluate(C, G, prob)
 
 
 def frechet_functional(candidate, prob: BarycentreProblem) -> float:
@@ -472,42 +483,26 @@ def verify_barycentre_certificate(candidate, prob: BarycentreProblem) -> float:
     return _evaluate_candidate(candidate, prob)[0]
 
 
-def _step_factors(F: np.ndarray, r: int) -> list:
-    """A step group's ``(n, k, m, L)`` input factors as ``(part, stack)`` pairs, for ``r`` iterate rows.
-
-    One :class:`linalg._ProcrustesStack` per :func:`_chunks` slice ``part`` of
-    the inputs, which keeps what its steps carry from one to the next.
-    """
-    return [(part, linalg._ProcrustesStack(F[part], r)) for part in _chunks(F.shape)]
-
-
-def _procrustes_sum(factors: list, k: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One step of a group: ``sum_i w_i U_i^T G_i``, ``U_i`` the orthogonal polar factor of ``H_i k^T``.
-
-    Chunk by chunk (:func:`_step_factors`), summed as :func:`_input_sum` sums.
-    """
-    acc = 0.0
-    for part, stack in factors:
-        acc = _weighted_sum(acc, w[part], stack.stack(k))
-    return acc
-
-
 def _gram(K: list) -> list:
     """The blocks of ``K^T K``, symmetrized, from the ``(k, r, L)`` factor stacks ``K``."""
     return [(X + np.swapaxes(X, -1, -2)) / 2.0 for X in (np.swapaxes(F, -1, -2) @ F for F in K)]
 
 
 def _groups(K: list, block_factors: tuple) -> list:
-    """The block sizes a solver step runs together, as lists of indices into ``K``.
+    """The block sizes a pass runs together, as lists of indices into ``K``.
 
+    ``K`` is the ``(k_L, r_L, L)`` factor stacks of the solver's iterate, or
+    the ``(k_L, L, L)`` blocks of a candidate (``r_L = L``, the columns of
+    ``G C^{1/2}``); each group is one zero-padded stack (:func:`_pad`) of
+    the iterate or candidate and one of the input factors, stepped or
+    certified with one LAPACK call per chunk of the inputs.
     A size with no iterate rows (``r_L = 0``) stays zero and is in no group.
     A size with at least ``linalg._JACOBI_MIN_STACK`` blocks over all inputs
     (``n k_L``) is a group of its own, so its stack takes the route it takes
-    alone.  The smaller sizes form at most two groups, each one zero-padded
-    stack (:func:`_pad`): those whose ``(m_L, r_L)`` blocks
-    :func:`linalg.procrustes` takes by Jacobi in any stack (two rows at
-    most), and the rest, so that one LAPACK call steps all the small sizes
-    that need the SVD.
+    alone.  The smaller sizes form at most two groups: those whose
+    ``(m_L, r_L)`` blocks :func:`linalg.procrustes` and :func:`linalg.polar`
+    take by Jacobi in any stack (two rows at most), and the rest, so that
+    one LAPACK call takes all the small sizes that need the SVD.
     """
     n, alone, jacobi, rest = len(block_factors[0]), [], [], []
     for s, (k, G) in enumerate(zip(K, block_factors)):
@@ -544,10 +539,10 @@ def _pad(stacks: list) -> np.ndarray:
     return P
 
 
-def _unpad(P: np.ndarray, shapes: list) -> list:
-    """The ``(..., k, r, L)`` stacks of the given ``(k, r, L)`` shapes that :func:`_pad` joined into ``P``."""
-    starts = np.cumsum([0] + [k for k, _, _ in shapes])
-    return [P[..., a:a + k, :r, :L] for a, (k, r, L) in zip(starts, shapes)]
+def _unpad(P: np.ndarray, blocks: list) -> list:
+    """The ``(..., k, L, L)`` stacks :func:`_pad` joined into ``P``, one per ``(k, L)`` block array."""
+    starts = np.cumsum([0] + [len(idx) for idx in blocks])
+    return [P[..., a:a + len(idx), :idx.shape[1], :idx.shape[1]] for a, idx in zip(starts, blocks)]
 
 
 # Depth of the solver's Anderson mixing: the most residual differences one
@@ -581,21 +576,6 @@ def _anderson(x: list, g: list, memory: list) -> tuple:
     return [v.reshape(X.shape) for v, X in zip(np.split(mix, ends[:-1]), g)], True
 
 
-def _closing_pass(stacks: list, groups: list, K: list, block_factors: tuple,
-                  prob: BarycentreProblem) -> tuple:
-    """``(sigma, residual, frechet_value)`` of the groups' stacks, unpadded into a copy of ``K``.
-
-    ``sigma`` is the blocks of ``K^T K`` per size; the residual and the
-    value come from one pass (:func:`_evaluate`).
-    """
-    K = list(K)
-    for g, P in zip(groups, stacks):
-        for s, F in zip(g, _unpad(P, [K[s].shape for s in g])):
-            K[s] = F
-    sigma = _gram(K)
-    return (sigma, *_evaluate(sigma, block_factors, prob))
-
-
 def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResult:
     """Run the fixed-point iteration for the barycentre on a factor of the iterate.
 
@@ -625,23 +605,25 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
 
     The steps run on groups of block sizes (:func:`_groups`): a size with
     many blocks alone, the small ones as one zero-padded stack (:func:`_pad`)
-    per route, so the steps, the change, the cross term and the history are
-    taken on the groups' stacks; the closing pass unpads ``K``.  A step
-    takes each group's stack in the chunks :func:`_input_sum` would
-    (:func:`_procrustes_sum`), each a :class:`linalg._ProcrustesStack`,
-    which decides the chunk's route once.  On Jacobi it steps a working
-    copy of the chunk's factors, ``H_i = Q_i G_i``, whose rows the previous
-    step's sweeps rotated (three rows or more; fewer keep ``G_i``, as
-    :func:`linalg.procrustes` does).  ``U_i^T G_i`` is the same from
-    ``H_i`` for any orthogonal ``Q_i``, so the iterates agree up to rounding
-    with a run from ``G_i`` at every step, while Jacobi starts from rows that
-    the previous step made orthogonal against ``K_t``, and which ``K_{t+1}``
-    has moved less as the iteration settles.  Every step has the bits of a
+    per route, so the steps, the change, the cross term, the history and
+    the closing pass, one ``eigh`` and one stacked :func:`linalg.polar` per
+    group (:func:`_evaluate`), are taken on the groups' stacks; only the
+    returned ``d x d`` barycentre is unpadded (:func:`_unpad`).  A step
+    takes each group's stack in :func:`_input_sum`'s chunks of the inputs,
+    each a :class:`linalg._ProcrustesStack`, which decides the chunk's route
+    once.  On Jacobi it steps a working copy of the chunk's factors,
+    ``H_i = Q_i G_i``, whose rows the previous step's sweeps rotated (three
+    rows or more; fewer keep ``G_i``, as :func:`linalg.procrustes` does).
+    ``U_i^T G_i`` is the same from ``H_i`` for any orthogonal ``Q_i``, so the
+    iterates agree up to rounding with a run from ``G_i`` at every step,
+    while Jacobi starts from rows that the previous step made orthogonal
+    against ``K_t``, and which ``K_{t+1}`` has moved less as the iteration
+    settles.  Every step has the bits of a
     :func:`linalg.procrustes` of the chunk in its ``(n, k, m, L)`` layout
     that writes its rotated rows back.  ``prob``'s own factors are not
-    changed; the closing pass reads them.  The mix is linear, so a group's
-    padding stays exactly zero, and it needs no change of ``H_i``:
-    ``procrustes(Q X, Q G) = U^T G`` for any ``K_t``.
+    changed; the closing pass reads the groups' stacks of them.  The mix is
+    linear, so a group's padding stays exactly zero, and it needs no change
+    of ``H_i``: ``procrustes(Q X, Q G) = U^T G`` for any ``K_t``.
 
     Parameters
     ----------
@@ -669,17 +651,18 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
                                     if init is None else _on_blocks(prob, init))
     K = [F[0] for F in _proved_factors([S[None] for S in start])]
     groups = _groups(K, block_factors)
-    stacks, factors = [], []  # per group, K_t's stack and the input factors the steps run on
-    for g in groups:
-        stacks.append(_pad([K[s] for s in g]))
-        factors.append(_step_factors(_pad([block_factors[s] for s in g]), stacks[-1].shape[-2]))
+    # per group, K_t's stack, the input factors, and their chunks' Procrustes stacks
+    stacks, inputs = ([_pad([X[s] for s in g]) for g in groups] for X in (K, block_factors))
+    factors = [[(p, linalg._ProcrustesStack(G[p], k.shape[-2])) for p in _chunks(G.shape)]
+               for k, G in zip(stacks, inputs)]
     sigma = _gram(stacks)
     w = np.asarray(prob.weights)
     history, memory, mixed = [], [], False
     bound = 1e-9 * prob.input_trace  # a rise of F up to this is rounding
 
     for t in range(1, st.max_iter + 1):
-        new = [_procrustes_sum(f, k, w) for k, f in zip(stacks, factors)]
+        new = [_input_sum(f, w, lambda stack, k=k: stack.stack(k))
+               for k, f in zip(stacks, factors)]
         if not all(np.all(np.isfinite(X)) for X in new):
             raise NonFinite(f"iterate diverged at iteration {t}")
         cross = sum(float(a.ravel() @ b.ravel()) for a, b in zip(new, stacks))
@@ -694,15 +677,16 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         change = step / size if size > 0 else 0.0  # C_t = 0 makes every U_i^T G_i zero
         history.append((len(history) + 1, change, fval))
         if change <= st.tol:
-            stacks, mixed = plain, False
+            sigma, mixed = plain_sigma, False
             break
         stacks, mixed = _anderson(stacks, plain, memory)
         sigma = _gram(stacks) if mixed else plain_sigma
 
-    sigma, residual, fval = _closing_pass(stacks, groups, K, block_factors, prob)
+    residual, fval = _evaluate(sigma, inputs, prob)
     if mixed and fval > history[-1][2] + bound:
         # the cap stopped at a mixed iterate that the next pass would drop
-        sigma, residual, fval = _closing_pass(plain, groups, K, block_factors, prob)
+        sigma = plain_sigma
+        residual, fval = _evaluate(sigma, inputs, prob)
     fvals = [h[2] for h in history] + [fval]
     rises = [(t, b - a) for t, (a, b) in enumerate(zip(fvals, fvals[1:]), 1)
              if b - a > bound]
@@ -710,7 +694,9 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         warnings.warn(f"Fréchet value increased by {rise:.3e} at iteration {t}",
                       RuntimeWarning, stacklevel=2)
     return BarycentreResult(
-        barycentre=_scatter(sigma, blocks, prob.dim),
+        barycentre=_scatter([X for g, P in zip(groups, sigma)
+                             for X in _unpad(P, [blocks[s] for s in g])],
+                            [blocks[s] for g in groups for s in g], prob.dim),
         iterations=len(history),
         final_change=change,
         certificate_residual=residual,

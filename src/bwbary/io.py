@@ -23,13 +23,11 @@ KINDS = ("covariance", "map")
 
 def save_matrix(path, matrix, kind: str) -> None:
     """Write a matrix as a MatrixFile JSON document; its entries must be real numbers."""
-    from .linalg import check_real
+    from .linalg import check_square
 
     if kind not in KINDS:
         raise InvalidInput(f"kind must be one of {KINDS}")
-    A = check_real(matrix)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {A.shape}")
+    A = check_square(matrix)
     doc = {"dim": int(A.shape[0]), "kind": kind, "data": A.reshape(-1).tolist()}
     try:
         # NaN and Infinity tokens are not JSON, and load_matrix rejects them

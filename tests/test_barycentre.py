@@ -312,6 +312,38 @@ def resident_case(case):
     return problem([random_psd(rng, 8, rank=rank) for _ in range(n)])
 
 
+def recorded_steps(monkeypatch):
+    """Hook the solver's steps: a list that gets ``(chunks, k, total)`` per group and pass.
+
+    ``chunks`` are the group's ``(part, linalg._ProcrustesStack)`` pairs,
+    ``k`` the iterate's stack they were stepped against, and ``total`` the
+    sum :func:`barycentre._input_sum` returned; the certificate's sums over
+    ``(part, factors)`` pairs are not recorded.
+    """
+    steps, ks = [], []
+    input_sum, stack = barycentre._input_sum, linalg._ProcrustesStack.stack
+
+    def recording_stack(self, K):
+        ks.append(K.copy())
+        return stack(self, K)
+
+    def recording_sum(chunks, weights, term):
+        total = input_sum(chunks, weights, term)
+        if isinstance(chunks[0][1], linalg._ProcrustesStack):
+            steps.append((chunks, ks[-1], total))
+        return total
+
+    monkeypatch.setattr(linalg._ProcrustesStack, "stack", recording_stack)
+    monkeypatch.setattr(barycentre, "_input_sum", recording_sum)
+    return steps
+
+
+def step_inputs(prob):
+    """The default-start solve's groups, and each one's padded ``(n, k, m, L)`` input factors."""
+    groups = barycentre._groups(start_factors(prob), prob.block_factors)
+    return groups, [barycentre._pad([prob.block_factors[s] for s in g]) for g in groups]
+
+
 class TestResidentSteps:
     """Each step keeps a Jacobi chunk's factors rows-last, with the bits of the stack-by-stack step."""
 
@@ -323,33 +355,23 @@ class TestResidentSteps:
         for G in prob.block_factors:
             G.flags.writeable = False  # a write into the problem's factors raises
         before = [G.copy() for G in prob.block_factors]
-        steps, procrustes_sum = [], barycentre._procrustes_sum
-        inputs, step_factors = {}, barycentre._step_factors  # each group's factors F
-
-        def wrapped(F, r):
-            factors = step_factors(F, r)
-            inputs[id(factors)] = F
-            return factors
-
-        def recording(factors, k, weights):
-            out = procrustes_sum(factors, k, weights)
-            steps.append((factors, k.copy(), out))
-            return out
-
-        monkeypatch.setattr(barycentre, "_step_factors", wrapped)
-        monkeypatch.setattr(barycentre, "_procrustes_sum", recording)
+        groups, inputs = step_inputs(prob)
+        steps = recorded_steps(monkeypatch)
         res = barycentre_fixed_point(prob)
         assert res.converged
         assert all(np.array_equal(G, B) for G, B in zip(prob.block_factors, before))
         # replay every group's steps on a working copy of its factors, which
-        # the stacked procrustes rotates in place
+        # the stacked procrustes rotates in place; a pass, dropped or not,
+        # steps the groups in order
+        assert len(steps) % len(groups) == 0 and len(steps) >= len(groups) * res.iterations
         working, residents = {}, set()
-        for factors, k, out in steps:
-            H = working.setdefault(id(factors), inputs[id(factors)].copy())
+        for t, (factors, k, out) in enumerate(steps):
+            H = working.setdefault(id(factors), inputs[t % len(groups)].copy())
             expected = reference_input_sum(
                 H, prob.weights, lambda F, k=k: reference_procrustes_step(F, k))
             assert np.array_equal(out, expected)
             residents |= {stack.H.shape[0] for _, stack in factors if stack.Y is not None}
+        assert len(working) == len(groups)
         if case == "mc32":
             # one-, two-, three- and five-row chunks
             assert residents == {1, 2, 3, 5}
@@ -369,23 +391,14 @@ class TestGroupedSteps:
         prob = mc_problem(1000, seed=1)
         K = start_factors(prob)
         assert [k.shape[1] for k in K] == [0, 2, 3, 4, 6]
-        shapes, inputs = [], {}
-        procrustes_sum, step_factors = barycentre._procrustes_sum, barycentre._step_factors
-
-        def wrapped(F, r):
-            factors = step_factors(F, r)
-            inputs[id(factors)] = F
-            return factors
-
-        def recording(factors, k, weights):
-            # the shape of the group's X = G k^T
-            shapes.append((*inputs[id(factors)].shape[:-1], k.shape[1]))
-            return procrustes_sum(factors, k, weights)
-
-        monkeypatch.setattr(barycentre, "_step_factors", wrapped)
-        monkeypatch.setattr(barycentre, "_procrustes_sum", recording)
+        groups, inputs = step_inputs(prob)
+        assert groups == [[1], [2], [3], [4]]
+        steps = recorded_steps(monkeypatch)
         res = barycentre_fixed_point(prob)
         assert res.iterations == 9
+        # the shape of each group's X = G k^T
+        shapes = [(*inputs[t % len(groups)].shape[:-1], k.shape[1])
+                  for t, (_, k, _) in enumerate(steps)]
         assert shapes == [(1000, 4, 1, 2), (1000, 2, 2, 3), (1000, 1, 3, 4),
                           (1000, 1, 5, 6)] * res.iterations
 
@@ -415,14 +428,14 @@ class TestGroupedSteps:
         monkeypatch.setattr(barycentre, "_gram", recording)
         monkeypatch.setattr(barycentre, "_anderson", counting)
         res = barycentre_fixed_point(prob)
-        # the start's grouped iterate, each step's plain step, each mixed
-        # iterate, and the closing pass's sizes
+        # the start's grouped iterate, each step's plain step and each mixed
+        # iterate; the closing pass takes the last of them as it is
         assert mixed[0] > 0
-        assert len(grams) == 1 + res.iterations + mixed[0] + 1
-        for stacks in grams[:-1]:
+        assert len(grams) == 1 + res.iterations + mixed[0]
+        for stacks in grams:
             for g, P in zip(groups, stacks):
                 padding = np.ones(P.shape, dtype=bool)
-                for part in barycentre._unpad(padding, [K[s].shape for s in g]):
+                for part in barycentre._unpad(padding, [prob.blocks[s] for s in g]):
                     part[...] = False
                 assert padding.any() and not np.any(P[padding])
         assert res.converged and res.monotone
@@ -464,20 +477,13 @@ class TestAndersonMixing:
     def test_dropped_iterate_keeps_the_run_monotone(self, monkeypatch):
         prob = random_block_family()
         groups = barycentre._groups(start_factors(prob), prob.block_factors)
-        calls = [0]
-        procrustes_sum = barycentre._procrustes_sum
-
-        def counting(*args):
-            calls[0] += 1
-            return procrustes_sum(*args)
-
-        monkeypatch.setattr(barycentre, "_procrustes_sum", counting)
+        steps = recorded_steps(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = barycentre_fixed_point(prob)
         # one step per group and pass; a dropped pass adds no history row
-        passes = calls[0] // len(groups)
-        assert calls[0] == passes * len(groups) and passes > res.iterations
+        passes = len(steps) // len(groups)
+        assert len(steps) == passes * len(groups) and passes > res.iterations
         assert [h[0] for h in res.history] == list(range(1, res.iterations + 1))
         assert res.converged and res.monotone
         assert res.certificate_residual <= 1e-10
@@ -545,16 +551,15 @@ class TestSharedPass:
             # chain of length L keeps L - 1 rows, so only lengths 4 and 6
             # reach the SVD (the others keep at most two rows, which take one
             # Jacobi rotation).  A step's procrustes stacks both, zero-padded
-            # to 5 rows and 6 columns, into one SVD; the closing pass's polar makes one
-            # per size.  The steps decompose no iterate: the closing pass's
-            # certificate makes the only stacked eigh of each size, over all
-            # chains of that size
+            # to 5 rows and 6 columns, into one SVD, and so does the closing
+            # pass's polar.  The steps decompose no iterate: the closing pass's
+            # certificate makes the only eigh, one per group, of the padded
+            # chains of lengths 2 and 3 and of lengths 4 and 6; the chains of
+            # length 1 keep no iterate rows and are in no group
             assert [idx.shape[1] for idx in prob.blocks] == [1, 2, 3, 4, 6]
-            assert lapack_calls["svd"] == res.iterations + 2
-            assert lapack_calls.shapes["svd"] == ([(2, 2, 5, 6)] * res.iterations
-                                                  + [(2, 1, 3, 4), (2, 1, 5, 6)])
-            assert lapack_calls.shapes["eigh"] == [(8, 1, 1), (4, 2, 2), (2, 3, 3),
-                                                   (1, 4, 4), (1, 6, 6)]
+            assert lapack_calls["svd"] == res.iterations + 1
+            assert lapack_calls.shapes["svd"] == [(2, 2, 5, 6)] * passes
+            assert lapack_calls.shapes["eigh"] == [(6, 3, 3), (2, 6, 6)]
             return
         blocks = -(-n // barycentre._block_size(prob.dim))
         if case == "blocks":
@@ -562,6 +567,43 @@ class TestSharedPass:
         assert len(prob.blocks) == 1  # dense: one block of size d
         assert lapack_calls["eigh"] == 1
         assert lapack_calls["svd"] == blocks * passes
+
+
+class TestGroupedCertificate:
+    """The certificate runs on the solver's groups of block sizes, one padded stack each."""
+
+    @pytest.mark.parametrize("case", ["pair 64", "pair 128", "pair 512", "random"])
+    def test_grouped_inner_root_is_the_per_size_one(self, case, monkeypatch):
+        if case == "random":
+            prob = random_block_family()
+            C = dense_mean(prob)
+        else:
+            C, s1, s2 = constructed_triple(int(case.split()[1]))
+            prob = problem([s1, s2])
+        passes, mean_inner_root = [], barycentre._mean_inner_root
+
+        def recording(roots, block_factors, weights):
+            passes.append(mean_inner_root(roots, block_factors, weights))
+            return passes[-1]
+
+        monkeypatch.setattr(barycentre, "_mean_inner_root", recording)
+        verify_barycentre_certificate(C, prob)
+        monkeypatch.undo()
+        [grouped] = passes
+        stacks, blocks, factors = barycentre._on_blocks(prob, C)
+        assert blocks is prob.blocks
+        roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in linalg.psd_eigh(stacks)]
+        per_size = barycentre._mean_inner_root(roots, factors, prob.weights)
+        groups = barycentre._groups(stacks, factors)
+        assert len(grouped) == len(groups) < len(blocks)
+        for g, P in zip(groups, grouped):
+            padding = np.ones(P.shape, dtype=bool)
+            for part in barycentre._unpad(padding, [blocks[s] for s in g]):
+                part[...] = False
+            assert not np.any(P[padding])
+            assert padding.any() or len(g) == 1
+            for s, part in zip(g, barycentre._unpad(P, [blocks[s] for s in g])):
+                assert np.linalg.norm(part - per_size[s]) <= 1e-15 * np.linalg.norm(C)
 
 
 def dense_mean_inner_root(root, prob):
@@ -705,12 +747,13 @@ class TestTrimmedStack:
         cov = build_covariance(TruncationConfig(dim=dim))
         lapack_calls.clear()
         verify_barycentre_certificate(cov, prob)
-        # one stacked polar per chain length, over every chain of that length
-        # in every input; a chain of length L has rank L - 1 (its first index
-        # is odd, so C vanishes there), and the length-1 chains are all zero.
-        # Lengths 1, 2 and 3 keep at most two rows and take polar's Jacobi
-        # route, so only lengths 4 and 6 reach the SVD
-        assert lapack_calls.shapes["svd"] == [(block + 6, 1, 3, 4), (block + 6, 1, 5, 6)]
+        # one stacked polar per group of chain lengths, over every chain of
+        # those lengths in every input; a chain of length L has rank L - 1
+        # (its first index is odd, so C vanishes there), and the length-1
+        # chains are all zero.  Their 8 (block + 6) blocks step alone, and
+        # lengths 2 and 3 keep at most two rows and take polar's Jacobi route,
+        # so only lengths 4 and 6 reach the SVD, zero-padded into one stack
+        assert lapack_calls.shapes["svd"] == [(block + 6, 2, 5, 6)]
         # a dense input joins every chain into one block, and the dense pass
         # keeps its blocks of _block_size(d) inputs
         rng = np.random.default_rng(40)

@@ -27,13 +27,8 @@ from bwbary import (
 )
 from bwbary import linalg
 from bwbary.cli import main
-from bwbary.construct import chain_factors, doubling_chains
+from bwbary.construct import chain_factors
 from bwbary.linalg import pivoted_cholesky
-
-
-def chain_lengths(dim):
-    """Distinct lengths of the doubling chains: the stacked ``eigh`` of one pass on the pair."""
-    return len({len(chain) for chain in doubling_chains(dim)})
 
 
 @pytest.mark.parametrize("evaluate", [verify_barycentre_certificate, frechet_functional])
@@ -43,8 +38,10 @@ def test_candidate_is_checked_by_its_root(evaluate, lapack_calls):
     prob = problem([conjugate(t1, cov), conjugate(t2, cov)])
     lapack_calls.clear()
     evaluate(cov, prob)
-    # one stacked eigh per chain length (5, 3, 2, 1) over the candidate's blocks
-    assert lapack_calls["eigh"] == chain_lengths(16) == 4
+    # one eigh per group of the candidate's blocks: the chains of lengths 1,
+    # 2 and 3, which keep at most two factor rows, zero-padded into one
+    # stack, and the chain of length 5
+    assert lapack_calls.shapes["eigh"] == [(7, 3, 3), (1, 5, 5)]
     assert lapack_calls["eigvalsh"] == 0
 
 
@@ -193,9 +190,9 @@ class TestCliChecksEachFileOnce:
         assert main(["verify", "--candidate", str(pair / "sigma.json"),
                      "--inputs", str(pair / "s1.json"), str(pair / "s2.json")]) == 0
         # the inputs' stacked block factors in problem(), with no pstrf; the
-        # candidate's stacked eigh per chain length in the certificate
+        # candidate's eigh per group of chain lengths in the certificate
         assert lapack_calls["pstrf"] == 0
-        assert lapack_calls["eigh"] == chain_lengths(16)
+        assert lapack_calls["eigh"] == 2
         assert lapack_calls["eigvalsh"] == 0
 
     def test_barycentre_with_init(self, pair, lapack_calls, capsys):
@@ -205,18 +202,19 @@ class TestCliChecksEachFileOnce:
                      "--out", str(pair / "bary.json")]) == 0
         # the inputs' stacked block factors in problem(), and --init's, with
         # no pstrf; the step decomposes no iterate, so the closing pass makes
-        # the only stacked eigh of each chain length
+        # the only eigh, one per group: the chains of lengths 2 and 3, and of
+        # length 5 (those of length 1 keep no rows of sigma's factor)
         assert lapack_calls["pstrf"] == 0
-        assert lapack_calls["eigh"] == chain_lengths(16)
+        assert lapack_calls.shapes["eigh"] == [(3, 3, 3), (1, 5, 5)]
         assert lapack_calls["eigvalsh"] == 0
         assert "iterations=1 " in capsys.readouterr().out
 
     def test_sweep(self, tmp_path, lapack_calls, capsys):
         assert main(["sweep", "--dims", "8..32", "--out-csv", str(tmp_path / "s.csv")]) == 0
         # per dim: the inputs are their exact chain-block factors, with no
-        # check and no factoring; sigma's stacked eigh per chain length in
-        # the certificate; the eigvalsh of min_eig_t1.  The kernels come from
-        # the maps, with no eigh.
+        # check and no factoring; sigma's eigh per group of chain lengths in
+        # the certificate, two at each dim; the eigvalsh of min_eig_t1.  The
+        # kernels come from the maps, with no eigh.
         assert lapack_calls["pstrf"] == 0
-        assert lapack_calls["eigh"] == sum(chain_lengths(d) for d in (8, 16, 32)) == 12
+        assert lapack_calls["eigh"] == 2 * 3
         assert lapack_calls["eigvalsh"] == 1 * 3

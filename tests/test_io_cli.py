@@ -118,6 +118,17 @@ class TestMatrixFiles:
             save_matrix(path, matrix, "covariance")
         assert not path.exists()
 
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 3), r"expected a square matrix, got shape \(2, 3\)"),
+        ((4,), r"expected a square matrix, got shape \(4,\)"),
+        ((0, 0), "matrix must have dimension >= 1"),  # was written, and then not loaded
+    ], ids=["non-square", "vector", "empty"])
+    def test_save_rejects_matrices_that_are_not_square(self, tmp_path, shape, message):
+        path = tmp_path / "m.json"
+        with pytest.raises(InvalidInput, match=message):
+            save_matrix(path, np.zeros(shape), "covariance")
+        assert not path.exists()
+
     def test_load_rejects_non_psd_covariance(self, tmp_path):
         path = tmp_path / "m.json"
         save_matrix(path, -np.eye(2), "covariance")

@@ -16,7 +16,8 @@ and :class:`_ProcrustesStack`, the barycentre solver's steps over one chunk
 of its inputs, keeps the chunk in it between steps, with the rules that
 give each step :func:`procrustes`'s bits; and
 :func:`pivoted_cholesky` factors a whole stack of matrices in numpy, one
-factor row per step, under LAPACK ``pstrf``'s stopping rule for each matrix.
+factor row per step, under LAPACK ``pstrf``'s stopping rule for each matrix,
+of its own order when it is zero-padded into a stack of larger ones.
 Every matrix from outside is first checked, one matrix at a time, to be
 square, finite and symmetric by :func:`check_symmetric`.  A covariance is
 then checked by the decomposition its caller needs anyway: its
@@ -295,7 +296,7 @@ def _trimmed_factor(A: np.ndarray) -> np.ndarray:
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
-def pivoted_cholesky(A: np.ndarray) -> tuple:
+def pivoted_cholesky(A: np.ndarray, sizes=None) -> tuple:
     """Diagonally pivoted Cholesky of a stack of symmetric matrices: ``(F, rank)``.
 
     ``A`` is ``(..., n, n)``; ``F`` has the same shape and ``rank`` the shape
@@ -316,6 +317,11 @@ def pivoted_cholesky(A: np.ndarray) -> tuple:
     nonpositive remaining diagonal; its residual ``A - F.T @ F`` shows what
     was left.
 
+    ``sizes``, integers broadcast over ``A.shape[:-2]`` (by default ``n``),
+    are the orders for that rule of ``L x L`` matrices zero-padded to
+    ``n x n``: a zero column never pivots, so each factor has the bits of
+    the unpadded matrix's, zero-padded alike.
+
     Every step is elementwise or a sum over the rows so far of one matrix
     (``einsum``, which calls no BLAS and at dim 512 is faster than a
     stacked vector-matrix product), so a stack gives, matrix for matrix, the
@@ -330,7 +336,8 @@ def pivoted_cholesky(A: np.ndarray) -> tuple:
     at = np.arange(len(A))
     F = np.zeros(A.shape)
     diag = np.diagonal(A, axis1=1, axis2=2)
-    stop = n * _UNIT_ROUNDOFF * diag.max(axis=1)
+    orders = n if sizes is None else np.broadcast_to(sizes, shape[:-2]).reshape(-1)
+    stop = orders * _UNIT_ROUNDOFF * diag.max(axis=1)
     squares = np.zeros(diag.shape)  # sum_k F_kp^2 over the rows so far
     pivoted = np.zeros(diag.shape, dtype=bool)
     live = np.ones(len(A), dtype=bool)
@@ -487,6 +494,10 @@ class _ProcrustesStack:
         self.X, self.H = (self.Y[:, cols, :n * k].reshape(m, -1, k, n)
                           for cols in (slice(r), slice(r, None)))
         self.G = np.ascontiguousarray(G) if m <= 2 else None
+
+    def rows(self) -> np.ndarray:
+        """The working rows ``H_i`` as an ``(n, k, m, L)`` stack: ``G`` where ``H`` is ``G``."""
+        return self.G if self.G is not None else np.ascontiguousarray(self.H.transpose(3, 2, 0, 1))
 
     def stack(self, K: np.ndarray) -> np.ndarray:
         """The C-contiguous ``(n, k, r, L)`` stack ``U_i^T H_i`` against ``K``, one step."""

@@ -9,6 +9,10 @@ vectorised pass.  ``reference_input_sum`` and ``reference_procrustes_step``
 take a solver step stack by stack through ``linalg.procrustes``, writing
 the rows its Jacobi sweeps rotated back into the factors, the reference for
 ``linalg._ProcrustesStack``, which keeps them rows-last between steps.
+``reference_proved_factors`` factors a problem's diagonal blocks with one
+``pivoted_cholesky`` per block size, the reference for
+``barycentre._proved_factors``, which joins the small sizes into one
+zero-padded stack.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ from bwbary.barycentre import _block_size
 from bwbary.linalg import (
     RANK_TOL,
     _spectral_apply,
+    check_factor_residual,
     check_symmetric,
     pivoted_cholesky,
     polar,
@@ -161,3 +166,21 @@ def reference_procrustes_step(H, k):
     if rotated is not H:
         H[...] = rotated
     return R
+
+
+def reference_proved_factors(stacks):
+    """The ``(n, k, m, L)`` factors of ``(n, k, L, L)`` diagonal blocks, one ``pivoted_cholesky`` per size.
+
+    Each size cut to its largest rank, and each matrix's residual over its
+    blocks checked as its PSD proof.
+    """
+    residual, max_diag, block_factors = 0.0, 0.0, []
+    for stack in stacks:
+        F, rank = pivoted_cholesky(stack)
+        R = stack - np.swapaxes(F, -1, -2) @ F
+        residual = residual + (R * R).sum(axis=(1, 2, 3))
+        max_diag = np.maximum(max_diag, np.diagonal(stack, axis1=-2, axis2=-1).max(axis=(1, 2)))
+        block_factors.append(F[:, :, :int(rank.max(initial=0))].copy())
+    for matrix, r, top in zip(zip(*stacks), np.sqrt(residual), max_diag):
+        check_factor_residual(matrix, float(r), float(top))
+    return tuple(block_factors)

@@ -31,6 +31,7 @@ from helpers import (
     random_psd,
     reference_input_sum,
     reference_procrustes_step,
+    reference_proved_factors,
     sqrt_psd,
     two_input_oracle,
 )
@@ -269,7 +270,8 @@ class TestWarmStart:
     def test_monte_carlo_solve_rotates_rows_less(self, monkeypatch):
         # the seed-1 run of 1,000 inputs takes 9 mixed steps; restarted from
         # the problem's factors at every step, the 14 plain steps made 540
-        # row rotations, warm-started 316, and the mixed steps 237
+        # row rotations, warm-started 316, and the mixed steps 237, 215 with
+        # the closing pass also on the steps' rows
         prob = mc_problem(1000, seed=1)
         calls = [0]
         rotate = linalg._rotate_rows
@@ -282,6 +284,33 @@ class TestWarmStart:
         res = barycentre_fixed_point(prob)
         assert res.converged and res.iterations == 9
         assert calls[0] <= 250
+
+    def test_closing_pass_starts_from_the_rotated_rows(self, monkeypatch):
+        # |H_i C^{1/2}| = |G_i C^{1/2}|: on the seed-1 run the closing pass
+        # makes 14 row rotations from the steps' rows, 36 from the problem's
+        # factors, and its values agree with the public ones to rounding
+        prob = mc_problem(1000, seed=1)
+        calls, closing = [0], []
+        rotate, evaluate = linalg._rotate_rows, barycentre._evaluate
+
+        def counting(*args):
+            calls[0] += 1
+            rotate(*args)
+
+        def recording(C, chunks, p):
+            start = calls[0]
+            out = evaluate(C, chunks, p)
+            closing.append(calls[0] - start)
+            return out
+
+        monkeypatch.setattr(linalg, "_rotate_rows", counting)
+        monkeypatch.setattr(barycentre, "_evaluate", recording)
+        res = barycentre_fixed_point(prob)
+        assert len(closing) == 1 and closing[0] <= 20
+        monkeypatch.undo()
+        assert res.certificate_residual == pytest.approx(
+            verify_barycentre_certificate(res.barycentre, prob), abs=1e-15)
+        assert res.frechet_value == pytest.approx(frechet_functional(res.barycentre, prob), abs=1e-14)
 
 
 def resident_case(case):
@@ -443,7 +472,8 @@ class TestGroupedSteps:
 
 def start_factors(prob):
     """The solver's ``K_0`` stacks from the inputs' mean, one per block size."""
-    return [F[0] for F in barycentre._proved_factors([S[None] for S in barycentre._mean(prob)])]
+    return [F[0] for F in barycentre._proved_factors([S[None] for S in barycentre._mean(prob)],
+                                                     prob.blocks)]
 
 
 def dense_mean(prob):
@@ -582,8 +612,8 @@ class TestGroupedCertificate:
             prob = problem([s1, s2])
         passes, mean_inner_root = [], barycentre._mean_inner_root
 
-        def recording(roots, block_factors, weights):
-            passes.append(mean_inner_root(roots, block_factors, weights))
+        def recording(roots, chunks, weights):
+            passes.append(mean_inner_root(roots, chunks, weights))
             return passes[-1]
 
         monkeypatch.setattr(barycentre, "_mean_inner_root", recording)
@@ -593,7 +623,7 @@ class TestGroupedCertificate:
         stacks, blocks, factors = barycentre._on_blocks(prob, C)
         assert blocks is prob.blocks
         roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in linalg.psd_eigh(stacks)]
-        per_size = barycentre._mean_inner_root(roots, factors, prob.weights)
+        per_size = inner_root(roots, factors, prob.weights)
         groups = barycentre._groups(stacks, factors)
         assert len(grouped) == len(groups) < len(blocks)
         for g, P in zip(groups, grouped):
@@ -606,10 +636,16 @@ class TestGroupedCertificate:
                 assert np.linalg.norm(part - per_size[s]) <= 1e-15 * np.linalg.norm(C)
 
 
+def inner_root(roots, block_factors, weights):
+    """``_mean_inner_root`` over the problem's chunks of each factor stack, as the certificate takes them."""
+    chunks = [[(p, G[p]) for p in barycentre._chunks(G.shape)] for G in block_factors]
+    return barycentre._mean_inner_root(roots, chunks, weights)
+
+
 def dense_mean_inner_root(root, prob):
     """The pass on a problem whose inputs form one dense block, from its ``(d, d)`` root."""
     assert [idx.shape for idx in prob.blocks] == [(1, prob.dim)]
-    return barycentre._mean_inner_root([root[None]], prob.block_factors, prob.weights)[0][0]
+    return inner_root([root[None]], prob.block_factors, prob.weights)[0][0]
 
 
 class TestBlockedPass:
@@ -648,7 +684,7 @@ class TestBlockedPass:
         assert G.shape == (n, 1, 3, 4)
         roots = barycentre._gather(sqrt_psd(dense_mean(prob)), prob.blocks)
         lapack_calls.clear()
-        mean = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)[-1]
+        mean = inner_root(roots, prob.block_factors, prob.weights)[-1]
         assert lapack_calls["svd"] == 0
         expected = sum(wi * P for wi, P in zip(prob.weights, linalg.polar(G @ roots[-1])))
         assert np.array_equal(mean, expected)
@@ -664,7 +700,7 @@ class TestBlockedPass:
         assert [G.shape[2] for G in prob.block_factors] == [0, 1, 2, 4]
         roots = barycentre._gather(sqrt_psd(dense_mean(prob)), prob.blocks)
         lapack_calls.clear()
-        means = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)
+        means = inner_root(roots, prob.block_factors, prob.weights)
         assert lapack_calls["svd"] == 0
         for G, root, mean in list(zip(prob.block_factors, roots, means))[1:3]:
             expected = sum(wi * P for wi, P in zip(prob.weights, linalg.polar(G @ root)))
@@ -921,7 +957,7 @@ class TestInputOrderChecks:
 
 
 class TestBlockFactorAccuracy:
-    """Each chain block is factored on its own, so the graded tail of the pair is kept."""
+    """Each chain block stops at its own rule, so the graded tail of the pair is kept."""
 
     @pytest.mark.parametrize("dim", [32, 64, 128, 512])
     def test_pair_block_factors(self, dim):
@@ -944,6 +980,118 @@ class TestBlockFactorAccuracy:
         if dim >= 128:
             assert np.all(ranks > dense)
             assert verify_barycentre_certificate(cov, prob) <= 1e-15
+
+
+def dense_stacks(inputs):
+    """The diagonal blocks of dense inputs along their components, as the problem gathers them."""
+    X = np.stack(inputs)
+    blocks = barycentre._components((X != 0).any(axis=0))
+    return blocks, barycentre._gather(X, blocks)
+
+
+def graded_input(last):
+    """blockdiag(B, A): ``B = [[1, 1/2], [1/2, 1/4 + last]]`` and a random PSD ``4 x 4`` block ``A``.
+
+    ``B``'s second pivot leaves ``last`` exactly, for ``|last|`` a small
+    multiple of the unit roundoff.
+    """
+    M = np.zeros((6, 6))
+    M[:2, :2] = [[1.0, 0.5], [0.5, 0.25 + last]]
+    M[2:, 2:] = random_psd(np.random.default_rng(44), 4)
+    return M
+
+
+class TestJoinedFactor:
+    """The small block sizes are factored as one zero-padded stack, with the bits of one call per size."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        shapes, factor = [], linalg.pivoted_cholesky
+        monkeypatch.setattr(linalg, "pivoted_cholesky",
+                            lambda A, sizes=None: shapes.append(A.shape) or factor(A, sizes))
+        return shapes
+
+    @pytest.mark.parametrize("dim", [32, 64, 128, 512, 1024])
+    def test_dense_pair(self, dim, monkeypatch):
+        _, s1, s2 = constructed_triple(dim)
+        shapes = self.recorded(monkeypatch)
+        prob = problem([s1, s2])
+        blocks, stacks = dense_stacks([s1, s2])
+        expected = reference_proved_factors(stacks)
+        assert len(prob.block_factors) == len(expected) == len(blocks)
+        assert all(np.array_equal(G, F) for G, F in zip(prob.block_factors, expected))
+        # at dim 1024 the 256 chains of length 1 hold 2 * 256 = 512 blocks,
+        # which stand alone beside the joined remainder; below, one stack
+        k = sum(len(idx) for idx in blocks)
+        if dim == 1024:
+            assert shapes == [(2, 256, 1, 1), (2, k - 256, 11, 11)]
+        else:
+            assert shapes == [(2, k, blocks[-1].shape[1], blocks[-1].shape[1])]
+
+    @pytest.mark.parametrize("case", ["random blocks", "monte carlo", "chain pair 2048"])
+    def test_solver_start(self, case, monkeypatch):
+        if case == "random blocks":
+            prob = random_block_family()
+        elif case == "monte carlo":
+            prob = mc_problem(1000, seed=1)
+        else:
+            # the 512 chains of length 1 stand alone
+            prob = pair_factors(2048)
+        stacks = [S[None] for S in barycentre._mean(prob)]
+        shapes = self.recorded(monkeypatch)
+        K = barycentre._proved_factors(stacks, prob.blocks)
+        monkeypatch.undo()
+        expected = reference_proved_factors(stacks)
+        assert all(np.array_equal(G, F) for G, F in zip(K, expected))
+        assert len(shapes) == (2 if case == "chain pair 2048" else 1)
+
+    def test_random_block_family_from_dense_inputs(self):
+        family = random_block_family()
+        inputs = [barycentre._scatter([np.swapaxes(G[i], -1, -2) @ G[i] for G in family.block_factors],
+                                      family.blocks, family.dim) for i in range(3)]
+        prob = problem(inputs)
+        _, stacks = dense_stacks(inputs)
+        assert all(np.array_equal(G, F)
+                   for G, F in zip(prob.block_factors, reference_proved_factors(stacks)))
+
+    def test_graded_block_stops_at_its_own_order(self):
+        # the 2 x 2 block's last pivot, 3u, is above its own stop 2 u max diag
+        # and below the stop 4 u max diag of the order it is padded to
+        u = np.finfo(float).eps / 2
+        M = graded_input(3 * u)
+        prob = problem([M])
+        _, stacks = dense_stacks([M])
+        assert [S.shape[-1] for S in stacks] == [2, 4]
+        _, rank = linalg.pivoted_cholesky(barycentre._pad(stacks))
+        assert rank[0].tolist() == [1, 4]  # what the padded order's rule would keep
+        assert [G.shape[2] for G in prob.block_factors] == [2, 4]
+        assert all(np.array_equal(G, F)
+                   for G, F in zip(prob.block_factors, reference_proved_factors(stacks)))
+
+    def test_not_psd_input_raises_the_reference_message(self):
+        M = graded_input(-1e-3)
+        _, stacks = dense_stacks([M])
+        with pytest.raises(NotPSD) as expected:
+            reference_proved_factors(stacks)
+        with pytest.raises(NotPSD) as joined:
+            problem([M])
+        assert str(joined.value) == str(expected.value)
+
+    def test_chain_start_memory(self):
+        # dim 16384: the chain lengths 1 to 4 stand alone and the ten others
+        # are joined, padded to the longest chain's 15; joining every length
+        # would read about 34 MiB
+        prob = barycentre.BarycentreProblem.from_block_factors(
+            *construct.chain_factors(TruncationConfig(dim=16384, decay=0.98), (0.5, -0.5)))
+        stacks = [S[None] for S in barycentre._mean(prob)]
+        tracemalloc.start()
+        try:
+            K = barycentre._proved_factors(stacks, prob.blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert all(np.array_equal(G, F) for G, F in zip(K, reference_proved_factors(stacks)))
 
 
 def pair_factors(dim, settings=None):

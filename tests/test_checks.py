@@ -81,21 +81,42 @@ def test_distance_checks_each_argument_by_its_factor(lapack_calls):
     assert lapack_calls["eigh"] == lapack_calls["eigvalsh"] == 0
 
 
-def test_monte_carlo_checks_each_input_once(lapack_calls, monkeypatch):
+def recorded_factors(monkeypatch) -> list:
+    """The stack shapes of every ``linalg.pivoted_cholesky`` call from now on, in call order."""
     factored = []
     monkeypatch.setattr(linalg, "pivoted_cholesky",
-                        lambda A: factored.append(A.shape) or pivoted_cholesky(A))
+                        lambda A, sizes=None: factored.append(A.shape) or pivoted_cholesky(A, sizes))
+    return factored
+
+
+def test_monte_carlo_checks_each_input_once(lapack_calls, monkeypatch):
+    factored = recorded_factors(monkeypatch)
     n = 12
     report = population_mc_experiment(TruncationConfig(dim=8), RandomMapLaw(), n, seed=7)
     assert report.n == n
     # the problem takes each input as its exact chain-block factors, whose
     # one check is the boundary check of their values and shapes: no input
     # is factored, and none checked by its eigenvalues.  The only factors
-    # are the solver's start, the mean's blocks of each chain length (the
-    # dim-8 chains 5 and 7, 3-6 and 1-2-4-8), one matrix each
-    assert factored == [(1, 2, 1, 1), (1, 1, 2, 2), (1, 1, 4, 4)]
+    # is the solver's start: the mean's blocks of every chain length (the
+    # dim-8 chains 5 and 7, 3-6 and 1-2-4-8), zero-padded into one stack
+    assert factored == [(1, 4, 4, 4)]
     assert lapack_calls["pstrf"] == 0
     assert lapack_calls["eigvalsh"] == 0
+
+
+def test_a_pair_recovery_factors_once_per_problem(monkeypatch):
+    # the pairs at dims 64 and 128, each certified on one problem and solved
+    # on another: every problem and each solver start factors its 6 or 7
+    # chain lengths (39 calls, one per length, before they were joined),
+    # which hold fewer than linalg._JACOBI_MIN_STACK blocks, in one padded
+    # stack
+    factored = recorded_factors(monkeypatch)
+    for dim in (64, 128):
+        cov = build_covariance(TruncationConfig(dim=dim))
+        inputs = [conjugate(t, cov) for t in build_pair_maps(dim)]
+        verify_barycentre_certificate(cov, problem(inputs))
+        barycentre_fixed_point(problem(inputs))
+    assert factored == [(2, 32, 7, 7)] * 2 + [(1, 32, 7, 7)] + [(2, 64, 8, 8)] * 2 + [(1, 64, 8, 8)]
 
 
 NOT_PSD = np.diag([1.0, -1e-6])

@@ -664,6 +664,7 @@ class TestProcrustesStack:
             out = stack.stack(K)
             assert out.shape == (n, k, r, L) and out.flags.c_contiguous
             assert np.array_equal(out, reference_procrustes_step(H, K))
+            assert np.array_equal(stack.rows(), H)  # the rows the next step starts from
         assert np.array_equal(G, before)
 
 
@@ -977,6 +978,9 @@ class TestPivotedCholesky:
         mats = np.stack([np.diag([1.0, 1e-17]), np.diag([1e-3, 1e-17]), np.diag([1.0, 2 * u]),
                          np.diag([1.0, 2 * u * 1.0001])])
         assert pivoted_cholesky(mats)[1].tolist() == [1, 2, 1, 2]
+        # sizes gives a zero-padded matrix the rule of its own order
+        padded = np.diag([1.0, 3 * u, 0.0, 0.0])[None]
+        assert pivoted_cholesky(padded)[1][0] == 1 and pivoted_cholesky(padded, 2)[1][0] == 2
 
     @pytest.mark.parametrize("M, rank", [
         (np.zeros((3, 3)), 0),
@@ -996,6 +1000,31 @@ class TestPivotedCholesky:
         assert lapack_calls["pstrf"] == 0
         assert C.shape == (12, 12)
         assert np.array_equal(C, pivoted_cholesky(np.stack([M, random_psd(rng, 12)]))[0][0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 7), st.integers(0, 7), st.floats(1e-12, 1.0)),
+                min_size=1, max_size=4),
+       st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_padded_stack_has_the_bits_of_each_matrix(specs, extra, seed):
+    # graded matrices of each order and rank, zero-padded on their last rows
+    # and columns into one stack, each stopping at the rule for its own order
+    rng = np.random.default_rng(seed)
+    mats = []
+    for order, rank, grade in specs:
+        G = rng.standard_normal((order, min(rank, order))) * grade ** np.arange(order)[:, None]
+        mats.append(G @ G.T)
+    n = max(M.shape[0] for M in mats) + extra
+    pad = np.zeros((len(mats), n, n))
+    for P, M in zip(pad, mats):
+        P[:len(M), :len(M)] = M
+    F, rank = pivoted_cholesky(pad, [len(M) for M in mats])
+    for G, r, M in zip(F, rank, mats):
+        one, r1 = pivoted_cholesky(M[None])
+        L = len(M)
+        assert r == r1[0]
+        assert np.array_equal(G[:L, :L], one[0])
+        assert not G[L:].any() and not G[:, L:].any()
 
 
 @settings(max_examples=50, deadline=None)

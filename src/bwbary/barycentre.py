@@ -162,16 +162,17 @@ def _read_dense(inputs, w: np.ndarray) -> tuple:
 def _proved_factors(stacks: list, blocks: tuple) -> tuple:
     """The ``(n, k_L, m_L, L)`` block factors of ``(n, k_L, L, L)`` diagonal blocks, each matrix proved PSD.
 
-    See :class:`BarycentreProblem`: one :func:`linalg.pivoted_cholesky` per
-    size that stands alone (:func:`_alone`) and one for the other sizes,
-    zero-padded (:func:`_pad`), each block under the rule for its own order;
-    each size is cut to its largest rank, and the residual over each
-    matrix's unpadded blocks is its proof (:func:`linalg.check_factor_residual`).
+    See :class:`BarycentreProblem`: from the largest order down, a size
+    joins one zero-padded stack (:func:`_pad`) while it holds at most
+    ``_block_size`` blocks of its largest order, else it stands alone; each
+    size is cut to its largest rank, each matrix's block residual its proof.
     """
-    n, factors = len(stacks[0]), {}
-    alone = [_alone(n, len(idx)) for idx in blocks]
-    parts = [[s] for s, a in enumerate(alone) if a] + [[s for s, a in enumerate(alone) if not a]]
-    for part in filter(None, parts):
+    n, joined, alone, factors = len(stacks[0]), [], [], {}
+    for s in sorted(range(len(blocks)), key=lambda s: -blocks[s].shape[1]):
+        top = blocks[(joined or [s])[0]].shape[1]
+        fits = n * sum(len(blocks[t]) for t in joined + [s]) <= _block_size(top)
+        (joined if fits else alone).append(s)
+    for part in filter(None, [[s] for s in alone] + [joined]):
         idx = [blocks[s] for s in part]
         F, rank = linalg.pivoted_cholesky(_pad([stacks[s] for s in part]),
                                           np.concatenate([np.full(len(i), i.shape[1]) for i in idx]))
@@ -244,14 +245,13 @@ class BarycentreProblem:
     stacked once, and ``input_trace`` summed in input order.
     ``blocks`` are the connected components of the union of the inputs'
     exact nonzero patterns (:func:`_components`): for the construction, the
-    doubling chains ``m, 2m, 4m, ...``; for a dense family, one block.  The
-    blocks are factored with one :func:`linalg.pivoted_cholesky` call, the
-    sizes zero-padded into one stack, but for a size with at least
-    ``linalg._JACOBI_MIN_STACK`` blocks over all inputs, which has a call of
-    its own (:func:`_proved_factors`); each block stops at LAPACK's rule for
-    its own order, ``L * u * max diag`` (so a graded block keeps its small
-    directions beside larger blocks), and each size is cut to ``m_L``, the
-    largest rank of a block of that size.  The factors are
+    doubling chains ``m, 2m, 4m, ...``; for a dense family, one block.  Sizes
+    within :func:`_block_size`'s budget share one zero-padded
+    :func:`linalg.pivoted_cholesky` stack, any other size has its own
+    (:func:`_proved_factors`), and each block stops at LAPACK's rule for its
+    own order, ``L * u * max diag`` (so a graded block keeps its small
+    directions beside larger blocks); each size is cut to ``m_L``, the
+    largest rank of its blocks.  The factors are
     the PSD check: an input whose residual ``||S - F^T F||_F`` over its blocks
     exceeds ``PSD_TOL * max(1, max diag S)`` is checked by its blocks'
     eigenvalues (:func:`linalg.check_factor_residual`).
@@ -428,20 +428,20 @@ def _input_sum(chunks: list, weights, term) -> np.ndarray:
     return acc
 
 
-def _mean_inner_root(roots: list, chunks: list, weights) -> list:
+def _mean_inner_root(roots: list, block_factors: tuple, weights) -> list:
     """The stacks of ``sum_i w_i (R^{1/2} S_i R^{1/2})^{1/2}`` from those of ``R^{1/2}``.
 
     Per stack (a block size, or a group of them, :func:`_groups`), the
-    products ``F_i @ root`` of the factors ``F_i^T F_i = S_i`` in its
-    :func:`_input_sum` pairs ``(part, F)`` go to the stacked
-    :func:`linalg.polar` (on the Monte-Carlo run's 1,000 inputs at dim 32
-    its Jacobi route, no SVD).
+    products ``G_i @ root`` of every input and block go to
+    :func:`_input_sum`'s stacked :func:`linalg.polar` (on the Monte-Carlo
+    run's 1,000 inputs at dim 32 its Jacobi route, no SVD).
     A single block has the bits of ``sum(w * P)`` over the stacked polars
     ``P`` of the trimmed factors, which below the Jacobi route's stack size
     are the bits of ``sum(w * polar(F @ root))`` over the trimmed factors.
     """
-    return [_input_sum(c, weights, lambda F, root=root: linalg.polar(F @ root))
-            for root, c in zip(roots, chunks)]
+    return [_input_sum([(p, G[p]) for p in _chunks(G.shape)], weights,
+                       lambda F, root=root: linalg.polar(F @ root))
+            for root, G in zip(roots, block_factors)]
 
 
 def _frechet(trace: float, cross: float, input_trace: float) -> float:
@@ -449,23 +449,21 @@ def _frechet(trace: float, cross: float, input_trace: float) -> float:
     return max(trace + input_trace - 2.0 * cross, 0.0)
 
 
-def _evaluate(C: list, chunks: list, prob: BarycentreProblem) -> tuple:
+def _evaluate(C: list, block_factors: tuple, prob: BarycentreProblem) -> tuple:
     """Certificate residual and Fréchet value of a symmetric ``C`` from one pass.
 
     ``C`` is given as the groups' zero-padded stacks (:func:`_groups`) of its
     diagonal blocks along a partition it is block diagonal on, and
-    ``chunks`` as :func:`_mean_inner_root`'s factors of the inputs' blocks,
-    grouped and padded alike: one ``eigh`` and one stacked
-    :func:`linalg.polar` per group.  ``|F_i C^{1/2}|`` depends on
-    ``F_i^T F_i`` alone, so the solver's closing pass hands its steps'
-    working rows.  The decomposition behind ``C^{1/2}`` is the one PSD check
-    of ``C``; padding adds zero eigenvalues, which leave the verdict as it
-    is.  With no group (every size of the iterate zero) the residual is 0
-    and the value ``input_trace``.
+    ``block_factors`` as the factors of the inputs' blocks, grouped and
+    padded alike: one ``eigh`` and one stacked :func:`linalg.polar` per
+    group.  The decomposition behind ``C^{1/2}`` is the one PSD check of
+    ``C``; padding adds zero eigenvalues, which leave the verdict as it is.
+    With no group (every size of the iterate zero) the residual is 0 and the
+    value ``input_trace``.
     """
     decs = linalg.psd_eigh(C) if C else []
     roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in decs]
-    mid = _mean_inner_root(roots, chunks, prob.weights)
+    mid = _mean_inner_root(roots, block_factors, prob.weights)
     residual = _norm([M - X for M, X in zip(mid, C)]) / max(1.0, _norm(C))
     return residual, _frechet(_trace(C), _trace(mid), prob.input_trace)
 
@@ -479,7 +477,7 @@ def _evaluate_candidate(candidate, prob: BarycentreProblem) -> tuple:
     stacks, _, block_factors = _on_blocks(prob, candidate)
     groups = _groups(stacks, block_factors)
     C, G = ([_pad([X[s] for s in g]) for g in groups] for X in (stacks, block_factors))
-    return _evaluate(C, [[(p, F[p]) for p in _chunks(F.shape)] for F in G], prob)
+    return _evaluate(C, G, prob)
 
 
 def frechet_functional(candidate, prob: BarycentreProblem) -> float:
@@ -525,16 +523,11 @@ def _groups(K: list, block_factors: tuple) -> list:
         count, r, _ = k.shape
         if r == 0:
             continue
-        if _alone(n, count):
+        if n * count >= linalg._JACOBI_MIN_STACK:
             alone.append([s])
         else:
             (jacobi if linalg._route((G.shape[2], r)) == "jacobi" else rest).append(s)
     return alone + [g for g in (jacobi, rest) if g]
-
-
-def _alone(n: int, k: int) -> bool:
-    """Whether a size's ``n k`` blocks over all inputs are a stack of their own in a pass."""
-    return n * k >= linalg._JACOBI_MIN_STACK
 
 
 def _pad(stacks: list) -> np.ndarray:
@@ -703,12 +696,11 @@ def barycentre_fixed_point(prob: BarycentreProblem, init=None) -> BarycentreResu
         stacks, mixed = _anderson(stacks, plain, memory)
         sigma = _gram(stacks) if mixed else plain_sigma
 
-    rows = [[(p, stack.rows()) for p, stack in f] for f in factors]
-    residual, fval = _evaluate(sigma, rows, prob)
+    residual, fval = _evaluate(sigma, inputs, prob)
     if mixed and fval > history[-1][2] + bound:
         # the cap stopped at a mixed iterate that the next pass would drop
         sigma = plain_sigma
-        residual, fval = _evaluate(sigma, rows, prob)
+        residual, fval = _evaluate(sigma, inputs, prob)
     fvals = [h[2] for h in history] + [fval]
     rises = [(t, b - a) for t, (a, b) in enumerate(zip(fvals, fvals[1:]), 1)
              if b - a > bound]

@@ -14,10 +14,9 @@ Procrustes core, :func:`_jacobi_procrustes`, takes and rotates that layout
 in place: :func:`procrustes` converts its input to it and the result back,
 and :class:`_ProcrustesStack`, the barycentre solver's steps over one chunk
 of its inputs, keeps the chunk in it between steps, with the rules that
-give each step :func:`procrustes`'s bits; and
-:func:`pivoted_cholesky` factors a whole stack of matrices in numpy, one
-factor row per step, under LAPACK ``pstrf``'s stopping rule for each matrix,
-of its own order when it is zero-padded into a stack of larger ones.
+give each step :func:`procrustes`'s bits; and :func:`pivoted_cholesky`
+factors a stack of matrices, zero-padded ones too, in numpy, one factor row
+per step, under LAPACK ``pstrf``'s stopping rule for each matrix's own order.
 Every matrix from outside is first checked, one matrix at a time, to be
 square, finite and symmetric by :func:`check_symmetric`.  A covariance is
 then checked by the decomposition its caller needs anyway: its
@@ -315,12 +314,9 @@ def pivoted_cholesky(A: np.ndarray, sizes=None) -> tuple:
     ``n * u * max diag A``, ``u`` the unit roundoff (for ``max diag A <= 0``
     at once, with rank 0).  An indefinite matrix stops at its first
     nonpositive remaining diagonal; its residual ``A - F.T @ F`` shows what
-    was left.
-
-    ``sizes``, integers broadcast over ``A.shape[:-2]`` (by default ``n``),
-    are the orders for that rule of ``L x L`` matrices zero-padded to
-    ``n x n``: a zero column never pivots, so each factor has the bits of
-    the unpadded matrix's, zero-padded alike.
+    was left.  ``sizes`` (broadcast over ``A.shape[:-2]``, by default ``n``)
+    give that rule the own order ``L`` of a matrix zero-padded to ``n x n``;
+    a zero column never pivots, so each keeps its unpadded factor's bits.
 
     Every step is elementwise or a sum over the rows so far of one matrix
     (``einsum``, which calls no BLAS and at dim 512 is faster than a
@@ -494,10 +490,6 @@ class _ProcrustesStack:
         self.X, self.H = (self.Y[:, cols, :n * k].reshape(m, -1, k, n)
                           for cols in (slice(r), slice(r, None)))
         self.G = np.ascontiguousarray(G) if m <= 2 else None
-
-    def rows(self) -> np.ndarray:
-        """The working rows ``H_i`` as an ``(n, k, m, L)`` stack: ``G`` where ``H`` is ``G``."""
-        return self.G if self.G is not None else np.ascontiguousarray(self.H.transpose(3, 2, 0, 1))
 
     def stack(self, K: np.ndarray) -> np.ndarray:
         """The C-contiguous ``(n, k, r, L)`` stack ``U_i^T H_i`` against ``K``, one step."""

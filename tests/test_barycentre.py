@@ -270,8 +270,7 @@ class TestWarmStart:
     def test_monte_carlo_solve_rotates_rows_less(self, monkeypatch):
         # the seed-1 run of 1,000 inputs takes 9 mixed steps; restarted from
         # the problem's factors at every step, the 14 plain steps made 540
-        # row rotations, warm-started 316, and the mixed steps 237, 215 with
-        # the closing pass also on the steps' rows
+        # row rotations, warm-started 316, and the mixed steps 237
         prob = mc_problem(1000, seed=1)
         calls = [0]
         rotate = linalg._rotate_rows
@@ -284,33 +283,6 @@ class TestWarmStart:
         res = barycentre_fixed_point(prob)
         assert res.converged and res.iterations == 9
         assert calls[0] <= 250
-
-    def test_closing_pass_starts_from_the_rotated_rows(self, monkeypatch):
-        # |H_i C^{1/2}| = |G_i C^{1/2}|: on the seed-1 run the closing pass
-        # makes 14 row rotations from the steps' rows, 36 from the problem's
-        # factors, and its values agree with the public ones to rounding
-        prob = mc_problem(1000, seed=1)
-        calls, closing = [0], []
-        rotate, evaluate = linalg._rotate_rows, barycentre._evaluate
-
-        def counting(*args):
-            calls[0] += 1
-            rotate(*args)
-
-        def recording(C, chunks, p):
-            start = calls[0]
-            out = evaluate(C, chunks, p)
-            closing.append(calls[0] - start)
-            return out
-
-        monkeypatch.setattr(linalg, "_rotate_rows", counting)
-        monkeypatch.setattr(barycentre, "_evaluate", recording)
-        res = barycentre_fixed_point(prob)
-        assert len(closing) == 1 and closing[0] <= 20
-        monkeypatch.undo()
-        assert res.certificate_residual == pytest.approx(
-            verify_barycentre_certificate(res.barycentre, prob), abs=1e-15)
-        assert res.frechet_value == pytest.approx(frechet_functional(res.barycentre, prob), abs=1e-14)
 
 
 def resident_case(case):
@@ -612,8 +584,8 @@ class TestGroupedCertificate:
             prob = problem([s1, s2])
         passes, mean_inner_root = [], barycentre._mean_inner_root
 
-        def recording(roots, chunks, weights):
-            passes.append(mean_inner_root(roots, chunks, weights))
+        def recording(roots, block_factors, weights):
+            passes.append(mean_inner_root(roots, block_factors, weights))
             return passes[-1]
 
         monkeypatch.setattr(barycentre, "_mean_inner_root", recording)
@@ -623,7 +595,7 @@ class TestGroupedCertificate:
         stacks, blocks, factors = barycentre._on_blocks(prob, C)
         assert blocks is prob.blocks
         roots = [linalg._spectral_apply(V, np.sqrt(w)) for w, V in linalg.psd_eigh(stacks)]
-        per_size = inner_root(roots, factors, prob.weights)
+        per_size = barycentre._mean_inner_root(roots, factors, prob.weights)
         groups = barycentre._groups(stacks, factors)
         assert len(grouped) == len(groups) < len(blocks)
         for g, P in zip(groups, grouped):
@@ -636,16 +608,10 @@ class TestGroupedCertificate:
                 assert np.linalg.norm(part - per_size[s]) <= 1e-15 * np.linalg.norm(C)
 
 
-def inner_root(roots, block_factors, weights):
-    """``_mean_inner_root`` over the problem's chunks of each factor stack, as the certificate takes them."""
-    chunks = [[(p, G[p]) for p in barycentre._chunks(G.shape)] for G in block_factors]
-    return barycentre._mean_inner_root(roots, chunks, weights)
-
-
 def dense_mean_inner_root(root, prob):
     """The pass on a problem whose inputs form one dense block, from its ``(d, d)`` root."""
     assert [idx.shape for idx in prob.blocks] == [(1, prob.dim)]
-    return inner_root([root[None]], prob.block_factors, prob.weights)[0][0]
+    return barycentre._mean_inner_root([root[None]], prob.block_factors, prob.weights)[0][0]
 
 
 class TestBlockedPass:
@@ -684,7 +650,7 @@ class TestBlockedPass:
         assert G.shape == (n, 1, 3, 4)
         roots = barycentre._gather(sqrt_psd(dense_mean(prob)), prob.blocks)
         lapack_calls.clear()
-        mean = inner_root(roots, prob.block_factors, prob.weights)[-1]
+        mean = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)[-1]
         assert lapack_calls["svd"] == 0
         expected = sum(wi * P for wi, P in zip(prob.weights, linalg.polar(G @ roots[-1])))
         assert np.array_equal(mean, expected)
@@ -700,7 +666,7 @@ class TestBlockedPass:
         assert [G.shape[2] for G in prob.block_factors] == [0, 1, 2, 4]
         roots = barycentre._gather(sqrt_psd(dense_mean(prob)), prob.blocks)
         lapack_calls.clear()
-        means = inner_root(roots, prob.block_factors, prob.weights)
+        means = barycentre._mean_inner_root(roots, prob.block_factors, prob.weights)
         assert lapack_calls["svd"] == 0
         for G, root, mean in list(zip(prob.block_factors, roots, means))[1:3]:
             expected = sum(wi * P for wi, P in zip(prob.weights, linalg.polar(G @ root)))
@@ -1002,7 +968,7 @@ def graded_input(last):
 
 
 class TestJoinedFactor:
-    """The small block sizes are factored as one zero-padded stack, with the bits of one call per size."""
+    """Block sizes joined into one zero-padded stack have the bits of one call per size."""
 
     @staticmethod
     def recorded(monkeypatch):
@@ -1020,8 +986,9 @@ class TestJoinedFactor:
         expected = reference_proved_factors(stacks)
         assert len(prob.block_factors) == len(expected) == len(blocks)
         assert all(np.array_equal(G, F) for G, F in zip(prob.block_factors, expected))
-        # at dim 1024 the 256 chains of length 1 hold 2 * 256 = 512 blocks,
-        # which stand alone beside the joined remainder; below, one stack
+        # at dim 1024 the 256 chains of length 1 would take the padded stack
+        # to 2 * 512 blocks of order 11, past _block_size(11) = 541, so they
+        # stand alone beside the joined remainder; below, one stack
         k = sum(len(idx) for idx in blocks)
         if dim == 1024:
             assert shapes == [(2, 256, 1, 1), (2, k - 256, 11, 11)]
@@ -1035,7 +1002,6 @@ class TestJoinedFactor:
         elif case == "monte carlo":
             prob = mc_problem(1000, seed=1)
         else:
-            # the 512 chains of length 1 stand alone
             prob = pair_factors(2048)
         stacks = [S[None] for S in barycentre._mean(prob)]
         shapes = self.recorded(monkeypatch)
@@ -1043,7 +1009,13 @@ class TestJoinedFactor:
         monkeypatch.undo()
         expected = reference_proved_factors(stacks)
         assert all(np.array_equal(G, F) for G, F in zip(K, expected))
-        assert len(shapes) == (2 if case == "chain pair 2048" else 1)
+        if case == "chain pair 2048":
+            # the 256 chains of length 2 would take the stack padded to 12
+            # to 512 blocks, past _block_size(12) = 455: they and the 512
+            # chains of length 1 stand alone
+            assert shapes == [(1, 256, 2, 2), (1, 512, 1, 1), (1, 256, 12, 12)]
+        else:
+            assert len(shapes) == 1
 
     def test_random_block_family_from_dense_inputs(self):
         family = random_block_family()
@@ -1078,20 +1050,44 @@ class TestJoinedFactor:
         assert str(joined.value) == str(expected.value)
 
     def test_chain_start_memory(self):
-        # dim 16384: the chain lengths 1 to 4 stand alone and the ten others
-        # are joined, padded to the longest chain's 15; joining every length
-        # would read about 34 MiB
+        # dim 16384: the chain lengths 1 to 5 stand alone and the 256 longer
+        # chains are joined, padded to the longest chain's 15; the peak reads
+        # 1.4 MiB, and joining every length would read about 34 MiB
         prob = barycentre.BarycentreProblem.from_block_factors(
             *construct.chain_factors(TruncationConfig(dim=16384, decay=0.98), (0.5, -0.5)))
         stacks = [S[None] for S in barycentre._mean(prob)]
-        tracemalloc.start()
-        try:
-            K = barycentre._proved_factors(stacks, prob.blocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        K, peak = traced(lambda: barycentre._proved_factors(stacks, prob.blocks))
         assert peak <= 8 * 2**20
         assert all(np.array_equal(G, F) for G, F in zip(K, reference_proved_factors(stacks)))
+
+    def test_dense_block_beside_isolated_coordinates(self, monkeypatch):
+        # a 128 x 128 block and 255 coordinates of their own: padding the
+        # 2 * 255 blocks of order 1 to 128 would take 64 MiB, so each size
+        # has its call, as in the per-size loop, and its memory
+        rng, d = np.random.default_rng(45), 128 + 255
+        inputs = []
+        for _ in range(2):
+            M = np.diag(rng.uniform(0.5, 1.5, d))
+            M[:128, :128] = random_psd(rng, 128)
+            inputs.append(M)
+        blocks, stacks = dense_stacks(inputs)
+        shapes = self.recorded(monkeypatch)
+        K, peak = traced(lambda: barycentre._proved_factors(stacks, blocks))
+        monkeypatch.undo()
+        expected, reference_peak = traced(lambda: reference_proved_factors(stacks))
+        assert sorted(shapes) == [(2, 1, 128, 128), (2, 255, 1, 1)]
+        assert all(np.array_equal(G, F) for G, F in zip(K, expected))
+        assert peak <= 1.5 * reference_peak
+
+
+def traced(fn):
+    """``fn()`` and the ``tracemalloc`` peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pair_factors(dim, settings=None):

@@ -107,9 +107,8 @@ def test_monte_carlo_checks_each_input_once(lapack_calls, monkeypatch):
 def test_a_pair_recovery_factors_once_per_problem(monkeypatch):
     # the pairs at dims 64 and 128, each certified on one problem and solved
     # on another: every problem and each solver start factors its 6 or 7
-    # chain lengths (39 calls, one per length, before they were joined),
-    # which hold fewer than linalg._JACOBI_MIN_STACK blocks, in one padded
-    # stack
+    # chain lengths (39 calls, one per length, before they were joined) in
+    # one padded stack, well within _block_size's budget
     factored = recorded_factors(monkeypatch)
     for dim in (64, 128):
         cov = build_covariance(TruncationConfig(dim=dim))
